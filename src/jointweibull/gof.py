@@ -9,8 +9,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import chi2
+from scipy.special import chdtrc, kolmogorov
 
 from .mle import _bisect_on_derivative, _log_mean_power
 from .rng import RngStream, sample_weibull
@@ -162,18 +161,21 @@ def ks_pvalue(
 
     Without Monte Carlo arguments the limiting Kolmogorov law is used (this
     ignores the optimism introduced by fitting, which is the conventional
-    reading of the headline p-values for these data).  With ``n_mc`` and a
-    stream, the null is simulated instead.  The Weibull family is closed
-    under the power and scale maps that connect it to the standard
-    exponential, and the MLE commutes with those maps, so the simulated
-    null never needs the fitted parameters: draw standard exponentials,
-    refit when ``estimated`` is set, and recompute the distance.
+    reading of the headline p-values for these data).  With ``n_mc > 0`` the
+    null is simulated instead, which needs an explicit stream.  The Weibull
+    family is closed under the power and scale maps that connect it to the
+    standard exponential, and the MLE commutes with those maps, so the
+    simulated null never needs the fitted parameters: draw standard
+    exponentials, refit when ``estimated`` is set, and recompute the
+    distance.
     """
     if not 0.0 <= distance <= 1.0:
         raise ValueError("a KS distance lies in [0, 1]")
     if n < 1:
         raise ValueError("n must be positive")
-    if n_mc > 0 and rng is not None:
+    if n_mc > 0:
+        if rng is None:
+            raise ValueError("a Monte Carlo p-value needs an explicit RngStream")
         hits = 0
         for _ in range(n_mc):
             x = np.atleast_1d(sample_weibull(1.0, 1.0, rng, size=n))
@@ -197,4 +199,4 @@ def lr_test_common_shape(data1: CompleteSample, data2: CompleteSample) -> tuple[
     sep = fit_weibull_complete(data1).loglik + fit_weibull_complete(data2).loglik
     joint = fit_common_shape(data1, data2).loglik
     stat = max(0.0, -2.0 * (joint - sep))
-    return stat, float(chi2.sf(stat, df=1))
+    return stat, float(chdtrc(1, stat))

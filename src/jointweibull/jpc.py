@@ -277,6 +277,69 @@ def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -
     return JpcSample(scheme=scheme, obs=tuple(obs))
 
 
+def simulate_jpc_batch(
+    scheme: CensoringScheme, params: JointParams, rng: RngStream, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``size`` experiments at once; returns ``(log_t, delta, s)``, each
+    of shape ``(size, k)``: log failure times, group indicators and
+    withdrawal splits, one experiment per row.
+
+    Both groups share the shape, so in the scale tau = t^alpha every unit is
+    exponential with its group's rate and the experiment is memoryless.
+    With a1, a2 survivors the next tau-gap is Exp(a1*l1 + a2*l2), the
+    failing unit comes from group 1 with probability a1*l1 / (a1*l1 + a2*l2),
+    and the withdrawal split is hypergeometric over the survivors left after
+    the failure: the joint analogue of Balakrishnan & Sandhu (1995,
+    Amer. Statist. 49:229).  A row therefore takes O(k) draws and no sort,
+    and the k epochs are k array steps over all rows.  Times come back as
+    ``ln t = ln(tau) / alpha``, which never forms t^alpha.  Rows whose log
+    times do not strictly increase (floating-point collision only) are
+    redrawn, as :func:`simulate_jpc` redraws tied lifetimes.
+    """
+    if size < 1:
+        raise ValueError("size must be positive")
+    k = scheme.k
+    log_t = np.empty((size, k))
+    delta = np.empty((size, k), dtype=np.int64)
+    s = np.empty((size, k), dtype=np.int64)
+    todo = np.arange(size)
+    while todo.size:
+        lt, d, sj = _tau_scale_rows(scheme, params, rng, todo.size)
+        if np.isposinf(lt[:, -1]).any():
+            raise ValueError("failure times overflow a double at these parameters")
+        log_t[todo], delta[todo], s[todo] = lt, d, sj
+        ok = (lt[:, 0] > -np.inf) & np.all(np.diff(lt, axis=1) > 0.0, axis=1)
+        todo = todo[~ok]
+    return log_t, delta, s
+
+
+def _tau_scale_rows(scheme: CensoringScheme, params: JointParams, rng: RngStream, size: int):
+    k = scheme.k
+    gap = rng.exponential((size, k))
+    pick = rng.uniform((size, k))
+    delta = np.zeros((size, k), dtype=np.int64)
+    s = np.zeros((size, k), dtype=np.int64)
+    a1 = np.full(size, scheme.m, dtype=np.int64)
+    a2 = np.full(size, scheme.n, dtype=np.int64)
+    for j, r_j in enumerate(scheme.R):
+        h1 = a1 * params.lambda1
+        h2 = a2 * params.lambda2
+        gap[:, j] /= h1 + h2
+        # U*(h1 + h2) < h1, arranged so an empty group can never be picked
+        d = pick[:, j] * h2 < (1.0 - pick[:, j]) * h1
+        delta[:, j] = d
+        a1 -= d
+        a2 -= ~d
+        if r_j:
+            sj = rng.hypergeometric(a1, a2, r_j)
+            s[:, j] = sj
+            a1 -= sj
+            a2 -= r_j - sj
+    with np.errstate(divide="ignore"):  # a zero first gap gives -inf: redrawn
+        log_t = np.log(np.cumsum(gap, axis=1)) / params.alpha
+    return log_t, delta, s
+
+
 def shift_sample(sample: JpcSample, shift: float) -> JpcSample:
     """Subtract a threshold from every failure time (new times must stay
     positive).  Useful when recorded values carry a known lower bound."""
@@ -292,14 +355,33 @@ def break_ties(values) -> np.ndarray:
     """Perturb exact ties by position-stable multiples of 1e-9.
 
     Estimation code needs strictly ordered epochs; recorded data sometimes
-    carries duplicates at the printed precision.  The perturbation is a
-    deterministic function of position so repeated runs agree bit for bit.
+    carries duplicates at the printed precision.  The c-th repeat of a value
+    (counting from zero) is moved up by c * 1e-9, a deterministic function of
+    position, so repeated runs agree bit for bit; values that occur once are
+    never moved.  For a non-decreasing input (the times of a sample file) the
+    output strictly increases whenever double precision leaves room between
+    the values that occur once: a repeat that 1e-9 steps would push onto or
+    past the next value, or that cannot move by 1e-9 at its magnitude, is
+    placed at the nearest double that keeps the order.  Where the steps
+    already give a strictly increasing result, that result is returned as is.
     """
-    out = np.array(values, dtype=float)
+    x = np.array(values, dtype=float)
+    out = x.copy()
     seen: dict[float, int] = {}
-    for i, v in enumerate(out):
+    for i, v in enumerate(x):
         c = seen.get(v, 0)
         if c:
             out[i] = v + c * 1e-9
         seen[v] = c + 1
+    if not np.all(np.diff(x) >= 0.0) or np.all(np.diff(out) > 0.0):
+        return out
+    tied = [seen[v] > 1 for v in x]
+    # a forward pass lifts each repeat above its predecessor, a backward pass
+    # lowers it below its successor; values that occur once stay fixed
+    for i in range(1, out.size):
+        if tied[i]:
+            out[i] = max(out[i], np.nextafter(out[i - 1], math.inf))
+    for i in range(out.size - 2, -1, -1):
+        if tied[i]:
+            out[i] = min(out[i], np.nextafter(out[i + 1], -math.inf))
     return out

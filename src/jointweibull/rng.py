@@ -72,6 +72,15 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
+    def exponential(self, size=None):
+        """Standard (unit-rate) exponential draws."""
+        return self._gen.standard_exponential(size)
+
+    def hypergeometric(self, ngood, nbad, nsample):
+        """Good units among ``nsample`` drawn without replacement from
+        ``ngood`` good and ``nbad`` bad ones; broadcasts over arrays."""
+        return self._gen.hypergeometric(ngood, nbad, nsample)
+
     def gamma(self, shape, rate=1.0, size=None):
         """Gamma draw parameterized by shape and *rate* (not scale).
 
@@ -246,7 +255,7 @@ def sample_hypergeometric(pop1: int, pop2: int, draws: int, rng: RngStream) -> i
         return 0
     if pop2 == 0:
         return draws
-    return int(rng._gen.hypergeometric(pop1, pop2, draws))
+    return int(rng.hypergeometric(pop1, pop2, draws))
 
 
 @dataclass(frozen=True)

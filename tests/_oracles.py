@@ -30,6 +30,44 @@ def swap_groups(sample: JpcSample) -> JpcSample:
     return JpcSample(scheme, obs)
 
 
+def jpc_epoch_moments_oracle(scheme: CensoringScheme, lambda1: float, lambda2: float):
+    """Exact per-epoch moments of a joint progressive experiment.
+
+    Walks the distribution of the survivor counts (a1, a2) epoch by epoch:
+    with h = a1*lambda1 + a2*lambda2, the next gap in tau = t^alpha has mean
+    1/h, the failure is from group 1 with probability a1*lambda1/h, and the
+    withdrawal split is hypergeometric over the remaining survivors.
+    Returns arrays of E[tau_j], P(delta_j = 1) and E[s_j].
+    """
+    states = {(scheme.m, scheme.n): 1.0}
+    e_tau, p_delta, e_s = [], [], []
+    tau = 0.0
+    for r in scheme.R:
+        gap = pd = es = 0.0
+        nxt: dict[tuple[int, int], float] = {}
+        for (a1, a2), pr in states.items():
+            h1, h2 = a1 * lambda1, a2 * lambda2
+            gap += pr / (h1 + h2)
+            pd += pr * h1 / (h1 + h2)
+            for d, pq in ((1, h1 / (h1 + h2)), (0, h2 / (h1 + h2))):
+                if pq == 0.0:
+                    continue
+                b1, b2 = a1 - d, a2 - 1 + d
+                splits = np.arange(r + 1)
+                pmf = stats.hypergeom(b1 + b2, b1, r).pmf(splits)
+                for sj, ps in zip(splits, pmf):
+                    if ps > 0.0:
+                        es += pr * pq * ps * sj
+                        key = (b1 - int(sj), b2 - r + int(sj))
+                        nxt[key] = nxt.get(key, 0.0) + pr * pq * ps
+        tau += gap
+        e_tau.append(tau)
+        p_delta.append(pd)
+        e_s.append(es)
+        states = nxt
+    return np.array(e_tau), np.array(p_delta), np.array(e_s)
+
+
 def _jpc_posterior_grid(sample, bg, shape, ordered, alpha_hi, n_alpha, n_p):
     """Unnormalized posterior on a dense alpha grid.
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jointweibull
@@ -67,6 +68,14 @@ def test_parse_skips_comments_and_blanks() -> None:
     text = ["# heading", "", "2 2 2", "  # another", "R: 1 1", "1.0 1 1", "", "2.0 0 0"]
     sample = parse_jpc_lines(text)
     assert sample.scheme.k == 2 and sample.k1 == 1
+
+
+def test_parse_accepts_sorted_ties_next_to_a_close_time() -> None:
+    # the repeat of 1.0 used to be moved onto the next recorded time
+    text = ["3 2 3", "R: 1 1 0", "1.0 1 1", "1.0 0 0", "1.000000001 1 0"]
+    sample = parse_jpc_lines(text)
+    assert np.all(np.diff(sample.t) > 0.0)
+    assert sample.t[0] == 1.0 and sample.t[-1] == 1.000000001
 
 
 def test_parse_reports_malformed_input() -> None:
@@ -310,6 +319,20 @@ def test_console_script(fiber_file) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     _check_console_script(_console_script_command("jointweibull"), fiber_file, env)
+
+
+def test_cli_import_leaves_scipy_stats_out() -> None:
+    """Importing the CLI must not load ``scipy.stats``, whose import is most
+    of a CLI call's start-up."""
+    pkg_root = str(Path(jointweibull.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = "import sys, jointweibull.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(

@@ -129,6 +129,11 @@ def test_ks_pvalue_mc_agrees_with_limit_for_simple_null() -> None:
     assert abs(mc - ks_pvalue(d, n)) < 0.1
 
 
+def test_ks_pvalue_monte_carlo_needs_a_stream() -> None:
+    with pytest.raises(ValueError):
+        ks_pvalue(0.1, 69, estimated=True, n_mc=200, rng=None)
+
+
 def test_ks_pvalue_estimation_shrinks_the_null(ds1) -> None:
     """Refitting inside the Monte Carlo makes null distances smaller, so the
     estimated-parameters p-value must come out below the simple-null one."""

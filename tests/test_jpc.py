@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from jointweibull.jpc import (
@@ -17,13 +20,14 @@ from jointweibull.jpc import (
     log_v_stat,
     shift_sample,
     simulate_jpc,
+    simulate_jpc_batch,
     u_stat,
     v_stat,
     w_stat,
 )
 from jointweibull.rng import RngStream
 
-from _oracles import random_jpc_sample, swap_groups
+from _oracles import jpc_epoch_moments_oracle, random_jpc_sample, swap_groups
 
 
 def test_scheme_validation() -> None:
@@ -213,3 +217,129 @@ def test_break_ties_orders_duplicates() -> None:
     assert np.array_equal(break_ties([1.0, 2.0]), [1.0, 2.0])
     # position-stable: same input, same output
     assert np.array_equal(break_ties([3.0, 3.0]), break_ties([3.0, 3.0]))
+
+
+_REF_SCHEME = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+_REF_TRUTH = JointParams(1.0, 0.5, 1.0)
+
+
+def test_batch_simulator_matches_scalar_simulator() -> None:
+    """The tau-scale batch simulator draws from the law of ``simulate_jpc``
+    (lifetimes drawn, sorted and withdrawn unit by unit), compared at the
+    first, a middle and the last epoch of the reference design."""
+    n = 3000
+    rng = RngStream(61, 0)
+    scalar = [simulate_jpc(_REF_SCHEME, _REF_TRUTH, rng) for _ in range(n)]
+    lt_s = np.array([x.log_t for x in scalar])
+    d_s = np.array([x.delta for x in scalar])
+    s_s = np.array([x.s for x in scalar])
+    lt_b, d_b, s_b = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(62, 0), n)
+    assert lt_b.shape == d_b.shape == s_b.shape == (n, _REF_SCHEME.k)
+
+    def close(x: np.ndarray, y: np.ndarray) -> bool:
+        se = math.sqrt((x.var() + y.var()) / n)
+        return abs(x.mean() - y.mean()) <= 4.5 * se
+
+    for j in (0, 9, 19):
+        assert stats.ks_2samp(lt_s[:, j], lt_b[:, j]).pvalue > 1e-3
+        assert close(d_s[:, j], d_b[:, j])
+        if _REF_SCHEME.R[j]:
+            assert close(s_s[:, j], s_b[:, j])
+        else:
+            assert not s_b[:, j].any()
+    assert close(d_s.sum(axis=1), d_b.sum(axis=1))
+    # every batched row is a legal history: JpcSample replays the accounting
+    for lt, d, sj in zip(lt_b, d_b, s_b):
+        obs = tuple(
+            JpcObservation(float(t), int(g), int(w)) for t, g, w in zip(np.exp(lt), d, sj)
+        )
+        sample = JpcSample(_REF_SCHEME, obs)
+        assert np.allclose(sample.log_t, lt, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_simulator_matches_exact_epoch_moments() -> None:
+    """Means of tau_j = t_j^alpha, group shares and withdrawal splits at
+    every epoch, against the exact walk over survivor counts."""
+    params = JointParams(2.5, 0.8, 0.3)
+    n = 40_000
+    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, params, RngStream(65, 0), n)
+    exact = jpc_epoch_moments_oracle(_REF_SCHEME, params.lambda1, params.lambda2)
+    for draws, mean in zip((np.exp(params.alpha * log_t), delta, s), exact):
+        se = draws.std(axis=0) / math.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.5 * se + 1e-12)
+
+
+class _CollidingStream(RngStream):
+    """A stream whose first batch of exponential gaps has a zero in one
+    column, so every row of the first round repeats a failure time."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.exponential_calls = 0
+
+    def exponential(self, size=None):
+        self.exponential_calls += 1
+        gaps = super().exponential(size)
+        if self.exponential_calls == 1:
+            gaps[:, 3] = 0.0
+        return gaps
+
+
+def test_batch_simulator_redraws_tied_rows() -> None:
+    rng = _CollidingStream(63)
+    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, rng, 50)
+    assert rng.exponential_calls == 2
+    assert np.all(np.diff(log_t, axis=1) > 0.0)
+    assert np.array_equal(
+        log_t, simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, _CollidingStream(63), 50)[0]
+    )
+
+
+def test_batch_simulator_is_deterministic_and_validates_size() -> None:
+    a = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(64, 0), 20)
+    b = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(64, 0), 20)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    with pytest.raises(ValueError):
+        simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(64, 0), 0)
+    # rates this small put tau past the largest double: raise, never loop
+    tiny = JointParams(1.0, 1e-310, 1e-310)
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        simulate_jpc_batch(_REF_SCHEME, tiny, RngStream(64, 0), 10)
+
+
+def _former_break_ties(values) -> np.ndarray:
+    """The 1e-9-step rule alone, as ``break_ties`` applied it before it kept
+    sorted inputs in order."""
+    out = np.array(values, dtype=float)
+    seen: dict[float, int] = {}
+    for i, v in enumerate(out):
+        c = seen.get(v, 0)
+        if c:
+            out[i] = v + c * 1e-9
+        seen[v] = c + 1
+    return out
+
+
+_CLOSE_VALUES = (1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.0 + 2e-9, 2.5, 3e7, 3e7 + 1e-8, 1e8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_CLOSE_VALUES), max_size=12).map(sorted))
+# a repeat's 1e-9 step used to land on, or pass, the next recorded time, and
+# at 1e8 it vanished in rounding
+@example([1.0, 1.0, 1.000000001])
+@example([1.0, 1.0, 1.0000000005])
+@example([1e8, 1e8])
+def test_break_ties_properties(values) -> None:
+    out = break_ties(values)
+    assert np.all(np.diff(out) > 0.0)
+    counts = Counter(values)
+    for v, o in zip(values, out):
+        if counts[v] == 1:
+            assert o == v
+        else:
+            assert abs(o - v) <= len(values) * max(1e-9, 2.0 * np.spacing(v))
+    assert break_ties(values).tobytes() == out.tobytes()
+    former = _former_break_ties(values)
+    if np.all(np.diff(former) > 0.0):
+        assert out.tobytes() == former.tobytes()

@@ -192,6 +192,29 @@ def test_hypergeometric_edge_cases() -> None:
     assert sample_hypergeometric(0, 4, 3, rng) == 0
 
 
+def test_hypergeometric_wrapper_edge_cases() -> None:
+    rng = RngStream(23, 0)
+    good = np.array([0, 4, 4, 0])
+    bad = np.array([4, 0, 3, 0])
+    assert np.array_equal(rng.hypergeometric(good, bad, np.array([3, 3, 0, 0])), [0, 3, 0, 0])
+    assert np.array_equal(rng.hypergeometric(good[:3], bad[:3], 0), [0, 0, 0])
+    assert rng.hypergeometric(0, 4, 4) == 0
+    assert rng.hypergeometric(4, 0, 4) == 4
+    with pytest.raises(ValueError):
+        rng.hypergeometric(2, 1, 4)
+    # the scalar sampler draws through the wrapper: same stream, same value
+    a, b = RngStream(24, 0), RngStream(24, 0)
+    assert [sample_hypergeometric(7, 5, 6, a) for _ in range(50)] == [
+        int(b.hypergeometric(7, 5, 6)) for _ in range(50)
+    ]
+
+
+def test_exponential_wrapper_is_unit_rate() -> None:
+    draws = RngStream(25, 0).exponential((4000,))
+    assert draws.shape == (4000,) and np.all(draws >= 0.0)
+    assert stats.kstest(draws, stats.expon().cdf).pvalue > 1e-3
+
+
 def _gamma_target(shape: float, rate: float) -> LogConcaveTarget:
     return LogConcaveTarget(
         log_density=lambda x: (shape - 1.0) * np.log(x) - rate * x,
