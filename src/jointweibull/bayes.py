@@ -66,8 +66,8 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, logsumexp
 
 from .errors import DegenerateWeightsError, ImproperPosteriorError
-from .gof import CompleteSample, _ks_rowwise, _ks_sorted
-from .jpc import JointParams, JpcSample, simulate_jpc
+from .gof import CompleteSample, _ks_rowwise
+from .jpc import JpcSample, simulate_jpc_batch
 from .mle import IntervalEstimate
 from .rng import (
     BetaGammaHyper,
@@ -577,41 +577,55 @@ def hpd_interval(post: WeightedPosterior, h: Callable, level: float) -> Interval
     return weighted_hpd(vals, post.normalized, level)
 
 
-def _jpc_default_discrepancy(sample: JpcSample, params: JointParams) -> float:
-    """Largest group-wise KS distance of observed failure times against the
-    fitted lifetime laws (groups without failures contribute nothing)."""
+def _jpc_discrepancy_rows(log_t, delta, alpha, lam1, lam2) -> np.ndarray:
+    """Largest group-wise KS distance of each row's failure times against
+    that row's fitted lifetime laws; groups without failures score 0.
+
+    ``log_t`` and ``delta`` are ``(rows, k)`` (or one ``(k,)`` sample shared
+    by all rows) with log times increasing along each row, so a failure's
+    rank inside its group is the running count of the group's failures.
+    """
     worst = 0.0
-    for grp, lam in ((1, params.lambda1), (0, params.lambda2)):
-        mask = sample.delta == grp
-        if not mask.any():
-            continue
-        ts = np.sort(sample.t[mask])
-        f = -np.expm1(-lam * ts**params.alpha)
-        worst = max(worst, _ks_sorted(ts, f))
+    for grp, lam in ((1, lam1), (0, lam2)):
+        mask = delta == grp
+        rank = np.cumsum(mask, axis=-1)
+        n_g = np.maximum(rank[..., -1:], 1)
+        f = -np.expm1(-lam[:, None] * np.exp(alpha[:, None] * log_t))
+        gap = np.maximum(rank / n_g - f, f - (rank - 1) / n_g)
+        worst = np.maximum(worst, np.where(mask, gap, 0.0).max(axis=-1))
     return worst
 
 
 def posterior_predictive_pvalue(
     data,
     prior: PriorSpec,
-    discrepancy: Optional[Callable] = None,
     n_rep: int = 1000,
     rng: Optional[RngStream] = None,
-    posterior: Optional[WeightedPosterior] = None,
+    posterior=None,
 ):
     """Posterior predictive check; returns ``(p_value, expected_observed)``.
 
     For each posterior draw the observed discrepancy is computed at that
-    draw's parameters; replicate datasets of the same design are simulated
-    at parameters resampled proportionally to the importance weights, and
-    the p-value is the fraction of replicates whose discrepancy is at least
-    the observed one (ties count toward the fraction).  The second return
-    value is the weighted posterior mean of the observed discrepancy.
+    draw's parameters; ``n_rep`` replicate datasets of the same design are
+    simulated at parameters resampled proportionally to the importance
+    weights, and the p-value is the fraction of replicates whose discrepancy
+    is at least the observed one at the same draw (ties count toward the
+    fraction).  The second return value is the weighted posterior mean of
+    the observed discrepancy.  The stream is used in this order: posterior
+    draws (unless given), resampling indices, replicates.
 
-    ``data`` may be a :class:`CompleteSample` (one population, default
-    discrepancy: KS distance against the drawn parameters) or a
-    :class:`JpcSample` (default: the larger of the two group-wise KS
-    distances of observed failure times).
+    ``data`` may be a :class:`CompleteSample` (one population; discrepancy:
+    KS distance against the drawn parameters) or a :class:`JpcSample`
+    (discrepancy: the larger of the two group-wise KS distances of observed
+    failure times).  Both run as array steps over all draws and replicates:
+    complete replicates by inversion, joint ones in one
+    :func:`simulate_jpc_batch` call with per-row parameters.
+
+    ``posterior`` supplies draws the caller already has instead of drawing
+    them from ``prior``: for a :class:`JpcSample` a :class:`WeightedPosterior`
+    of that sample, for a :class:`CompleteSample` a triple
+    ``(alpha, lam, normalized)`` of shape draws, rate draws and normalized
+    weights (for instance one group's margin of a common-shape posterior).
     """
     if rng is None:
         raise ValueError("an explicit RngStream is required")
@@ -624,47 +638,28 @@ def posterior_predictive_pvalue(
             )
             norm = np.full(n_rep, 1.0 / n_rep)
         else:
-            alphas = np.asarray(posterior.alpha)
-            lams = np.asarray(posterior.lambda1)
-            norm = np.asarray(posterior.normalized)
-        n = data.n
-        if discrepancy is None:
-            f_obs = -np.expm1(-lams[:, None] * data.sorted**alphas[:, None])
-            d_obs = _ks_rowwise(f_obs)
-        else:
-            d_obs = np.array([discrepancy(data, a, l) for a, l in zip(alphas, lams)])
+            alphas, lams, norm = (np.asarray(v) for v in posterior)
+        f_obs = -np.expm1(-lams[:, None] * data.sorted**alphas[:, None])
+        d_obs = _ks_rowwise(f_obs)
         idx = _resample_indices(norm, n_rep, rng)
-        u = rng.uniform((n_rep, n))
+        u = rng.uniform((n_rep, data.n))
         reps = np.sort(
             (-np.log1p(-u) / lams[idx, None]) ** (1.0 / alphas[idx, None]), axis=1
         )
-        if discrepancy is None:
-            f_rep = -np.expm1(-lams[idx, None] * reps ** alphas[idx, None])
-            d_rep = _ks_rowwise(f_rep)
-        else:
-            d_rep = np.array(
-                [
-                    discrepancy(CompleteSample(values=tuple(row)), alphas[i], lams[i])
-                    for row, i in zip(reps, idx)
-                ]
-            )
+        f_rep = -np.expm1(-lams[idx, None] * reps ** alphas[idx, None])
+        d_rep = _ks_rowwise(f_rep)
         p = float(np.mean(d_rep >= d_obs[idx]))
         return p, float((norm * d_obs).sum())
     if isinstance(data, JpcSample):
-        disc = discrepancy or _jpc_default_discrepancy
         post = posterior or draw_posterior(data, prior, n_rep, rng)
-        params = [
-            JointParams(float(a), float(l1), float(l2))
-            for a, l1, l2 in zip(post.alpha, post.lambda1, post.lambda2)
-        ]
-        d_obs = np.array([disc(data, p) for p in params])
+        a, l1, l2 = post.alpha, post.lambda1, post.lambda2
+        d_obs = _jpc_discrepancy_rows(data.log_t, data.delta, a, l1, l2)
         idx = _resample_indices(post.normalized, n_rep, rng)
-        hits = 0
-        for i in idx:
-            rep = simulate_jpc(data.scheme, params[i], rng)
-            if disc(rep, params[i]) >= d_obs[i]:
-                hits += 1
-        return hits / n_rep, float((post.normalized * d_obs).sum())
+        a, l1, l2 = a[idx], l1[idx], l2[idx]
+        log_t, delta, _ = simulate_jpc_batch(data.scheme, (a, l1, l2), rng, n_rep)
+        d_rep = _jpc_discrepancy_rows(log_t, delta, a, l1, l2)
+        p = float(np.mean(d_rep >= d_obs[idx]))
+        return p, float((post.normalized * d_obs).sum())
     raise TypeError("data must be a CompleteSample or a JpcSample")
 
 

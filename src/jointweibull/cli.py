@@ -24,8 +24,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bayes import (
     PriorSpec,
     ShapeHyper,
@@ -48,7 +46,6 @@ from .errors import (
 )
 from .gof import (
     CompleteSample,
-    _ks_rowwise,
     fit_common_shape,
     fit_weibull_complete,
     ks_distance,
@@ -346,26 +343,16 @@ def _cmd_analyze(args) -> int:
         ("data1", data[0], post.lambda1),
         ("data2", data[1], post.lambda2),
     ):
-        f_obs = -np.expm1(-lam_draws[:, None] * ds.sorted ** post.alpha[:, None])
-        d_obs = _ks_rowwise(f_obs)
-        _emit(out, f"common_bayes_{tag}_expected_ks", float((post.normalized * d_obs).sum()))
-        p_b = _predictive_p_from_draws(
-            ds, post.alpha, lam_draws, post.normalized, d_obs, pred_stream
+        p_b, exp_ks = posterior_predictive_pvalue(
+            ds,
+            prior,
+            n_rep=post.n_draws,
+            rng=pred_stream,
+            posterior=(post.alpha, lam_draws, post.normalized),
         )
+        _emit(out, f"common_bayes_{tag}_expected_ks", exp_ks)
         _emit(out, f"common_bayes_{tag}_predictive_p", p_b)
     return 0
-
-
-def _predictive_p_from_draws(ds, alphas, lams, norm, d_obs, rng: RngStream) -> float:
-    n_rep = alphas.size
-    c = np.cumsum(norm)
-    c[-1] = 1.0
-    idx = np.searchsorted(c, rng.uniform(n_rep), side="left")
-    u = rng.uniform((n_rep, ds.n))
-    reps = np.sort((-np.log1p(-u) / lams[idx, None]) ** (1.0 / alphas[idx, None]), axis=1)
-    f_rep = -np.expm1(-lams[idx, None] * reps ** alphas[idx, None])
-    d_rep = _ks_rowwise(f_rep)
-    return float(np.mean(d_rep >= d_obs[idx]))
 
 
 def _study_config_from_json(path: str) -> tuple[StudyConfig, str]:

@@ -9,10 +9,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov
+from scipy.special import chdtrc, kolmogorov, logsumexp
 
-from .mle import _bisect_on_derivative, _log_mean_power
-from .rng import RngStream, sample_weibull
+from .errors import ConvergenceError
+from .mle import _bisect_on_derivative, _fit_alpha_batch, _log_mean_power
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,18 @@ def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
     return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), iters, conv)
 
 
+def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape/rate MLEs of stacked complete samples, one per row of
+    ``log_x``, refitted in lockstep by the bootstrap's solver."""
+    n = log_x.shape[1]
+    zeros = np.zeros(n)
+    alpha, ok = _fit_alpha_batch(log_x, zeros, zeros, float(n), 0.0)
+    if not ok.all():
+        raise ConvergenceError("profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]")
+    lam = np.exp(math.log(n) - logsumexp(alpha[:, None] * log_x, axis=1))
+    return alpha, lam
+
+
 def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShapeFit:
     """Joint MLE of two complete samples sharing one shape parameter."""
     for d in (data1, data2):
@@ -165,9 +178,11 @@ def ks_pvalue(
     null is simulated instead, which needs an explicit stream.  The Weibull
     family is closed under the power and scale maps that connect it to the
     standard exponential, and the MLE commutes with those maps, so the
-    simulated null never needs the fitted parameters: draw standard
-    exponentials, refit when ``estimated`` is set, and recompute the
-    distance.
+    simulated null never needs the fitted parameters: draw an
+    ``(n_mc, n)`` array of standard exponentials, sort each row, refit all
+    rows in lockstep when ``estimated`` is set (which needs ``n >= 2``; a
+    row without a maximizer raises :class:`ConvergenceError`), and take
+    every row's distance in one pass.
     """
     if not 0.0 <= distance <= 1.0:
         raise ValueError("a KS distance lies in [0, 1]")
@@ -176,16 +191,15 @@ def ks_pvalue(
     if n_mc > 0:
         if rng is None:
             raise ValueError("a Monte Carlo p-value needs an explicit RngStream")
-        hits = 0
-        for _ in range(n_mc):
-            x = np.atleast_1d(sample_weibull(1.0, 1.0, rng, size=n))
-            sim = CompleteSample(values=tuple(x))
-            if estimated:
-                f = fit_weibull_complete(sim)
-            d = ks_distance(sim, f.alpha, f.lam) if estimated else ks_distance(sim, 1.0, 1.0)
-            if d >= distance:
-                hits += 1
-        return hits / n_mc
+        if estimated and n < 2:
+            raise ValueError("need at least two values to refit a shape")
+        x = np.sort(rng.exponential((n_mc, n)), axis=1)
+        if estimated:
+            log_x = np.log(x)
+            alpha, lam = _fit_complete_rows(log_x)
+            x = lam[:, None] * np.exp(alpha[:, None] * log_x)  # fitted cumulative hazards
+        d = _ks_rowwise(-np.expm1(-x))
+        return int(np.count_nonzero(d >= distance)) / n_mc
     return float(kolmogorov(math.sqrt(n) * distance))
 
 

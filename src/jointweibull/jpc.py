@@ -278,11 +278,16 @@ def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -
 
 
 def simulate_jpc_batch(
-    scheme: CensoringScheme, params: JointParams, rng: RngStream, size: int
+    scheme: CensoringScheme, params, rng: RngStream, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run ``size`` experiments at once; returns ``(log_t, delta, s)``, each
     of shape ``(size, k)``: log failure times, group indicators and
     withdrawal splits, one experiment per row.
+
+    ``params`` is ``(alpha, lambda1, lambda2)``; each entry is a scalar
+    shared by all rows or a ``(size,)`` array giving row i its own
+    parameters (a posterior predictive check simulates one replicate per
+    resampled draw).  Scalars and constant arrays give the same output.
 
     Both groups share the shape, so in the scale tau = t^alpha every unit is
     exponential with its group's rate and the experiment is memoryless.
@@ -294,17 +299,22 @@ def simulate_jpc_batch(
     and the k epochs are k array steps over all rows.  Times come back as
     ``ln t = ln(tau) / alpha``, which never forms t^alpha.  Rows whose log
     times do not strictly increase (floating-point collision only) are
-    redrawn, as :func:`simulate_jpc` redraws tied lifetimes.
+    redrawn at their own parameters, as :func:`simulate_jpc` redraws tied
+    lifetimes.
     """
     if size < 1:
         raise ValueError("size must be positive")
+    alpha, lam1, lam2 = (np.broadcast_to(np.asarray(p, dtype=float), (size,)) for p in params)
+    for name, v in (("alpha", alpha), ("lambda1", lam1), ("lambda2", lam2)):
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError(f"{name} must be a positive finite real in every row")
     k = scheme.k
     log_t = np.empty((size, k))
     delta = np.empty((size, k), dtype=np.int64)
     s = np.empty((size, k), dtype=np.int64)
     todo = np.arange(size)
     while todo.size:
-        lt, d, sj = _tau_scale_rows(scheme, params, rng, todo.size)
+        lt, d, sj = _tau_scale_rows(scheme, alpha[todo], lam1[todo], lam2[todo], rng)
         if np.isposinf(lt[:, -1]).any():
             raise ValueError("failure times overflow a double at these parameters")
         log_t[todo], delta[todo], s[todo] = lt, d, sj
@@ -313,8 +323,8 @@ def simulate_jpc_batch(
     return log_t, delta, s
 
 
-def _tau_scale_rows(scheme: CensoringScheme, params: JointParams, rng: RngStream, size: int):
-    k = scheme.k
+def _tau_scale_rows(scheme: CensoringScheme, alpha, lam1, lam2, rng: RngStream):
+    size, k = alpha.size, scheme.k
     gap = rng.exponential((size, k))
     pick = rng.uniform((size, k))
     delta = np.zeros((size, k), dtype=np.int64)
@@ -322,8 +332,8 @@ def _tau_scale_rows(scheme: CensoringScheme, params: JointParams, rng: RngStream
     a1 = np.full(size, scheme.m, dtype=np.int64)
     a2 = np.full(size, scheme.n, dtype=np.int64)
     for j, r_j in enumerate(scheme.R):
-        h1 = a1 * params.lambda1
-        h2 = a2 * params.lambda2
+        h1 = a1 * lam1
+        h2 = a2 * lam2
         gap[:, j] /= h1 + h2
         # U*(h1 + h2) < h1, arranged so an empty group can never be picked
         d = pick[:, j] * h2 < (1.0 - pick[:, j]) * h1
@@ -336,7 +346,7 @@ def _tau_scale_rows(scheme: CensoringScheme, params: JointParams, rng: RngStream
             a1 -= sj
             a2 -= r_j - sj
     with np.errstate(divide="ignore"):  # a zero first gap gives -inf: redrawn
-        log_t = np.log(np.cumsum(gap, axis=1)) / params.alpha
+        log_t = np.log(np.cumsum(gap, axis=1)) / alpha[:, None]
     return log_t, delta, s
 
 

@@ -307,12 +307,19 @@ def _fit_alpha_batch(
     ordered: bool = False,
     log_pooled: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Profile-maximizing shapes for B stacked samples; returns (alpha, ok)."""
+    """Profile-maximizing shapes for B stacked samples; returns (alpha, ok).
+
+    ``k1`` and ``k2`` are per-row arrays or scalars; a stack of complete
+    samples is ``logc1 = 0``, ``k1 = n``, ``k2 = 0``.  Bisection stops at the
+    first sweep that moves no bracket in any row (every later sweep would
+    repeat it), so most calls stop well short of the 80-sweep cap.
+    """
     n_rows = lnt.shape[0]
     k = k1 + k2
     slt = lnt.sum(axis=1)
-    log_k1 = np.log(k1)
-    log_k2 = np.log(k2)
+    if ordered:
+        log_k1 = np.log(k1)
+        log_k2 = np.log(k2)
 
     def deriv(alpha: np.ndarray) -> np.ndarray:
         z1 = logc1 + alpha[:, None] * lnt
@@ -355,8 +362,12 @@ def _fit_alpha_batch(
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         pos = deriv(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
+        new_lo = np.where(pos, mid, lo)
+        new_hi = np.where(pos, hi, mid)
+        # a sweep that moves no bracket would repeat itself forever
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     alpha = 0.5 * (lo + hi)
     return alpha, ok
 
@@ -394,7 +405,8 @@ def bootstrap_ci(
         raise ValueError("n_boot must be at least 1")
     fit0 = fit_mle_ordered(sample) if ordered else fit_mle(sample)
     scheme = sample.scheme
-    lnt, delta, s = simulate_jpc_batch(scheme, fit0.params, rng, n_boot)
+    p0 = fit0.params
+    lnt, delta, s = simulate_jpc_batch(scheme, (p0.alpha, p0.lambda1, p0.lambda2), rng, n_boot)
     k1 = delta.sum(axis=1)
     k2 = scheme.k - k1
     both = (k1 > 0) & (k2 > 0)

@@ -274,3 +274,22 @@ def random_jpc_sample(rng, max_group=6, alpha_range=(0.6, 2.5)):
     if sample.k1 == 0 or sample.k2 == 0:
         return None
     return sample
+
+
+def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
+    """Largest group-wise KS distance of a joint sample's failure times
+    against the fitted lifetime laws, one group at a time with a sort
+    (groups without failures contribute nothing): the scalar form of the
+    discrepancy of the joint predictive check."""
+    worst = 0.0
+    for grp, lam in ((1, params.lambda1), (0, params.lambda2)):
+        mask = sample.delta == grp
+        if not mask.any():
+            continue
+        ts = np.sort(sample.t[mask])
+        f = -np.expm1(-lam * ts**params.alpha)
+        n = ts.size
+        d_plus = (np.arange(1, n + 1) / n - f).max()
+        d_minus = (f - np.arange(0, n) / n).max()
+        worst = max(worst, float(max(d_plus, d_minus)))
+    return worst

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from jointweibull.bayes import (
     PriorSpec,
+    _jpc_discrepancy_rows,
+    _resample_indices,
     ShapeHyper,
     WeightedPosterior,
     bayes_estimate,
@@ -26,10 +29,13 @@ from jointweibull.errors import (
 from jointweibull.gof import CompleteSample
 from jointweibull.jpc import (
     CensoringScheme,
+    JointParams,
     JpcObservation,
     JpcSample,
     log_u_stat,
     log_v_stat,
+    simulate_jpc,
+    simulate_jpc_batch,
 )
 from jointweibull.rng import BetaGammaHyper, RngStream, sample_weibull
 
@@ -37,6 +43,7 @@ from _oracles import (
     complete_posterior_oracle,
     gamma_hpd,
     jpc_posterior_oracle,
+    jpc_discrepancy_oracle,
     jpc_posterior_oracle_3d,
     swap_groups,
 )
@@ -408,3 +415,79 @@ def test_predictive_pvalue_joint_sample(fiber, flat_rate4) -> None:
         posterior_predictive_pvalue(fiber, flat_rate4, n_rep=400, rng=None)
     with pytest.raises(TypeError):
         posterior_predictive_pvalue([1.0, 2.0], flat_rate4, n_rep=10, rng=RngStream(1, 0))
+
+
+def _replayed(scheme, log_t, delta, s) -> JpcSample:
+    obs = tuple(JpcObservation(float(t), int(d), int(w)) for t, d, w in zip(np.exp(log_t), delta, s))
+    return JpcSample(scheme, obs)
+
+
+def test_jpc_discrepancy_rows_match_scalar_oracle(fiber, flat_rate4) -> None:
+    """The row-wise discrepancy against the scalar sort-per-group oracle: on
+    the fiber sample at 1000 posterior draws, on every replicate of a batch
+    (each row replayed as a JpcSample), and on a sample whose failures all
+    come from group 1."""
+    post = draw_posterior(fiber, flat_rate4, 1000, RngStream(626, 0))
+    a, l1, l2 = post.alpha, post.lambda1, post.lambda2
+    rows = _jpc_discrepancy_rows(fiber.log_t, fiber.delta, a, l1, l2)
+    want = [jpc_discrepancy_oracle(fiber, JointParams(*p)) for p in zip(a, l1, l2)]
+    assert np.max(np.abs(rows - want)) <= 1e-12
+    n = 300
+    a, l1, l2 = a[:n], l1[:n], l2[:n]
+    log_t, delta, s = simulate_jpc_batch(fiber.scheme, (a, l1, l2), RngStream(627, 0), n)
+    rows = _jpc_discrepancy_rows(log_t, delta, a, l1, l2)
+    for i in range(n):
+        rep = _replayed(fiber.scheme, log_t[i], delta[i], s[i])
+        assert abs(rows[i] - jpc_discrepancy_oracle(rep, JointParams(a[i], l1[i], l2[i]))) <= 1e-12
+    one_group = JpcSample(
+        CensoringScheme(2, 2, 2, (0, 2)), (JpcObservation(1.0, 1, 0), JpcObservation(2.0, 1, 0))
+    )
+    par = JointParams(1.3, 0.6, 0.9)
+    got = _jpc_discrepancy_rows(one_group.log_t, one_group.delta, *(np.array([v]) for v in (1.3, 0.6, 0.9)))
+    assert abs(got[0] - jpc_discrepancy_oracle(one_group, par)) <= 1e-12
+
+
+def test_predictive_pvalue_joint_sample_batch_matches_scalar_loop(fiber, flat_rate4) -> None:
+    """The batched joint check replays as posterior, resampling indices, one
+    per-row-parameter batch; its replicate discrepancies agree in law with a
+    loop of ``simulate_jpc`` at the same resampled parameters."""
+    n_rep = 800
+    post = draw_posterior(fiber, flat_rate4, n_rep, RngStream(628, 0))
+    p, mean_d = posterior_predictive_pvalue(
+        fiber, flat_rate4, n_rep=n_rep, rng=RngStream(629, 0), posterior=post
+    )
+    d_obs = np.array(
+        [jpc_discrepancy_oracle(fiber, JointParams(*v)) for v in zip(post.alpha, post.lambda1, post.lambda2)]
+    )
+    assert mean_d == pytest.approx(float((post.normalized * d_obs).sum()), rel=1e-12)
+    rng = RngStream(629, 0)
+    idx = _resample_indices(post.normalized, n_rep, rng)
+    a, l1, l2 = post.alpha[idx], post.lambda1[idx], post.lambda2[idx]
+    log_t, delta, _ = simulate_jpc_batch(fiber.scheme, (a, l1, l2), rng, n_rep)
+    d_batch = _jpc_discrepancy_rows(log_t, delta, a, l1, l2)
+    d_obs_rows = _jpc_discrepancy_rows(fiber.log_t, fiber.delta, post.alpha, post.lambda1, post.lambda2)
+    assert p == float(np.mean(d_batch >= d_obs_rows[idx]))
+    loop_rng = RngStream(630, 0)
+    d_loop = np.array(
+        [
+            jpc_discrepancy_oracle(simulate_jpc(fiber.scheme, par, loop_rng), par)
+            for par in (JointParams(*v) for v in zip(a, l1, l2))
+        ]
+    )
+    assert stats.ks_2samp(d_batch, d_loop).pvalue > 1e-3
+    p_loop = float(np.mean(d_loop >= d_obs[idx]))
+    assert abs(p - p_loop) <= 4.5 * math.sqrt(2.0 * p_loop * (1.0 - p_loop) / n_rep) + 1e-12
+
+
+def test_predictive_pvalue_complete_sample_takes_given_draws(ds1, flat_rate4) -> None:
+    """Draws passed in as ``(alpha, lam, normalized)`` give the same check as
+    draws the function makes itself from the same stream."""
+    n_rep = 600
+    rng = RngStream(631, 0)
+    alphas, lams = weibull_posterior_complete(
+        ds1, flat_rate4.bg.a0, flat_rate4.bg.b0, flat_rate4.shape, n_rep, rng
+    )
+    given = posterior_predictive_pvalue(
+        ds1, flat_rate4, n_rep=n_rep, rng=rng, posterior=(alphas, lams, np.full(n_rep, 1.0 / n_rep))
+    )
+    assert given == posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(631, 0))

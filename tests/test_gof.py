@@ -8,6 +8,7 @@ from scipy import optimize, special, stats
 
 from jointweibull.gof import (
     CompleteSample,
+    _fit_complete_rows,
     fit_common_shape,
     fit_weibull_complete,
     ks_distance,
@@ -148,6 +149,26 @@ def test_ks_pvalue_validation() -> None:
         ks_pvalue(1.2, 10)
     with pytest.raises(ValueError):
         ks_pvalue(0.1, 0)
+    # one value cannot be refitted, as fit_weibull_complete refuses it
+    with pytest.raises(ValueError):
+        ks_pvalue(0.1, 1, estimated=True, n_mc=50, rng=RngStream(73, 0))
+    assert 0.0 <= ks_pvalue(0.1, 1, estimated=False, n_mc=50, rng=RngStream(73, 0)) <= 1.0
+
+
+def test_batched_complete_refits_match_scalar_fits() -> None:
+    """The lockstep refits inside the Monte Carlo KS test against
+    ``fit_weibull_complete``, row by row, over samples of several shapes,
+    scales and sizes.  Sizes start at 5: with two values the shape MLE can
+    run to tens, and the scalar fit's 1e-10 shape tolerance alone then moves
+    its rate by more than 1e-9."""
+    rng = RngStream(74, 0)
+    for n, alpha, lam in ((5, 0.4, 3.0), (12, 1.0, 1.0), (69, 3.8, 0.09), (40, 9.0, 1e-4)):
+        x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(150, n))).reshape(150, n), axis=1)
+        got_alpha, got_lam = _fit_complete_rows(np.log(x))
+        for row, a, l in zip(x, got_alpha, got_lam):
+            fit = fit_weibull_complete(CompleteSample(values=tuple(row)))
+            assert a == pytest.approx(fit.alpha, rel=1e-9)
+            assert l == pytest.approx(fit.lam, rel=1e-9)
 
 
 def test_lr_test_golden_value(ds1, ds2) -> None:

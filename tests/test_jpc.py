@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_batch_simulator_matches_scalar_simulator() -> None:
     lt_s = np.array([x.log_t for x in scalar])
     d_s = np.array([x.delta for x in scalar])
     s_s = np.array([x.s for x in scalar])
-    lt_b, d_b, s_b = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(62, 0), n)
+    lt_b, d_b, s_b = simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), RngStream(62, 0), n)
     assert lt_b.shape == d_b.shape == s_b.shape == (n, _REF_SCHEME.k)
 
     def close(x: np.ndarray, y: np.ndarray) -> bool:
@@ -262,7 +263,7 @@ def test_batch_simulator_matches_exact_epoch_moments() -> None:
     every epoch, against the exact walk over survivor counts."""
     params = JointParams(2.5, 0.8, 0.3)
     n = 40_000
-    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, params, RngStream(65, 0), n)
+    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, astuple(params), RngStream(65, 0), n)
     exact = jpc_epoch_moments_oracle(_REF_SCHEME, params.lambda1, params.lambda2)
     for draws, mean in zip((np.exp(params.alpha * log_t), delta, s), exact):
         se = draws.std(axis=0) / math.sqrt(n)
@@ -287,24 +288,57 @@ class _CollidingStream(RngStream):
 
 def test_batch_simulator_redraws_tied_rows() -> None:
     rng = _CollidingStream(63)
-    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, rng, 50)
+    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), rng, 50)
     assert rng.exponential_calls == 2
     assert np.all(np.diff(log_t, axis=1) > 0.0)
     assert np.array_equal(
-        log_t, simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, _CollidingStream(63), 50)[0]
+        log_t, simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), _CollidingStream(63), 50)[0]
     )
 
 
 def test_batch_simulator_is_deterministic_and_validates_size() -> None:
-    a = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(64, 0), 20)
-    b = simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(64, 0), 20)
+    a = simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), RngStream(64, 0), 20)
+    b = simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), RngStream(64, 0), 20)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(ValueError):
-        simulate_jpc_batch(_REF_SCHEME, _REF_TRUTH, RngStream(64, 0), 0)
+        simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), RngStream(64, 0), 0)
     # rates this small put tau past the largest double: raise, never loop
-    tiny = JointParams(1.0, 1e-310, 1e-310)
+    tiny = (1.0, 1e-310, 1e-310)
     with pytest.raises(ValueError), np.errstate(over="ignore"):
         simulate_jpc_batch(_REF_SCHEME, tiny, RngStream(64, 0), 10)
+    # every row's parameters are checked, and arrays must fit ``size``
+    bad_row = (np.array([1.0, 1.0, -1.0]), 0.5, 1.0)
+    with pytest.raises(ValueError):
+        simulate_jpc_batch(_REF_SCHEME, bad_row, RngStream(64, 0), 3)
+    with pytest.raises(ValueError):
+        simulate_jpc_batch(_REF_SCHEME, (np.ones(4), 0.5, 1.0), RngStream(64, 0), 3)
+
+
+def test_batch_simulator_per_row_parameters_match_exact_epoch_moments() -> None:
+    """Rows alternate between two parameter triples; each half matches the
+    exact epoch moments of its own triple, not of the other."""
+    first, second = (2.5, 0.8, 0.3), (0.7, 0.2, 1.5)
+    n = 40_000
+    rows = np.arange(n) % 2
+    params = tuple(np.where(rows == 0, x, y) for x, y in zip(first, second))
+    log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, params, RngStream(66, 0), n)
+    for half, (alpha, lam1, lam2) in enumerate((first, second)):
+        sel = rows == half
+        exact = jpc_epoch_moments_oracle(_REF_SCHEME, lam1, lam2)
+        for draws, mean in zip((np.exp(alpha * log_t[sel]), delta[sel], s[sel]), exact):
+            se = draws.std(axis=0) / math.sqrt(sel.sum())
+            assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.5 * se + 1e-12)
+    # the two laws differ visibly: group-1 shares at the first epoch
+    assert abs(delta[rows == 0, 0].mean() - delta[rows == 1, 0].mean()) > 0.3
+
+
+def test_batch_simulator_scalar_and_array_parameters_agree_bytewise() -> None:
+    size = 64
+    scalar = simulate_jpc_batch(_REF_SCHEME, (2.5, 0.8, 0.3), RngStream(67, 0), size)
+    arrays = tuple(np.full(size, v) for v in (2.5, 0.8, 0.3))
+    rows = simulate_jpc_batch(_REF_SCHEME, arrays, RngStream(67, 0), size)
+    for x, y in zip(scalar, rows):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def _former_break_ties(values) -> np.ndarray:
