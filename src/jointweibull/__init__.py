@@ -45,7 +45,6 @@ from .jpc import (
     simulate_jpc,
     u_stat,
     v_stat,
-    w_stat,
 )
 from .mle import (
     BootstrapResult,
@@ -62,12 +61,9 @@ from .mle import (
 )
 from .rng import (
     BetaGammaHyper,
-    LogConcaveTarget,
     RngStream,
     sample_beta_gamma,
     sample_hypergeometric,
-    sample_log_concave,
-    sample_ordered_beta_gamma,
     sample_weibull,
     weibull_inverse_cdf,
 )

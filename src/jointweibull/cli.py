@@ -19,6 +19,7 @@ Sample file format::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -402,18 +403,7 @@ def _study_config_from_json(path: str) -> tuple[StudyConfig, str]:
 def _cmd_study(args) -> int:
     config, kind = _study_config_from_json(args.config)
     if args.base_seed is not None:
-        config = StudyConfig(
-            scheme=config.scheme,
-            truth=config.truth,
-            replications=config.replications,
-            methods=config.methods,
-            level=config.level,
-            n_posterior=config.n_posterior,
-            n_boot=config.n_boot,
-            base_seed=args.base_seed,
-            shape_rate_flat=config.shape_rate_flat,
-            informative=config.informative,
-        )
+        config = dataclasses.replace(config, base_seed=args.base_seed)
     report = run_point_study(config) if kind == "point" else run_interval_study(config)
     if args.out == "-":
         report.to_csv(sys.stdout)

@@ -12,8 +12,8 @@ import numpy as np
 from scipy.special import chdtrc, kolmogorov, logsumexp
 
 from .errors import ConvergenceError
-from .mle import _bisect_on_derivative, _fit_alpha_batch, _log_mean_power
-from .rng import RngStream
+from .mle import _fit_alpha_batch
+from .rng import _MAX_SWEEPS, RngStream
 
 
 @dataclass(frozen=True)
@@ -89,53 +89,56 @@ def _complete_loglik(data: CompleteSample, alpha: float, lam: float) -> float:
     )
 
 
+def _solve(*stack) -> tuple[np.ndarray, int]:
+    """Shapes of a stack of complete samples (see ``mle._fit_alpha_batch``);
+    a row without a maximizer raises."""
+    alpha, ok, sweeps = _fit_alpha_batch(*stack)
+    if not ok.all():
+        raise ConvergenceError("profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]")
+    return alpha, sweeps
+
+
 def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
     """Shape/rate MLE of a complete sample by profile bisection."""
     if data.n < 2 or data.sorted[0] == data.sorted[-1]:
         raise ValueError("need at least two distinct values to fit a shape")
-    zeros = np.zeros(data.n)
     n = data.n
-
-    def deriv(a: float) -> float:
-        return n / a + data.sum_log - n * _log_mean_power(zeros, data.log_values, a)
-
-    alpha, iters, conv = _bisect_on_derivative(deriv)
+    alpha, sweeps = _solve(data.log_values[None, :], np.zeros(n), n)
+    alpha = float(alpha[0])
     lam = n / float(np.sum(data.array**alpha))
-    return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), iters, conv)
+    return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), sweeps, sweeps < _MAX_SWEEPS)
 
 
 def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shape/rate MLEs of stacked complete samples, one per row of
-    ``log_x``, refitted in lockstep by the bootstrap's solver."""
+    ``log_x``, fitted in lockstep."""
     n = log_x.shape[1]
-    zeros = np.zeros(n)
-    alpha, ok = _fit_alpha_batch(log_x, zeros, zeros, float(n), 0.0)
-    if not ok.all():
-        raise ConvergenceError("profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]")
+    alpha, _ = _solve(log_x, np.zeros(n), n)
     lam = np.exp(math.log(n) - logsumexp(alpha[:, None] * log_x, axis=1))
     return alpha, lam
 
 
 def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShapeFit:
-    """Joint MLE of two complete samples sharing one shape parameter."""
+    """Joint MLE of two complete samples sharing one shape parameter.
+
+    This is the joint experiment with no withdrawals: every value of sample
+    1 is a group-1 failure and every value of sample 2 a group-2 one, so the
+    profile is fitted as that one-row stack.
+    """
     for d in (data1, data2):
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values in each sample")
     n1, n2 = data1.n, data2.n
-    z1, z2 = np.zeros(n1), np.zeros(n2)
-    total_log = data1.sum_log + data2.sum_log
-
-    def deriv(a: float) -> float:
-        d = (n1 + n2) / a + total_log
-        d -= n1 * _log_mean_power(z1, data1.log_values, a)
-        d -= n2 * _log_mean_power(z2, data2.log_values, a)
-        return d
-
-    alpha, iters, conv = _bisect_on_derivative(deriv)
+    lnt = np.concatenate([data1.log_values, data2.log_values])[None, :]
+    in1 = np.arange(n1 + n2) < n1
+    logc1 = np.where(in1, 0.0, -np.inf)
+    logc2 = np.where(in1, -np.inf, 0.0)
+    alpha, sweeps = _solve(lnt, logc1, n1, logc2, n2)
+    alpha = float(alpha[0])
     lam1 = n1 / float(np.sum(data1.array**alpha))
     lam2 = n2 / float(np.sum(data2.array**alpha))
     loglik = _complete_loglik(data1, alpha, lam1) + _complete_loglik(data2, alpha, lam2)
-    return CommonShapeFit(alpha, lam1, lam2, loglik, iters, conv)
+    return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps, sweeps < _MAX_SWEEPS)
 
 
 def _ks_sorted(tsorted: np.ndarray, cdf_at_t: np.ndarray) -> float:

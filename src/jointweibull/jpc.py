@@ -205,11 +205,6 @@ def v_stat(sample: JpcSample, alpha: float) -> float:
     return _power_sum(sample.log_coef2, sample.log_t, float(alpha))
 
 
-def w_stat(sample: JpcSample, alpha: float) -> float:
-    """min(U, V) at the given shape."""
-    return min(u_stat(sample, alpha), v_stat(sample, alpha))
-
-
 def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:
     """ln U(alpha), stable for any exponent; vectorized over ``alpha``."""
     a = np.asarray(alpha, dtype=float)

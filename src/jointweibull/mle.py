@@ -1,8 +1,7 @@
 """Maximum likelihood fits, observed information, and resampling intervals.
 
 The rates maximize in closed form at ``l1 = k1/U(a)`` and ``l2 = k2/V(a)``,
-so the shape is found by a derivative bisection on the profiled
-log-likelihood
+so the shape is the root of the derivative of the profiled log-likelihood
 
     p(a) = k ln a - k1 ln U(a) - k2 ln V(a) + (a - 1) sum ln t_j ,
 
@@ -10,18 +9,21 @@ which is unimodal.  The order-restricted fit (``l1 <= l2``) keeps the
 unrestricted rates wherever they already respect the order and otherwise
 pools both groups onto the common rate ``k / (U(a) + V(a))``.
 
-The bootstrap draws all its resamples from the batched tau = t^alpha
-simulator (``jpc.simulate_jpc_batch``: k array steps for every resample at
-once) and refits them together: bracketing and bisection run in lockstep
-across the stacked array of samples, which keeps a 500-resample percentile
-interval at a few tens of milliseconds for typical designs.
+Every shape fit is a stack of samples, one per row, handed to the
+package's one root finder (``rng._bisect_rows``): the rows are bracketed
+and bisected in lockstep until each bracket is within 1e-10 relative, and
+each row's root is the one it would get alone.  A single fit is a stack of
+one; the bootstrap refits all its resamples, drawn by the batched
+tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one stack, which
+keeps a 500-resample percentile interval at a few tens of milliseconds for
+typical designs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -40,12 +42,7 @@ from .jpc import (
     log_v_stat,
     simulate_jpc_batch,
 )
-from .rng import RngStream
-
-_REL_TOL = 1e-10
-_MAX_ITER = 200
-_ALPHA_FLOOR = 1e-10
-_ALPHA_CEIL = 1e10
+from .rng import _MAX_SWEEPS, RngStream, _bisect_rows
 
 
 @dataclass(frozen=True)
@@ -122,22 +119,6 @@ def profile_loglik(sample: JpcSample, alpha: float) -> float:
     return float(val)
 
 
-def _log_mean_power(log_coef: np.ndarray, log_t: np.ndarray, alpha: float) -> float:
-    # d/da ln(sum coef * t^a): softmax-weighted mean of ln t
-    logits = log_coef + alpha * log_t
-    logits = logits - logits.max()
-    wgt = np.exp(logits)
-    return float((wgt * log_t).sum() / wgt.sum())
-
-
-def _profile_derivative(sample: JpcSample, alpha: float) -> float:
-    k = sample.scheme.k
-    d = k / alpha + sample.sum_log_t
-    d -= sample.k1 * _log_mean_power(sample.log_coef1, sample.log_t, alpha)
-    d -= sample.k2 * _log_mean_power(sample.log_coef2, sample.log_t, alpha)
-    return d
-
-
 def _order_respected(sample: JpcSample, alpha: float) -> bool:
     # k1/U < k2/V, compared in the log domain
     lhs = math.log(sample.k1) - float(log_u_stat(sample, alpha))
@@ -145,45 +126,78 @@ def _order_respected(sample: JpcSample, alpha: float) -> bool:
     return lhs < rhs
 
 
-def _bisect_on_derivative(deriv: Callable[[float], float]) -> tuple[float, int, bool]:
-    """Root of a decreasing-through-zero derivative, bracketed from 1."""
-    calls = 0
+def _softmax_mean(logits: np.ndarray, lnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of ``lnt`` under the softmax of ``logits``, and the row
+    log-sum-exps of ``logits``: d/da ln(sum c t^a) and ln(sum c t^a) for
+    ``logits = ln c + a ln t``."""
+    top = logits.max(axis=1, keepdims=True)
+    wgt = np.exp(logits - top)
+    tot = wgt.sum(axis=1)
+    return (wgt * lnt).sum(axis=1) / tot, top[:, 0] + np.log(tot)
 
-    def d(x: float) -> float:
-        nonlocal calls
-        calls += 1
-        return deriv(x)
 
-    d1 = d(1.0)
-    if d1 > 0.0:
-        lo, hi = 1.0, 2.0
-        while d(hi) > 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > _ALPHA_CEIL:
-                raise ConvergenceError("profile derivative stays positive; no maximizer below 1e10")
-    elif d1 < 0.0:
-        lo, hi = 0.5, 1.0
-        while d(lo) < 0.0:
-            hi = lo
-            lo *= 0.5
-            if lo < _ALPHA_FLOOR:
-                raise ConvergenceError("profile derivative stays negative; no maximizer above 1e-10")
-    else:
-        return 1.0, calls, True
-    while hi - lo > _REL_TOL * hi and calls < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if d(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), calls, (hi - lo) <= _REL_TOL * hi
+def _fit_alpha_batch(
+    lnt: np.ndarray,
+    logc1: np.ndarray,
+    k1,
+    logc2: Optional[np.ndarray] = None,
+    k2=0.0,
+    log_pooled: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Profile-maximizing shapes of stacked samples; returns the shapes, the
+    rows that have one in [1e-10, 1e10], and the sweep count.
+
+    Row i holds log times ``lnt[i]`` and log power-sum coefficients
+    ``logc1[i]``, ``logc2[i]`` (``-inf`` for a zero coefficient) with failure
+    counts ``k1``, ``k2`` (per-row arrays or scalars).  Without ``logc2`` the
+    stack is of one group only, as complete samples are (``logc1 = 0``,
+    ``k1 = n``).  With ``log_pooled`` the fit is order-restricted: rows whose
+    rates k1/U, k2/V break the order take the derivative of the pooled
+    profile instead.
+    """
+    k = k1 + k2
+    slt = lnt.sum(axis=1)
+    if log_pooled is not None:
+        log_k1 = np.log(k1)
+        log_k2 = np.log(k2)
+
+    def deriv(alpha: np.ndarray) -> np.ndarray:
+        a = alpha[:, None]
+        m1, ln_u = _softmax_mean(logc1 + a * lnt, lnt)
+        d = k / alpha + slt - k1 * m1
+        if logc2 is None:
+            return d
+        m2, ln_v = _softmax_mean(logc2 + a * lnt, lnt)
+        d = d - k2 * m2
+        if log_pooled is not None:
+            violated = (log_k1 - ln_u) >= (log_k2 - ln_v)
+            if violated.any():
+                mp, _ = _softmax_mean(log_pooled + a * lnt, lnt)
+                d = np.where(violated, k / alpha + slt - k * mp, d)
+        return d
+
+    return _bisect_rows(deriv, lnt.shape[0])
+
+
+def _fit_one(sample: JpcSample, log_pooled: Optional[np.ndarray] = None) -> tuple[float, int, bool]:
+    """Shape fit of one sample as a stack of one: (alpha, sweeps, converged)."""
+    alpha, ok, sweeps = _fit_alpha_batch(
+        sample.log_t[None, :],
+        sample.log_coef1[None, :],
+        sample.k1,
+        sample.log_coef2[None, :],
+        sample.k2,
+        log_pooled,
+    )
+    if not ok[0]:
+        raise ConvergenceError("profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]")
+    return float(alpha[0]), sweeps, sweeps < _MAX_SWEEPS
 
 
 def fit_mle(sample: JpcSample) -> MleFit:
     """Unrestricted maximum likelihood fit of (alpha, lambda1, lambda2)."""
     _require_both_groups(sample)
-    alpha, iters, conv = _bisect_on_derivative(lambda a: _profile_derivative(sample, a))
+    alpha, iters, conv = _fit_one(sample)
     l1, l2 = lambda_hats(sample, alpha)
     params = JointParams(alpha, l1, l2)
     return MleFit(
@@ -202,20 +216,12 @@ def fit_mle_ordered(sample: JpcSample) -> MleFit:
     Where the unrestricted rates already satisfy the order the profile is
     unchanged; elsewhere both rates collapse to the pooled value
     k/(U+V).  The profiled criterion stays unimodal with a continuous
-    derivative, so the same bisection applies.
+    derivative, so the same root finder applies.
     """
     _require_both_groups(sample)
     k = sample.scheme.k
     log_pooled_coef = np.log(np.asarray(sample.scheme.R, dtype=float) + 1.0)
-
-    def deriv(a: float) -> float:
-        if _order_respected(sample, a):
-            return _profile_derivative(sample, a)
-        d = k / a + sample.sum_log_t
-        d -= k * _log_mean_power(log_pooled_coef, sample.log_t, a)
-        return d
-
-    alpha, iters, conv = _bisect_on_derivative(deriv)
+    alpha, iters, conv = _fit_one(sample, log_pooled_coef)
     if _order_respected(sample, alpha):
         l1, l2 = lambda_hats(sample, alpha)
         boundary = False
@@ -288,90 +294,6 @@ def asymptotic_ci(
     )
 
 
-# --------------------------------------------------------------------------
-# lockstep refits for the bootstrap
-
-
-def _batch_log_mean(logits: np.ndarray, lnt: np.ndarray) -> np.ndarray:
-    logits = logits - logits.max(axis=1, keepdims=True)
-    wgt = np.exp(logits)
-    return (wgt * lnt).sum(axis=1) / wgt.sum(axis=1)
-
-
-def _fit_alpha_batch(
-    lnt: np.ndarray,
-    logc1: np.ndarray,
-    logc2: np.ndarray,
-    k1: np.ndarray,
-    k2: np.ndarray,
-    ordered: bool = False,
-    log_pooled: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Profile-maximizing shapes for B stacked samples; returns (alpha, ok).
-
-    ``k1`` and ``k2`` are per-row arrays or scalars; a stack of complete
-    samples is ``logc1 = 0``, ``k1 = n``, ``k2 = 0``.  Bisection stops at the
-    first sweep that moves no bracket in any row (every later sweep would
-    repeat it), so most calls stop well short of the 80-sweep cap.
-    """
-    n_rows = lnt.shape[0]
-    k = k1 + k2
-    slt = lnt.sum(axis=1)
-    if ordered:
-        log_k1 = np.log(k1)
-        log_k2 = np.log(k2)
-
-    def deriv(alpha: np.ndarray) -> np.ndarray:
-        z1 = logc1 + alpha[:, None] * lnt
-        z2 = logc2 + alpha[:, None] * lnt
-        d = k / alpha + slt - k1 * _batch_log_mean(z1, lnt) - k2 * _batch_log_mean(z2, lnt)
-        if ordered:
-            violated = (log_k1 - logsumexp(z1, axis=1)) >= (log_k2 - logsumexp(z2, axis=1))
-            if violated.any():
-                zp = log_pooled + alpha[:, None] * lnt
-                dp = k / alpha + slt - k * _batch_log_mean(zp, lnt)
-                d = np.where(violated, dp, d)
-        return d
-
-    lo = np.ones(n_rows)
-    hi = np.ones(n_rows)
-    ok = np.ones(n_rows, dtype=bool)
-    d1 = deriv(lo)
-    up = d1 > 0.0
-    down = d1 < 0.0
-    hi[up] = 2.0
-    lo[down] = 0.5
-    for _ in range(64):
-        d = deriv(hi)
-        grow = up & (d > 0.0) & ok
-        if not grow.any():
-            break
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-        ok &= hi <= _ALPHA_CEIL
-    for _ in range(64):
-        d = deriv(lo)
-        shrink = down & (d < 0.0) & ok
-        if not shrink.any():
-            break
-        hi[shrink] = lo[shrink]
-        lo[shrink] *= 0.5
-        ok &= lo >= _ALPHA_FLOOR
-    lo = np.where(ok, lo, 1.0)
-    hi = np.where(ok, hi, 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        pos = deriv(mid) > 0.0
-        new_lo = np.where(pos, mid, lo)
-        new_hi = np.where(pos, hi, mid)
-        # a sweep that moves no bracket would repeat itself forever
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    alpha = 0.5 * (lo + hi)
-    return alpha, ok
-
-
 class BootstrapResult(NamedTuple):
     """Percentile intervals plus the number of discarded resamples."""
 
@@ -421,11 +343,8 @@ def bootstrap_ci(
     with np.errstate(divide="ignore"):
         logc1 = np.log(s + delta)
         logc2 = np.log(np.asarray(scheme.R) - s + 1 - delta)
-    log_pooled = None
-    if ordered:
-        base = np.log(np.asarray(scheme.R, dtype=float) + 1.0)
-        log_pooled = np.broadcast_to(base, lnt.shape)
-    alpha, ok = _fit_alpha_batch(lnt, logc1, logc2, k1, k2, ordered, log_pooled)
+    log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0) if ordered else None
+    alpha, ok, _ = _fit_alpha_batch(lnt, logc1, k1, logc2, k2, log_pooled)
     skipped += int((~ok).sum())
     if skipped > n_boot // 2:
         raise UnstableBootstrapError(
@@ -446,9 +365,7 @@ def bootstrap_ci(
     if ordered:
         viol = l1 >= l2
         if viol.any():
-            ln_uv = logsumexp(
-                log_pooled[ok] + alpha[:, None] * lnt, axis=1
-            )
+            ln_uv = logsumexp(log_pooled + alpha[:, None] * lnt, axis=1)
             pooled = np.exp(np.log(k1 + k2) - ln_uv)
             l1 = np.where(viol, pooled, l1)
             l2 = np.where(viol, pooled, l2)

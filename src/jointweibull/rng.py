@@ -7,18 +7,21 @@ single sequence.  Everything downstream (simulation, bootstrap, posterior
 draws, Monte Carlo studies) receives an explicit :class:`RngStream`; there
 is no module-level hidden state.
 
-The log-concave sampler uses an adaptive piecewise-exponential upper hull:
-tangents to a concave log-density form an envelope whose segments are
-truncated exponentials, which can be normalized and sampled exactly.  The
-same hull object doubles as a static proposal for the vectorized posterior
-samplers elsewhere in the package.
+Tangents to a concave log-density form a piecewise-exponential upper hull
+whose segments are truncated exponentials, which can be normalized and
+sampled exactly; the posterior samplers use such hulls as static proposals
+for their shape draws.  The module also holds the package's one root
+finder, :func:`_bisect_rows`, a lockstep bracket-and-bisect over rows of
+decreasing functions: it locates the mode that seeds each hull, and the
+maximum likelihood fits elsewhere solve their profile score equations with
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +29,12 @@ from .errors import NonIntegrableTargetError
 
 _MASK64 = (1 << 64) - 1
 
-# Upper end of the support scanned when bracketing a mode; a log-density
-# still rising here is treated as non-integrable.
-_UPPER_PROBE = 1e8
+# Root search: brackets stay inside [_ROOT_FLOOR, _ROOT_CEIL], and a row is
+# solved once its bracket is narrower than _REL_TOL of its upper end.
+_ROOT_FLOOR = 1e-10
+_ROOT_CEIL = 1e10
+_REL_TOL = 1e-10
+_MAX_SWEEPS = 200
 
 
 def splitmix64(x: int) -> int:
@@ -197,15 +203,6 @@ def log_beta_gamma_pdf(l1, l2, hyper: BetaGammaHyper):
     )
 
 
-def log_ordered_beta_gamma_pdf(l1, l2, hyper: BetaGammaHyper):
-    """Log-density of the ordered variant on ``l1 < l2`` (else ``-inf``)."""
-    swapped = BetaGammaHyper(hyper.a0, hyper.b0, hyper.a2, hyper.a1)
-    val = np.logaddexp(
-        log_beta_gamma_pdf(l1, l2, hyper), log_beta_gamma_pdf(l1, l2, swapped)
-    )
-    return np.where(np.asarray(l1) < np.asarray(l2), val, -np.inf)
-
-
 def _positive(hyper: BetaGammaHyper) -> None:
     if min(hyper.a0, hyper.b0, hyper.a1, hyper.a2) <= 0.0:
         raise ValueError("sampling a beta-gamma law needs strictly positive hyperparameters")
@@ -217,27 +214,6 @@ def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
     lam = rng.gamma(hyper.a0, rate=hyper.b0, size=size)
     p = rng.beta(hyper.a1, hyper.a2, size=size)
     return p * lam, (1.0 - p) * lam
-
-
-def sample_ordered_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
-    """Draw rate pairs and sort each: smaller first.  Exact ties are redrawn."""
-    _positive(hyper)
-    l1, l2 = sample_beta_gamma(hyper, rng, size=size)
-    l1 = np.atleast_1d(np.asarray(l1, dtype=float))
-    l2 = np.atleast_1d(np.asarray(l2, dtype=float))
-    while True:
-        tied = l1 == l2
-        if not tied.any():
-            break
-        m = int(tied.sum())
-        r1, r2 = sample_beta_gamma(hyper, rng, size=m)
-        l1[tied] = np.atleast_1d(r1)
-        l2[tied] = np.atleast_1d(r2)
-    lo = np.minimum(l1, l2)
-    hi = np.maximum(l1, l2)
-    if size is None:
-        return float(lo[0]), float(hi[0])
-    return lo.reshape(size), hi.reshape(size)
 
 
 def sample_hypergeometric(pop1: int, pop2: int, draws: int, rng: RngStream) -> int:
@@ -426,44 +402,103 @@ class PiecewiseExpEnvelope:
         return np.clip(out, self.lo, None)
 
 
+
+
+# --------------------------------------------------------------------------
+# lockstep root finding
+
+
+def _bisect_rows(
+    deriv: Callable[[np.ndarray], np.ndarray], n_rows: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Roots of ``n_rows`` decreasing-through-zero functions, found in lockstep.
+
+    ``deriv`` maps an ``(n_rows,)`` array of abscissae to the row values; one
+    call is one sweep.  Every row is bracketed from 1, doubling while its
+    value is positive and halving while it is negative, inside
+    [1e-10, 1e10]; a sweep serves both directions at once, and a direction
+    that no row needs costs nothing.  Each row is then bisected until its
+    bracket is no wider than 1e-10 of its upper end, after which it stays
+    put while the other rows go on, up to 200 sweeps in all.
+
+    Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that was never
+    bracketed: its root is ``inf`` when the value stays positive past 1e10
+    and ``0`` when it stays negative below 1e-10.
+    """
+    lo = np.ones(n_rows)
+    hi = np.ones(n_rows)
+    d = deriv(lo)
+    sweeps = 1
+    up = d > 0.0
+    down = d < 0.0
+    hi[up] = 2.0
+    lo[down] = 0.5
+    ok = np.ones(n_rows, dtype=bool)
+    while up.any() or down.any():
+        d = deriv(np.where(up, hi, lo))
+        sweeps += 1
+        up &= d > 0.0
+        down &= d < 0.0
+        lo[up] = hi[up]
+        hi[up] *= 2.0
+        hi[down] = lo[down]
+        lo[down] *= 0.5
+        ok &= ~((up & (hi > _ROOT_CEIL)) | (down & (lo < _ROOT_FLOOR)))
+        up &= ok
+        down &= ok
+    active = ok & (hi - lo > _REL_TOL * hi)
+    while active.any() and sweeps < _MAX_SWEEPS:
+        mid = 0.5 * (lo + hi)
+        pos = deriv(mid) > 0.0
+        sweeps += 1
+        lo = np.where(active & pos, mid, lo)
+        hi = np.where(active & ~pos, mid, hi)
+        active &= hi - lo > _REL_TOL * hi
+    root = np.where(ok, 0.5 * (lo + hi), np.where(hi > 1.0, math.inf, 0.0))
+    return root, ok, sweeps
+
+
 def _locate_mode(target: LogConcaveTarget, lo: float) -> tuple[float, bool]:
-    """Return (mode, at_boundary) for a concave log-density on [lo, inf)."""
-    x0 = lo if lo > 0.0 else 1e-8
-    d0 = float(target.log_density_derivative(x0))
-    if not math.isfinite(d0):
-        raise ValueError("log-density derivative not finite at the support edge")
-    if d0 <= 0.0:
-        return x0, True
-    hi = max(2.0 * x0, 1.0)
-    while float(target.log_density_derivative(hi)) > 0.0:
-        hi *= 2.0
-        if hi > _UPPER_PROBE:
-            raise NonIntegrableTargetError(
-                "log-density still increasing at the upper probe point"
-            )
-    a, b = x0, hi
-    for _ in range(200):
-        if b - a <= 1e-9 * b:
-            break
-        mid = 0.5 * (a + b)
-        if float(target.log_density_derivative(mid)) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), False
+    """Return (mode, at_boundary) for a concave log-density on [lo, inf).
+
+    The mode is the root of the log-density derivative.  A derivative still
+    positive at 1e10 means the density never turns down.  One still
+    negative at 1e-10, or a root at or below the support edge (taken as
+    1e-8 for a support starting at 0), puts the mode at that edge.
+    """
+    edge = lo if lo > 0.0 else 1e-8
+    root, _, _ = _bisect_rows(target.log_density_derivative, 1)
+    mode = float(root[0])
+    if mode == math.inf:
+        raise NonIntegrableTargetError("log-density still increasing at 1e10")
+    if mode <= edge:
+        return edge, True
+    return mode, False
 
 
-def _seed_envelope(target: LogConcaveTarget, lo: float, offsets=None) -> PiecewiseExpEnvelope:
+_STATIC_OFFSETS = (
+    -8.0, -5.5, -4.0, -3.0, -2.2, -1.6, -1.1, -0.7, -0.35,
+    0.0, 0.35, 0.7, 1.1, 1.6, 2.2, 3.0, 4.0, 5.5, 8.0,
+)
+
+
+def build_static_envelope(target: LogConcaveTarget, support_lo: float) -> PiecewiseExpEnvelope:
+    """A ready-to-sample hull with curvature-scaled tangent placement.
+
+    An interior mode gets tangents at ``_STATIC_OFFSETS`` curvature scales
+    around it; a mode at the support edge gets three, spaced by the inverse
+    of the slope there.
+    """
+    lo = support_lo
     mode, at_edge = _locate_mode(target, lo)
     env = PiecewiseExpEnvelope(lo)
     if at_edge:
         d = float(target.log_density_derivative(mode))
+        if not math.isfinite(d):
+            raise ValueError("log-density derivative not finite at the support edge")
         scale = 1.0 / max(abs(d), 1e-8)
         pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]
-    elif offsets is None:
-        pts = [max(lo + 0.5 * (mode - lo), 0.5 * mode), mode, 1.5 * mode]
     else:
-        # curvature-scaled placement for a tight static hull
         eps = 1e-4 * max(mode, 1.0)
         f2 = (
             float(target.log_density(mode + eps))
@@ -471,7 +506,7 @@ def _seed_envelope(target: LogConcaveTarget, lo: float, offsets=None) -> Piecewi
             + float(target.log_density(max(mode - eps, lo + 0.25 * eps)))
         ) / eps**2
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
-        pts = [mode + c * sigma for c in offsets]
+        pts = [mode + c * sigma for c in _STATIC_OFFSETS]
         pts = [p for p in pts if p > lo]
     # make sure at least one point sits where the slope is negative
     xr = pts[-1]
@@ -487,79 +522,3 @@ def _seed_envelope(target: LogConcaveTarget, lo: float, offsets=None) -> Piecewi
         if math.isfinite(h):
             env.insert(p, h, float(target.log_density_derivative(p)))
     return env
-
-
-_STATIC_OFFSETS = (
-    -8.0, -5.5, -4.0, -3.0, -2.2, -1.6, -1.1, -0.7, -0.35,
-    0.0, 0.35, 0.7, 1.1, 1.6, 2.2, 3.0, 4.0, 5.5, 8.0,
-)
-
-
-def build_static_envelope(target: LogConcaveTarget, support_lo: float) -> PiecewiseExpEnvelope:
-    """A ready-to-sample hull with curvature-scaled tangent placement."""
-    return _seed_envelope(target, support_lo, offsets=_STATIC_OFFSETS)
-
-
-_MAX_TANGENTS = 64
-
-
-def sample_log_concave(
-    target: LogConcaveTarget,
-    support_lo: float,
-    rng: RngStream,
-    size: Optional[int] = None,
-):
-    """Adaptive rejection sampling from a log-concave density on [lo, inf).
-
-    Parameters
-    ----------
-    target :
-        Log-density and its derivative, vectorized, known up to a constant.
-    support_lo :
-        Left edge of the support (non-negative).
-    rng :
-        Source stream; all randomness flows through it.
-    size :
-        ``None`` for a single float, otherwise the number of draws.
-
-    Rejected proposals refine the hull (up to 64 tangents), so acceptance
-    improves as draws accumulate; every accepted point is an exact draw no
-    matter how coarse the hull was at that moment.
-    """
-    env = _seed_envelope(target, support_lo)
-    want = 1 if size is None else int(size)
-    if want < 0:
-        raise ValueError("size must be non-negative")
-    if want == 0:
-        return np.empty(0)
-    out = np.empty(want)
-    have = 0
-    rounds = 0
-    while have < want:
-        rounds += 1
-        if rounds > 10000:
-            raise NonIntegrableTargetError("acceptance stalled; target may not be log-concave")
-        chunk = max(32, int(1.3 * (want - have)) + 1)
-        q = env.sample(chunk, rng)
-        logtarget = np.asarray(target.log_density(q), dtype=float)
-        logenv = env.log_value(q)
-        accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= logtarget - logenv
-        taken = q[accept]
-        n_take = min(taken.size, want - have)
-        out[have : have + n_take] = taken[:n_take]
-        have += n_take
-        if have < want and env.size < _MAX_TANGENTS:
-            rejected = ~accept
-            if rejected.any():
-                gaps = logenv - logtarget
-                gaps[accept] = -math.inf
-                worst = int(np.argmax(gaps))
-                if math.isfinite(logtarget[worst]):
-                    env.insert(
-                        float(q[worst]),
-                        float(logtarget[worst]),
-                        float(target.log_density_derivative(q[worst])),
-                    )
-    if size is None:
-        return float(out[0])
-    return out

@@ -167,55 +167,6 @@ def _point_estimates(config: StudyConfig, sample, rep_stream: RngStream, method:
     )
 
 
-def run_point_study(config: StudyConfig) -> McReport:
-    """Average estimate and mean squared error per parameter and method.
-
-    The ``bootstrap`` method defines no point estimator and is ignored here.
-    """
-    methods = [m for m in config.methods if m != "bootstrap"]
-    sums = {(p, m): [0.0, 0.0] for p in PARAMETERS for m in methods}
-    truth = (config.truth.alpha, config.truth.lambda1, config.truth.lambda2)
-    used = 0
-    skipped = 0
-    for i in range(config.replications):
-        rep = RngStream(config.base_seed, splitmix64(i + 1))
-        sample = simulate_jpc(config.scheme, config.truth, rep.substream(0))
-        if sample.k1 == 0 or sample.k2 == 0:
-            skipped += 1
-            continue
-        try:
-            ests = {m: _point_estimates(config, sample, rep, m) for m in methods}
-        except _SKIPPABLE:
-            skipped += 1
-            continue
-        used += 1
-        for m, triple in ests.items():
-            for p, est, tv in zip(PARAMETERS, triple, truth):
-                cell = sums[(p, m)]
-                cell[0] += est
-                cell[1] += (est - tv) ** 2
-    if used == 0:
-        raise StudyFailedError(f"all {config.replications} replications were skipped")
-    label = _scheme_label(config.scheme)
-    report = McReport()
-    for p in PARAMETERS:
-        for m in methods:
-            s, sq = sums[(p, m)]
-            report.rows.append(
-                McRow(
-                    scheme=label,
-                    parameter=p,
-                    method=m,
-                    ae=s / used,
-                    mse=sq / used,
-                    al=None,
-                    cp=None,
-                    skipped=skipped,
-                )
-            )
-    return report
-
-
 def _interval_triple(config: StudyConfig, sample, rep_stream: RngStream, method: str):
     if method == "mle":
         return asymptotic_ci(sample, fit_mle(sample), config.level)
@@ -243,12 +194,19 @@ def _interval_triple(config: StudyConfig, sample, rep_stream: RngStream, method:
     )
 
 
-def run_interval_study(config: StudyConfig) -> McReport:
-    """Average interval length and empirical coverage per parameter/method.
-
-    Coverage is reported as a fraction in [0, 1]."""
-    methods = list(config.methods)
-    sums = {(p, m): [0.0, 0] for p in PARAMETERS for m in methods}
+def _replicate(config: StudyConfig, point: bool) -> McReport:
+    """The replication loop of both studies: point estimates per method,
+    accumulated as estimate and squared error into AE and MSE, or (with
+    ``point`` False) intervals per method, accumulated as width and coverage
+    into AL and CP.
+    """
+    if point:
+        methods = [m for m in config.methods if m != "bootstrap"]
+        evaluate = _point_estimates
+    else:
+        methods = list(config.methods)
+        evaluate = _interval_triple
+    sums = {(p, m): [0.0, 0.0] for p in PARAMETERS for m in methods}
     truth = (config.truth.alpha, config.truth.lambda1, config.truth.lambda2)
     used = 0
     skipped = 0
@@ -259,33 +217,42 @@ def run_interval_study(config: StudyConfig) -> McReport:
             skipped += 1
             continue
         try:
-            triples = {m: _interval_triple(config, sample, rep, m) for m in methods}
+            results = {m: evaluate(config, sample, rep, m) for m in methods}
         except _SKIPPABLE:
             skipped += 1
             continue
         used += 1
-        for m, triple in triples.items():
-            for p, ci, tv in zip(PARAMETERS, triple, truth):
+        for m, triple in results.items():
+            for p, res, tv in zip(PARAMETERS, triple, truth):
                 cell = sums[(p, m)]
-                cell[0] += ci.width
-                cell[1] += 1 if ci.contains(tv) else 0
+                if point:
+                    cell[0] += res
+                    cell[1] += (res - tv) ** 2
+                else:
+                    cell[0] += res.width
+                    cell[1] += 1 if res.contains(tv) else 0
     if used == 0:
         raise StudyFailedError(f"all {config.replications} replications were skipped")
     label = _scheme_label(config.scheme)
     report = McReport()
     for p in PARAMETERS:
         for m in methods:
-            al, hits = sums[(p, m)]
-            report.rows.append(
-                McRow(
-                    scheme=label,
-                    parameter=p,
-                    method=m,
-                    ae=None,
-                    mse=None,
-                    al=al / used,
-                    cp=hits / used,
-                    skipped=skipped,
-                )
-            )
+            first, second = (v / used for v in sums[(p, m)])
+            cells = (first, second, None, None) if point else (None, None, first, second)
+            report.rows.append(McRow(label, p, m, *cells, skipped))
     return report
+
+
+def run_point_study(config: StudyConfig) -> McReport:
+    """Average estimate and mean squared error per parameter and method.
+
+    The ``bootstrap`` method defines no point estimator and is ignored here.
+    """
+    return _replicate(config, point=True)
+
+
+def run_interval_study(config: StudyConfig) -> McReport:
+    """Average interval length and empirical coverage per parameter/method.
+
+    Coverage is reported as a fraction in [0, 1]."""
+    return _replicate(config, point=False)

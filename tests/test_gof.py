@@ -155,20 +155,44 @@ def test_ks_pvalue_validation() -> None:
     assert 0.0 <= ks_pvalue(0.1, 1, estimated=False, n_mc=50, rng=RngStream(73, 0)) <= 1.0
 
 
+def _longhand_complete_fit(x: np.ndarray) -> tuple[float, float]:
+    """Shape and rate MLEs of one complete sample: Brent's method on the
+    profile score n/a + sum ln x - n sum(x^a ln x) / sum(x^a)."""
+    n, lx = x.size, np.log(x)
+
+    def score(a: float) -> float:
+        p = x**a
+        return n / a + lx.sum() - n * float(np.sum(p * lx)) / float(np.sum(p))
+
+    alpha = optimize.brentq(score, 1e-2, 100.0, xtol=1e-14, rtol=1e-13)
+    return alpha, n / float(np.sum(x**alpha))
+
+
 def test_batched_complete_refits_match_scalar_fits() -> None:
-    """The lockstep refits inside the Monte Carlo KS test against
-    ``fit_weibull_complete``, row by row, over samples of several shapes,
-    scales and sizes.  Sizes start at 5: with two values the shape MLE can
-    run to tens, and the scalar fit's 1e-10 shape tolerance alone then moves
-    its rate by more than 1e-9."""
+    """The lockstep refits inside the Monte Carlo KS test against an
+    independent root of the longhand profile score, row by row, over
+    samples of several shapes, scales and sizes."""
     rng = RngStream(74, 0)
     for n, alpha, lam in ((5, 0.4, 3.0), (12, 1.0, 1.0), (69, 3.8, 0.09), (40, 9.0, 1e-4)):
         x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(150, n))).reshape(150, n), axis=1)
         got_alpha, got_lam = _fit_complete_rows(np.log(x))
         for row, a, l in zip(x, got_alpha, got_lam):
-            fit = fit_weibull_complete(CompleteSample(values=tuple(row)))
-            assert a == pytest.approx(fit.alpha, rel=1e-9)
-            assert l == pytest.approx(fit.lam, rel=1e-9)
+            want_alpha, want_lam = _longhand_complete_fit(row)
+            assert a == pytest.approx(want_alpha, rel=1e-8)
+            assert l == pytest.approx(want_lam, rel=1e-8)
+
+
+def test_stacked_complete_rows_fit_as_they_fit_alone() -> None:
+    """Each row of a stack of complete samples gets, byte for byte, the
+    shape fit_weibull_complete gives it alone (600 rows in all)."""
+    rng = RngStream(75, 0)
+    for n, alpha, lam in ((5, 0.4, 3.0), (30, 2.0, 1.0), (69, 3.8, 0.09)):
+        x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(200, n))).reshape(200, n), axis=1)
+        datas = [CompleteSample(values=tuple(row)) for row in x]
+        got_alpha, got_lam = _fit_complete_rows(np.stack([d.log_values for d in datas]))
+        fits = [fit_weibull_complete(d) for d in datas]
+        assert list(got_alpha) == [f.alpha for f in fits]
+        assert got_lam == pytest.approx([f.lam for f in fits], rel=1e-12)
 
 
 def test_lr_test_golden_value(ds1, ds2) -> None:

@@ -24,7 +24,6 @@ from jointweibull.jpc import (
     simulate_jpc_batch,
     u_stat,
     v_stat,
-    w_stat,
 )
 from jointweibull.rng import RngStream
 
@@ -84,7 +83,6 @@ def test_power_sums_on_hand_sample(tiny_k2) -> None:
     """Two epochs, one failure per group: U(1)=2 and V(1)=4 by hand."""
     assert u_stat(tiny_k2, 1.0) == pytest.approx(2.0)
     assert v_stat(tiny_k2, 1.0) == pytest.approx(4.0)
-    assert w_stat(tiny_k2, 1.0) == pytest.approx(2.0)
     # at exponent zero the sums count the group sizes
     assert u_stat(tiny_k2, 0.0) == pytest.approx(tiny_k2.scheme.m)
     assert v_stat(tiny_k2, 0.0) == pytest.approx(tiny_k2.scheme.n)

@@ -14,12 +14,14 @@ from jointweibull.jpc import (
     log_likelihood,
     log_u_stat,
     log_v_stat,
+    simulate_jpc_batch,
     u_stat,
     v_stat,
 )
 from jointweibull.mle import (
     BootstrapResult,
     IntervalEstimate,
+    _fit_alpha_batch,
     asymptotic_ci,
     bootstrap_ci,
     fisher_info,
@@ -289,3 +291,32 @@ def test_bootstrap_argument_validation(fiber) -> None:
         bootstrap_ci(fiber, level=1.5, n_boot=10, rng=RngStream(1, 0))
     with pytest.raises(ValueError):
         bootstrap_ci(fiber, level=0.9, n_boot=0, rng=RngStream(1, 0))
+
+
+def test_stacked_rows_fit_as_they_fit_alone() -> None:
+    """Every row of a bootstrap-like stack of reference-design samples gets,
+    byte for byte, the shape that fit_mle and fit_mle_ordered give the same
+    sample alone: a scalar fit is a stack of one, and the lockstep sweeps
+    leave each row's bracket sequence to that row."""
+    scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+    log_t, delta, s = simulate_jpc_batch(scheme, (1.0, 0.5, 1.0), RngStream(81, 0), 400)
+    samples = []
+    for lt, d, sj in zip(log_t, delta, s):
+        if 0 < d.sum() < scheme.k:
+            obs = (JpcObservation(float(t), int(g), int(w)) for t, g, w in zip(np.exp(lt), d, sj))
+            samples.append(JpcSample(scheme, tuple(obs)))
+    assert len(samples) > 350
+    stack = (
+        np.stack([x.log_t for x in samples]),
+        np.stack([x.log_coef1 for x in samples]),
+        np.array([x.k1 for x in samples], dtype=float),
+        np.stack([x.log_coef2 for x in samples]),
+        np.array([x.k2 for x in samples], dtype=float),
+    )
+    free, ok, _ = _fit_alpha_batch(*stack)
+    assert ok.all()
+    assert list(free) == [fit_mle(x).params.alpha for x in samples]
+    log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0)
+    restricted, ok, _ = _fit_alpha_batch(*stack, log_pooled)
+    assert ok.all()
+    assert list(restricted) == [fit_mle_ordered(x).params.alpha for x in samples]

@@ -15,13 +15,11 @@ from jointweibull.rng import (
     RngStream,
     beta_gamma_mean,
     beta_gamma_variance,
+    _locate_mode,
     build_static_envelope,
     log_beta_gamma_pdf,
-    log_ordered_beta_gamma_pdf,
     sample_beta_gamma,
     sample_hypergeometric,
-    sample_log_concave,
-    sample_ordered_beta_gamma,
     sample_weibull,
     splitmix64,
     weibull_inverse_cdf,
@@ -131,40 +129,6 @@ def test_rate_pair_sampler_moments(hyper: BetaGammaHyper) -> None:
         assert abs(draws.mean() - m) < 4.0 * math.sqrt(v / n)
 
 
-def test_ordered_sampler_respects_order_and_moments() -> None:
-    hyper = BetaGammaHyper(3.0, 1.0, 2.0, 4.0)
-    l1, l2 = sample_ordered_beta_gamma(hyper, RngStream(78, 0), size=60_000)
-    assert np.all(l1 < l2)
-    # quadrature over the wedge l1 < l2, inner grid aligned to the diagonal
-    # so the support edge never cuts through a cell
-    hi = 40.0
-    grid = np.linspace(1e-6, hi, 900)
-    inner = np.linspace(1e-9, 1.0, 900)
-    g2 = grid[:, None] + (hi - grid[:, None]) * inner[None, :]
-    g1 = np.broadcast_to(grid[:, None], g2.shape)
-    dens = np.exp(log_ordered_beta_gamma_pdf(g1, g2, hyper))
-    mass = trapezoid(trapezoid(dens, g2, axis=1), grid)
-    m1 = trapezoid(trapezoid(dens * g1, g2, axis=1), grid)
-    m2 = trapezoid(trapezoid(dens * g2, g2, axis=1), grid)
-    assert mass == pytest.approx(1.0, abs=3e-3)
-    assert l1.mean() == pytest.approx(m1, rel=0.02)
-    assert l2.mean() == pytest.approx(m2, rel=0.02)
-
-
-def test_ordered_density_is_the_symmetrized_unordered_one() -> None:
-    hyper = BetaGammaHyper(2.0, 0.7, 1.3, 0.9)
-    rng = RngStream(5, 0)
-    pts = rng.uniform(40) * 3.0 + 0.05
-    lo = np.minimum(pts[:20], pts[20:]) * 0.99
-    hi = np.maximum(pts[:20], pts[20:]) + 0.01
-    direct = np.exp(log_ordered_beta_gamma_pdf(lo, hi, hyper))
-    folded = np.exp(log_beta_gamma_pdf(lo, hi, hyper)) + np.exp(
-        log_beta_gamma_pdf(hi, lo, hyper)
-    )
-    assert direct == pytest.approx(folded, rel=1e-10)
-    assert log_ordered_beta_gamma_pdf(hi, lo, hyper) == pytest.approx(-math.inf)
-
-
 def test_sampler_requires_positive_hyperparameters() -> None:
     with pytest.raises(ValueError):
         sample_beta_gamma(BetaGammaHyper(0.0, 1.0, 1.0, 1.0), RngStream(1, 0), size=4)
@@ -251,44 +215,34 @@ def test_single_tangent_envelope_samples_exponential() -> None:
     assert res.pvalue > 1e-3
 
 
-def test_adaptive_sampler_half_normal() -> None:
-    target = LogConcaveTarget(
-        log_density=lambda x: -0.5 * x**2,
-        log_density_derivative=lambda x: -x,
-    )
-    draws = sample_log_concave(target, 0.0, RngStream(33, 0), size=20_000)
-    mean = math.sqrt(2.0 / math.pi)
-    sd = math.sqrt(1.0 - 2.0 / math.pi)
-    assert abs(draws.mean() - mean) < 4.0 * sd / math.sqrt(draws.size)
-    res = stats.kstest(draws, lambda x: 2.0 * stats.norm.cdf(x) - 1.0)
-    assert res.pvalue > 1e-3
-
-
-def test_adaptive_sampler_gamma_target() -> None:
-    draws = sample_log_concave(_gamma_target(3.0, 2.0), 0.0, RngStream(34, 0), size=20_000)
-    assert abs(draws.mean() - 1.5) < 4.0 * math.sqrt(0.75 / draws.size)
-    res = stats.kstest(draws, stats.gamma(3.0, scale=0.5).cdf)
-    assert res.pvalue > 1e-3
+def test_locate_mode_matches_the_analytic_gamma_mode() -> None:
+    """The root finder's mode of a gamma log-density is (shape - 1) / rate."""
+    rng = RngStream(38, 0)
+    for _ in range(30):
+        shape = 1.05 + 40.0 * rng.uniform()
+        rate = 10.0 ** (4.0 * rng.uniform() - 2.0)
+        mode, at_edge = _locate_mode(_gamma_target(shape, rate), 0.0)
+        assert not at_edge
+        assert mode == pytest.approx((shape - 1.0) / rate, rel=1e-9)
 
 
 def test_adaptive_sampler_boundary_mode() -> None:
-    """A log-density decreasing from the support edge (exponential law)."""
+    """A log-density decreasing from the support edge (exponential law)
+    puts the mode at the edge; the static hull built there samples the law
+    exactly under rejection."""
     target = LogConcaveTarget(
         log_density=lambda x: -np.asarray(x, dtype=float),
         log_density_derivative=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
     )
-    draws = sample_log_concave(target, 0.0, RngStream(35, 0), size=20_000)
+    assert _locate_mode(target, 0.0) == (1e-8, True)
+    env = build_static_envelope(target, 0.0)
+    rng = RngStream(35, 0)
+    q = env.sample(30_000, rng)
+    accept = np.log(rng.uniform(q.size)) <= target.log_density(q) - env.log_value(q)
+    draws = q[accept]
+    assert draws.size > 10_000
     res = stats.kstest(draws, stats.expon.cdf)
     assert res.pvalue > 1e-3
-
-
-def test_adaptive_sampler_scalar_and_empty() -> None:
-    one = sample_log_concave(_gamma_target(2.0, 1.0), 0.0, RngStream(36, 0))
-    assert isinstance(one, float) and one > 0.0
-    none = sample_log_concave(_gamma_target(2.0, 1.0), 0.0, RngStream(36, 0), size=0)
-    assert none.shape == (0,)
-    with pytest.raises(ValueError):
-        sample_log_concave(_gamma_target(2.0, 1.0), 0.0, RngStream(36, 0), size=-1)
 
 
 def test_sampler_refuses_growing_log_density() -> None:
@@ -297,10 +251,4 @@ def test_sampler_refuses_growing_log_density() -> None:
         log_density_derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(NonIntegrableTargetError):
-        sample_log_concave(target, 0.0, RngStream(37, 0), size=10)
-
-
-def test_determinism_of_adaptive_sampler() -> None:
-    a = sample_log_concave(_gamma_target(3.0, 2.0), 0.0, RngStream(40, 2), size=500)
-    b = sample_log_concave(_gamma_target(3.0, 2.0), 0.0, RngStream(40, 2), size=500)
-    assert np.array_equal(a, b)
+        build_static_envelope(target, 0.0)
