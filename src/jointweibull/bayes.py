@@ -59,11 +59,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, logsumexp
 
 from .errors import DegenerateWeightsError, ImproperPosteriorError
 from .gof import CompleteSample, _ks_rowwise
@@ -72,9 +70,11 @@ from .mle import IntervalEstimate
 from .rng import (
     BetaGammaHyper,
     LogConcaveTarget,
-    PiecewiseExpEnvelope,
     RngStream,
+    _max_shift,
+    _softmax_mean,
     build_static_envelope,
+    log_sum_exp,
 )
 
 _TAIL_PROBE = 1e8
@@ -153,41 +153,39 @@ class WeightedPosterior:
         return float(1.0 / np.sum(self.normalized**2))
 
 
+@dataclass
 class _Branch:
-    """One concave branch of the shape marginal: U- or V-flavored."""
+    """One concave branch of the shape marginal, U- or V-flavored:
+    ``c0 ln a - c1 a - c2 ln(b0 + sum c t^a)``, vectorized over shapes."""
 
-    def __init__(self, log_coef: np.ndarray, log_t: np.ndarray, c0: float, c1: float, c2: float, log_b0: float):
-        self.log_coef = log_coef
-        self.log_t = log_t
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
-        self.log_b0 = log_b0
+    log_coef: np.ndarray
+    log_t: np.ndarray
+    c0: float
+    c1: float
+    c2: float
+    log_b0: float
 
-    def log_sum(self, alpha: np.ndarray) -> np.ndarray:
-        return logsumexp(self.log_coef + alpha[..., None] * self.log_t, axis=-1)
+    def _logits(self, alpha) -> np.ndarray:
+        logits = np.multiply.outer(alpha, self.log_t)
+        logits += self.log_coef
+        return logits
+
+    def log_sum(self, alpha):
+        return log_sum_exp(self._logits(alpha))
+
+    def at(self, alpha, ln_sum):
+        """The branch at shapes ``alpha`` whose log power sums are ``ln_sum``."""
+        with np.errstate(divide="ignore"):
+            lead = self.c0 * np.log(alpha) if self.c0 != 0.0 else 0.0
+        return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, ln_sum)
 
     def value(self, alpha):
-        a = np.asarray(alpha, dtype=float)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        with np.errstate(divide="ignore"):
-            lead = self.c0 * np.log(a) if self.c0 != 0.0 else np.zeros_like(a)
-        out = lead - self.c1 * a - self.c2 * np.logaddexp(self.log_b0, self.log_sum(a))
-        return float(out[0]) if scalar else out
+        return self.at(alpha, self.log_sum(alpha))
 
     def derivative(self, alpha):
-        a = np.asarray(alpha, dtype=float)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        logits = self.log_coef + a[..., None] * self.log_t
-        top = logits.max(axis=-1, keepdims=True)
-        wgt = np.exp(logits - top)
-        mean_lnt = (wgt * self.log_t).sum(axis=-1) / wgt.sum(axis=-1)
-        ln_sum = top[..., 0] + np.log(wgt.sum(axis=-1))
+        mean_lnt, ln_sum = _softmax_mean(self._logits(alpha), self.log_t)
         damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
-        out = self.c0 / a - self.c1 - self.c2 * damp * mean_lnt
-        return float(out[0]) if scalar else out
+        return self.c0 / alpha - self.c1 - self.c2 * damp * mean_lnt
 
 
 class _BranchSum:
@@ -203,31 +201,51 @@ class _BranchSum:
         return sum(p.derivative(alpha) for p in self.parts)
 
 
-def _envelope_rejection(
-    log_target: Callable[[np.ndarray], np.ndarray],
-    envelopes: Sequence[PiecewiseExpEnvelope],
+def _check_decay(branches: Sequence) -> None:
+    if any(br.derivative(_TAIL_PROBE) >= _TAIL_SLOPE_TOL for br in branches):
+        raise ImproperPosteriorError("shape marginal does not decay at the upper probe point")
+
+
+def _sample_marginal(
+    marginal: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    branches: Sequence,
     n: int,
     rng: RngStream,
-) -> np.ndarray:
-    """Exact draws from exp(log_target) dominated by a sum of envelopes."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact shape draws from exp(s), s the pointwise max of the concave
+    ``branches``.  ``marginal(a)`` returns ``s(a)`` and the log power sums it
+    was built from, one column per shape; the columns of the accepted
+    shapes come back with the draws.
+
+    Each branch gets a static tangent hull, all shifted by one common
+    amount, the peak of s on a probe grid, which keeps them on a comparable
+    scale without disturbing acceptance ratios.  Proposals come from the
+    mass-weighted mixture of the hulls and are accepted with probability
+    exp(s) / sum(exp(hull)) <= 1.
+    """
+    probe_s, probe_sums = marginal(np.geomspace(1e-3, 1e3, 61))
+    peak = float(np.max(probe_s))
+    envelopes = [
+        build_static_envelope(
+            LogConcaveTarget((lambda a, f=br.value: f(a) - peak), br.derivative), 0.0
+        )
+        for br in branches
+    ]
     log_masses = np.array([env.log_total_mass() for env in envelopes])
-    mix = np.exp(log_masses - logsumexp(log_masses))
-    cum = np.cumsum(mix)
+    cum = np.cumsum(np.exp(log_masses - log_sum_exp(log_masses)))
     out = np.empty(n)
-    have = 0
-    proposed = 0
-    accepted = 0
+    kept = np.empty((probe_sums.shape[0], n))
+    have = proposed = accepted = guard = 0
     rate = 0.45
-    guard = 0
     while have < n:
         guard += 1
         if guard > 10000:
             raise ImproperPosteriorError("shape sampler stalled; acceptance is vanishing")
         chunk = int((n - have) / rate) + 8
-        q = np.empty(chunk)
         if len(envelopes) == 1:
             q = envelopes[0].sample(chunk, rng)
         else:
+            q = np.empty(chunk)
             pick = np.searchsorted(cum, rng.uniform(chunk), side="left")
             pick = np.clip(pick, 0, len(envelopes) - 1)
             for b, env in enumerate(envelopes):
@@ -237,15 +255,16 @@ def _envelope_rejection(
         log_env = envelopes[0].log_value(q)
         for env in envelopes[1:]:
             log_env = np.logaddexp(log_env, env.log_value(q))
-        accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_target(q) - log_env
-        taken = q[accept]
-        n_take = min(taken.size, n - have)
-        out[have : have + n_take] = taken[:n_take]
-        have += n_take
+        log_f, sums = marginal(q)
+        accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_f - peak - log_env
+        taken = np.flatnonzero(accept)[: n - have]
+        out[have : have + taken.size] = q[taken]
+        kept[:, have : have + taken.size] = sums[:, taken]
+        have += taken.size
         proposed += chunk
         accepted += int(accept.sum())
         rate = max(0.05, accepted / proposed)
-    return out
+    return out, kept
 
 
 class _PosteriorCore:
@@ -253,8 +272,8 @@ class _PosteriorCore:
 
     A core is defined by the two weighted power sums (as log-coefficient /
     log-time arrays), the failure counts, and the prior.  It owns the shape
-    marginal, its properness checks, the dual-envelope sampler, and the
-    conjugate rate updates.
+    marginal and its properness checks, hands them to the envelope sampler
+    ``_sample_marginal``, and makes the conjugate rate updates.
     """
 
     def __init__(
@@ -309,11 +328,7 @@ class _PosteriorCore:
             checked = (self.branch_u, self.branch_v) + self.branches
         else:
             self.branches = checked = (self.branch_u, self.branch_v)
-        for br in checked:
-            if br.derivative(_TAIL_PROBE) >= _TAIL_SLOPE_TOL:
-                raise ImproperPosteriorError(
-                    "shape marginal does not decay at the upper probe point"
-                )
+        _check_decay(checked)
 
     @classmethod
     def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":
@@ -343,39 +358,20 @@ class _PosteriorCore:
             prior,
         )
 
-    def log_marginal(self, alpha):
-        a = np.asarray(alpha, dtype=float)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        out = np.maximum.reduce([br.value(a) for br in self.branches])
-        return float(out[0]) if scalar else out
-
-    @cached_property
-    def _envelopes(self) -> tuple[float, tuple[PiecewiseExpEnvelope, ...]]:
-        # one common vertical shift keeps the envelopes on a comparable
-        # scale without disturbing acceptance ratios
-        probe = np.geomspace(1e-3, 1e3, 61)
-        peak = float(np.max(self.log_marginal(probe)))
-        envs = tuple(
-            build_static_envelope(
-                LogConcaveTarget((lambda a, f=br.value: f(a) - peak), br.derivative), 0.0
-            )
-            for br in self.branches
-        )
-        return peak, envs
-
-    def sample_shape(self, n: int, rng: RngStream) -> np.ndarray:
-        peak, envs = self._envelopes
-
-        def target(q: np.ndarray) -> np.ndarray:
-            return self.log_marginal(q) - peak
-
-        return _envelope_rejection(target, envs, n, rng)
+    def log_marginal(self, a) -> tuple[np.ndarray, np.ndarray]:
+        """s(a) and the rows (ln U(a), ln V(a)) it is built from."""
+        sums = np.stack((self.branch_u.log_sum(a), self.branch_v.log_sum(a)))
+        if self.per_group:
+            part_u, part_v = self.branches[0].parts
+            return part_u.at(a, sums[0]) + part_v.at(a, sums[1]), sums
+        return np.maximum(self.branch_u.at(a, sums[0]), self.branch_v.at(a, sums[1])), sums
 
     def _group_rates(self, ln_u, ln_v, rng: RngStream):
         """Per-group ordered proposal: lambda2 from its gamma, lambda1 from
         its gamma cut to (0, lambda2); the log weight is the log of the
         probability that the uncut lambda1 falls below lambda2."""
+        from scipy.special import gammainc, gammaincinv
+
         s1, s2 = self.group_shapes
         rate1 = np.exp(np.logaddexp(self.log_b0, ln_u))
         rate2 = np.exp(np.logaddexp(self.log_b0, ln_v))
@@ -426,17 +422,14 @@ class _PosteriorCore:
         return l1, l2, ln_g
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
-        alpha = self.sample_shape(n, rng)
-        ln_u = self.branch_u.log_sum(alpha)
-        ln_v = self.branch_v.log_sum(alpha)
+        alpha, (ln_u, ln_v) = _sample_marginal(self.log_marginal, self.branches, n, rng)
         if self.per_group:
             l1, l2, ln_g = self._group_rates(ln_u, ln_v, rng)
         else:
             l1, l2, ln_g = self._beta_gamma_rates(ln_u, ln_v, rng)
         if not np.any(ln_g > -math.inf):
             raise DegenerateWeightsError("every importance weight underflowed to zero")
-        top = ln_g.max()
-        normalized = np.exp(ln_g - top)
+        normalized, _ = _max_shift(ln_g)
         normalized /= normalized.sum()
         with np.errstate(over="ignore"):
             weights = np.exp(ln_g)
@@ -464,7 +457,7 @@ def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
     branch.
     """
     core = _PosteriorCore.from_jpc(sample, prior)
-    return core.log_marginal(alpha)
+    return core.log_marginal(np.asarray(alpha, dtype=float))[0]
 
 
 def draw_posterior(
@@ -518,15 +511,14 @@ def weibull_posterior_complete(
     c2 = bg_a + n
     log_b0 = math.log(bg_b) if bg_b > 0.0 else -math.inf
     branch = _Branch(np.zeros(n), data.log_values, c0, c1, c2, log_b0)
-    if branch.derivative(_TAIL_PROBE) >= _TAIL_SLOPE_TOL:
-        raise ImproperPosteriorError("shape marginal does not decay at the upper probe point")
-    probe = np.geomspace(1e-3, 1e3, 61)
-    peak = float(np.max(branch.value(probe)))
-    target = LogConcaveTarget(lambda a: branch.value(a) - peak, branch.derivative)
-    env = build_static_envelope(target, 0.0)
-    alpha = _envelope_rejection(lambda q: branch.value(q) - peak, (env,), n_draws, rng)
-    rate = np.exp(np.logaddexp(log_b0, branch.log_sum(alpha)))
-    lam = rng.gamma(c2, rate=rate)
+    _check_decay((branch,))
+
+    def marginal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ln_sum = branch.log_sum(a)
+        return branch.at(a, ln_sum), ln_sum[None]
+
+    alpha, (ln_sum,) = _sample_marginal(marginal, (branch,), n_draws, rng)
+    lam = rng.gamma(c2, rate=np.exp(np.logaddexp(log_b0, ln_sum)))
     return alpha, lam
 
 

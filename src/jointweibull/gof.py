@@ -9,11 +9,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov, logsumexp
 
 from .errors import ConvergenceError
 from .mle import _fit_alpha_batch
-from .rng import _MAX_SWEEPS, RngStream
+from .rng import _MAX_SWEEPS, RngStream, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``log_x``, fitted in lockstep."""
     n = log_x.shape[1]
     alpha, _ = _solve(log_x, np.zeros(n), n)
-    lam = np.exp(math.log(n) - logsumexp(alpha[:, None] * log_x, axis=1))
+    lam = np.exp(math.log(n) - log_sum_exp(alpha[:, None] * log_x))
     return alpha, lam
 
 
@@ -141,13 +140,6 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps, sweeps < _MAX_SWEEPS)
 
 
-def _ks_sorted(tsorted: np.ndarray, cdf_at_t: np.ndarray) -> float:
-    n = tsorted.size
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    return float(max((grid_hi - cdf_at_t).max(), (cdf_at_t - grid_lo).max()))
-
-
 def _ks_rowwise(cdf_rows: np.ndarray) -> np.ndarray:
     """KS distance for each row of fitted-CDF values at the sorted sample."""
     n = cdf_rows.shape[-1]
@@ -163,7 +155,7 @@ def ks_distance(data: CompleteSample, alpha: float, lam: float) -> float:
     if not (alpha > 0.0 and lam > 0.0):
         raise ValueError("alpha and lambda must be positive")
     f = -np.expm1(-lam * data.sorted**alpha)
-    return _ks_sorted(data.sorted, f)
+    return float(_ks_rowwise(f))
 
 
 def ks_pvalue(
@@ -203,6 +195,8 @@ def ks_pvalue(
             x = lam[:, None] * np.exp(alpha[:, None] * log_x)  # fitted cumulative hazards
         d = _ks_rowwise(-np.expm1(-x))
         return int(np.count_nonzero(d >= distance)) / n_mc
+    from scipy.special import kolmogorov
+
     return float(kolmogorov(math.sqrt(n) * distance))
 
 
@@ -216,4 +210,6 @@ def lr_test_common_shape(data1: CompleteSample, data2: CompleteSample) -> tuple[
     sep = fit_weibull_complete(data1).loglik + fit_weibull_complete(data2).loglik
     joint = fit_common_shape(data1, data2).loglik
     stat = max(0.0, -2.0 * (joint - sep))
+    from scipy.special import chdtrc
+
     return stat, float(chdtrc(1, stat))

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .rng import RngStream, sample_hypergeometric, sample_weibull
+from .rng import RngStream, log_sum_exp, sample_hypergeometric, sample_weibull
 
 # Beyond this exponent, per-term powers t^a overflow a double and sums are
 # carried out in the log domain instead.
@@ -190,7 +189,7 @@ def _power_sum(log_coef: np.ndarray, log_t: np.ndarray, alpha: float) -> float:
         raise ValueError("alpha must be non-negative")
     exponents = alpha * log_t
     if exponents.max() > _OVERFLOW_EXPONENT:
-        return float(np.exp(logsumexp(log_coef + exponents)))
+        return float(np.exp(log_sum_exp(log_coef + exponents)))
     with np.errstate(over="ignore"):
         return float(np.sum(np.exp(log_coef + exponents)))
 
@@ -208,12 +207,12 @@ def v_stat(sample: JpcSample, alpha: float) -> float:
 def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:
     """ln U(alpha), stable for any exponent; vectorized over ``alpha``."""
     a = np.asarray(alpha, dtype=float)
-    return logsumexp(sample.log_coef1 + a[..., None] * sample.log_t, axis=-1)
+    return log_sum_exp(sample.log_coef1 + a[..., None] * sample.log_t)
 
 
 def log_v_stat(sample: JpcSample, alpha) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
-    return logsumexp(sample.log_coef2 + a[..., None] * sample.log_t, axis=-1)
+    return log_sum_exp(sample.log_coef2 + a[..., None] * sample.log_t)
 
 
 def log_likelihood(sample: JpcSample, params: JointParams) -> float:

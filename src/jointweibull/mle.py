@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
 
 from .errors import (
     ConvergenceError,
@@ -42,7 +42,7 @@ from .jpc import (
     log_v_stat,
     simulate_jpc_batch,
 )
-from .rng import _MAX_SWEEPS, RngStream, _bisect_rows
+from .rng import _MAX_SWEEPS, RngStream, _bisect_rows, _softmax_mean, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,6 @@ def _order_respected(sample: JpcSample, alpha: float) -> bool:
     lhs = math.log(sample.k1) - float(log_u_stat(sample, alpha))
     rhs = math.log(sample.k2) - float(log_v_stat(sample, alpha))
     return lhs < rhs
-
-
-def _softmax_mean(logits: np.ndarray, lnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means of ``lnt`` under the softmax of ``logits``, and the row
-    log-sum-exps of ``logits``: d/da ln(sum c t^a) and ln(sum c t^a) for
-    ``logits = ln c + a ln t``."""
-    top = logits.max(axis=1, keepdims=True)
-    wgt = np.exp(logits - top)
-    tot = wgt.sum(axis=1)
-    return (wgt * lnt).sum(axis=1) / tot, top[:, 0] + np.log(tot)
 
 
 def _fit_alpha_batch(
@@ -227,7 +217,7 @@ def fit_mle_ordered(sample: JpcSample) -> MleFit:
         boundary = False
     else:
         pooled = math.exp(
-            math.log(k) - float(logsumexp(log_pooled_coef + alpha * sample.log_t))
+            math.log(k) - float(log_sum_exp(log_pooled_coef + alpha * sample.log_t))
         )
         l1 = l2 = pooled
         boundary = True
@@ -286,7 +276,7 @@ def asymptotic_ci(
     var = np.diag(inv)
     if not np.all(var > 0.0):
         raise SingularInformationError("information matrix is not positive definite")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     est = (fit.params.alpha, fit.params.lambda1, fit.params.lambda2)
     return tuple(
         IntervalEstimate(e - z * math.sqrt(v), e + z * math.sqrt(v), level)
@@ -358,14 +348,14 @@ def bootstrap_ci(
         k1[ok],
         k2[ok],
     )
-    ln_u = logsumexp(logc1 + alpha[:, None] * lnt, axis=1)
-    ln_v = logsumexp(logc2 + alpha[:, None] * lnt, axis=1)
+    ln_u = log_sum_exp(logc1 + alpha[:, None] * lnt)
+    ln_v = log_sum_exp(logc2 + alpha[:, None] * lnt)
     l1 = np.exp(np.log(k1) - ln_u)
     l2 = np.exp(np.log(k2) - ln_v)
     if ordered:
         viol = l1 >= l2
         if viol.any():
-            ln_uv = logsumexp(log_pooled + alpha[:, None] * lnt, axis=1)
+            ln_uv = log_sum_exp(log_pooled + alpha[:, None] * lnt)
             pooled = np.exp(np.log(k1 + k2) - ln_uv)
             l1 = np.where(viol, pooled, l1)
             l2 = np.where(viol, pooled, l2)

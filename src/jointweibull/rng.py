@@ -14,7 +14,9 @@ for their shape draws.  The module also holds the package's one root
 finder, :func:`_bisect_rows`, a lockstep bracket-and-bisect over rows of
 decreasing functions: it locates the mode that seeds each hull, and the
 maximum likelihood fits elsewhere solve their profile score equations with
-it.
+it.  Next to it sits the package's one log-sum-exp, :func:`log_sum_exp`,
+whose max-shift also gives the softmax means (:func:`_softmax_mean`) that
+the profile score and the shape marginal's slope are made of.
 """
 
 from __future__ import annotations
@@ -35,6 +37,35 @@ _ROOT_FLOOR = 1e-10
 _ROOT_CEIL = 1e10
 _REL_TOL = 1e-10
 _MAX_SWEEPS = 200
+
+
+def _max_shift(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(x - m)`` and ``m``, the maximum along ``axis`` kept as a length-1
+    axis.  A slice whose maximum is not finite is shifted by 0 instead, so an
+    all ``-inf`` slice exponentiates to zeros rather than NaN."""
+    top = x.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    wgt = x - top
+    np.exp(wgt, out=wgt)
+    return wgt, top
+
+
+def log_sum_exp(x, axis: int = -1):
+    """``ln(sum(exp(x)))`` along ``axis``, shifted by the maximum so that no
+    term overflows; an all ``-inf`` slice gives ``-inf``."""
+    wgt, top = _max_shift(np.asarray(x, dtype=float), axis)
+    with np.errstate(divide="ignore"):
+        return np.log(wgt.sum(axis=axis)) + top.squeeze(axis)
+
+
+def _softmax_mean(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of ``values`` under the softmax of ``logits`` along the last
+    axis, and the log-sum-exps of ``logits``: d/da ln(sum c t^a) and
+    ln(sum c t^a) for ``logits = ln c + a ln t`` and ``values = ln t``."""
+    wgt, top = _max_shift(logits)
+    tot = wgt.sum(axis=-1)
+    wgt *= values
+    return wgt.sum(axis=-1) / tot, top[..., 0] + np.log(tot)
 
 
 def splitmix64(x: int) -> int:
@@ -264,10 +295,8 @@ def _log_integral_exp_linear(a: float, u: float, v: float) -> float:
     ad = a * d
     if abs(ad) < 1e-12:
         return a * u + math.log(d) + math.log1p(0.5 * ad)
-    if ad > 0.0:
-        if ad > 700.0:
-            return a * v - math.log(a)
-        return a * u + math.log(math.expm1(ad) / a)
+    if ad > 700.0:
+        return a * v - math.log(a)
     return a * u + math.log(math.expm1(ad) / a)
 
 
@@ -290,10 +319,6 @@ class PiecewiseExpEnvelope:
         self._h: list[float] = []
         self._dh: list[float] = []
         self._built = False
-
-    @property
-    def size(self) -> int:
-        return len(self._x)
 
     def insert(self, x: float, h: float, dh: float) -> None:
         if not (math.isfinite(x) and math.isfinite(h) and math.isfinite(dh)):
@@ -335,30 +360,22 @@ class PiecewiseExpEnvelope:
             raise NonIntegrableTargetError(
                 "rightmost tangent slope is non-negative; envelope has infinite mass"
             )
-        # breakpoints: support edge, pairwise tangent intersections, +inf
-        z = np.empty(x.size + 1)
-        z[0] = self.lo
-        z[-1] = math.inf
-        for i in range(x.size - 1):
-            num = h[i + 1] - h[i] + x[i] * dh[i] - x[i + 1] * dh[i + 1]
-            zi = num / (dh[i] - dh[i + 1])
-            # a clipped breakpoint still yields a valid (if looser) hull
-            zi = min(max(zi, x[i]), x[i + 1])
-            z[i + 1] = max(zi, z[i])
+        # breakpoints: support edge, pairwise tangent intersections, +inf;
+        # a clipped breakpoint still yields a valid (if looser) hull
+        zi = (h[1:] - h[:-1] + x[:-1] * dh[:-1] - x[1:] * dh[1:]) / (dh[:-1] - dh[1:])
+        zi = np.minimum(np.maximum(zi, x[:-1]), x[1:])
+        z = np.concatenate(([self.lo], np.maximum.accumulate(np.maximum(zi, self.lo)), [math.inf]))
         logmass = np.empty(x.size)
         for i in range(x.size):
             logmass[i] = (h[i] - dh[i] * x[i]) + _log_integral_exp_linear(
                 dh[i], z[i], z[i + 1]
             )
         self._bx, self._bh, self._bdh, self._bz = x, h, dh, z
-        finite = logmass > -math.inf
-        if not finite.any():
+        if not np.any(logmass > -math.inf):
             raise NonIntegrableTargetError("envelope mass underflowed to zero")
-        top = logmass.max()
-        w = np.exp(logmass - top)
-        self._log_total = top + math.log(w.sum())
+        w, top = _max_shift(logmass)
+        self._log_total = float(top[0]) + math.log(w.sum())
         self._cum = np.cumsum(w / w.sum())
-        self._logmass = logmass
         self._built = True
 
     def log_total_mass(self) -> float:
@@ -487,38 +504,42 @@ def build_static_envelope(target: LogConcaveTarget, support_lo: float) -> Piecew
 
     An interior mode gets tangents at ``_STATIC_OFFSETS`` curvature scales
     around it; a mode at the support edge gets three, spaced by the inverse
-    of the slope there.
+    of the slope there.  The target is evaluated on all tangent points in
+    one array call of each callable.
     """
     lo = support_lo
     mode, at_edge = _locate_mode(target, lo)
     env = PiecewiseExpEnvelope(lo)
     if at_edge:
-        d = float(target.log_density_derivative(mode))
+        d = float(target.log_density_derivative(np.array([mode]))[0])
         if not math.isfinite(d):
             raise ValueError("log-density derivative not finite at the support edge")
         scale = 1.0 / max(abs(d), 1e-8)
-        pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]
+        pts = mode + np.array([0.0, 1.0, 3.0]) * scale
     else:
         eps = 1e-4 * max(mode, 1.0)
-        f2 = (
-            float(target.log_density(mode + eps))
-            - 2.0 * float(target.log_density(mode))
-            + float(target.log_density(max(mode - eps, lo + 0.25 * eps)))
-        ) / eps**2
+        f_right, f_mid, f_left = target.log_density(
+            np.array([mode + eps, mode, max(mode - eps, lo + 0.25 * eps)])
+        )
+        f2 = (f_right - 2.0 * f_mid + f_left) / eps**2
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
-        pts = [mode + c * sigma for c in _STATIC_OFFSETS]
-        pts = [p for p in pts if p > lo]
+        pts = mode + np.array(_STATIC_OFFSETS) * sigma
+        pts = pts[pts > lo]
+    pts = np.maximum(pts, lo if lo > 0.0 else 1e-12)
+    h = target.log_density(pts)
+    dh = target.log_density_derivative(pts)
     # make sure at least one point sits where the slope is negative
     xr = pts[-1]
+    slope = dh[-1]
     guard = 0
-    while float(target.log_density_derivative(xr)) >= 0.0 and guard < 200:
+    while slope >= 0.0 and guard < 200:
         xr = 2.0 * max(xr, 1e-8)
+        slope = target.log_density_derivative(np.array([xr]))[0]
         guard += 1
-    if xr != pts[-1]:
-        pts.append(xr)
-    for p in pts:
-        p = max(p, lo if lo > 0.0 else 1e-12)
-        h = float(target.log_density(p))
-        if math.isfinite(h):
-            env.insert(p, h, float(target.log_density_derivative(p)))
+    if guard:
+        pts = np.append(pts, xr)
+        h = np.append(h, target.log_density(np.array([xr])))
+        dh = np.append(dh, slope)
+    for p, hp, dp in zip(pts.tolist(), h.tolist(), dh.tolist()):
+        env.insert(p, hp, dp)
     return env

@@ -293,3 +293,41 @@ def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
         d_minus = (f - np.arange(0, n) / n).max()
         worst = max(worst, float(max(d_plus, d_minus)))
     return worst
+
+
+def static_envelope_pointwise(target, support_lo: float):
+    """The tangent hull of ``rng.build_static_envelope`` built point by point:
+    every height and slope comes from its own scalar call of the target."""
+    import math
+
+    from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_mode
+
+    lo = support_lo
+    mode, at_edge = _locate_mode(target, lo)
+    env = PiecewiseExpEnvelope(lo)
+    if at_edge:
+        d = float(target.log_density_derivative(mode))
+        scale = 1.0 / max(abs(d), 1e-8)
+        pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]
+    else:
+        eps = 1e-4 * max(mode, 1.0)
+        f2 = (
+            float(target.log_density(mode + eps))
+            - 2.0 * float(target.log_density(mode))
+            + float(target.log_density(max(mode - eps, lo + 0.25 * eps)))
+        ) / eps**2
+        sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
+        pts = [p for p in (mode + c * sigma for c in _STATIC_OFFSETS) if p > lo]
+    xr = pts[-1]
+    guard = 0
+    while float(target.log_density_derivative(xr)) >= 0.0 and guard < 200:
+        xr = 2.0 * max(xr, 1e-8)
+        guard += 1
+    if xr != pts[-1]:
+        pts.append(xr)
+    for p in pts:
+        p = max(p, lo if lo > 0.0 else 1e-12)
+        h = float(target.log_density(p))
+        if math.isfinite(h):
+            env.insert(p, h, float(target.log_density_derivative(p)))
+    return env

@@ -8,6 +8,7 @@ from scipy import stats
 
 from jointweibull.bayes import (
     PriorSpec,
+    _PosteriorCore,
     _jpc_discrepancy_rows,
     _resample_indices,
     ShapeHyper,
@@ -37,7 +38,14 @@ from jointweibull.jpc import (
     simulate_jpc,
     simulate_jpc_batch,
 )
-from jointweibull.rng import BetaGammaHyper, RngStream, sample_weibull
+from jointweibull.rng import (
+    BetaGammaHyper,
+    LogConcaveTarget,
+    RngStream,
+    build_static_envelope,
+    sample_weibull,
+)
+from jointweibull.study import POINT_METHODS, StudyConfig
 
 from _oracles import (
     complete_posterior_oracle,
@@ -45,6 +53,7 @@ from _oracles import (
     jpc_posterior_oracle,
     jpc_discrepancy_oracle,
     jpc_posterior_oracle_3d,
+    static_envelope_pointwise,
     swap_groups,
 )
 
@@ -89,6 +98,37 @@ def test_shape_marginal_matches_handwritten_branches(fiber, flat_rate4) -> None:
     assert log_marginal_shape(fiber, flat_rate4, 3.0) == pytest.approx(
         float(log_marginal_shape(fiber, flat_rate4, np.array([3.0]))[0])
     )
+
+
+def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
+    """Branch values and slopes on a point array equal per-point scalar
+    calls, and the hull built from array calls has the tangent points,
+    heights and slopes of one built point by point: on the fiber sample and
+    20 reference-design samples, for the four study presets."""
+    scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+    truth = JointParams(1.0, 0.5, 1.0)
+    config = StudyConfig(scheme, truth, 1, POINT_METHODS)
+    samples = [fiber] + [simulate_jpc(scheme, truth, RngStream(90, i)) for i in range(20)]
+    grid = np.geomspace(0.05, 20.0, 40)
+    hulls = 0
+    for sample in samples:
+        for method in ("bayes-ip", "bayes-nip", "bayes-ordered-ip", "bayes-ordered-nip"):
+            try:
+                core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
+            except ImproperPosteriorError:
+                continue
+            for br in core.branches:
+                pointwise = [(br.value(float(a)), br.derivative(float(a))) for a in grid]
+                np.testing.assert_allclose(br.value(grid), [v for v, _ in pointwise], rtol=1e-13)
+                np.testing.assert_allclose(br.derivative(grid), [d for _, d in pointwise], rtol=1e-13)
+                target = LogConcaveTarget(br.value, br.derivative)
+                got = build_static_envelope(target, 0.0)
+                want = static_envelope_pointwise(target, 0.0)
+                np.testing.assert_allclose(got._x, want._x, rtol=1e-13)
+                np.testing.assert_allclose(got._h, want._h, rtol=1e-13)
+                np.testing.assert_allclose(got._dh, want._dh, rtol=1e-13)
+                hulls += 1
+    assert hulls >= 140
 
 
 def test_small_sample_posterior_matches_quadrature(tiny_k4, ip_prior) -> None:

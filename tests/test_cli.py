@@ -321,18 +321,30 @@ def test_console_script(fiber_file) -> None:
     _check_console_script(_console_script_command("jointweibull"), fiber_file, env)
 
 
-def test_cli_import_leaves_scipy_stats_out() -> None:
+def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
     """Importing the CLI must not load ``scipy.stats``, whose import is most
-    of a CLI call's start-up."""
+    of a CLI call's start-up, nor ``scipy.special``, which only the commands
+    that need its functions load; a ``fit`` call needs none of them."""
     pkg_root = str(Path(jointweibull.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    code = "import sys, jointweibull.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import jointweibull.cli\n"
+        "loaded = lambda: [m in sys.modules for m in ('scipy.stats', 'scipy.special')]\n"
+        "after_import = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = jointweibull.cli.main(['fit', {fiber_file!r}])\n"
+        "print(json.dumps([after_import, code, loaded()]))\n"
+    )
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    after_import, exit_code, after_fit = json.loads(res.stdout)
+    assert after_import == [False, False]
+    assert exit_code == 0
+    assert after_fit == [False, False]
 
 
 @pytest.mark.skipif(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import trapezoid
+from scipy.special import logsumexp
 
 from jointweibull.errors import NonIntegrableTargetError
 from jointweibull.rng import (
@@ -18,6 +20,7 @@ from jointweibull.rng import (
     _locate_mode,
     build_static_envelope,
     log_beta_gamma_pdf,
+    log_sum_exp,
     sample_beta_gamma,
     sample_hypergeometric,
     sample_weibull,
@@ -252,3 +255,34 @@ def test_sampler_refuses_growing_log_density() -> None:
     )
     with pytest.raises(NonIntegrableTargetError):
         build_static_envelope(target, 0.0)
+
+
+def test_log_sum_exp_matches_scipy() -> None:
+    """The package's one log-sum-exp against scipy's, along the last axis
+    and along ``axis=1``, with -inf coefficients and overflowing entries."""
+    gen = np.random.default_rng(41)
+    cases = [
+        (gen.normal(3.0, 2.0, 17), -1),
+        (gen.normal(3.0, 2.0, (50, 20)), -1),
+        (gen.normal(3.0, 2.0, (50, 20)), 1),
+        (gen.normal(3.0, 2.0, (6, 9, 4)), 1),
+        (gen.normal(700.0, 1.0, (30, 20)), -1),
+        (gen.normal(-700.0, 1.0, (30, 20)), -1),
+        (gen.normal(1e5, 10.0, (30, 20)), -1),
+    ]
+    # -inf coefficients, as log(R - s + 1 - delta) has for zero counts
+    logc = np.where(gen.uniform(size=(40, 20)) < 0.4, -np.inf, np.log(gen.integers(1, 9, (40, 20))))
+    logc[:, 0] = 0.0
+    cases.append((logc + gen.uniform(0.5, 3.0, (40, 1)) * gen.normal(1.0, 1.0, (40, 20)), -1))
+    for x, axis in cases:
+        got = log_sum_exp(x, axis=axis)
+        want = logsumexp(x, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.min(np.abs(want)) > 1.0  # keeps the relative comparison meaningful
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    rows = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_sum_exp(rows)
+    assert got[0] == -np.inf
+    assert got[1] == pytest.approx(float(logsumexp(rows[1])), rel=1e-15)
