@@ -156,7 +156,9 @@ class WeightedPosterior:
 @dataclass
 class _Branch:
     """One concave branch of the shape marginal, U- or V-flavored:
-    ``c0 ln a - c1 a - c2 ln(b0 + sum c t^a)``, vectorized over shapes."""
+    ``c0 ln a - c1 a - c2 ln(b0 + sum c t^a)``, vectorized over shapes.
+    ``row`` is the row of the sampler's stacked log power sums that holds
+    ``ln(sum c t^a)``."""
 
     log_coef: np.ndarray
     log_t: np.ndarray
@@ -164,6 +166,7 @@ class _Branch:
     c1: float
     c2: float
     log_b0: float
+    row: int = 0
 
     def _logits(self, alpha) -> np.ndarray:
         logits = np.multiply.outer(alpha, self.log_t)
@@ -173,14 +176,14 @@ class _Branch:
     def log_sum(self, alpha):
         return log_sum_exp(self._logits(alpha))
 
-    def at(self, alpha, ln_sum):
-        """The branch at shapes ``alpha`` whose log power sums are ``ln_sum``."""
+    def at(self, alpha, sums):
+        """The branch at shapes ``alpha``, reading ``sums[row]``."""
         with np.errstate(divide="ignore"):
             lead = self.c0 * np.log(alpha) if self.c0 != 0.0 else 0.0
-        return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, ln_sum)
+        return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, sums[self.row])
 
     def value(self, alpha):
-        return self.at(alpha, self.log_sum(alpha))
+        return self.at(alpha, {self.row: self.log_sum(alpha)})
 
     def derivative(self, alpha):
         mean_lnt, ln_sum = _softmax_mean(self._logits(alpha), self.log_t)
@@ -194,6 +197,9 @@ class _BranchSum:
     def __init__(self, *parts: _Branch):
         self.parts = parts
 
+    def at(self, alpha, sums):
+        return sum(p.at(alpha, sums) for p in self.parts)
+
     def value(self, alpha):
         return sum(p.value(alpha) for p in self.parts)
 
@@ -206,16 +212,22 @@ def _check_decay(branches: Sequence) -> None:
         raise ImproperPosteriorError("shape marginal does not decay at the upper probe point")
 
 
+def _marginal(branches: Sequence, sum_rows: Sequence[_Branch], alpha):
+    """s(alpha), the pointwise max of the concave ``branches``, and the
+    stacked log power sums of ``sum_rows`` that the branches read."""
+    sums = np.stack([r.log_sum(alpha) for r in sum_rows])
+    s = branches[0].at(alpha, sums)
+    for br in branches[1:]:
+        s = np.maximum(s, br.at(alpha, sums))
+    return s, sums
+
+
 def _sample_marginal(
-    marginal: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    branches: Sequence,
-    n: int,
-    rng: RngStream,
+    branches: Sequence, sum_rows: Sequence[_Branch], n: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact shape draws from exp(s), s the pointwise max of the concave
-    ``branches``.  ``marginal(a)`` returns ``s(a)`` and the log power sums it
-    was built from, one column per shape; the columns of the accepted
-    shapes come back with the draws.
+    ``branches`` (see :func:`_marginal`); the log power sums of the
+    accepted shapes come back with the draws, one column per shape.
 
     Each branch gets a static tangent hull, all shifted by one common
     amount, the peak of s on a probe grid, which keeps them on a comparable
@@ -223,7 +235,7 @@ def _sample_marginal(
     mass-weighted mixture of the hulls and are accepted with probability
     exp(s) / sum(exp(hull)) <= 1.
     """
-    probe_s, probe_sums = marginal(np.geomspace(1e-3, 1e3, 61))
+    probe_s, probe_sums = _marginal(branches, sum_rows, np.geomspace(1e-3, 1e3, 61))
     peak = float(np.max(probe_s))
     envelopes = [
         build_static_envelope(
@@ -255,7 +267,7 @@ def _sample_marginal(
         log_env = envelopes[0].log_value(q)
         for env in envelopes[1:]:
             log_env = np.logaddexp(log_env, env.log_value(q))
-        log_f, sums = marginal(q)
+        log_f, sums = _marginal(branches, sum_rows, q)
         accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_f - peak - log_env
         taken = np.flatnonzero(accept)[: n - have]
         out[have : have + taken.size] = q[taken]
@@ -312,8 +324,10 @@ class _PosteriorCore:
         c2 = self.gamma_shape
         log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
         self.log_b0 = log_b0
-        self.branch_u = _Branch(log_coef_u, log_t_u, c0, c1, c2, log_b0)
-        self.branch_v = _Branch(log_coef_v, log_t_v, c0, c1, c2, log_b0)
+        self.branch_u = _Branch(log_coef_u, log_t_u, c0, c1, c2, log_b0, row=0)
+        self.branch_v = _Branch(log_coef_v, log_t_v, c0, c1, c2, log_b0, row=1)
+        # the rows (ln U, ln V) every branch below reads
+        self.sum_rows = (self.branch_u, self.branch_v)
         # a folded rate prior of one gamma-kernel term factors over groups
         self.per_group = prior.ordered and bg.a0 == 2.0 * bg.a1 == 2.0 * bg.a2
         # the concave pieces whose pointwise max is the proposal marginal
@@ -321,8 +335,8 @@ class _PosteriorCore:
             self.group_shapes = (bg.a1 + k1, bg.a2 + k2)
             self.branches = (
                 _BranchSum(
-                    _Branch(log_coef_u, log_t_u, c0, c1, self.group_shapes[0], log_b0),
-                    _Branch(log_coef_v, log_t_v, 0.0, 0.0, self.group_shapes[1], log_b0),
+                    _Branch(log_coef_u, log_t_u, c0, c1, self.group_shapes[0], log_b0, row=0),
+                    _Branch(log_coef_v, log_t_v, 0.0, 0.0, self.group_shapes[1], log_b0, row=1),
                 ),
             )
             checked = (self.branch_u, self.branch_v) + self.branches
@@ -357,14 +371,6 @@ class _PosteriorCore:
             data1.sum_log + data2.sum_log,
             prior,
         )
-
-    def log_marginal(self, a) -> tuple[np.ndarray, np.ndarray]:
-        """s(a) and the rows (ln U(a), ln V(a)) it is built from."""
-        sums = np.stack((self.branch_u.log_sum(a), self.branch_v.log_sum(a)))
-        if self.per_group:
-            part_u, part_v = self.branches[0].parts
-            return part_u.at(a, sums[0]) + part_v.at(a, sums[1]), sums
-        return np.maximum(self.branch_u.at(a, sums[0]), self.branch_v.at(a, sums[1])), sums
 
     def _group_rates(self, ln_u, ln_v, rng: RngStream):
         """Per-group ordered proposal: lambda2 from its gamma, lambda1 from
@@ -422,7 +428,7 @@ class _PosteriorCore:
         return l1, l2, ln_g
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
-        alpha, (ln_u, ln_v) = _sample_marginal(self.log_marginal, self.branches, n, rng)
+        alpha, (ln_u, ln_v) = _sample_marginal(self.branches, self.sum_rows, n, rng)
         if self.per_group:
             l1, l2, ln_g = self._group_rates(ln_u, ln_v, rng)
         else:
@@ -457,7 +463,7 @@ def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
     branch.
     """
     core = _PosteriorCore.from_jpc(sample, prior)
-    return core.log_marginal(np.asarray(alpha, dtype=float))[0]
+    return _marginal(core.branches, core.sum_rows, np.asarray(alpha, dtype=float))[0]
 
 
 def draw_posterior(
@@ -512,12 +518,7 @@ def weibull_posterior_complete(
     log_b0 = math.log(bg_b) if bg_b > 0.0 else -math.inf
     branch = _Branch(np.zeros(n), data.log_values, c0, c1, c2, log_b0)
     _check_decay((branch,))
-
-    def marginal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ln_sum = branch.log_sum(a)
-        return branch.at(a, ln_sum), ln_sum[None]
-
-    alpha, (ln_sum,) = _sample_marginal(marginal, (branch,), n_draws, rng)
+    alpha, (ln_sum,) = _sample_marginal((branch,), (branch,), n_draws, rng)
     lam = rng.gamma(c2, rate=np.exp(np.logaddexp(log_b0, ln_sum)))
     return alpha, lam
 

@@ -39,23 +39,23 @@ _REL_TOL = 1e-10
 _MAX_SWEEPS = 200
 
 
-def _max_shift(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(x - m)`` and ``m``, the maximum along ``axis`` kept as a length-1
-    axis.  A slice whose maximum is not finite is shifted by 0 instead, so an
-    all ``-inf`` slice exponentiates to zeros rather than NaN."""
-    top = x.max(axis=axis, keepdims=True)
+def _max_shift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(x - m)`` and ``m``, the maximum along the last axis kept as a
+    length-1 axis.  A row whose maximum is not finite is shifted by 0
+    instead, so an all ``-inf`` row exponentiates to zeros rather than NaN."""
+    top = x.max(axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     wgt = x - top
     np.exp(wgt, out=wgt)
     return wgt, top
 
 
-def log_sum_exp(x, axis: int = -1):
-    """``ln(sum(exp(x)))`` along ``axis``, shifted by the maximum so that no
-    term overflows; an all ``-inf`` slice gives ``-inf``."""
-    wgt, top = _max_shift(np.asarray(x, dtype=float), axis)
+def log_sum_exp(x):
+    """``ln(sum(exp(x)))`` along the last axis, shifted by the maximum so that
+    no term overflows; an all ``-inf`` row gives ``-inf``."""
+    wgt, top = _max_shift(np.asarray(x, dtype=float))
     with np.errstate(divide="ignore"):
-        return np.log(wgt.sum(axis=axis)) + top.squeeze(axis)
+        return np.log(wgt.sum(axis=-1)) + top[..., 0]
 
 
 def _softmax_mean(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

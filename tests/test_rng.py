@@ -258,28 +258,38 @@ def test_sampler_refuses_growing_log_density() -> None:
 
 
 def test_log_sum_exp_matches_scipy() -> None:
-    """The package's one log-sum-exp against scipy's, along the last axis
-    and along ``axis=1``, with -inf coefficients and overflowing entries."""
+    """The package's one log-sum-exp against scipy's along the last axis,
+    with -inf coefficients, overflowing entries and results near zero."""
     gen = np.random.default_rng(41)
     cases = [
-        (gen.normal(3.0, 2.0, 17), -1),
-        (gen.normal(3.0, 2.0, (50, 20)), -1),
-        (gen.normal(3.0, 2.0, (50, 20)), 1),
-        (gen.normal(3.0, 2.0, (6, 9, 4)), 1),
-        (gen.normal(700.0, 1.0, (30, 20)), -1),
-        (gen.normal(-700.0, 1.0, (30, 20)), -1),
-        (gen.normal(1e5, 10.0, (30, 20)), -1),
+        gen.normal(3.0, 2.0, 17),
+        gen.normal(3.0, 2.0, (50, 20)),
+        gen.normal(3.0, 2.0, (6, 9, 4)),
+        gen.normal(700.0, 1.0, (30, 20)),
+        gen.normal(-700.0, 1.0, (30, 20)),
+        gen.normal(1e5, 10.0, (30, 20)),
     ]
     # -inf coefficients, as log(R - s + 1 - delta) has for zero counts
     logc = np.where(gen.uniform(size=(40, 20)) < 0.4, -np.inf, np.log(gen.integers(1, 9, (40, 20))))
     logc[:, 0] = 0.0
-    cases.append((logc + gen.uniform(0.5, 3.0, (40, 1)) * gen.normal(1.0, 1.0, (40, 20)), -1))
-    for x, axis in cases:
-        got = log_sum_exp(x, axis=axis)
-        want = logsumexp(x, axis=axis)
+    cases.append(logc + gen.uniform(0.5, 3.0, (40, 1)) * gen.normal(1.0, 1.0, (40, 20)))
+    for x in cases:
+        got = log_sum_exp(x)
+        want = logsumexp(x, axis=-1)
         assert np.shape(got) == np.shape(want)
         assert np.min(np.abs(want)) > 1.0  # keeps the relative comparison meaningful
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # sums near 1, where ln U and ln V sit near 0: one dominant term at 0
+    # plus tiny ones, and log probability vectors; a few ulp of 1 absolute
+    tiny = np.full((30, 12), -np.inf)
+    tiny[:, 0] = 0.0
+    tiny[:, 1:] = gen.uniform(-60.0, -20.0, (30, 11))
+    probs = gen.dirichlet(np.ones(15), size=30)
+    for x in (tiny, np.log(probs)):
+        got = log_sum_exp(x)
+        want = logsumexp(x, axis=-1)
+        assert np.max(np.abs(want)) < 1e-8
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps)
     rows = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
