@@ -59,14 +59,7 @@ from .mle import (
     lambda_hats,
     profile_loglik,
 )
-from .rng import (
-    BetaGammaHyper,
-    RngStream,
-    sample_beta_gamma,
-    sample_hypergeometric,
-    sample_weibull,
-    weibull_inverse_cdf,
-)
+from .rng import BetaGammaHyper, RngStream, sample_beta_gamma
 from .study import (
     McReport,
     McRow,

@@ -339,10 +339,9 @@ class _PosteriorCore:
                     _Branch(log_coef_v, log_t_v, 0.0, 0.0, self.group_shapes[1], log_b0, row=1),
                 ),
             )
-            checked = (self.branch_u, self.branch_v) + self.branches
         else:
-            self.branches = checked = (self.branch_u, self.branch_v)
-        _check_decay(checked)
+            self.branches = (self.branch_u, self.branch_v)
+        _check_decay(self.branches)
 
     @classmethod
     def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":

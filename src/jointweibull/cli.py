@@ -4,16 +4,8 @@ Exit codes: 0 success; 2 when a sample admits no maximum likelihood fit
 (all failures in one group); 3 when a posterior fails its propriety check;
 4 for malformed or inconsistent input files; 1 for anything else that goes
 wrong.  Numeric output is printed as ``key value`` lines with six
-significant digits so runs are easy to diff and to parse.
-
-Sample file format::
-
-    # comment lines and blank lines are ignored
-    m n k
-    R: r1 r2 ... rk
-    t1 delta1 s1
-    ...
-    tk deltak sk
+significant digits so runs are easy to diff and to parse.  Sample files
+are read and written by :mod:`jointweibull.io`.
 """
 
 from __future__ import annotations
@@ -53,15 +45,8 @@ from .gof import (
     ks_pvalue,
     lr_test_common_shape,
 )
-from .jpc import (
-    CensoringScheme,
-    JointParams,
-    JpcObservation,
-    JpcSample,
-    break_ties,
-    shift_sample,
-    simulate_jpc,
-)
+from .io import parse_complete_file, parse_jpc_file, serialize_jpc_sample
+from .jpc import CensoringScheme, JointParams, JpcSample, shift_sample, simulate_jpc
 from .mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
 from .rng import BetaGammaHyper, RngStream
 from .study import StudyConfig, run_interval_study, run_point_study
@@ -75,100 +60,6 @@ EXIT_PARSE = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-# --------------------------------------------------------------------------
-# sample files
-
-
-def parse_jpc_lines(lines: Sequence[str]) -> JpcSample:
-    content: list[tuple[int, str]] = []
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content.append((i, stripped))
-    if not content:
-        raise SampleFileError("file holds no data lines")
-    lineno, header = content[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise SampleFileError(f"line {lineno}: header must read 'm n k'")
-    try:
-        m, n, k = (int(p) for p in parts)
-    except ValueError as exc:
-        raise SampleFileError(f"line {lineno}: header must hold three integers") from exc
-    if len(content) < 2:
-        raise SampleFileError("missing withdrawal line 'R: ...'")
-    lineno, rline = content[1]
-    if not rline.startswith("R:"):
-        raise SampleFileError(f"line {lineno}: expected a line starting with 'R:'")
-    try:
-        r = tuple(int(p) for p in rline[2:].split())
-    except ValueError as exc:
-        raise SampleFileError(f"line {lineno}: withdrawal counts must be integers") from exc
-    body = content[2:]
-    if len(body) != k:
-        raise SampleFileError(
-            f"expected {k} observation lines, found {len(body)}"
-        )
-    times, deltas, splits = [], [], []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 3:
-            raise SampleFileError(f"line {lineno}: expected 't delta s'")
-        try:
-            times.append(float(parts[0]))
-            deltas.append(int(parts[1]))
-            splits.append(int(parts[2]))
-        except ValueError as exc:
-            raise SampleFileError(f"line {lineno}: malformed observation") from exc
-    times = break_ties(times)
-    try:
-        scheme = CensoringScheme(m=m, n=n, k=k, R=r)
-        obs = tuple(
-            JpcObservation(t=float(t), delta=d, s=s)
-            for t, d, s in zip(times, deltas, splits)
-        )
-        return JpcSample(scheme=scheme, obs=obs)
-    except ValueError as exc:
-        raise SampleFileError(f"inconsistent sample: {exc}") from exc
-
-
-def parse_jpc_file(path: str) -> JpcSample:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_jpc_lines(fh.readlines())
-    except OSError as exc:
-        raise SampleFileError(f"cannot read {path}: {exc}") from exc
-
-
-def serialize_jpc_sample(sample: JpcSample) -> str:
-    sch = sample.scheme
-    lines = [f"{sch.m} {sch.n} {sch.k}", "R: " + " ".join(str(r) for r in sch.R)]
-    for o in sample.obs:
-        lines.append(f"{o.t:.12g} {o.delta} {o.s}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_complete_file(path: str) -> tuple[float, ...]:
-    values = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for i, raw in enumerate(fh, start=1):
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                for tok in stripped.replace(",", " ").split():
-                    try:
-                        values.append(float(tok))
-                    except ValueError as exc:
-                        raise SampleFileError(f"line {i}: not a number: {tok!r}") from exc
-    except OSError as exc:
-        raise SampleFileError(f"cannot read {path}: {exc}") from exc
-    if not values:
-        raise SampleFileError(f"{path} holds no values")
-    return tuple(values)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .mle import _fit_alpha_batch
-from .rng import _MAX_SWEEPS, RngStream, log_sum_exp
+from .rng import RngStream, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class WeibullFit:
     lam: float
     loglik: float
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class CommonShapeFit:
     lam2: float
     loglik: float
     iterations: int
-    converged: bool
 
 
 def _complete_loglik(data: CompleteSample, alpha: float, lam: float) -> float:
@@ -105,7 +103,7 @@ def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
     alpha, sweeps = _solve(data.log_values[None, :], np.zeros(n), n)
     alpha = float(alpha[0])
     lam = n / float(np.sum(data.array**alpha))
-    return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), sweeps, sweeps < _MAX_SWEEPS)
+    return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), sweeps)
 
 
 def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +135,7 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     lam1 = n1 / float(np.sum(data1.array**alpha))
     lam2 = n2 / float(np.sum(data2.array**alpha))
     loglik = _complete_loglik(data1, alpha, lam1) + _complete_loglik(data2, alpha, lam2)
-    return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps, sweeps < _MAX_SWEEPS)
+    return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps)
 
 
 def _ks_rowwise(cdf_rows: np.ndarray) -> np.ndarray:

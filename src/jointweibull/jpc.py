@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import RngStream, log_sum_exp, sample_hypergeometric, sample_weibull
+from .rng import RngStream, log_sum_exp
 
 # Beyond this exponent, per-term powers t^a overflow a double and sums are
 # carried out in the log domain instead.
@@ -231,44 +231,24 @@ def log_likelihood(sample: JpcSample, params: JointParams) -> float:
 
 
 def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -> JpcSample:
-    """Run one experiment under the given design and parameters.
-
-    Lifetimes are drawn by inversion; at each failure the withdrawal is
-    split between groups hypergeometrically and the withdrawn units are
-    removed uniformly at random, which is what makes later failure epochs
-    carry the correct conditional law.  Exact lifetime ties (possible only
-    through floating-point collision) are redrawn.
-    """
-    m, n = scheme.m, scheme.n
-    life = np.empty(m + n)
-    life[:m] = np.atleast_1d(sample_weibull(params.alpha, params.lambda1, rng, size=m))
-    life[m:] = np.atleast_1d(sample_weibull(params.alpha, params.lambda2, rng, size=n))
+    """Run one experiment under the given design and parameters: a one-row
+    :func:`simulate_jpc_batch`, drawn again in the rare case where the
+    times ``exp(log t)`` do not strictly increase or underflow to zero."""
     while True:
-        order = np.sort(life)
-        dup = np.flatnonzero(order[1:] == order[:-1])
-        if dup.size == 0:
+        log_t, delta, s = simulate_jpc_batch(
+            scheme, (params.alpha, params.lambda1, params.lambda2), rng, 1
+        )
+        with np.errstate(over="ignore"):
+            t = np.exp(log_t[0])
+        if np.isposinf(t[-1]):  # a redraw could never order infinite times
+            raise ValueError("failure times overflow a double at these parameters")
+        if np.all(np.diff(t, prepend=0.0) > 0.0):
             break
-        for v in order[dup]:
-            hits = np.flatnonzero(life == v)[1:]
-            for idx in hits:
-                lam = params.lambda1 if idx < m else params.lambda2
-                life[idx] = sample_weibull(params.alpha, lam, rng)
-    alive = np.ones(m + n, dtype=bool)
-    obs = []
-    for r_j in scheme.R:
-        pool = np.flatnonzero(alive)
-        fail = pool[np.argmin(life[pool])]
-        delta = 1 if fail < m else 0
-        alive[fail] = False
-        a1 = int(np.count_nonzero(alive[:m]))
-        a2 = int(np.count_nonzero(alive[m:]))
-        s_j = sample_hypergeometric(a1, a2, r_j, rng)
-        g1 = np.flatnonzero(alive[:m])
-        g2 = m + np.flatnonzero(alive[m:])
-        alive[g1[rng.choice_without_replacement(a1, s_j)]] = False
-        alive[g2[rng.choice_without_replacement(a2, r_j - s_j)]] = False
-        obs.append(JpcObservation(t=float(life[fail]), delta=delta, s=s_j))
-    return JpcSample(scheme=scheme, obs=tuple(obs))
+    obs = tuple(
+        JpcObservation(t=float(tj), delta=int(dj), s=int(sj))
+        for tj, dj, sj in zip(t, delta[0], s[0])
+    )
+    return JpcSample(scheme=scheme, obs=obs)
 
 
 def simulate_jpc_batch(
@@ -293,8 +273,7 @@ def simulate_jpc_batch(
     and the k epochs are k array steps over all rows.  Times come back as
     ``ln t = ln(tau) / alpha``, which never forms t^alpha.  Rows whose log
     times do not strictly increase (floating-point collision only) are
-    redrawn at their own parameters, as :func:`simulate_jpc` redraws tied
-    lifetimes.
+    redrawn at their own parameters.
     """
     if size < 1:
         raise ValueError("size must be positive")

@@ -47,7 +47,12 @@ from .rng import _MAX_SWEEPS, RngStream, _bisect_rows, _softmax_mean, log_sum_ex
 
 @dataclass(frozen=True)
 class MleFit:
-    """A fitted parameter triple with diagnostics of how it was obtained."""
+    """A fitted parameter triple with diagnostics of how it was obtained.
+
+    ``iterations`` counts the profile-score sweeps of the shape search.
+    ``converged`` means the bisection closed the shape's bracket to within
+    1e-10 relative of its upper end before the 200-sweep cap.
+    """
 
     params: JointParams
     loglik: float

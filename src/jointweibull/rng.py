@@ -136,40 +136,6 @@ class RngStream:
             raise ValueError("beta parameters must be strictly positive")
         return self._gen.beta(a, b, size)
 
-    def choice_without_replacement(self, n: int, count: int) -> np.ndarray:
-        if count == 0:
-            return np.empty(0, dtype=np.intp)
-        return self._gen.choice(n, size=count, replace=False)
-
-
-def weibull_inverse_cdf(u, alpha: float, lam: float):
-    """Quantile transform: ``F^{-1}(u)`` for density a*l*x^(a-1)*exp(-l*x^a)."""
-    return (-np.log1p(-np.asarray(u)) / lam) ** (1.0 / alpha)
-
-
-def sample_weibull(alpha: float, lam: float, rng: RngStream, size=None):
-    """Draw Weibull variates by inversion.
-
-    Draws are strictly positive: the (measure-zero) event ``u == 0`` is
-    redrawn so downstream code can rely on positive, log-able lifetimes.
-    """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be a positive finite real")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be a positive finite real")
-    scalar = size is None
-    n = 1 if scalar else int(np.prod(size))
-    u = np.atleast_1d(rng.uniform(n))
-    while True:
-        bad = u <= 0.0
-        if not bad.any():
-            break
-        u[bad] = rng.uniform(int(bad.sum()))
-    t = weibull_inverse_cdf(u, alpha, lam)
-    if scalar:
-        return float(t[0])
-    return t.reshape(size)
-
 
 @dataclass(frozen=True)
 class BetaGammaHyper:
@@ -245,24 +211,6 @@ def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
     lam = rng.gamma(hyper.a0, rate=hyper.b0, size=size)
     p = rng.beta(hyper.a1, hyper.a2, size=size)
     return p * lam, (1.0 - p) * lam
-
-
-def sample_hypergeometric(pop1: int, pop2: int, draws: int, rng: RngStream) -> int:
-    """Number of population-1 units in ``draws`` taken without replacement."""
-    pop1 = int(pop1)
-    pop2 = int(pop2)
-    draws = int(draws)
-    if pop1 < 0 or pop2 < 0:
-        raise ValueError("population counts must be non-negative")
-    if draws < 0 or draws > pop1 + pop2:
-        raise ValueError("draws must lie in [0, pop1+pop2]")
-    if draws == 0:
-        return 0
-    if pop1 == 0:
-        return 0
-    if pop2 == 0:
-        return draws
-    return int(rng.hypergeometric(pop1, pop2, draws))
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,27 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here recomputes target quantities from first principles —
-direct summation, dense-grid quadrature, finite differences — without
-touching the estimator code paths under test.
+direct summation, dense-grid quadrature, finite differences, a unit-by-unit
+walk of the censoring experiment — without touching the estimator code
+paths under test.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
 from jointweibull.jpc import (
     CensoringScheme,
+    JointParams,
     JpcObservation,
     JpcSample,
     log_u_stat,
     log_v_stat,
+    simulate_jpc,
 )
+from jointweibull.rng import RngStream
 
 
 def swap_groups(sample: JpcSample) -> JpcSample:
@@ -66,6 +72,101 @@ def jpc_epoch_moments_oracle(scheme: CensoringScheme, lambda1: float, lambda2: f
         e_s.append(es)
         states = nxt
     return np.array(e_tau), np.array(p_delta), np.array(e_s)
+
+
+def weibull_inverse_cdf(u, alpha: float, lam: float):
+    """Quantile transform: ``F^{-1}(u)`` for density a*l*x^(a-1)*exp(-l*x^a)."""
+    return (-np.log1p(-np.asarray(u)) / lam) ** (1.0 / alpha)
+
+
+def sample_weibull(alpha: float, lam: float, rng: RngStream, size=None):
+    """Draw Weibull variates by inversion.
+
+    Draws are strictly positive: the (measure-zero) event ``u == 0`` is
+    redrawn so downstream code can rely on positive, log-able lifetimes.
+    """
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be a positive finite real")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be a positive finite real")
+    scalar = size is None
+    n = 1 if scalar else int(np.prod(size))
+    u = np.atleast_1d(rng.uniform(n))
+    while True:
+        bad = u <= 0.0
+        if not bad.any():
+            break
+        u[bad] = rng.uniform(int(bad.sum()))
+    t = weibull_inverse_cdf(u, alpha, lam)
+    if scalar:
+        return float(t[0])
+    return t.reshape(size)
+
+
+def sample_hypergeometric(pop1: int, pop2: int, draws: int, rng: RngStream) -> int:
+    """Number of population-1 units in ``draws`` taken without replacement."""
+    pop1 = int(pop1)
+    pop2 = int(pop2)
+    draws = int(draws)
+    if pop1 < 0 or pop2 < 0:
+        raise ValueError("population counts must be non-negative")
+    if draws < 0 or draws > pop1 + pop2:
+        raise ValueError("draws must lie in [0, pop1+pop2]")
+    if draws == 0:
+        return 0
+    if pop1 == 0:
+        return 0
+    if pop2 == 0:
+        return draws
+    return int(rng.hypergeometric(pop1, pop2, draws))
+
+
+def choice_without_replacement(rng: RngStream, n: int, count: int) -> np.ndarray:
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
+    return rng._gen.choice(n, size=count, replace=False)
+
+
+def simulate_jpc_walk(scheme: CensoringScheme, params: JointParams, rng: RngStream) -> JpcSample:
+    """Run one experiment unit by unit: the reference law of the package's
+    tau-scale simulator.
+
+    Lifetimes are drawn by inversion; at each failure the withdrawal is
+    split between groups hypergeometrically and the withdrawn units are
+    removed uniformly at random, which is what makes later failure epochs
+    carry the correct conditional law.  Exact lifetime ties (possible only
+    through floating-point collision) are redrawn.
+    """
+    m, n = scheme.m, scheme.n
+    life = np.empty(m + n)
+    life[:m] = np.atleast_1d(sample_weibull(params.alpha, params.lambda1, rng, size=m))
+    life[m:] = np.atleast_1d(sample_weibull(params.alpha, params.lambda2, rng, size=n))
+    while True:
+        order = np.sort(life)
+        dup = np.flatnonzero(order[1:] == order[:-1])
+        if dup.size == 0:
+            break
+        for v in order[dup]:
+            hits = np.flatnonzero(life == v)[1:]
+            for idx in hits:
+                lam = params.lambda1 if idx < m else params.lambda2
+                life[idx] = sample_weibull(params.alpha, lam, rng)
+    alive = np.ones(m + n, dtype=bool)
+    obs = []
+    for r_j in scheme.R:
+        pool = np.flatnonzero(alive)
+        fail = pool[np.argmin(life[pool])]
+        delta = 1 if fail < m else 0
+        alive[fail] = False
+        a1 = int(np.count_nonzero(alive[:m]))
+        a2 = int(np.count_nonzero(alive[m:]))
+        s_j = sample_hypergeometric(a1, a2, r_j, rng)
+        g1 = np.flatnonzero(alive[:m])
+        g2 = m + np.flatnonzero(alive[m:])
+        alive[g1[choice_without_replacement(rng, a1, s_j)]] = False
+        alive[g2[choice_without_replacement(rng, a2, r_j - s_j)]] = False
+        obs.append(JpcObservation(t=float(life[fail]), delta=delta, s=s_j))
+    return JpcSample(scheme=scheme, obs=tuple(obs))
 
 
 def _jpc_posterior_grid(sample, bg, shape, ordered, alpha_hi, n_alpha, n_p):
@@ -256,8 +357,6 @@ def gamma_hpd(shape, rate, level=0.9):
 def random_jpc_sample(rng, max_group=6, alpha_range=(0.6, 2.5)):
     """A small simulated sample under a randomized scheme; used by the
     property loops.  Returns None when a group ends up with no failures."""
-    from jointweibull.jpc import JointParams, simulate_jpc
-
     m = int(rng.integers(2, max_group + 1))
     n = int(rng.integers(2, max_group + 1))
     k = int(rng.integers(2, m + n + 1))
@@ -298,8 +397,6 @@ def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
 def static_envelope_pointwise(target, support_lo: float):
     """The tangent hull of ``rng.build_static_envelope`` built point by point:
     every height and slope comes from its own scalar call of the target."""
-    import math
-
     from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_mode
 
     lo = support_lo

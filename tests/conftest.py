@@ -11,9 +11,10 @@ from jointweibull.jpc import (
     JpcObservation,
     JpcSample,
     shift_sample,
-    simulate_jpc,
 )
 from jointweibull.rng import BetaGammaHyper, RngStream
+
+from _oracles import simulate_jpc_walk
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +70,7 @@ def improper_jpc():
 def tiny_k4():
     """Simulated 4-failure sample, two failures per group."""
     scheme = CensoringScheme(5, 4, 4, (1, 1, 2, 1))
-    sample = simulate_jpc(scheme, JointParams(1.5, 0.6, 1.1), RngStream(7, 0))
+    sample = simulate_jpc_walk(scheme, JointParams(1.5, 0.6, 1.1), RngStream(7, 0))
     assert sample.k1 == 2 and sample.k2 == 2
     return sample
 
@@ -78,7 +79,7 @@ def tiny_k4():
 def tiny_k4_lopsided():
     """Simulated 4-failure sample with a 3/1 split between the groups."""
     scheme = CensoringScheme(5, 4, 4, (1, 1, 2, 1))
-    sample = simulate_jpc(scheme, JointParams(1.5, 0.9, 0.7), RngStream(2, 0))
+    sample = simulate_jpc_walk(scheme, JointParams(1.5, 0.9, 0.7), RngStream(2, 0))
     assert sample.k1 == 3 and sample.k2 == 1
     return sample
 

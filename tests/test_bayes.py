@@ -22,6 +22,7 @@ from jointweibull.bayes import (
     weibull_posterior_complete,
     weighted_hpd,
 )
+from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.errors import (
     DegenerateWeightsError,
     EstimationError,
@@ -43,7 +44,6 @@ from jointweibull.rng import (
     LogConcaveTarget,
     RngStream,
     build_static_envelope,
-    sample_weibull,
 )
 from jointweibull.study import POINT_METHODS, StudyConfig
 
@@ -53,6 +53,8 @@ from _oracles import (
     jpc_posterior_oracle,
     jpc_discrepancy_oracle,
     jpc_posterior_oracle_3d,
+    sample_weibull,
+    simulate_jpc_walk,
     static_envelope_pointwise,
     swap_groups,
 )
@@ -187,15 +189,17 @@ def test_ordered_flat_prior_against_the_data_order(fiber) -> None:
     """On the fiber sample as given the data put lambda1 above lambda2, so
     the restricted posterior crowds the line lambda1 = lambda2 and the
     weights of the per-group proposal spread out.  The draws still agree
-    with quadrature of the restricted posterior."""
+    with quadrature of the restricted posterior, with and without the 0.75
+    shift (unshifted, only the sampled per-group branch needs to decay)."""
     prior = PriorSpec.flat(shape_rate=4.0, ordered=True)
-    post = draw_posterior(fiber, prior, 200_000, RngStream(626, 0))
-    assert np.all(post.lambda1 < post.lambda2)
-    assert np.all((post.weights >= 0.0) & (post.weights <= 1.0))
-    assert post.ess > 2000
-    oracle = jpc_posterior_oracle(fiber, prior.bg, prior.shape, ordered=True)
-    for g, o in zip(_means(post), oracle):
-        assert g == pytest.approx(o, rel=0.02)
+    for sample in (fiber, fiber_jpc_sample()):
+        post = draw_posterior(sample, prior, 200_000, RngStream(626, 0))
+        assert np.all(post.lambda1 < post.lambda2)
+        assert np.all((post.weights >= 0.0) & (post.weights <= 1.0))
+        assert post.ess > 2000
+        oracle = jpc_posterior_oracle(sample, prior.bg, prior.shape, ordered=True)
+        for g, o in zip(_means(post), oracle):
+            assert g == pytest.approx(o, rel=0.02)
 
 
 def test_ordered_flat_prior_with_the_data_order(fiber) -> None:
@@ -490,7 +494,7 @@ def test_jpc_discrepancy_rows_match_scalar_oracle(fiber, flat_rate4) -> None:
 def test_predictive_pvalue_joint_sample_batch_matches_scalar_loop(fiber, flat_rate4) -> None:
     """The batched joint check replays as posterior, resampling indices, one
     per-row-parameter batch; its replicate discrepancies agree in law with a
-    loop of ``simulate_jpc`` at the same resampled parameters."""
+    loop of the unit-by-unit walk at the same resampled parameters."""
     n_rep = 800
     post = draw_posterior(fiber, flat_rate4, n_rep, RngStream(628, 0))
     p, mean_d = posterior_predictive_pvalue(
@@ -510,7 +514,7 @@ def test_predictive_pvalue_joint_sample_batch_matches_scalar_loop(fiber, flat_ra
     loop_rng = RngStream(630, 0)
     d_loop = np.array(
         [
-            jpc_discrepancy_oracle(simulate_jpc(fiber.scheme, par, loop_rng), par)
+            jpc_discrepancy_oracle(simulate_jpc_walk(fiber.scheme, par, loop_rng), par)
             for par in (JointParams(*v) for v in zip(a, l1, l2))
         ]
     )

@@ -7,20 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import jointweibull
-from jointweibull.cli import (
-    SEED_ENV_VAR,
-    main,
-    parse_complete_file,
-    parse_jpc_file,
-    parse_jpc_lines,
-    serialize_jpc_sample,
-)
+from jointweibull.cli import SEED_ENV_VAR, main
 from jointweibull.datasets import carbon_fiber_10mm, carbon_fiber_20mm, fiber_jpc_sample
-from jointweibull.errors import SampleFileError
+from jointweibull.io import serialize_jpc_sample
 
 _PROJECT_ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,60 +45,6 @@ def fiber_file(tmp_path):
     path = tmp_path / "joint.txt"
     path.write_text(serialize_jpc_sample(fiber_jpc_sample()), encoding="utf-8")
     return str(path)
-
-
-def test_parse_round_trip() -> None:
-    sample = fiber_jpc_sample()
-    again = parse_jpc_lines(serialize_jpc_sample(sample).splitlines())
-    assert again.scheme == sample.scheme
-    for a, b in zip(again.obs, sample.obs):
-        assert a.t == pytest.approx(b.t, rel=1e-11)
-        assert (a.delta, a.s) == (b.delta, b.s)
-
-
-def test_parse_skips_comments_and_blanks() -> None:
-    text = ["# heading", "", "2 2 2", "  # another", "R: 1 1", "1.0 1 1", "", "2.0 0 0"]
-    sample = parse_jpc_lines(text)
-    assert sample.scheme.k == 2 and sample.k1 == 1
-
-
-def test_parse_accepts_sorted_ties_next_to_a_close_time() -> None:
-    # the repeat of 1.0 used to be moved onto the next recorded time
-    text = ["3 2 3", "R: 1 1 0", "1.0 1 1", "1.0 0 0", "1.000000001 1 0"]
-    sample = parse_jpc_lines(text)
-    assert np.all(np.diff(sample.t) > 0.0)
-    assert sample.t[0] == 1.0 and sample.t[-1] == 1.000000001
-
-
-def test_parse_reports_malformed_input() -> None:
-    with pytest.raises(SampleFileError):
-        parse_jpc_lines(["# nothing"])
-    with pytest.raises(SampleFileError):
-        parse_jpc_lines(["2 2", "R: 1 1", "1 1 1", "2 0 0"])
-    with pytest.raises(SampleFileError):
-        parse_jpc_lines(["2 2 2", "1.0 1 1", "2.0 0 0"])
-    with pytest.raises(SampleFileError):
-        parse_jpc_lines(["2 2 2", "R: 1 1", "1.0 1 1"])
-    with pytest.raises(SampleFileError):
-        parse_jpc_lines(["2 2 2", "R: 1 1", "1.0 one 1", "2.0 0 0"])
-    with pytest.raises(SampleFileError):  # sum(R) inconsistent with m+n-k
-        parse_jpc_lines(["2 2 2", "R: 2 1", "1.0 1 1", "2.0 0 0"])
-    with pytest.raises(SampleFileError):
-        parse_jpc_file("/nonexistent/sample.txt")
-
-
-def test_parse_complete_values(tmp_path) -> None:
-    p = tmp_path / "vals.txt"
-    p.write_text("# strengths\n1.2, 3.4\n5.6\n", encoding="utf-8")
-    assert parse_complete_file(str(p)) == (1.2, 3.4, 5.6)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1.2 oops\n", encoding="utf-8")
-    with pytest.raises(SampleFileError):
-        parse_complete_file(str(bad))
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# only comments\n", encoding="utf-8")
-    with pytest.raises(SampleFileError):
-        parse_complete_file(str(empty))
 
 
 def test_fit_command(fiber_file, capsys) -> None:
@@ -172,6 +110,15 @@ def test_bayes_command(fiber_file, capsys) -> None:
     lo, hi = (float(v) for v in out["hpd_alpha"])
     assert lo < float(out["alpha"][0]) < hi
     assert float(out["ess"][0]) > 200.0
+
+
+def test_bayes_ordered_on_the_bundled_file(capsys) -> None:
+    """The ordered flat prior on the bundled file as shipped (no shift): the
+    per-group branch it samples decays, so the command succeeds."""
+    path = str(Path(jointweibull.__file__).parent / "data" / "fiber_jpc_sample.txt")
+    assert main(["bayes", path, "--ordered", "--b", "4"]) == 0
+    out = _kv(capsys.readouterr().out)
+    assert float(out["lambda1"][0]) < float(out["lambda2"][0])
 
 
 def test_bootstrap_command(fiber_file, capsys) -> None:

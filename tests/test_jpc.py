@@ -27,7 +27,7 @@ from jointweibull.jpc import (
 )
 from jointweibull.rng import RngStream
 
-from _oracles import jpc_epoch_moments_oracle, random_jpc_sample, swap_groups
+from _oracles import jpc_epoch_moments_oracle, random_jpc_sample, simulate_jpc_walk, swap_groups
 
 
 def test_scheme_validation() -> None:
@@ -198,6 +198,19 @@ def test_simulation_is_deterministic() -> None:
     assert a != c
 
 
+def test_simulation_is_a_one_row_batch() -> None:
+    """``simulate_jpc`` is the batch simulator's first row on the same stream;
+    times whose logs are finite but overflow a double raise, since no redraw
+    could put two infinite times in order."""
+    for seed in range(20):
+        sample = simulate_jpc(_REF_SCHEME, _REF_TRUTH, RngStream(64, seed))
+        log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), RngStream(64, seed), 1)
+        np.testing.assert_allclose(sample.log_t, log_t[0], rtol=1e-14, atol=1e-15)
+        assert np.array_equal(sample.delta, delta[0]) and np.array_equal(sample.s, s[0])
+    with pytest.raises(ValueError, match="overflow"):
+        simulate_jpc(CensoringScheme(3, 3, 2, (2, 2)), JointParams(1e-4, 1e-3, 1e-3), RngStream(1))
+
+
 def test_shift_sample(fiber) -> None:
     raw_min = float(fiber.t.min())
     shifted = shift_sample(fiber, 0.1)
@@ -223,12 +236,12 @@ _REF_TRUTH = JointParams(1.0, 0.5, 1.0)
 
 
 def test_batch_simulator_matches_scalar_simulator() -> None:
-    """The tau-scale batch simulator draws from the law of ``simulate_jpc``
-    (lifetimes drawn, sorted and withdrawn unit by unit), compared at the
-    first, a middle and the last epoch of the reference design."""
+    """The tau-scale batch simulator draws from the law of the unit-by-unit
+    walk (lifetimes drawn, sorted and withdrawn unit by unit), compared at
+    the first, a middle and the last epoch of the reference design."""
     n = 3000
     rng = RngStream(61, 0)
-    scalar = [simulate_jpc(_REF_SCHEME, _REF_TRUTH, rng) for _ in range(n)]
+    scalar = [simulate_jpc_walk(_REF_SCHEME, _REF_TRUTH, rng) for _ in range(n)]
     lt_s = np.array([x.log_t for x in scalar])
     d_s = np.array([x.delta for x in scalar])
     s_s = np.array([x.s for x in scalar])

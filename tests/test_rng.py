@@ -22,11 +22,10 @@ from jointweibull.rng import (
     log_beta_gamma_pdf,
     log_sum_exp,
     sample_beta_gamma,
-    sample_hypergeometric,
-    sample_weibull,
     splitmix64,
-    weibull_inverse_cdf,
 )
+
+from _oracles import sample_hypergeometric, sample_weibull, weibull_inverse_cdf
 
 
 def test_equal_addresses_replay() -> None:
