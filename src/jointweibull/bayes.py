@@ -72,7 +72,7 @@ from .rng import (
     LogConcaveTarget,
     RngStream,
     _max_shift,
-    _softmax_mean,
+    _softmax_moments,
     build_static_envelope,
     log_sum_exp,
 )
@@ -158,7 +158,10 @@ class _Branch:
     """One concave branch of the shape marginal, U- or V-flavored:
     ``c0 ln a - c1 a - c2 ln(b0 + sum c t^a)``, vectorized over shapes.
     ``row`` is the row of the sampler's stacked log power sums that holds
-    ``ln(sum c t^a)``."""
+    ``ln(sum c t^a)``.  With D = S/(b0 + S) for S = sum c t^a, and E, Var
+    the mean and variance of ``ln t`` under the weights ``c t^a``, its slope
+    is ``c0/a - c1 - c2 D E`` and its curvature
+    ``-c0/a^2 - c2 D (Var + (1 - D) E^2)``."""
 
     log_coef: np.ndarray
     log_t: np.ndarray
@@ -185,10 +188,19 @@ class _Branch:
     def value(self, alpha):
         return self.at(alpha, {self.row: self.log_sum(alpha)})
 
+    def _damped_moments(self, alpha):
+        """Softmax mean and variance of ``ln t`` at ``alpha``, and the damping
+        ``S/(b0 + S)``, S = sum c t^a."""
+        mean_lnt, var_lnt, ln_sum = _softmax_moments(self._logits(alpha), self.log_t)
+        return mean_lnt, var_lnt, np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
+
     def derivative(self, alpha):
-        mean_lnt, ln_sum = _softmax_mean(self._logits(alpha), self.log_t)
-        damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
+        mean_lnt, _, damp = self._damped_moments(alpha)
         return self.c0 / alpha - self.c1 - self.c2 * damp * mean_lnt
+
+    def curvature(self, alpha):
+        mean_lnt, var_lnt, damp = self._damped_moments(alpha)
+        return -self.c0 / alpha**2 - self.c2 * damp * (var_lnt + (1.0 - damp) * mean_lnt**2)
 
 
 class _BranchSum:
@@ -205,6 +217,9 @@ class _BranchSum:
 
     def derivative(self, alpha):
         return sum(p.derivative(alpha) for p in self.parts)
+
+    def curvature(self, alpha):
+        return sum(p.curvature(alpha) for p in self.parts)
 
 
 def _check_decay(branches: Sequence) -> None:
@@ -239,7 +254,8 @@ def _sample_marginal(
     peak = float(np.max(probe_s))
     envelopes = [
         build_static_envelope(
-            LogConcaveTarget((lambda a, f=br.value: f(a) - peak), br.derivative), 0.0
+            LogConcaveTarget((lambda a, f=br.value: f(a) - peak), br.derivative, br.curvature),
+            0.0,
         )
         for br in branches
     ]

@@ -96,7 +96,8 @@ def _solve(*stack) -> tuple[np.ndarray, int]:
 
 
 def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
-    """Shape/rate MLE of a complete sample by profile bisection."""
+    """Shape/rate MLE of a complete sample by a Newton search on the
+    profile score."""
     if data.n < 2 or data.sorted[0] == data.sorted[-1]:
         raise ValueError("need at least two distinct values to fit a shape")
     n = data.n

@@ -10,9 +10,10 @@ unrestricted rates wherever they already respect the order and otherwise
 pools both groups onto the common rate ``k / (U(a) + V(a))``.
 
 Every shape fit is a stack of samples, one per row, handed to the
-package's one root finder (``rng._bisect_rows``): the rows are bracketed
-and bisected in lockstep until each bracket is within 1e-10 relative, and
-each row's root is the one it would get alone.  A single fit is a stack of
+package's one root finder (``rng._solve_rows``) with the profile score's
+analytic slope: the rows are bracketed and then take safeguarded Newton
+steps in lockstep until each step or bracket is within 1e-10 relative,
+and each row's root is the one it would get alone.  A single fit is a stack of
 one; the bootstrap refits all its resamples, drawn by the batched
 tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one stack, which
 keeps a 500-resample percentile interval at a few tens of milliseconds for
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .jpc import (
     log_v_stat,
     simulate_jpc_batch,
 )
-from .rng import _MAX_SWEEPS, RngStream, _bisect_rows, _softmax_mean, log_sum_exp
+from .rng import _MAX_SWEEPS, RngStream, _softmax_moments, _solve_rows, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class MleFit:
     """A fitted parameter triple with diagnostics of how it was obtained.
 
     ``iterations`` counts the profile-score sweeps of the shape search.
-    ``converged`` means the bisection closed the shape's bracket to within
-    1e-10 relative of its upper end before the 200-sweep cap.
+    ``converged`` means the Newton step or the bracket fell below 1e-10
+    relative before the 200-sweep cap.
     """
 
     params: JointParams
@@ -131,24 +132,30 @@ def _order_respected(sample: JpcSample, alpha: float) -> bool:
     return lhs < rhs
 
 
-def _fit_alpha_batch(
+def _profile_score(
     lnt: np.ndarray,
     logc1: np.ndarray,
     k1,
     logc2: Optional[np.ndarray] = None,
     k2=0.0,
     log_pooled: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Profile-maximizing shapes of stacked samples; returns the shapes, the
-    rows that have one in [1e-10, 1e10], and the sweep count.
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The profile scores of stacked samples and their slopes, as a function
+    of one shape per row.
 
     Row i holds log times ``lnt[i]`` and log power-sum coefficients
     ``logc1[i]``, ``logc2[i]`` (``-inf`` for a zero coefficient) with failure
     counts ``k1``, ``k2`` (per-row arrays or scalars).  Without ``logc2`` the
     stack is of one group only, as complete samples are (``logc1 = 0``,
     ``k1 = n``).  With ``log_pooled`` the fit is order-restricted: rows whose
-    rates k1/U, k2/V break the order take the derivative of the pooled
-    profile instead.
+    rates k1/U, k2/V break the order take the score of the pooled profile
+    instead.
+
+    The score of a row is ``k/a + sum ln t - k1 E1 - k2 E2``, with ``E1``,
+    ``E2`` the means of ``ln t`` under the softmax weights ``c1 t^a``,
+    ``c2 t^a``; its slope, ``-k/a^2 - k1 Var1 - k2 Var2`` with the variances
+    under the same weights, is negative, so each profile is concave.  A
+    pooled row has ``-k/a^2 - k Varp``.
     """
     k = k1 + k2
     slt = lnt.sum(axis=1)
@@ -156,22 +163,33 @@ def _fit_alpha_batch(
         log_k1 = np.log(k1)
         log_k2 = np.log(k2)
 
-    def deriv(alpha: np.ndarray) -> np.ndarray:
+    def score(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = alpha[:, None]
-        m1, ln_u = _softmax_mean(logc1 + a * lnt, lnt)
-        d = k / alpha + slt - k1 * m1
+        lead, bend = k / alpha + slt, -k / alpha**2
+        m1, v1, ln_u = _softmax_moments(logc1 + a * lnt, lnt)
+        d = lead - k1 * m1
+        slope = bend - k1 * v1
         if logc2 is None:
-            return d
-        m2, ln_v = _softmax_mean(logc2 + a * lnt, lnt)
+            return d, slope
+        m2, v2, ln_v = _softmax_moments(logc2 + a * lnt, lnt)
         d = d - k2 * m2
+        slope = slope - k2 * v2
         if log_pooled is not None:
             violated = (log_k1 - ln_u) >= (log_k2 - ln_v)
             if violated.any():
-                mp, _ = _softmax_mean(log_pooled + a * lnt, lnt)
-                d = np.where(violated, k / alpha + slt - k * mp, d)
-        return d
+                mp, vp, _ = _softmax_moments(log_pooled + a * lnt, lnt)
+                d = np.where(violated, lead - k * mp, d)
+                slope = np.where(violated, bend - k * vp, slope)
+        return d, slope
 
-    return _bisect_rows(deriv, lnt.shape[0])
+    return score
+
+
+def _fit_alpha_batch(*stack) -> tuple[np.ndarray, np.ndarray, int]:
+    """Profile-maximizing shapes of stacked samples (the stack is that of
+    :func:`_profile_score`); returns the shapes, the rows that have one in
+    [1e-10, 1e10], and the sweep count."""
+    return _solve_rows(_profile_score(*stack), stack[0].shape[0])
 
 
 def _fit_one(sample: JpcSample, log_pooled: Optional[np.ndarray] = None) -> tuple[float, int, bool]:

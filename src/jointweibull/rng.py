@@ -11,12 +11,14 @@ Tangents to a concave log-density form a piecewise-exponential upper hull
 whose segments are truncated exponentials, which can be normalized and
 sampled exactly; the posterior samplers use such hulls as static proposals
 for their shape draws.  The module also holds the package's one root
-finder, :func:`_bisect_rows`, a lockstep bracket-and-bisect over rows of
-decreasing functions: it locates the mode that seeds each hull, and the
-maximum likelihood fits elsewhere solve their profile score equations with
-it.  Next to it sits the package's one log-sum-exp, :func:`log_sum_exp`,
-whose max-shift also gives the softmax means (:func:`_softmax_mean`) that
-the profile score and the shape marginal's slope are made of.
+finder, :func:`_solve_rows`, a lockstep bracket and safeguarded Newton
+step over rows of decreasing functions given with their slopes: it
+locates the mode that seeds each hull, and the maximum likelihood fits
+elsewhere solve their profile score equations with it.  Next to it sits
+the package's one log-sum-exp, :func:`log_sum_exp`, whose max-shift also
+gives the softmax moments (:func:`_softmax_moments`) that the profile
+score, the shape marginal's slope and both of their curvatures are made
+of.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .errors import NonIntegrableTargetError
 _MASK64 = (1 << 64) - 1
 
 # Root search: brackets stay inside [_ROOT_FLOOR, _ROOT_CEIL], and a row is
-# solved once its bracket is narrower than _REL_TOL of its upper end.
+# solved once its Newton step is within _REL_TOL / 2 of its abscissa or its
+# bracket is narrower than _REL_TOL of its upper end.
 _ROOT_FLOOR = 1e-10
 _ROOT_CEIL = 1e10
 _REL_TOL = 1e-10
@@ -58,14 +61,20 @@ def log_sum_exp(x):
         return np.log(wgt.sum(axis=-1)) + top[..., 0]
 
 
-def _softmax_mean(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means of ``values`` under the softmax of ``logits`` along the last
-    axis, and the log-sum-exps of ``logits``: d/da ln(sum c t^a) and
-    ln(sum c t^a) for ``logits = ln c + a ln t`` and ``values = ln t``."""
+def _softmax_moments(
+    logits: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and variance of ``values`` under the softmax of ``logits`` along
+    the last axis, and the log-sum-exps of ``logits``: for ``logits = ln c +
+    a ln t`` and ``values = ln t`` they are d/da and d2/da2 of
+    ln(sum c t^a), and ln(sum c t^a) itself."""
     wgt, top = _max_shift(logits)
     tot = wgt.sum(axis=-1)
-    wgt *= values
-    return wgt.sum(axis=-1) / tot, top[..., 0] + np.log(tot)
+    mean = (wgt * values).sum(axis=-1) / tot
+    dev = values - mean[..., None]
+    dev *= dev
+    dev *= wgt
+    return mean, dev.sum(axis=-1) / tot, top[..., 0] + np.log(tot)
 
 
 def splitmix64(x: int) -> int:
@@ -215,16 +224,19 @@ def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
 
 @dataclass(frozen=True)
 class LogConcaveTarget:
-    """A log-concave density known up to a constant.
+    """A log-concave density known up to a constant, with its first and
+    second derivatives.
 
-    Both callables must be vectorized (accept and return ndarrays).  The
-    derivative is what the envelope construction differentiates against, so
-    it has to be consistent with ``log_density`` to a few ulps, not merely
-    approximate.
+    All three callables must be vectorized (accept and return ndarrays).
+    The derivative is what the envelope construction differentiates
+    against, so it has to be consistent with ``log_density`` to a few ulps,
+    not merely approximate.  The curvature gives the Newton steps of the
+    mode search and the hull's scale at the mode.
     """
 
     log_density: Callable[[np.ndarray], np.ndarray]
     log_density_derivative: Callable[[np.ndarray], np.ndarray]
+    log_density_curvature: Callable[[np.ndarray], np.ndarray]
 
 
 # --------------------------------------------------------------------------
@@ -373,26 +385,33 @@ class PiecewiseExpEnvelope:
 # lockstep root finding
 
 
-def _bisect_rows(
-    deriv: Callable[[np.ndarray], np.ndarray], n_rows: int
+def _solve_rows(
+    deriv: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Roots of ``n_rows`` decreasing-through-zero functions, found in lockstep.
 
-    ``deriv`` maps an ``(n_rows,)`` array of abscissae to the row values; one
-    call is one sweep.  Every row is bracketed from 1, doubling while its
-    value is positive and halving while it is negative, inside
-    [1e-10, 1e10]; a sweep serves both directions at once, and a direction
-    that no row needs costs nothing.  Each row is then bisected until its
-    bracket is no wider than 1e-10 of its upper end, after which it stays
-    put while the other rows go on, up to 200 sweeps in all.
+    ``deriv`` maps an ``(n_rows,)`` array of abscissae to the row values and
+    their slopes; one call is one sweep.  Every row is bracketed from 1,
+    doubling while its value is positive and halving while it is negative,
+    inside [1e-10, 1e10]; a sweep serves both directions at once, and a
+    direction that no row needs costs nothing.  Each row then takes the
+    Newton step ``x - d/slope`` from its last evaluated point, or bisects
+    its bracket where that step is not finite, has a slope that is not
+    negative, or leaves the open bracket (``rtsafe``).  A row stops when its
+    Newton step is no longer than half of 1e-10 of its abscissa, when its
+    value is exactly 0, or when its bracket is no wider than 1e-10 of its
+    upper end; it stays put while the other rows go on, up to 200 sweeps
+    in all.  Only a row's own evaluations move its bracket and its next
+    point, so each row's root is the one it would get alone.
 
     Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that was never
     bracketed: its root is ``inf`` when the value stays positive past 1e10
     and ``0`` when it stays negative below 1e-10.
     """
+    x = np.ones(n_rows)
     lo = np.ones(n_rows)
     hi = np.ones(n_rows)
-    d = deriv(lo)
+    d, slope = deriv(x)
     sweeps = 1
     up = d > 0.0
     down = d < 0.0
@@ -400,10 +419,15 @@ def _bisect_rows(
     lo[down] = 0.5
     ok = np.ones(n_rows, dtype=bool)
     while up.any() or down.any():
-        d = deriv(np.where(up, hi, lo))
+        moving = up | down
+        probe = np.where(up, hi, lo)
+        dp, sp = deriv(probe)
         sweeps += 1
-        up &= d > 0.0
-        down &= d < 0.0
+        x = np.where(moving, probe, x)
+        d = np.where(moving, dp, d)
+        slope = np.where(moving, sp, slope)
+        up &= dp > 0.0
+        down &= dp < 0.0
         lo[up] = hi[up]
         hi[up] *= 2.0
         hi[down] = lo[down]
@@ -411,15 +435,29 @@ def _bisect_rows(
         ok &= ~((up & (hi > _ROOT_CEIL)) | (down & (lo < _ROOT_FLOOR)))
         up &= ok
         down &= ok
-    active = ok & (hi - lo > _REL_TOL * hi)
-    while active.any() and sweeps < _MAX_SWEEPS:
-        mid = 0.5 * (lo + hi)
-        pos = deriv(mid) > 0.0
-        sweeps += 1
-        lo = np.where(active & pos, mid, lo)
-        hi = np.where(active & ~pos, mid, hi)
-        active &= hi - lo > _REL_TOL * hi
-    root = np.where(ok, 0.5 * (lo + hi), np.where(hi > 1.0, math.inf, 0.0))
+    active = ok.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            step = d / slope
+            newton = (slope < 0.0) & np.isfinite(step)
+            landed = (d == 0.0) | (newton & (np.abs(step) <= 0.5 * _REL_TOL * x))
+            active &= ~landed & (hi - lo > _REL_TOL * hi)
+            if sweeps >= _MAX_SWEEPS or not active.any():
+                break
+            nxt = x - step
+            nxt = np.where(newton & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            x = np.where(active, nxt, x)
+            dx, sx = deriv(x)
+            sweeps += 1
+            d = np.where(active, dx, d)
+            slope = np.where(active, sx, slope)
+            rise = d > 0.0
+            lo = np.where(active & rise, x, lo)
+            hi = np.where(active & ~rise, x, hi)
+        # a row stops with the state that stopped it, so its root follows
+        # from that state: the Newton step it landed with, or its bracket
+        root = np.where(landed, np.where(d == 0.0, x, x - step), 0.5 * (lo + hi))
+    root = np.where(ok, root, np.where(hi > 1.0, math.inf, 0.0))
     return root, ok, sweeps
 
 
@@ -432,7 +470,11 @@ def _locate_mode(target: LogConcaveTarget, lo: float) -> tuple[float, bool]:
     1e-8 for a support starting at 0), puts the mode at that edge.
     """
     edge = lo if lo > 0.0 else 1e-8
-    root, _, _ = _bisect_rows(target.log_density_derivative, 1)
+
+    def slopes(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return target.log_density_derivative(alpha), target.log_density_curvature(alpha)
+
+    root, _, _ = _solve_rows(slopes, 1)
     mode = float(root[0])
     if mode == math.inf:
         raise NonIntegrableTargetError("log-density still increasing at 1e10")
@@ -450,8 +492,8 @@ _STATIC_OFFSETS = (
 def build_static_envelope(target: LogConcaveTarget, support_lo: float) -> PiecewiseExpEnvelope:
     """A ready-to-sample hull with curvature-scaled tangent placement.
 
-    An interior mode gets tangents at ``_STATIC_OFFSETS`` curvature scales
-    around it; a mode at the support edge gets three, spaced by the inverse
+    An interior mode gets tangents at ``_STATIC_OFFSETS`` multiples of
+    1/sqrt(-curvature) at the mode around it; a mode at the support edge gets three, spaced by the inverse
     of the slope there.  The target is evaluated on all tangent points in
     one array call of each callable.
     """
@@ -465,11 +507,7 @@ def build_static_envelope(target: LogConcaveTarget, support_lo: float) -> Piecew
         scale = 1.0 / max(abs(d), 1e-8)
         pts = mode + np.array([0.0, 1.0, 3.0]) * scale
     else:
-        eps = 1e-4 * max(mode, 1.0)
-        f_right, f_mid, f_left = target.log_density(
-            np.array([mode + eps, mode, max(mode - eps, lo + 0.25 * eps)])
-        )
-        f2 = (f_right - 2.0 * f_mid + f_left) / eps**2
+        f2 = float(target.log_density_curvature(np.array([mode]))[0])
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
         pts = mode + np.array(_STATIC_OFFSETS) * sigma
         pts = pts[pts > lo]

@@ -407,12 +407,7 @@ def static_envelope_pointwise(target, support_lo: float):
         scale = 1.0 / max(abs(d), 1e-8)
         pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]
     else:
-        eps = 1e-4 * max(mode, 1.0)
-        f2 = (
-            float(target.log_density(mode + eps))
-            - 2.0 * float(target.log_density(mode))
-            + float(target.log_density(max(mode - eps, lo + 0.25 * eps)))
-        ) / eps**2
+        f2 = float(target.log_density_curvature(mode))
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
         pts = [p for p in (mode + c * sigma for c in _STATIC_OFFSETS) if p > lo]
     xr = pts[-1]

@@ -8,6 +8,7 @@ from scipy import stats
 
 from jointweibull.bayes import (
     PriorSpec,
+    _BranchSum,
     _PosteriorCore,
     _jpc_discrepancy_rows,
     _resample_indices,
@@ -123,7 +124,7 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
                 pointwise = [(br.value(float(a)), br.derivative(float(a))) for a in grid]
                 np.testing.assert_allclose(br.value(grid), [v for v, _ in pointwise], rtol=1e-13)
                 np.testing.assert_allclose(br.derivative(grid), [d for _, d in pointwise], rtol=1e-13)
-                target = LogConcaveTarget(br.value, br.derivative)
+                target = LogConcaveTarget(br.value, br.derivative, br.curvature)
                 got = build_static_envelope(target, 0.0)
                 want = static_envelope_pointwise(target, 0.0)
                 np.testing.assert_allclose(got._x, want._x, rtol=1e-13)
@@ -131,6 +132,35 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
                 np.testing.assert_allclose(got._dh, want._dh, rtol=1e-13)
                 hulls += 1
     assert hulls >= 140
+
+
+def test_branch_curvature_matches_central_differences(fiber) -> None:
+    """The analytic curvature of every concave branch, and of their sum,
+    equals central differences of the branch slope to 1e-7 relative: on
+    the fiber sample and 20 reference-design samples, for the four study
+    presets, on the branches the sampler draws from and on both one-group
+    branches."""
+    scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+    truth = JointParams(1.0, 0.5, 1.0)
+    config = StudyConfig(scheme, truth, 1, POINT_METHODS)
+    samples = [fiber] + [simulate_jpc(scheme, truth, RngStream(90, i)) for i in range(20)]
+    grid = np.geomspace(0.05, 20.0, 40)
+    step = 1e-5 * grid
+    sums = checked = 0
+    for sample in samples:
+        for method in ("bayes-ip", "bayes-nip", "bayes-ordered-ip", "bayes-ordered-nip"):
+            try:
+                core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
+            except ImproperPosteriorError:
+                continue
+            for br in core.branches + (core.branch_u, core.branch_v):
+                numeric = (br.derivative(grid + step) - br.derivative(grid - step)) / (2.0 * step)
+                curvature = br.curvature(grid)
+                assert np.all(curvature < 0.0)
+                np.testing.assert_allclose(curvature, numeric, rtol=1e-7, atol=0.0)
+                sums += isinstance(br, _BranchSum)
+                checked += 1
+    assert checked >= 200 and sums >= 20
 
 
 def test_small_sample_posterior_matches_quadrature(tiny_k4, ip_prior) -> None:

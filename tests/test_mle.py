@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from jointweibull.errors import NoMleError, UnstableBootstrapError
 from jointweibull.jpc import (
@@ -22,6 +23,7 @@ from jointweibull.mle import (
     BootstrapResult,
     IntervalEstimate,
     _fit_alpha_batch,
+    _profile_score,
     asymptotic_ci,
     bootstrap_ci,
     fisher_info,
@@ -30,7 +32,7 @@ from jointweibull.mle import (
     lambda_hats,
     profile_loglik,
 )
-from jointweibull.rng import RngStream
+from jointweibull.rng import RngStream, _solve_rows
 
 from _oracles import fd_hessian, random_jpc_sample, swap_groups
 
@@ -85,7 +87,7 @@ def test_fit_golden_values(fiber) -> None:
 
 def test_fit_agrees_with_dense_grid_search(fiber) -> None:
     """A million-point sweep of the profiled criterion brackets the same
-    maximizer as the derivative bisection."""
+    maximizer as the profile score's root search."""
     fit = fit_mle(fiber)
     grid = np.linspace(3.5, 5.5, 1_000_001)
     vals = _profile_grid(fiber, grid)
@@ -190,8 +192,20 @@ def test_information_matches_numeric_hessian(fiber) -> None:
     def fun(theta: np.ndarray) -> float:
         return log_likelihood(fiber, JointParams(*theta))
 
-    numeric = -fd_hessian(fun, np.array([p.alpha, p.lambda1, p.lambda2]))
-    assert info == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+    theta = np.array([p.alpha, p.lambda1, p.lambda2])
+    numeric = -fd_hessian(fun, theta)
+    # The (lambda1, lambda2) entry is 0 by structure.  Its difference
+    # quotient resolves nothing there: four log-likelihoods of size |l|,
+    # each rounded, over 4*h1*h2 leave noise up to eps*|l|/(h1*h2), where
+    # one ulp of |l| alone reads 1.8e-5.  The resolved entries keep their
+    # bound.
+    h = 1e-5 * np.maximum(np.abs(theta), 1.0)
+    floor = np.finfo(float).eps * abs(fun(theta)) / (h[1] * h[2])
+    assert info[1, 2] == 0.0 and info[2, 1] == 0.0
+    assert abs(numeric[1, 2]) <= floor and abs(numeric[2, 1]) <= floor
+    resolved = np.ones((3, 3), dtype=bool)
+    resolved[1, 2] = resolved[2, 1] = False
+    assert info[resolved] == pytest.approx(numeric[resolved], rel=1e-5, abs=1e-8)
 
 
 def test_information_matches_numeric_hessian_randomized() -> None:
@@ -320,3 +334,137 @@ def test_stacked_rows_fit_as_they_fit_alone() -> None:
     restricted, ok, _ = _fit_alpha_batch(*stack, log_pooled)
     assert ok.all()
     assert list(restricted) == [fit_mle_ordered(x).params.alpha for x in samples]
+
+
+REFERENCE = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+LOG_POOLED = np.log(np.asarray(REFERENCE.R, dtype=float) + 1.0)
+
+
+def _reference_samples(n: int, seed: int) -> list[JpcSample]:
+    """The two-group samples among ``n`` reference-design experiments."""
+    log_t, delta, s = simulate_jpc_batch(REFERENCE, (1.0, 0.5, 1.0), RngStream(seed, 0), n)
+    samples = []
+    for lt, d, sj in zip(log_t, delta, s):
+        if 0 < d.sum() < REFERENCE.k:
+            obs = (JpcObservation(float(t), int(g), int(w)) for t, g, w in zip(np.exp(lt), d, sj))
+            samples.append(JpcSample(REFERENCE, tuple(obs)))
+    return samples
+
+
+def _stack(samples: list[JpcSample]) -> tuple:
+    return (
+        np.stack([x.log_t for x in samples]),
+        np.stack([x.log_coef1 for x in samples]),
+        np.array([x.k1 for x in samples], dtype=float),
+        np.stack([x.log_coef2 for x in samples]),
+        np.array([x.k2 for x in samples], dtype=float),
+    )
+
+
+def _pooled(sample: JpcSample, alpha: float) -> bool:
+    """Whether the unrestricted rates k1/U, k2/V break the order at alpha."""
+    return sample.k1 * v_stat(sample, alpha) >= sample.k2 * u_stat(sample, alpha)
+
+
+def _longhand_score(sample: JpcSample, alpha: float, ordered: bool = False) -> float:
+    """The profile score written out with plain power sums, no log-sum-exp."""
+    t, lnt = sample.t, sample.log_t
+    ta = t**alpha
+    base = sample.scheme.k / alpha + lnt.sum()
+    if ordered and _pooled(sample, alpha):
+        c = sample.coef1 + sample.coef2
+        return base - sample.scheme.k * (c * ta * lnt).sum() / (c * ta).sum()
+    c1, c2 = sample.coef1, sample.coef2
+    return (
+        base
+        - sample.k1 * (c1 * ta * lnt).sum() / (c1 * ta).sum()
+        - sample.k2 * (c2 * ta * lnt).sum() / (c2 * ta).sum()
+    )
+
+
+def _brentq_root(sample: JpcSample, ordered: bool = False) -> float:
+    return brentq(lambda a: _longhand_score(sample, a, ordered), 0.01, 100.0, xtol=1e-15, rtol=1e-15)
+
+
+def test_profile_score_slope_matches_central_differences(fiber) -> None:
+    """The analytic slope of the profile score equals central differences
+    of the score to 1e-7 relative, unrestricted and order-restricted, on
+    the pooled rows too: on the fiber sample and 20 reference-design
+    samples.  Shapes whose difference steps straddle the switch between
+    the unrestricted and the pooled score are skipped."""
+    samples = [fiber] + _reference_samples(24, 83)[:20]
+    assert len(samples) == 21
+    grid = np.geomspace(0.1, 12.0, 30)
+    h = 1e-5 * grid
+    pooled_points = 0
+    for sample in samples:
+        stack = _stack([sample])
+        for log_pooled in (None, LOG_POOLED):
+            score = _profile_score(*stack, log_pooled)
+            for a, step in zip(grid, h):
+                sides = {_pooled(sample, x) for x in (a - step, a, a + step)}
+                if log_pooled is not None and len(sides) > 1:
+                    continue
+                pooled_points += log_pooled is not None and sides == {True}
+                _, slope = score(np.array([a]))
+                ahead, _ = score(np.array([a + step]))
+                behind, _ = score(np.array([a - step]))
+                numeric = (ahead[0] - behind[0]) / (2.0 * step)
+                assert slope[0] < 0.0
+                assert slope[0] == pytest.approx(numeric, rel=1e-7)
+    assert pooled_points >= 30
+
+
+def test_root_finder_meets_brentq_within_15_sweeps() -> None:
+    """On a 400-experiment reference stack every row, unrestricted or
+    order-restricted, ends within 15 sweeps, and its root equals scipy's
+    brentq on the longhand profile score to 1e-11 relative."""
+    samples = _reference_samples(400, 81)
+    assert len(samples) > 350
+    stack = _stack(samples)
+    for ordered, log_pooled in ((False, None), (True, LOG_POOLED)):
+        roots, ok, sweeps = _fit_alpha_batch(*stack, log_pooled)
+        assert ok.all()
+        assert sweeps <= 15
+        want = [_brentq_root(x, ordered) for x in samples]
+        np.testing.assert_allclose(roots, want, rtol=1e-11, atol=0.0)
+
+
+def test_newton_step_leaving_the_bracket_bisects_on_the_kinked_profile() -> None:
+    """The order-restricted score has a kink where the search crosses from
+    the unrestricted to the pooled profile.  Replaying each such row's
+    search shows every Newton step that lands outside the open bracket
+    replaced by the bracket's midpoint, and every other step taken as is;
+    the row still converges to brentq's root on the longhand score."""
+    crossed = bisected = 0
+    for sample in _reference_samples(400, 81):
+        score = _profile_score(*_stack([sample]), LOG_POOLED)
+        seen = []
+
+        def logged(alpha, score=score, seen=seen):
+            d, slope = score(alpha)
+            seen.append((float(alpha[0]), float(d[0]), float(slope[0])))
+            return d, slope
+
+        root, ok, sweeps = _solve_rows(logged, 1)
+        if len({_pooled(sample, x) for x, _, _ in seen}) < 2:
+            continue
+        crossed += 1
+        # bracketing ends at the first evaluation whose sign differs from
+        # the one at 1; Newton steps start from that evaluation
+        first = next(i for i, (_, d, _) in enumerate(seen) if np.sign(d) != np.sign(seen[0][1]))
+        lo, hi = sorted((seen[first - 1][0], seen[first][0]))
+        for (x, d, slope), (x_next, d_next, _) in zip(seen[first:], seen[first + 1 :]):
+            target = x - d / slope
+            if lo < target < hi:
+                assert x_next == target
+            else:
+                assert x_next == 0.5 * (lo + hi)
+                bisected += 1
+            if d_next > 0.0:
+                lo = x_next
+            else:
+                hi = x_next
+        assert ok[0] and sweeps <= 15
+        assert root[0] == pytest.approx(_brentq_root(sample, ordered=True), rel=1e-11)
+    assert crossed >= 2 and bisected >= 1

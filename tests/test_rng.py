@@ -18,6 +18,7 @@ from jointweibull.rng import (
     beta_gamma_mean,
     beta_gamma_variance,
     _locate_mode,
+    _solve_rows,
     build_static_envelope,
     log_beta_gamma_pdf,
     log_sum_exp,
@@ -185,6 +186,7 @@ def _gamma_target(shape: float, rate: float) -> LogConcaveTarget:
     return LogConcaveTarget(
         log_density=lambda x: (shape - 1.0) * np.log(x) - rate * x,
         log_density_derivative=lambda x: (shape - 1.0) / x - rate,
+        log_density_curvature=lambda x: -(shape - 1.0) / x**2,
     )
 
 
@@ -235,6 +237,7 @@ def test_adaptive_sampler_boundary_mode() -> None:
     target = LogConcaveTarget(
         log_density=lambda x: -np.asarray(x, dtype=float),
         log_density_derivative=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
+        log_density_curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     assert _locate_mode(target, 0.0) == (1e-8, True)
     env = build_static_envelope(target, 0.0)
@@ -251,9 +254,29 @@ def test_sampler_refuses_growing_log_density() -> None:
     target = LogConcaveTarget(
         log_density=lambda x: np.asarray(x, dtype=float),
         log_density_derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        log_density_curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(NonIntegrableTargetError):
         build_static_envelope(target, 0.0)
+
+
+def test_root_finder_flags_rows_it_never_brackets() -> None:
+    """A row whose value keeps its sign over [1e-10, 1e10] is not ok and
+    reads inf (always positive) or 0 (always negative); the rows beside it
+    still land on their roots, the ones they get alone."""
+
+    def rows(x):
+        d = np.array([1.0 / x[0], -1.0 - x[1], 3.0 - x[2], np.log(0.25 / x[3])])
+        slope = np.array([-1.0 / x[0] ** 2, -1.0, -1.0, -1.0 / x[3]])
+        return d, slope
+
+    root, ok, sweeps = _solve_rows(rows, 4)
+    assert list(ok) == [False, False, True, True]
+    assert root[0] == math.inf and root[1] == 0.0
+    assert root[2:] == pytest.approx([3.0, 0.25], rel=1e-12)
+    assert sweeps < 200
+    alone, _, _ = _solve_rows(lambda x: (3.0 - x, -np.ones_like(x)), 1)
+    assert alone[0] == root[2]
 
 
 def test_log_sum_exp_matches_scipy() -> None:
