@@ -69,7 +69,6 @@ from .jpc import JpcSample, simulate_jpc_batch
 from .mle import IntervalEstimate
 from .rng import (
     BetaGammaHyper,
-    LogConcaveTarget,
     RngStream,
     _max_shift,
     _softmax_moments,
@@ -185,22 +184,16 @@ class _Branch:
             lead = self.c0 * np.log(alpha) if self.c0 != 0.0 else 0.0
         return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, sums[self.row])
 
-    def value(self, alpha):
-        return self.at(alpha, {self.row: self.log_sum(alpha)})
-
-    def _damped_moments(self, alpha):
-        """Softmax mean and variance of ``ln t`` at ``alpha``, and the damping
-        ``S/(b0 + S)``, S = sum c t^a."""
+    def local(self, alpha):
+        """Value, slope and curvature at shapes ``alpha``, all from one pass
+        of the softmax moments of ``ln t``, whose log-sum is ``ln S``."""
         mean_lnt, var_lnt, ln_sum = _softmax_moments(self._logits(alpha), self.log_t)
-        return mean_lnt, var_lnt, np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
-
-    def derivative(self, alpha):
-        mean_lnt, _, damp = self._damped_moments(alpha)
-        return self.c0 / alpha - self.c1 - self.c2 * damp * mean_lnt
-
-    def curvature(self, alpha):
-        mean_lnt, var_lnt, damp = self._damped_moments(alpha)
-        return -self.c0 / alpha**2 - self.c2 * damp * (var_lnt + (1.0 - damp) * mean_lnt**2)
+        damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
+        return (
+            self.at(alpha, {self.row: ln_sum}),
+            self.c0 / alpha - self.c1 - self.c2 * damp * mean_lnt,
+            -self.c0 / alpha**2 - self.c2 * damp * (var_lnt + (1.0 - damp) * mean_lnt**2),
+        )
 
 
 class _BranchSum:
@@ -212,18 +205,12 @@ class _BranchSum:
     def at(self, alpha, sums):
         return sum(p.at(alpha, sums) for p in self.parts)
 
-    def value(self, alpha):
-        return sum(p.value(alpha) for p in self.parts)
-
-    def derivative(self, alpha):
-        return sum(p.derivative(alpha) for p in self.parts)
-
-    def curvature(self, alpha):
-        return sum(p.curvature(alpha) for p in self.parts)
+    def local(self, alpha):
+        return tuple(sum(terms) for terms in zip(*(p.local(alpha) for p in self.parts)))
 
 
 def _check_decay(branches: Sequence) -> None:
-    if any(br.derivative(_TAIL_PROBE) >= _TAIL_SLOPE_TOL for br in branches):
+    if any(br.local(_TAIL_PROBE)[1] >= _TAIL_SLOPE_TOL for br in branches):
         raise ImproperPosteriorError("shape marginal does not decay at the upper probe point")
 
 
@@ -244,25 +231,16 @@ def _sample_marginal(
     ``branches`` (see :func:`_marginal`); the log power sums of the
     accepted shapes come back with the draws, one column per shape.
 
-    Each branch gets a static tangent hull, all shifted by one common
-    amount, the peak of s on a probe grid, which keeps them on a comparable
-    scale without disturbing acceptance ratios.  Proposals come from the
-    mass-weighted mixture of the hulls and are accepted with probability
-    exp(s) / sum(exp(hull)) <= 1.
+    Each branch gets a static tangent hull, built from the branch's own
+    value and slope: the hulls are only compared in the log domain, so they
+    need no common shift.  Proposals come from the mass-weighted mixture of
+    the hulls and are accepted with probability exp(s) / sum(exp(hull)) <= 1.
     """
-    probe_s, probe_sums = _marginal(branches, sum_rows, np.geomspace(1e-3, 1e3, 61))
-    peak = float(np.max(probe_s))
-    envelopes = [
-        build_static_envelope(
-            LogConcaveTarget((lambda a, f=br.value: f(a) - peak), br.derivative, br.curvature),
-            0.0,
-        )
-        for br in branches
-    ]
+    envelopes = [build_static_envelope(br.local, 0.0) for br in branches]
     log_masses = np.array([env.log_total_mass() for env in envelopes])
     cum = np.cumsum(np.exp(log_masses - log_sum_exp(log_masses)))
     out = np.empty(n)
-    kept = np.empty((probe_sums.shape[0], n))
+    kept = np.empty((len(sum_rows), n))
     have = proposed = accepted = guard = 0
     rate = 0.45
     while have < n:
@@ -284,7 +262,7 @@ def _sample_marginal(
         for env in envelopes[1:]:
             log_env = np.logaddexp(log_env, env.log_value(q))
         log_f, sums = _marginal(branches, sum_rows, q)
-        accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_f - peak - log_env
+        accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_f - log_env
         taken = np.flatnonzero(accept)[: n - have]
         out[have : have + taken.size] = q[taken]
         kept[:, have : have + taken.size] = sums[:, taken]

@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-draws", type=int, default=2000)
     p.add_argument("--n-rep", type=int, default=2000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ordered", action="store_true", help=argparse.SUPPRESS)
     _add_prior_flags(p)
     p.set_defaults(func=_cmd_analyze)
 

@@ -26,10 +26,6 @@ import numpy as np
 
 from .rng import RngStream, log_sum_exp
 
-# Beyond this exponent, per-term powers t^a overflow a double and sums are
-# carried out in the log domain instead.
-_OVERFLOW_EXPONENT = 700.0
-
 
 @dataclass(frozen=True)
 class CensoringScheme:
@@ -184,24 +180,20 @@ class JpcSample:
         return float(self.log_t.sum())
 
 
-def _power_sum(log_coef: np.ndarray, log_t: np.ndarray, alpha: float) -> float:
+def _non_negative(alpha: float) -> float:
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
-    exponents = alpha * log_t
-    if exponents.max() > _OVERFLOW_EXPONENT:
-        return float(np.exp(log_sum_exp(log_coef + exponents)))
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.exp(log_coef + exponents)))
+    return float(alpha)
 
 
 def u_stat(sample: JpcSample, alpha: float) -> float:
     """Group-1 weighted power sum U(alpha); U(0) counts the group size m."""
-    return _power_sum(sample.log_coef1, sample.log_t, float(alpha))
+    return float(np.exp(log_u_stat(sample, _non_negative(alpha))))
 
 
 def v_stat(sample: JpcSample, alpha: float) -> float:
     """Group-2 weighted power sum V(alpha); V(0) counts the group size n."""
-    return _power_sum(sample.log_coef2, sample.log_t, float(alpha))
+    return float(np.exp(log_v_stat(sample, _non_negative(alpha))))
 
 
 def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:

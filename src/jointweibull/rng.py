@@ -10,15 +10,17 @@ is no module-level hidden state.
 Tangents to a concave log-density form a piecewise-exponential upper hull
 whose segments are truncated exponentials, which can be normalized and
 sampled exactly; the posterior samplers use such hulls as static proposals
-for their shape draws.  The module also holds the package's one root
-finder, :func:`_solve_rows`, a lockstep bracket and safeguarded Newton
-step over rows of decreasing functions given with their slopes: it
-locates the mode that seeds each hull, and the maximum likelihood fits
-elsewhere solve their profile score equations with it.  Next to it sits
-the package's one log-sum-exp, :func:`log_sum_exp`, whose max-shift also
-gives the softmax moments (:func:`_softmax_moments`) that the profile
-score, the shape marginal's slope and both of their curvatures are made
-of.
+for their shape draws.  A log-density is one vectorized callable
+(:data:`LogDensity`) that returns its value, slope and curvature together,
+and a hull is built in one step from the arrays of its tangents.  The
+module also holds the package's one root finder, :func:`_solve_rows`, a
+lockstep bracket and safeguarded Newton step over rows of decreasing
+functions given with their slopes: it locates the mode that seeds each
+hull, and the maximum likelihood fits elsewhere solve their profile score
+equations with it.  Next to it sits the package's one log-sum-exp,
+:func:`log_sum_exp`, whose max-shift also gives the softmax moments
+(:func:`_softmax_moments`) that the profile score, the shape marginal's
+slope and both of their curvatures are made of.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ _ROOT_FLOOR = 1e-10
 _ROOT_CEIL = 1e10
 _REL_TOL = 1e-10
 _MAX_SWEEPS = 200
+
+# A concave log-density known up to a constant, as one vectorized callable
+# that returns its value, slope and curvature at an array of abscissae.  The
+# slope must agree with the value to a few ulps, since the hull's tangents
+# are built from both; the curvature gives the mode search its Newton steps
+# and the hull its scale at the mode.
+LogDensity = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _max_shift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,23 +231,6 @@ def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
     return p * lam, (1.0 - p) * lam
 
 
-@dataclass(frozen=True)
-class LogConcaveTarget:
-    """A log-concave density known up to a constant, with its first and
-    second derivatives.
-
-    All three callables must be vectorized (accept and return ndarrays).
-    The derivative is what the envelope construction differentiates
-    against, so it has to be consistent with ``log_density`` to a few ulps,
-    not merely approximate.  The curvature gives the Newton steps of the
-    mode search and the hull's scale at the mode.
-    """
-
-    log_density: Callable[[np.ndarray], np.ndarray]
-    log_density_derivative: Callable[[np.ndarray], np.ndarray]
-    log_density_curvature: Callable[[np.ndarray], np.ndarray]
-
-
 # --------------------------------------------------------------------------
 # piecewise-exponential upper hulls
 
@@ -271,30 +263,17 @@ class PiecewiseExpEnvelope:
     invert segment by segment in closed form.
     """
 
-    def __init__(self, lo: float):
+    def __init__(self, lo: float, x, h, dh):
+        """The hull on [lo, inf) of the tangents with abscissae ``x``,
+        heights ``h`` and slopes ``dh``; a tangent with a non-finite entry
+        or an abscissa below ``lo`` is left out."""
         if not (lo >= 0.0 and math.isfinite(lo)):
             raise ValueError("support_lo must be a finite non-negative real")
         self.lo = lo
-        self._x: list[float] = []
-        self._h: list[float] = []
-        self._dh: list[float] = []
-        self._built = False
-
-    def insert(self, x: float, h: float, dh: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(h) and math.isfinite(dh)):
-            return
-        if x < self.lo:
-            return
-        self._x.append(x)
-        self._h.append(h)
-        self._dh.append(dh)
-        self._built = False
-
-    def _build(self) -> None:
-        order = np.argsort(np.asarray(self._x))
-        x = np.asarray(self._x)[order]
-        h = np.asarray(self._h)[order]
-        dh = np.asarray(self._dh)[order]
+        x, h, dh = (np.asarray(v, dtype=float) for v in (x, h, dh))
+        usable = np.isfinite(x) & np.isfinite(h) & np.isfinite(dh) & (x >= lo)
+        order = np.argsort(x[usable])
+        x, h, dh = (v[usable][order] for v in (x, h, dh))
         # Concavity means slopes are non-increasing left to right; floating
         # noise can produce tiny inversions or duplicates.  Each tangent
         # individually dominates the target, so any subset is still a valid
@@ -324,7 +303,7 @@ class PiecewiseExpEnvelope:
         # a clipped breakpoint still yields a valid (if looser) hull
         zi = (h[1:] - h[:-1] + x[:-1] * dh[:-1] - x[1:] * dh[1:]) / (dh[:-1] - dh[1:])
         zi = np.minimum(np.maximum(zi, x[:-1]), x[1:])
-        z = np.concatenate(([self.lo], np.maximum.accumulate(np.maximum(zi, self.lo)), [math.inf]))
+        z = np.concatenate(([lo], np.maximum.accumulate(np.maximum(zi, lo)), [math.inf]))
         logmass = np.empty(x.size)
         for i in range(x.size):
             logmass[i] = (h[i] - dh[i] * x[i]) + _log_integral_exp_linear(
@@ -336,25 +315,18 @@ class PiecewiseExpEnvelope:
         w, top = _max_shift(logmass)
         self._log_total = float(top[0]) + math.log(w.sum())
         self._cum = np.cumsum(w / w.sum())
-        self._built = True
 
     def log_total_mass(self) -> float:
-        if not self._built:
-            self._build()
         return self._log_total
 
     def log_value(self, q) -> np.ndarray:
         """Envelope height at ``q`` (vectorized)."""
-        if not self._built:
-            self._build()
         q = np.asarray(q, dtype=float)
         seg = np.clip(np.searchsorted(self._bz, q, side="right") - 1, 0, self._bx.size - 1)
         return self._bh[seg] + self._bdh[seg] * (q - self._bx[seg])
 
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         """Exact draws from the normalized envelope density."""
-        if not self._built:
-            self._build()
         seg = np.searchsorted(self._cum, rng.uniform(n), side="left")
         seg = np.clip(seg, 0, self._bx.size - 1)
         a = self._bdh[seg]
@@ -379,22 +351,21 @@ class PiecewiseExpEnvelope:
         return np.clip(out, self.lo, None)
 
 
-
-
 # --------------------------------------------------------------------------
 # lockstep root finding
 
 
 def _solve_rows(
-    deriv: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], n_rows: int
+    deriv: Callable[[np.ndarray], tuple], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Roots of ``n_rows`` decreasing-through-zero functions, found in lockstep.
 
-    ``deriv`` maps an ``(n_rows,)`` array of abscissae to the row values and
-    their slopes; one call is one sweep.  Every row is bracketed from 1,
-    doubling while its value is positive and halving while it is negative,
-    inside [1e-10, 1e10]; a sweep serves both directions at once, and a
-    direction that no row needs costs nothing.  Each row then takes the
+    ``deriv`` maps an ``(n_rows,)`` array of abscissae to a tuple that ends
+    with the row values and their slopes, so a :data:`LogDensity` gives the
+    roots of its slope, its modes; one call is one sweep.  Every row is
+    bracketed from 1, doubling while its value is positive and halving
+    while it is negative, inside [1e-10, 1e10]; a sweep serves both
+    directions at once, and a direction that no row needs costs nothing.  Each row then takes the
     Newton step ``x - d/slope`` from its last evaluated point, or bisects
     its bracket where that step is not finite, has a slope that is not
     negative, or leaves the open bracket (``rtsafe``).  A row stops when its
@@ -411,7 +382,7 @@ def _solve_rows(
     x = np.ones(n_rows)
     lo = np.ones(n_rows)
     hi = np.ones(n_rows)
-    d, slope = deriv(x)
+    *_, d, slope = deriv(x)
     sweeps = 1
     up = d > 0.0
     down = d < 0.0
@@ -421,7 +392,7 @@ def _solve_rows(
     while up.any() or down.any():
         moving = up | down
         probe = np.where(up, hi, lo)
-        dp, sp = deriv(probe)
+        *_, dp, sp = deriv(probe)
         sweeps += 1
         x = np.where(moving, probe, x)
         d = np.where(moving, dp, d)
@@ -447,7 +418,7 @@ def _solve_rows(
             nxt = x - step
             nxt = np.where(newton & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
             x = np.where(active, nxt, x)
-            dx, sx = deriv(x)
+            *_, dx, sx = deriv(x)
             sweeps += 1
             d = np.where(active, dx, d)
             slope = np.where(active, sx, slope)
@@ -461,20 +432,16 @@ def _solve_rows(
     return root, ok, sweeps
 
 
-def _locate_mode(target: LogConcaveTarget, lo: float) -> tuple[float, bool]:
+def _locate_mode(local: LogDensity, lo: float) -> tuple[float, bool]:
     """Return (mode, at_boundary) for a concave log-density on [lo, inf).
 
-    The mode is the root of the log-density derivative.  A derivative still
+    The mode is the root of the log-density's slope.  A slope still
     positive at 1e10 means the density never turns down.  One still
     negative at 1e-10, or a root at or below the support edge (taken as
     1e-8 for a support starting at 0), puts the mode at that edge.
     """
     edge = lo if lo > 0.0 else 1e-8
-
-    def slopes(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return target.log_density_derivative(alpha), target.log_density_curvature(alpha)
-
-    root, _, _ = _solve_rows(slopes, 1)
+    root, _, _ = _solve_rows(local, 1)
     mode = float(root[0])
     if mode == math.inf:
         raise NonIntegrableTargetError("log-density still increasing at 1e10")
@@ -489,43 +456,29 @@ _STATIC_OFFSETS = (
 )
 
 
-def build_static_envelope(target: LogConcaveTarget, support_lo: float) -> PiecewiseExpEnvelope:
+def build_static_envelope(local: LogDensity, support_lo: float) -> PiecewiseExpEnvelope:
     """A ready-to-sample hull with curvature-scaled tangent placement.
 
     An interior mode gets tangents at ``_STATIC_OFFSETS`` multiples of
-    1/sqrt(-curvature) at the mode around it; a mode at the support edge gets three, spaced by the inverse
-    of the slope there.  The target is evaluated on all tangent points in
-    one array call of each callable.
+    1/sqrt(-curvature) at the mode around it; a mode at the support edge
+    gets three, spaced by the inverse of the slope there.  The last tangent
+    thus sits 8 scales past the mode or 3/|slope| past the edge, where a
+    strictly concave target slopes down; a target that does not leaves the
+    hull's rightmost slope non-negative, which the hull refuses.  All
+    tangents come from one array call of ``local``.
     """
     lo = support_lo
-    mode, at_edge = _locate_mode(target, lo)
-    env = PiecewiseExpEnvelope(lo)
+    mode, at_edge = _locate_mode(local, lo)
+    _, d, f2 = (float(v[0]) for v in local(np.array([mode])))
     if at_edge:
-        d = float(target.log_density_derivative(np.array([mode]))[0])
         if not math.isfinite(d):
             raise ValueError("log-density derivative not finite at the support edge")
         scale = 1.0 / max(abs(d), 1e-8)
         pts = mode + np.array([0.0, 1.0, 3.0]) * scale
     else:
-        f2 = float(target.log_density_curvature(np.array([mode]))[0])
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
         pts = mode + np.array(_STATIC_OFFSETS) * sigma
         pts = pts[pts > lo]
     pts = np.maximum(pts, lo if lo > 0.0 else 1e-12)
-    h = target.log_density(pts)
-    dh = target.log_density_derivative(pts)
-    # make sure at least one point sits where the slope is negative
-    xr = pts[-1]
-    slope = dh[-1]
-    guard = 0
-    while slope >= 0.0 and guard < 200:
-        xr = 2.0 * max(xr, 1e-8)
-        slope = target.log_density_derivative(np.array([xr]))[0]
-        guard += 1
-    if guard:
-        pts = np.append(pts, xr)
-        h = np.append(h, target.log_density(np.array([xr])))
-        dh = np.append(dh, slope)
-    for p, hp, dp in zip(pts.tolist(), h.tolist(), dh.tolist()):
-        env.insert(p, hp, dp)
-    return env
+    h, dh, _ = local(pts)
+    return PiecewiseExpEnvelope(lo, pts, h, dh)

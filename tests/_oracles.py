@@ -394,32 +394,26 @@ def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
     return worst
 
 
-def static_envelope_pointwise(target, support_lo: float):
+def static_envelope_pointwise(local, support_lo: float):
     """The tangent hull of ``rng.build_static_envelope`` built point by point:
-    every height and slope comes from its own scalar call of the target."""
+    every height and slope comes from its own scalar call of the
+    ``(value, slope, curvature)`` callable ``local``."""
     from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_mode
 
     lo = support_lo
-    mode, at_edge = _locate_mode(target, lo)
-    env = PiecewiseExpEnvelope(lo)
+    mode, at_edge = _locate_mode(local, lo)
     if at_edge:
-        d = float(target.log_density_derivative(mode))
+        d = float(local(mode)[1])
         scale = 1.0 / max(abs(d), 1e-8)
         pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]
     else:
-        f2 = float(target.log_density_curvature(mode))
+        f2 = float(local(mode)[2])
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
         pts = [p for p in (mode + c * sigma for c in _STATIC_OFFSETS) if p > lo]
-    xr = pts[-1]
-    guard = 0
-    while float(target.log_density_derivative(xr)) >= 0.0 and guard < 200:
-        xr = 2.0 * max(xr, 1e-8)
-        guard += 1
-    if xr != pts[-1]:
-        pts.append(xr)
+    tangents = []
     for p in pts:
         p = max(p, lo if lo > 0.0 else 1e-12)
-        h = float(target.log_density(p))
+        h, dh, _ = (float(v) for v in local(p))
         if math.isfinite(h):
-            env.insert(p, h, float(target.log_density_derivative(p)))
-    return env
+            tangents.append((p, h, dh))
+    return PiecewiseExpEnvelope(lo, *zip(*tangents))

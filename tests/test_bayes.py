@@ -42,7 +42,6 @@ from jointweibull.jpc import (
 )
 from jointweibull.rng import (
     BetaGammaHyper,
-    LogConcaveTarget,
     RngStream,
     build_static_envelope,
 )
@@ -121,15 +120,15 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
             except ImproperPosteriorError:
                 continue
             for br in core.branches:
-                pointwise = [(br.value(float(a)), br.derivative(float(a))) for a in grid]
-                np.testing.assert_allclose(br.value(grid), [v for v, _ in pointwise], rtol=1e-13)
-                np.testing.assert_allclose(br.derivative(grid), [d for _, d in pointwise], rtol=1e-13)
-                target = LogConcaveTarget(br.value, br.derivative, br.curvature)
-                got = build_static_envelope(target, 0.0)
-                want = static_envelope_pointwise(target, 0.0)
-                np.testing.assert_allclose(got._x, want._x, rtol=1e-13)
-                np.testing.assert_allclose(got._h, want._h, rtol=1e-13)
-                np.testing.assert_allclose(got._dh, want._dh, rtol=1e-13)
+                pointwise = [br.local(float(a))[:2] for a in grid]
+                value, slope, _ = br.local(grid)
+                np.testing.assert_allclose(value, [v for v, _ in pointwise], rtol=1e-13)
+                np.testing.assert_allclose(slope, [d for _, d in pointwise], rtol=1e-13)
+                got = build_static_envelope(br.local, 0.0)
+                want = static_envelope_pointwise(br.local, 0.0)
+                np.testing.assert_allclose(got._bx, want._bx, rtol=1e-13)
+                np.testing.assert_allclose(got._bh, want._bh, rtol=1e-13)
+                np.testing.assert_allclose(got._bdh, want._bdh, rtol=1e-13)
                 hulls += 1
     assert hulls >= 140
 
@@ -154,8 +153,8 @@ def test_branch_curvature_matches_central_differences(fiber) -> None:
             except ImproperPosteriorError:
                 continue
             for br in core.branches + (core.branch_u, core.branch_v):
-                numeric = (br.derivative(grid + step) - br.derivative(grid - step)) / (2.0 * step)
-                curvature = br.curvature(grid)
+                numeric = (br.local(grid + step)[1] - br.local(grid - step)[1]) / (2.0 * step)
+                curvature = br.local(grid)[2]
                 assert np.all(curvature < 0.0)
                 np.testing.assert_allclose(curvature, numeric, rtol=1e-7, atol=0.0)
                 sums += isinstance(br, _BranchSum)

@@ -164,6 +164,15 @@ def test_usage_errors_exit_one(capsys) -> None:
     capsys.readouterr()
 
 
+def test_analyze_has_no_ordered_flag(capsys) -> None:
+    """``analyze`` has no order-restricted variant, so ``--ordered`` is a
+    usage error there rather than a flag it would silently ignore."""
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "d1.txt", "d2.txt", "--ordered"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --ordered" in capsys.readouterr().err
+
+
 def test_analyze_command(tmp_path, capsys) -> None:
     d1 = tmp_path / "d1.txt"
     d2 = tmp_path / "d2.txt"

@@ -86,6 +86,10 @@ def test_power_sums_on_hand_sample(tiny_k2) -> None:
     # at exponent zero the sums count the group sizes
     assert u_stat(tiny_k2, 0.0) == pytest.approx(tiny_k2.scheme.m)
     assert v_stat(tiny_k2, 0.0) == pytest.approx(tiny_k2.scheme.n)
+    with pytest.raises(ValueError):
+        u_stat(tiny_k2, -0.5)
+    with pytest.raises(ValueError):
+        v_stat(tiny_k2, -0.5)
 
 
 def test_power_sums_match_direct_formula(fiber, tiny_k4) -> None:

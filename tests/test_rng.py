@@ -12,7 +12,6 @@ from scipy.special import logsumexp
 from jointweibull.errors import NonIntegrableTargetError
 from jointweibull.rng import (
     BetaGammaHyper,
-    LogConcaveTarget,
     PiecewiseExpEnvelope,
     RngStream,
     beta_gamma_mean,
@@ -182,12 +181,23 @@ def test_exponential_wrapper_is_unit_rate() -> None:
     assert stats.kstest(draws, stats.expon().cdf).pvalue > 1e-3
 
 
-def _gamma_target(shape: float, rate: float) -> LogConcaveTarget:
-    return LogConcaveTarget(
-        log_density=lambda x: (shape - 1.0) * np.log(x) - rate * x,
-        log_density_derivative=lambda x: (shape - 1.0) / x - rate,
-        log_density_curvature=lambda x: -(shape - 1.0) / x**2,
+def _gamma_target(shape: float, rate: float):
+    """Gamma(shape, rate) log-density as ``x -> (value, slope, curvature)``."""
+    return lambda x: (
+        (shape - 1.0) * np.log(x) - rate * x,
+        (shape - 1.0) / x - rate,
+        -(shape - 1.0) / x**2,
     )
+
+
+def _linear_target(slope: float):
+    """The log-density ``slope * x`` as ``x -> (value, slope, curvature)``."""
+
+    def local(x):
+        x = np.asarray(x, dtype=float)
+        return slope * x, np.full_like(x, slope), np.zeros_like(x)
+
+    return local
 
 
 def test_static_envelope_dominates_target() -> None:
@@ -212,8 +222,7 @@ def test_envelope_mass_bounds_target_mass() -> None:
 
 
 def test_single_tangent_envelope_samples_exponential() -> None:
-    env = PiecewiseExpEnvelope(0.0)
-    env.insert(1.0, 0.0, -2.0)
+    env = PiecewiseExpEnvelope(0.0, [1.0], [0.0], [-2.0])
     draws = env.sample(4000, RngStream(32, 0))
     res = stats.kstest(draws, stats.expon(scale=0.5).cdf)
     assert res.pvalue > 1e-3
@@ -234,16 +243,12 @@ def test_adaptive_sampler_boundary_mode() -> None:
     """A log-density decreasing from the support edge (exponential law)
     puts the mode at the edge; the static hull built there samples the law
     exactly under rejection."""
-    target = LogConcaveTarget(
-        log_density=lambda x: -np.asarray(x, dtype=float),
-        log_density_derivative=lambda x: -np.ones_like(np.asarray(x, dtype=float)),
-        log_density_curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    target = _linear_target(-1.0)
     assert _locate_mode(target, 0.0) == (1e-8, True)
     env = build_static_envelope(target, 0.0)
     rng = RngStream(35, 0)
     q = env.sample(30_000, rng)
-    accept = np.log(rng.uniform(q.size)) <= target.log_density(q) - env.log_value(q)
+    accept = np.log(rng.uniform(q.size)) <= target(q)[0] - env.log_value(q)
     draws = q[accept]
     assert draws.size > 10_000
     res = stats.kstest(draws, stats.expon.cdf)
@@ -251,13 +256,30 @@ def test_adaptive_sampler_boundary_mode() -> None:
 
 
 def test_sampler_refuses_growing_log_density() -> None:
-    target = LogConcaveTarget(
-        log_density=lambda x: np.asarray(x, dtype=float),
-        log_density_derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        log_density_curvature=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
     with pytest.raises(NonIntegrableTargetError):
-        build_static_envelope(target, 0.0)
+        build_static_envelope(_linear_target(1.0), 0.0)
+
+
+def test_array_built_hull_keeps_only_usable_tangents() -> None:
+    """The hull keeps the finite tangents at or above its support edge, in
+    abscissa order, and refuses tangent sets whose rightmost slope is not
+    negative or that leave no usable tangent."""
+    x = np.array([0.5, 1.0, 2.0, 4.0])
+    h, dh, _ = _gamma_target(3.0, 2.0)(x)
+    want = PiecewiseExpEnvelope(0.25, x, h, dh)
+    got = PiecewiseExpEnvelope(
+        0.25,
+        [4.0, 0.1, 1.0, 3.0, 0.5, 2.0, 5.0, math.nan],
+        [h[3], -1.0, h[1], math.inf, h[0], h[2], 0.0, 0.0],
+        [dh[3], 5.0, dh[1], -1.0, dh[0], dh[2], -math.inf, -1.0],
+    )
+    for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    assert got.log_total_mass() == want.log_total_mass()
+    with pytest.raises(NonIntegrableTargetError, match="rightmost"):
+        PiecewiseExpEnvelope(0.0, [1.0, 2.0], [0.0, -1.0], [-1.0, 0.0])
+    with pytest.raises(NonIntegrableTargetError, match="no usable"):
+        PiecewiseExpEnvelope(1.0, [0.5, 2.0], [0.0, math.nan], [-1.0, -1.0])
 
 
 def test_root_finder_flags_rows_it_never_brackets() -> None:
