@@ -2,57 +2,61 @@
 
 Priors
 ------
-The rate pair carries a beta-gamma law (total rate gamma, split beta),
+The rate pair carries a beta-gamma law, with density proportional to
+``l1^(a1-1) l2^(a2-1) (l1+l2)^(a0-a1-a2) exp(-b0 (l1+l2))`` (l = lambda),
 optionally restricted to ``lambda1 < lambda2``; the shape carries an
-independent gamma.  All hyperparameters may be zero, which yields the
-usual flat limits; properness of the resulting posterior is then a
-property of the data and is checked, not assumed.
+independent gamma.  All hyperparameters may be zero, which yields the usual
+flat limits; properness of the resulting posterior is then a property of
+the data and is checked, not assumed.
 
 Sampling strategy
 -----------------
-The shape is drawn from a proposal marginal ``s(a)``, the shape marginal
-of a conjugate proposal whose rates integrate out in closed form; the
-importance weight corrects the rest.  For the unrestricted model it is
+The shape is drawn exactly from ``s(a)``, the shape marginal of a rate
+proposal that integrates out in closed form; the rates are then drawn from
+that proposal and the importance weight ``g`` corrects the rest.  The
+prior's structure picks the proposal.
 
-    s(a) = (k + a0s - 1) ln a - a (b0s - sum ln t) - c * ln(b0 + W(a)),
+Per-group proposal, for every ordered prior and every prior with
+``a0 = a1 + a2`` (the flat one among them).  It drops the one factor that
+couples the rates, ``(l1+l2)^(a0-a1-a2)``, so the rates are independent
+gammas ``Gamma(s1, b0 + U)`` and ``Gamma(s2, b0 + V)`` with
+``(s1, s2) = (a1 + k1, a2 + k2)``.  The folded ordered prior is a sum of two
+terms whose larger one on ``lambda1 < lambda2`` puts ``min(a1, a2)`` with
+``lambda1``; ordered priors keep that term, ``(s1, s2) = (min(a1, a2) + k1,
+max(a1, a2) + k2)``, and cut ``lambda1`` to ``(0, lambda2)``.  The marginal
 
-with ``W = min(U, V)`` and ``c`` the updated total-rate shape.  Replacing
-W by U or V gives two genuinely log-concave "branch" functions (each is a
-negative log-sum-exp of affine functions plus concave terms) and
-``s = max(branch_U, branch_V)`` pointwise.  The max of two concave
-functions is not concave: where U and V cross, s has a convex kink, so a
-single adaptive-rejection pass cannot be trusted.  Instead each branch
-gets its own static tangent envelope; proposals come from the mass-
-weighted mixture of the two envelopes and are accepted with probability
+    s(a) = (k + a0s - 1) ln a - a (b0s - sum ln t)
+           - s1 ln(b0 + U(a)) - s2 ln(b0 + V(a))
+
+is one concave branch with one tangent envelope, and
+
+    ln g = [ordered] ln P(uncut lambda1 < lambda2) + (a0 - a1 - a2) ln(l1 + l2)
+           + [ordered] ln((1 + (l1/l2)^|a2 - a1|) / 2).
+
+The first term lies in (-inf, 0], the last in [-ln 2, 0] (0 when a1 = a2),
+and the middle one is 0 when ``a0 = a1 + a2`` and unbounded otherwise; so
+unordered priors with ``a0 = a1 + a2`` draw exactly, with ``g = 1``.
+
+Beta-gamma proposal on ``W = min(U, V)``, for unordered priors that do not
+factor: a gamma(a0 + k) total rate split by a beta(a1 + k1, a2 + k2), with
+
+    s(a) = (k + a0s - 1) ln a - a (b0s - sum ln t) - (a0 + k) ln(b0 + W(a)),
+
+and the leftover likelihood factor ``exp(-l1 (U - W) - l2 (V - W))`` in
+(0, 1] as the weight.  Replacing W by U or V gives two genuinely
+log-concave "branch" functions (each is a negative log-sum-exp of affine
+functions plus concave terms) and ``s = max(branch_U, branch_V)``
+pointwise.  The max of two concave functions is not concave: where U and V
+cross, s has a convex kink, so a single adaptive-rejection pass cannot be
+trusted.  Instead each branch gets its own static tangent envelope;
+proposals come from the mass-weighted mixture of the two envelopes and are
+accepted with probability
 
     exp(s(a)) / (exp(E_U(a)) + exp(E_V(a))) <= 1 ,
 
-which is an exact rejection scheme because the mixture density is
-proportional to ``exp(E_U) + exp(E_V)`` and that sum dominates
-``exp(max(branch_U, branch_V))`` everywhere.  No quadrature enters, so
-draws are exact up to floating point.
-
-Given a shape draw the rates are conjugate: total rate gamma, split beta,
-and the leftover likelihood factor supplies the importance weight ``g``;
-for the unrestricted model ``g`` lies in (0, 1] by construction.
-
-The order-restricted model has two proposals.  When the folded rate prior
-is a single gamma-kernel term, ``a0 = 2 a1 = 2 a2`` (the flat prior among
-them), the restricted posterior is a product of two independent gammas,
-``Gamma(a1 + k1, b0 + U)`` and ``Gamma(a2 + k2, b0 + V)``, cut to
-``lambda1 < lambda2``.  The proposal drops the cut: its shape marginal
-
-    s(a) = (k + a0s - 1) ln a - a (b0s - sum ln t)
-           - (a1 + k1) ln(b0 + U(a)) - (a2 + k2) ln(b0 + V(a))
-
-has a single concave branch and one envelope; ``lambda2`` is drawn from
-its gamma and ``lambda1`` from its gamma truncated to ``(0, lambda2)``.
-The weight is the probability that the untruncated ``lambda1`` falls below
-``lambda2``, which lies in [0, 1].  Other ordered priors draw from the
-unrestricted two-branch proposal built on ``j = min(k1, k2)`` failures
-per group, sort the rate pair, and carry the leftover rate powers
-``lambda1^(k1 - j) lambda2^(k2 - j)`` in the weight, which is unbounded
-and degrades as ``|k1 - k2|`` grows.
+which is exact rejection because the mixture density is proportional to
+``exp(E_U) + exp(E_V)``, which dominates ``exp(max(branch_U, branch_V))``.
+No quadrature enters, so shape draws are exact up to floating point.
 """
 
 from __future__ import annotations
@@ -118,12 +122,12 @@ class WeightedPosterior:
     """Importance-weighted posterior draws of (alpha, lambda1, lambda2).
 
     ``weights`` holds the raw importance factors g (unit weights mean the
-    draws are exact): they lie in (0, 1] for the unrestricted model and in
-    [0, 1] for the order-restricted one with a single-term folded rate
-    prior; the other order-restricted priors carry unbounded rate powers.
-    ``normalized`` always sums to one.  ``low_ess`` is
-    set when the effective sample size 1/sum(normalized^2) falls below one
-    percent of the number of draws.
+    draws are exact): exactly 1 for an unordered prior with a0 = a1 + a2,
+    in (0, 1] for the other unordered priors and in [0, 1] for an ordered
+    prior with a0 = a1 + a2; other ordered priors carry the unbounded
+    factor (lambda1 + lambda2)^(a0 - a1 - a2).  ``normalized`` always sums
+    to one.  ``low_ess`` is set when the effective sample size
+    1/sum(normalized^2) falls below one percent of the number of draws.
     """
 
     alpha: np.ndarray
@@ -236,7 +240,7 @@ def _sample_marginal(
     need no common shift.  Proposals come from the mass-weighted mixture of
     the hulls and are accepted with probability exp(s) / sum(exp(hull)) <= 1.
     """
-    envelopes = [build_static_envelope(br.local, 0.0) for br in branches]
+    envelopes = [build_static_envelope(br.local) for br in branches]
     log_masses = np.array([env.log_total_mass() for env in envelopes])
     cum = np.cumsum(np.exp(log_masses - log_sum_exp(log_masses)))
     out = np.empty(n)
@@ -277,9 +281,10 @@ class _PosteriorCore:
     """Shared machinery behind every posterior in this module.
 
     A core is defined by the two weighted power sums (as log-coefficient /
-    log-time arrays), the failure counts, and the prior.  It owns the shape
-    marginal and its properness checks, hands them to the envelope sampler
-    ``_sample_marginal``, and makes the conjugate rate updates.
+    log-time arrays), the failure counts, and the prior.  It picks the rate
+    proposal from the prior's structure (see the module docstring), owns
+    the shape marginal and its properness checks, hands them to the
+    envelope sampler ``_sample_marginal``, and draws the rates.
     """
 
     def __init__(
@@ -294,22 +299,14 @@ class _PosteriorCore:
         prior: PriorSpec,
     ):
         self.prior = prior
-        self.k1 = k1
-        self.k2 = k2
         k = k1 + k2
         bg = prior.bg
-        if prior.ordered:
-            j = min(k1, k2)
-            self.gamma_shape = bg.a0 + 2.0 * j
-            self.beta_a = bg.a1 + j
-            self.beta_b = bg.a2 + j
-            self.j = j
-        else:
-            self.gamma_shape = bg.a0 + k
-            self.beta_a = bg.a1 + k1
-            self.beta_b = bg.a2 + k2
-            self.j = None
-        if min(self.gamma_shape, self.beta_a, self.beta_b) <= 0.0:
+        # an ordered prior keeps the larger term of its folded sum on
+        # lambda1 < lambda2, which puts the smaller of a1, a2 with lambda1
+        low, high = sorted((bg.a1, bg.a2)) if prior.ordered else (bg.a1, bg.a2)
+        self.group_shapes = (low + k1, high + k2)
+        self.gamma_shape = bg.a0 + k
+        if min(self.gamma_shape, *self.group_shapes) <= 0.0:
             raise ImproperPosteriorError(
                 "rate posterior is improper: a flat hyperparameter meets a zero count"
             )
@@ -322,15 +319,14 @@ class _PosteriorCore:
         self.branch_v = _Branch(log_coef_v, log_t_v, c0, c1, c2, log_b0, row=1)
         # the rows (ln U, ln V) every branch below reads
         self.sum_rows = (self.branch_u, self.branch_v)
-        # a folded rate prior of one gamma-kernel term factors over groups
-        self.per_group = prior.ordered and bg.a0 == 2.0 * bg.a1 == 2.0 * bg.a2
+        self.per_group = prior.ordered or bg.a0 == bg.a1 + bg.a2
         # the concave pieces whose pointwise max is the proposal marginal
         if self.per_group:
-            self.group_shapes = (bg.a1 + k1, bg.a2 + k2)
+            s1, s2 = self.group_shapes
             self.branches = (
                 _BranchSum(
-                    _Branch(log_coef_u, log_t_u, c0, c1, self.group_shapes[0], log_b0, row=0),
-                    _Branch(log_coef_v, log_t_v, 0.0, 0.0, self.group_shapes[1], log_b0, row=1),
+                    _Branch(log_coef_u, log_t_u, c0, c1, s1, log_b0, row=0),
+                    _Branch(log_coef_v, log_t_v, 0.0, 0.0, s2, log_b0, row=1),
                 ),
             )
         else:
@@ -366,45 +362,47 @@ class _PosteriorCore:
         )
 
     def _group_rates(self, ln_u, ln_v, rng: RngStream):
-        """Per-group ordered proposal: lambda2 from its gamma, lambda1 from
-        its gamma cut to (0, lambda2); the log weight is the log of the
-        probability that the uncut lambda1 falls below lambda2."""
-        from scipy.special import gammainc, gammaincinv
-
+        """Per-group proposal: each rate from its gamma given the shape.  For
+        the order-restricted model lambda2 is drawn first and lambda1 from
+        its gamma cut to (0, lambda2), and the log weight gains the log of
+        the probability that the uncut lambda1 falls below lambda2, plus the
+        folded prior's second term relative to its first."""
+        bg = self.prior.bg
         s1, s2 = self.group_shapes
         rate1 = np.exp(np.logaddexp(self.log_b0, ln_u))
         rate2 = np.exp(np.logaddexp(self.log_b0, ln_v))
-        l2 = rng.gamma(s2, rate=rate2)
-        cut = gammainc(s1, rate1 * l2)
-        u = 1.0 - rng.uniform(l2.size)
-        with np.errstate(divide="ignore"):
-            l1 = gammaincinv(s1, u * cut) / rate1
-            ln_g = np.log(cut)
-        # where the inverse underflows the cut is deep in the left tail, and
-        # there the cut gamma tends to lambda2 * Beta(s1, 1)
-        l1 = np.where(l1 > 0.0, l1, l2 * u ** (1.0 / s1))
-        return np.minimum(l1, np.nextafter(l2, 0.0)), l2, ln_g
+        if self.prior.ordered:
+            from scipy.special import gammainc, gammaincinv
+
+            l2 = rng.gamma(s2, rate=rate2)
+            cut = gammainc(s1, rate1 * l2)
+            u = 1.0 - rng.uniform(l2.size)
+            with np.errstate(divide="ignore"):
+                l1 = gammaincinv(s1, u * cut) / rate1
+                ln_g = np.log(cut)
+            # where the inverse underflows the cut is deep in the left tail,
+            # and there the cut gamma tends to lambda2 * Beta(s1, 1)
+            l1 = np.where(l1 > 0.0, l1, l2 * u ** (1.0 / s1))
+            l1 = np.minimum(l1, np.nextafter(l2, 0.0))
+            if bg.a1 != bg.a2:
+                ln_g += np.log1p((l1 / l2) ** abs(bg.a2 - bg.a1)) - math.log(2.0)
+        else:
+            l1 = rng.gamma(s1, rate=rate1)
+            l2 = rng.gamma(s2, rate=rate2)
+            ln_g = np.zeros(l1.size)
+        if bg.a0 != bg.a1 + bg.a2:
+            ln_g += (bg.a0 - bg.a1 - bg.a2) * np.log(l1 + l2)
+        return l1, l2, ln_g
 
     def _beta_gamma_rates(self, ln_u, ln_v, rng: RngStream):
         """Beta-gamma proposal on the smaller power sum W = min(U, V): total
-        rate gamma, split beta, sorted for the order-restricted model."""
+        rate gamma, split beta."""
         ln_w = np.minimum(ln_u, ln_v)
         rate = np.exp(np.minimum(np.logaddexp(self.log_b0, ln_u), np.logaddexp(self.log_b0, ln_v)))
         total = rng.gamma(self.gamma_shape, rate=rate)
-        frac = rng.beta(self.beta_a, self.beta_b, size=ln_u.size)
+        frac = rng.beta(*self.group_shapes, size=ln_u.size)
         l1 = frac * total
         l2 = (1.0 - frac) * total
-        if self.prior.ordered:
-            l1, l2 = np.minimum(l1, l2), np.maximum(l1, l2)
-            while True:
-                tied = l1 == l2
-                if not tied.any():
-                    break
-                m = int(tied.sum())
-                t2 = rng.gamma(self.gamma_shape, rate=rate[tied])
-                f2 = rng.beta(self.beta_a, self.beta_b, size=m)
-                l1[tied] = np.minimum(f2, 1.0 - f2) * t2
-                l2[tied] = np.maximum(f2, 1.0 - f2) * t2
         # leftover likelihood factor: exp(-l1 (U - W) - l2 (V - W)), computed
         # as W expm1(ln U - ln W) to dodge cancellation between huge sums
         du = ln_u - ln_w
@@ -413,11 +411,6 @@ class _PosteriorCore:
             w_val = np.exp(ln_w)
             ln_g = -np.where(du > 0.0, l1 * w_val * np.expm1(du), 0.0)
             ln_g -= np.where(dv > 0.0, l2 * w_val * np.expm1(dv), 0.0)
-        if self.prior.ordered:
-            if self.k1 - self.j:
-                ln_g += (self.k1 - self.j) * np.log(l1)
-            if self.k2 - self.j:
-                ln_g += (self.k2 - self.j) * np.log(l2)
         return l1, l2, ln_g
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
@@ -447,13 +440,13 @@ def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
     """Unnormalized log of the proposal's shape marginal ``s(a)``, the
     density the shape draws come from; vectorized over ``alpha``.
 
-    This is the shape marginal of the conjugate rate proposal (see the
-    module docstring), not of the posterior: the importance weights carry
-    the difference.  For the unrestricted model and the order-restricted
-    one with an informative folded prior it is the pointwise max of two
-    concave branches, with a convex kink where they cross; for the
-    order-restricted model with ``a0 = 2 a1 = 2 a2`` it is one concave
-    branch.
+    This is the shape marginal of the rate proposal (see the module
+    docstring), not of the posterior: the importance weights carry the
+    difference.  For an ordered prior, or one with ``a0 = a1 + a2``, it is
+    the one concave per-group branch, and for an unordered prior with
+    ``a0 = a1 + a2`` it is the posterior's own shape marginal.  For the
+    other unordered priors it is the pointwise max of two concave branches,
+    with a convex kink where they cross.
     """
     core = _PosteriorCore.from_jpc(sample, prior)
     return _marginal(core.branches, core.sum_rows, np.asarray(alpha, dtype=float))[0]

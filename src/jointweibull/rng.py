@@ -260,18 +260,16 @@ class PiecewiseExpEnvelope:
     where the tangents were taken; placement only affects tightness.  The
     hull is a piecewise-linear function of the abscissa, hence a piecewise
     exponential density after exponentiation, which we can integrate and
-    invert segment by segment in closed form.
+    invert segment by segment in closed form.  Its support is [0, inf), the
+    range of every shape parameter the package samples.
     """
 
-    def __init__(self, lo: float, x, h, dh):
-        """The hull on [lo, inf) of the tangents with abscissae ``x``,
+    def __init__(self, x, h, dh):
+        """The hull on [0, inf) of the tangents with abscissae ``x``,
         heights ``h`` and slopes ``dh``; a tangent with a non-finite entry
-        or an abscissa below ``lo`` is left out."""
-        if not (lo >= 0.0 and math.isfinite(lo)):
-            raise ValueError("support_lo must be a finite non-negative real")
-        self.lo = lo
+        or a negative abscissa is left out."""
         x, h, dh = (np.asarray(v, dtype=float) for v in (x, h, dh))
-        usable = np.isfinite(x) & np.isfinite(h) & np.isfinite(dh) & (x >= lo)
+        usable = np.isfinite(x) & np.isfinite(h) & np.isfinite(dh) & (x >= 0.0)
         order = np.argsort(x[usable])
         x, h, dh = (v[usable][order] for v in (x, h, dh))
         # Concavity means slopes are non-increasing left to right; floating
@@ -303,7 +301,7 @@ class PiecewiseExpEnvelope:
         # a clipped breakpoint still yields a valid (if looser) hull
         zi = (h[1:] - h[:-1] + x[:-1] * dh[:-1] - x[1:] * dh[1:]) / (dh[:-1] - dh[1:])
         zi = np.minimum(np.maximum(zi, x[:-1]), x[1:])
-        z = np.concatenate(([lo], np.maximum.accumulate(np.maximum(zi, lo)), [math.inf]))
+        z = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(zi, 0.0)), [math.inf]))
         logmass = np.empty(x.size)
         for i in range(x.size):
             logmass[i] = (h[i] - dh[i] * x[i]) + _log_integral_exp_linear(
@@ -348,7 +346,7 @@ class PiecewiseExpEnvelope:
             ap, up, vp, wp = a[pos], u[pos], v[pos], w[pos]
             # mass piles up at v; anchor there for stability
             out[pos] = vp + np.logaddexp(np.log(wp), np.log1p(-wp) - ap * (vp - up)) / ap
-        return np.clip(out, self.lo, None)
+        return np.clip(out, 0.0, None)
 
 
 # --------------------------------------------------------------------------
@@ -365,14 +363,16 @@ def _solve_rows(
     roots of its slope, its modes; one call is one sweep.  Every row is
     bracketed from 1, doubling while its value is positive and halving
     while it is negative, inside [1e-10, 1e10]; a sweep serves both
-    directions at once, and a direction that no row needs costs nothing.  Each row then takes the
-    Newton step ``x - d/slope`` from its last evaluated point, or bisects
-    its bracket where that step is not finite, has a slope that is not
-    negative, or leaves the open bracket (``rtsafe``).  A row stops when its
-    Newton step is no longer than half of 1e-10 of its abscissa, when its
-    value is exactly 0, or when its bracket is no wider than 1e-10 of its
-    upper end; it stays put while the other rows go on, up to 200 sweeps
-    in all.  Only a row's own evaluations move its bracket and its next
+    directions at once, and a direction that no row needs costs nothing.
+    Each row then takes Newton steps ``x - d/slope``, the first from its
+    bracket end with a positive value and the others from its last point,
+    so on a convex decreasing function they climb to the root from below
+    inside the bracket.  A row bisects its bracket where a step is not
+    finite, has a slope that is not negative, or leaves the open bracket
+    (``rtsafe``).  It stops when its Newton step is no longer than half of
+    1e-10 of its abscissa, when its value is exactly 0, or when its bracket
+    is no wider than 1e-10 of its upper end; it stays put while the other
+    rows go on, up to 200 sweeps in all.  Only a row's own evaluations move its bracket and its next
     point, so each row's root is the one it would get alone.
 
     Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that was never
@@ -394,9 +394,11 @@ def _solve_rows(
         probe = np.where(up, hi, lo)
         *_, dp, sp = deriv(probe)
         sweeps += 1
-        x = np.where(moving, probe, x)
-        d = np.where(moving, dp, d)
-        slope = np.where(moving, sp, slope)
+        # keep the bracket end with a positive value as the Newton start
+        take = moving & ((dp >= 0.0) | (d <= 0.0))
+        x = np.where(take, probe, x)
+        d = np.where(take, dp, d)
+        slope = np.where(take, sp, slope)
         up &= dp > 0.0
         down &= dp < 0.0
         lo[up] = hi[up]
@@ -432,21 +434,20 @@ def _solve_rows(
     return root, ok, sweeps
 
 
-def _locate_mode(local: LogDensity, lo: float) -> tuple[float, bool]:
-    """Return (mode, at_boundary) for a concave log-density on [lo, inf).
+def _locate_mode(local: LogDensity) -> tuple[float, bool]:
+    """Return (mode, at_boundary) for a concave log-density on [0, inf).
 
     The mode is the root of the log-density's slope.  A slope still
     positive at 1e10 means the density never turns down.  One still
-    negative at 1e-10, or a root at or below the support edge (taken as
-    1e-8 for a support starting at 0), puts the mode at that edge.
+    negative at 1e-10, or a root at or below 1e-8, puts the mode at the
+    support edge, taken as 1e-8.
     """
-    edge = lo if lo > 0.0 else 1e-8
     root, _, _ = _solve_rows(local, 1)
     mode = float(root[0])
     if mode == math.inf:
         raise NonIntegrableTargetError("log-density still increasing at 1e10")
-    if mode <= edge:
-        return edge, True
+    if mode <= 1e-8:
+        return 1e-8, True
     return mode, False
 
 
@@ -456,7 +457,7 @@ _STATIC_OFFSETS = (
 )
 
 
-def build_static_envelope(local: LogDensity, support_lo: float) -> PiecewiseExpEnvelope:
+def build_static_envelope(local: LogDensity) -> PiecewiseExpEnvelope:
     """A ready-to-sample hull with curvature-scaled tangent placement.
 
     An interior mode gets tangents at ``_STATIC_OFFSETS`` multiples of
@@ -467,8 +468,7 @@ def build_static_envelope(local: LogDensity, support_lo: float) -> PiecewiseExpE
     hull's rightmost slope non-negative, which the hull refuses.  All
     tangents come from one array call of ``local``.
     """
-    lo = support_lo
-    mode, at_edge = _locate_mode(local, lo)
+    mode, at_edge = _locate_mode(local)
     _, d, f2 = (float(v[0]) for v in local(np.array([mode])))
     if at_edge:
         if not math.isfinite(d):
@@ -478,7 +478,7 @@ def build_static_envelope(local: LogDensity, support_lo: float) -> PiecewiseExpE
     else:
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
         pts = mode + np.array(_STATIC_OFFSETS) * sigma
-        pts = pts[pts > lo]
-    pts = np.maximum(pts, lo if lo > 0.0 else 1e-12)
+        pts = pts[pts > 0.0]
+    pts = np.maximum(pts, 1e-12)
     h, dh, _ = local(pts)
-    return PiecewiseExpEnvelope(lo, pts, h, dh)
+    return PiecewiseExpEnvelope(pts, h, dh)

@@ -394,14 +394,13 @@ def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
     return worst
 
 
-def static_envelope_pointwise(local, support_lo: float):
+def static_envelope_pointwise(local):
     """The tangent hull of ``rng.build_static_envelope`` built point by point:
     every height and slope comes from its own scalar call of the
     ``(value, slope, curvature)`` callable ``local``."""
     from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_mode
 
-    lo = support_lo
-    mode, at_edge = _locate_mode(local, lo)
+    mode, at_edge = _locate_mode(local)
     if at_edge:
         d = float(local(mode)[1])
         scale = 1.0 / max(abs(d), 1e-8)
@@ -409,11 +408,11 @@ def static_envelope_pointwise(local, support_lo: float):
     else:
         f2 = float(local(mode)[2])
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
-        pts = [p for p in (mode + c * sigma for c in _STATIC_OFFSETS) if p > lo]
+        pts = [p for p in (mode + c * sigma for c in _STATIC_OFFSETS) if p > 0.0]
     tangents = []
     for p in pts:
-        p = max(p, lo if lo > 0.0 else 1e-12)
+        p = max(p, 1e-12)
         h, dh, _ = (float(v) for v in local(p))
         if math.isfinite(h):
             tangents.append((p, h, dh))
-    return PiecewiseExpEnvelope(lo, *zip(*tangents))
+    return PiecewiseExpEnvelope(*zip(*tangents))

@@ -57,8 +57,18 @@ def symmetric_uv():
 
 @pytest.fixture(scope="session")
 def improper_jpc():
-    """All times above 1 and heavily censored; with an all-flat prior the
-    shape marginal grows without bound, so sampling must be refused."""
+    """One unit per group, both failing: U(a) = 2^a and V(a) = 3^a.  With an
+    all-flat prior the shape marginal is a^(k-1) 6^a / (U V) = a, which grows
+    without bound, so sampling must be refused."""
+    scheme = CensoringScheme(1, 1, 2, (0, 0))
+    return JpcSample(scheme, (JpcObservation(2.0, 1, 0), JpcObservation(3.0, 0, 0)))
+
+
+@pytest.fixture(scope="session")
+def slow_decay_jpc():
+    """All times above 1 and heavily censored: with an all-flat prior the
+    shape marginal a^2 30^a / (5^a + 6^a)^2 decays only as (30/36)^a, so the
+    posterior is proper but puts its shape mean near 18."""
     scheme = CensoringScheme(2, 1, 3, (0, 0, 0))
     return JpcSample(
         scheme,

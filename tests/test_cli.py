@@ -24,11 +24,10 @@ R: 1 2
 """
 
 IMPROPER_FILE = """\
-2 1 3
-R: 0 0 0
-5 1 0
-6 1 0
-100 0 0
+1 1 2
+R: 0 0
+2 1 0
+3 0 0
 """
 
 
@@ -195,8 +194,9 @@ def test_analyze_command(tmp_path, capsys) -> None:
     assert float(out["common_alpha"][0]) == pytest.approx(3.876, abs=5e-3)
     assert float(out["lr_pvalue"][0]) == pytest.approx(0.895, abs=0.05)
     assert 0.0 <= float(out["data1_bayes_predictive_p"][0]) <= 1.0
-    # the shared-shape importance weights are known to collapse on these data
-    assert "degenerate" in captured.err
+    # flat rates factor over the two samples, so the common-shape draws are
+    # exact and no degenerate-weights warning is printed
+    assert "degenerate" not in captured.err
 
 
 def test_study_command_point_and_interval(tmp_path, capsys) -> None:
@@ -280,7 +280,9 @@ def test_console_script(fiber_file) -> None:
 def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
     """Importing the CLI must not load ``scipy.stats``, whose import is most
     of a CLI call's start-up, nor ``scipy.special``, which only the commands
-    that need its functions load; a ``fit`` call needs none of them."""
+    that need its functions load; a ``fit`` call needs none of them, and
+    neither does a ``bayes`` call with the default (flat, unordered) prior,
+    whose rates factor over the groups and need no cut."""
     pkg_root = str(Path(jointweibull.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
@@ -289,18 +291,22 @@ def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
         "import jointweibull.cli\n"
         "loaded = lambda: [m in sys.modules for m in ('scipy.stats', 'scipy.special')]\n"
         "after_import = loaded()\n"
+        "codes = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = jointweibull.cli.main(['fit', {fiber_file!r}])\n"
-        "print(json.dumps([after_import, code, loaded()]))\n"
+        f"    codes.append(jointweibull.cli.main(['fit', {fiber_file!r}]))\n"
+        "    after_fit = loaded()\n"
+        f"    codes.append(jointweibull.cli.main(['bayes', {fiber_file!r}, '--n-draws', '200']))\n"
+        "print(json.dumps([after_import, codes, after_fit, loaded()]))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert res.returncode == 0, res.stderr
-    after_import, exit_code, after_fit = json.loads(res.stdout)
+    after_import, exit_codes, after_fit, after_bayes = json.loads(res.stdout)
     assert after_import == [False, False]
-    assert exit_code == 0
+    assert exit_codes == [0, 0]
     assert after_fit == [False, False]
+    assert after_bayes == [False, False]
 
 
 @pytest.mark.skipif(

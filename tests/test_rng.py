@@ -207,14 +207,14 @@ def test_static_envelope_dominates_target() -> None:
     for _ in range(30):
         shape = 1.0 + 4.0 * rng.uniform()
         rate = 0.2 + 3.0 * rng.uniform()
-        env = build_static_envelope(_gamma_target(shape, rate), 0.0)
+        env = build_static_envelope(_gamma_target(shape, rate))
         target_log = (shape - 1.0) * np.log(grid) - rate * grid
         assert np.all(env.log_value(grid) >= target_log - 1e-9)
 
 
 def test_envelope_mass_bounds_target_mass() -> None:
     shape, rate = 3.0, 2.0
-    env = build_static_envelope(_gamma_target(shape, rate), 0.0)
+    env = build_static_envelope(_gamma_target(shape, rate))
     # unnormalized target mass: Gamma(shape) / rate**shape
     true_log_mass = math.lgamma(shape) - shape * math.log(rate)
     assert env.log_total_mass() >= true_log_mass
@@ -222,7 +222,7 @@ def test_envelope_mass_bounds_target_mass() -> None:
 
 
 def test_single_tangent_envelope_samples_exponential() -> None:
-    env = PiecewiseExpEnvelope(0.0, [1.0], [0.0], [-2.0])
+    env = PiecewiseExpEnvelope([1.0], [0.0], [-2.0])
     draws = env.sample(4000, RngStream(32, 0))
     res = stats.kstest(draws, stats.expon(scale=0.5).cdf)
     assert res.pvalue > 1e-3
@@ -234,7 +234,7 @@ def test_locate_mode_matches_the_analytic_gamma_mode() -> None:
     for _ in range(30):
         shape = 1.05 + 40.0 * rng.uniform()
         rate = 10.0 ** (4.0 * rng.uniform() - 2.0)
-        mode, at_edge = _locate_mode(_gamma_target(shape, rate), 0.0)
+        mode, at_edge = _locate_mode(_gamma_target(shape, rate))
         assert not at_edge
         assert mode == pytest.approx((shape - 1.0) / rate, rel=1e-9)
 
@@ -244,8 +244,8 @@ def test_adaptive_sampler_boundary_mode() -> None:
     puts the mode at the edge; the static hull built there samples the law
     exactly under rejection."""
     target = _linear_target(-1.0)
-    assert _locate_mode(target, 0.0) == (1e-8, True)
-    env = build_static_envelope(target, 0.0)
+    assert _locate_mode(target) == (1e-8, True)
+    env = build_static_envelope(target)
     rng = RngStream(35, 0)
     q = env.sample(30_000, rng)
     accept = np.log(rng.uniform(q.size)) <= target(q)[0] - env.log_value(q)
@@ -257,29 +257,28 @@ def test_adaptive_sampler_boundary_mode() -> None:
 
 def test_sampler_refuses_growing_log_density() -> None:
     with pytest.raises(NonIntegrableTargetError):
-        build_static_envelope(_linear_target(1.0), 0.0)
+        build_static_envelope(_linear_target(1.0))
 
 
 def test_array_built_hull_keeps_only_usable_tangents() -> None:
-    """The hull keeps the finite tangents at or above its support edge, in
+    """The hull keeps the finite tangents at or above its support edge 0, in
     abscissa order, and refuses tangent sets whose rightmost slope is not
     negative or that leave no usable tangent."""
-    x = np.array([0.5, 1.0, 2.0, 4.0])
-    h, dh, _ = _gamma_target(3.0, 2.0)(x)
-    want = PiecewiseExpEnvelope(0.25, x, h, dh)
+    x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    h, dh, _ = _gamma_target(3.0, 2.0)(np.maximum(x, 1e-12))
+    want = PiecewiseExpEnvelope(x, h, dh)
     got = PiecewiseExpEnvelope(
-        0.25,
-        [4.0, 0.1, 1.0, 3.0, 0.5, 2.0, 5.0, math.nan],
-        [h[3], -1.0, h[1], math.inf, h[0], h[2], 0.0, 0.0],
-        [dh[3], 5.0, dh[1], -1.0, dh[0], dh[2], -math.inf, -1.0],
+        [4.0, -0.1, 1.0, 3.0, 0.5, 2.0, 0.0, 5.0, math.nan],
+        [h[4], -1.0, h[2], math.inf, h[1], h[3], h[0], 0.0, 0.0],
+        [dh[4], 5.0, dh[2], -1.0, dh[1], dh[3], dh[0], -math.inf, -1.0],
     )
     for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
     assert got.log_total_mass() == want.log_total_mass()
     with pytest.raises(NonIntegrableTargetError, match="rightmost"):
-        PiecewiseExpEnvelope(0.0, [1.0, 2.0], [0.0, -1.0], [-1.0, 0.0])
+        PiecewiseExpEnvelope([1.0, 2.0], [0.0, -1.0], [-1.0, 0.0])
     with pytest.raises(NonIntegrableTargetError, match="no usable"):
-        PiecewiseExpEnvelope(1.0, [0.5, 2.0], [0.0, math.nan], [-1.0, -1.0])
+        PiecewiseExpEnvelope([-0.5, 2.0], [0.0, math.nan], [-1.0, -1.0])
 
 
 def test_root_finder_flags_rows_it_never_brackets() -> None:
@@ -299,6 +298,27 @@ def test_root_finder_flags_rows_it_never_brackets() -> None:
     assert sweeps < 200
     alone, _, _ = _solve_rows(lambda x: (3.0 - x, -np.ones_like(x)), 1)
     assert alone[0] == root[2]
+
+
+def test_newton_step_leaving_the_bracket_bisects() -> None:
+    """atan(6.5 - x) is decreasing but concave left of its root, so from the
+    bracket [4, 8] its positive end 4 sends the Newton step to 12.6, past
+    the bracket: the search bisects to 6 instead, then steps to the root
+    from there, with every later step inside the bracket."""
+    seen = []
+
+    def row(x):
+        d = np.arctan(6.5 - x)
+        seen.append((float(x[0]), float(d[0])))
+        return d, -1.0 / (1.0 + (6.5 - x) ** 2)
+
+    root, ok, sweeps = _solve_rows(row, 1)
+    assert [x for x, _ in seen[:5]] == [1.0, 2.0, 4.0, 8.0, 6.0]
+    start_d = seen[2][1]
+    assert 4.0 + start_d * (1.0 + 2.5**2) > 8.0
+    assert all(6.0 < x < 8.0 for x, _ in seen[5:])
+    assert ok[0] and sweeps == len(seen) < 15
+    assert root[0] == pytest.approx(6.5, rel=1e-12)
 
 
 def test_log_sum_exp_matches_scipy() -> None:
