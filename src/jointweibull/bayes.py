@@ -11,59 +11,48 @@ the data and is checked, not assumed.
 
 Sampling strategy
 -----------------
-The shape is drawn exactly from ``s(a)``, the shape marginal of a rate
-proposal that integrates out in closed form; the rates are then drawn from
-that proposal and the importance weight ``g`` corrects the rest.  The
-prior's structure picks the proposal.
+One rate proposal serves every prior.  Given the shape ``a``, let
+``R1 = b0 + U(a)``, ``R2 = b0 + V(a)``, ``(s1, s2) = (a1 + k1, a2 + k2)``,
+``G = a0 + k``, ``c = a0 - a1 - a2`` and ``w = s1/(s1 + s2)``.  The folded
+ordered prior is a sum of two terms whose larger one on ``lambda1 <
+lambda2`` puts ``min(a1, a2)`` with ``lambda1``; ordered priors keep that
+term, ``(s1, s2) = (min(a1, a2) + k1, max(a1, a2) + k2)``.
 
-Per-group proposal, for every ordered prior and every prior with
-``a0 = a1 + a2`` (the flat one among them).  It drops the one factor that
-couples the rates, ``(l1+l2)^(a0-a1-a2)``, so the rates are independent
-gammas ``Gamma(s1, b0 + U)`` and ``Gamma(s2, b0 + V)`` with
-``(s1, s2) = (a1 + k1, a2 + k2)``.  The folded ordered prior is a sum of two
-terms whose larger one on ``lambda1 < lambda2`` puts ``min(a1, a2)`` with
-``lambda1``; ordered priors keep that term, ``(s1, s2) = (min(a1, a2) + k1,
-max(a1, a2) + k2)``, and cut ``lambda1`` to ``(0, lambda2)``.  The marginal
+The substitution ``X = R1 l1``, ``Y = R2 l2``, ``T = X + Y``, ``B = X/T``
+factors the rate posterior given ``a``: T is gamma(G), independent of B,
+and B has density proportional to
 
-    s(a) = (k + a0s - 1) ln a - a (b0s - sum ln t)
-           - s1 ln(b0 + U(a)) - s2 ln(b0 + V(a))
+    B^(s1-1) (1-B)^(s2-1) h(B),   h(B) = (B rho^(1-w) + (1-B) rho^(-w))^c,
 
-is one concave branch with one tangent envelope, and
+with ``rho = R2/R1``.  The order ``lambda1 < lambda2`` is exactly the cut
+``B < x0 = R1/(R1 + R2)``.  The factor left in ``a`` is the shape marginal
 
-    ln g = [ordered] ln P(uncut lambda1 < lambda2) + (a0 - a1 - a2) ln(l1 + l2)
-           + [ordered] ln((1 + (l1/l2)^|a2 - a1|) / 2).
+    s(a) = (k + as - 1) ln a - a (bs - sum ln t)
+           - G w ln(b0 + U(a)) - G (1 - w) ln(b0 + V(a)),
 
-The first term lies in (-inf, 0], the last in [-ln 2, 0] (0 when a1 = a2),
-and the middle one is 0 when ``a0 = a1 + a2`` and unbounded otherwise; so
-unordered priors with ``a0 = a1 + a2`` draw exactly, with ``g = 1``.
+with ``(as, bs)`` the shape prior's hyperparameters.  It is one concave
+branch: both weights are non-negative, and the log of each power sum is a
+log-sum-exp of functions affine in ``a``.  The shape is drawn exactly from
+``exp(s)`` by rejection from one static tangent hull; then
+``T ~ Gamma(G)`` and ``B ~ Beta(s1, s2)``, cut to ``(0, x0)`` by inversion
+for an ordered prior, give ``l1 = B T/R1`` and ``l2 = (1-B) T/R2``.  The
+importance weight is
 
-Beta-gamma proposal on ``W = min(U, V)``, for unordered priors that do not
-factor: a gamma(a0 + k) total rate split by a beta(a1 + k1, a2 + k2), with
+    ln g = c ln h(B) + [ordered] ln I_x0(s1, s2)
+           + [ordered] ln((1 + (l1/l2)^|a2 - a1|) / 2),
 
-    s(a) = (k + a0s - 1) ln a - a (b0s - sum ln t) - (a0 + k) ln(b0 + W(a)),
-
-and the leftover likelihood factor ``exp(-l1 (U - W) - l2 (V - W))`` in
-(0, 1] as the weight.  Replacing W by U or V gives two genuinely
-log-concave "branch" functions (each is a negative log-sum-exp of affine
-functions plus concave terms) and ``s = max(branch_U, branch_V)``
-pointwise.  The max of two concave functions is not concave: where U and V
-cross, s has a convex kink, so a single adaptive-rejection pass cannot be
-trusted.  Instead each branch gets its own static tangent envelope;
-proposals come from the mass-weighted mixture of the two envelopes and are
-accepted with probability
-
-    exp(s(a)) / (exp(E_U(a)) + exp(E_V(a))) <= 1 ,
-
-which is exact rejection because the mixture density is proportional to
-``exp(E_U) + exp(E_V)``, which dominates ``exp(max(branch_U, branch_V))``.
-No quadrature enters, so shape draws are exact up to floating point.
+with ``I`` the regularized incomplete beta function.  ``ln h(B)`` lies
+between ``-w ln rho`` and ``(1-w) ln rho``, the second term in (-inf, 0]
+and the last in [-ln 2, 0] (0 when a1 = a2).  So an unordered prior with
+c = 0, the flat one among them, draws exactly, with g = 1.  No quadrature
+enters, so shape draws are exact up to floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,11 +112,12 @@ class WeightedPosterior:
 
     ``weights`` holds the raw importance factors g (unit weights mean the
     draws are exact): exactly 1 for an unordered prior with a0 = a1 + a2,
-    in (0, 1] for the other unordered priors and in [0, 1] for an ordered
-    prior with a0 = a1 + a2; other ordered priors carry the unbounded
-    factor (lambda1 + lambda2)^(a0 - a1 - a2).  ``normalized`` always sums
-    to one.  ``low_ess`` is set when the effective sample size
-    1/sum(normalized^2) falls below one percent of the number of draws.
+    and in [0, 1] for an ordered one with a0 = a1 + a2 (the flat ordered
+    prior among them).  The other priors carry the factor h(B)^c of the
+    module docstring, which lies between rho^(-c w) and rho^(c (1 - w)) for
+    rho = (b0 + V)/(b0 + U).  ``normalized`` always sums to one.
+    ``low_ess`` is set when the effective sample size 1/sum(normalized^2)
+    falls below one percent of the number of draws.
     """
 
     alpha: np.ndarray
@@ -158,12 +148,11 @@ class WeightedPosterior:
 
 @dataclass
 class _Branch:
-    """One concave branch of the shape marginal, U- or V-flavored:
+    """One group's concave term of the shape marginal,
     ``c0 ln a - c1 a - c2 ln(b0 + sum c t^a)``, vectorized over shapes.
-    ``row`` is the row of the sampler's stacked log power sums that holds
-    ``ln(sum c t^a)``.  With D = S/(b0 + S) for S = sum c t^a, and E, Var
-    the mean and variance of ``ln t`` under the weights ``c t^a``, its slope
-    is ``c0/a - c1 - c2 D E`` and its curvature
+    With D = S/(b0 + S) for S = sum c t^a, and E, Var the mean and variance
+    of ``ln t`` under the weights ``c t^a``, its slope is
+    ``c0/a - c1 - c2 D E`` and its curvature
     ``-c0/a^2 - c2 D (Var + (1 - D) E^2)``."""
 
     log_coef: np.ndarray
@@ -172,7 +161,6 @@ class _Branch:
     c1: float
     c2: float
     log_b0: float
-    row: int = 0
 
     def _logits(self, alpha) -> np.ndarray:
         logits = np.multiply.outer(alpha, self.log_t)
@@ -182,11 +170,11 @@ class _Branch:
     def log_sum(self, alpha):
         return log_sum_exp(self._logits(alpha))
 
-    def at(self, alpha, sums):
-        """The branch at shapes ``alpha``, reading ``sums[row]``."""
+    def at(self, alpha, ln_sum):
+        """The term at shapes ``alpha``, given ``ln_sum = ln(sum c t^a)``."""
         with np.errstate(divide="ignore"):
             lead = self.c0 * np.log(alpha) if self.c0 != 0.0 else 0.0
-        return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, sums[self.row])
+        return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, ln_sum)
 
     def local(self, alpha):
         """Value, slope and curvature at shapes ``alpha``, all from one pass
@@ -194,57 +182,43 @@ class _Branch:
         mean_lnt, var_lnt, ln_sum = _softmax_moments(self._logits(alpha), self.log_t)
         damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
         return (
-            self.at(alpha, {self.row: ln_sum}),
+            self.at(alpha, ln_sum),
             self.c0 / alpha - self.c1 - self.c2 * damp * mean_lnt,
             -self.c0 / alpha**2 - self.c2 * damp * (var_lnt + (1.0 - damp) * mean_lnt**2),
         )
 
 
 class _BranchSum:
-    """Sum of concave branches, itself concave."""
+    """A shape marginal: the sum of concave per-group terms, itself
+    concave.  Its log power sums, one row per term, come back with its
+    values, since the rates are drawn from them."""
 
     def __init__(self, *parts: _Branch):
         self.parts = parts
 
-    def at(self, alpha, sums):
-        return sum(p.at(alpha, sums) for p in self.parts)
+    def __call__(self, alpha):
+        """``s(alpha)`` and the stacked log power sums it reads."""
+        sums = np.stack([p.log_sum(alpha) for p in self.parts])
+        return sum(p.at(alpha, s) for p, s in zip(self.parts, sums)), sums
 
     def local(self, alpha):
         return tuple(sum(terms) for terms in zip(*(p.local(alpha) for p in self.parts)))
 
 
-def _check_decay(branches: Sequence) -> None:
-    if any(br.local(_TAIL_PROBE)[1] >= _TAIL_SLOPE_TOL for br in branches):
+def _check_decay(branch: _BranchSum) -> None:
+    if branch.local(_TAIL_PROBE)[1] >= _TAIL_SLOPE_TOL:
         raise ImproperPosteriorError("shape marginal does not decay at the upper probe point")
 
 
-def _marginal(branches: Sequence, sum_rows: Sequence[_Branch], alpha):
-    """s(alpha), the pointwise max of the concave ``branches``, and the
-    stacked log power sums of ``sum_rows`` that the branches read."""
-    sums = np.stack([r.log_sum(alpha) for r in sum_rows])
-    s = branches[0].at(alpha, sums)
-    for br in branches[1:]:
-        s = np.maximum(s, br.at(alpha, sums))
-    return s, sums
-
-
 def _sample_marginal(
-    branches: Sequence, sum_rows: Sequence[_Branch], n: int, rng: RngStream
+    branch: _BranchSum, n: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact shape draws from exp(s), s the pointwise max of the concave
-    ``branches`` (see :func:`_marginal`); the log power sums of the
-    accepted shapes come back with the draws, one column per shape.
-
-    Each branch gets a static tangent hull, built from the branch's own
-    value and slope: the hulls are only compared in the log domain, so they
-    need no common shift.  Proposals come from the mass-weighted mixture of
-    the hulls and are accepted with probability exp(s) / sum(exp(hull)) <= 1.
-    """
-    envelopes = [build_static_envelope(br.local) for br in branches]
-    log_masses = np.array([env.log_total_mass() for env in envelopes])
-    cum = np.cumsum(np.exp(log_masses - log_sum_exp(log_masses)))
+    """Exact shape draws from exp(s), s the concave ``branch``, by rejection
+    from its static tangent hull; the log power sums of the accepted shapes
+    come back with the draws, one column per shape."""
+    envelope = build_static_envelope(branch.local)
     out = np.empty(n)
-    kept = np.empty((len(sum_rows), n))
+    kept = np.empty((len(branch.parts), n))
     have = proposed = accepted = guard = 0
     rate = 0.45
     while have < n:
@@ -252,20 +226,9 @@ def _sample_marginal(
         if guard > 10000:
             raise ImproperPosteriorError("shape sampler stalled; acceptance is vanishing")
         chunk = int((n - have) / rate) + 8
-        if len(envelopes) == 1:
-            q = envelopes[0].sample(chunk, rng)
-        else:
-            q = np.empty(chunk)
-            pick = np.searchsorted(cum, rng.uniform(chunk), side="left")
-            pick = np.clip(pick, 0, len(envelopes) - 1)
-            for b, env in enumerate(envelopes):
-                idx = np.flatnonzero(pick == b)
-                if idx.size:
-                    q[idx] = env.sample(idx.size, rng)
-        log_env = envelopes[0].log_value(q)
-        for env in envelopes[1:]:
-            log_env = np.logaddexp(log_env, env.log_value(q))
-        log_f, sums = _marginal(branches, sum_rows, q)
+        q = envelope.sample(chunk, rng)
+        log_env = envelope.log_value(q)
+        log_f, sums = branch(q)
         accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_f - log_env
         taken = np.flatnonzero(accept)[: n - have]
         out[have : have + taken.size] = q[taken]
@@ -281,10 +244,10 @@ class _PosteriorCore:
     """Shared machinery behind every posterior in this module.
 
     A core is defined by the two weighted power sums (as log-coefficient /
-    log-time arrays), the failure counts, and the prior.  It picks the rate
-    proposal from the prior's structure (see the module docstring), owns
-    the shape marginal and its properness checks, hands them to the
-    envelope sampler ``_sample_marginal``, and draws the rates.
+    log-time arrays), the failure counts, and the prior.  It owns the shape
+    marginal of the one rate proposal (see the module docstring) and its
+    properness checks, hands it to the envelope sampler ``_sample_marginal``,
+    and draws the rates with their importance weights.
     """
 
     def __init__(
@@ -310,28 +273,22 @@ class _PosteriorCore:
             raise ImproperPosteriorError(
                 "rate posterior is improper: a flat hyperparameter meets a zero count"
             )
-        c0 = k + prior.shape.a - 1.0
-        c1 = prior.shape.b - sum_log_t
-        c2 = self.gamma_shape
-        log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
-        self.log_b0 = log_b0
-        self.branch_u = _Branch(log_coef_u, log_t_u, c0, c1, c2, log_b0, row=0)
-        self.branch_v = _Branch(log_coef_v, log_t_v, c0, c1, c2, log_b0, row=1)
-        # the rows (ln U, ln V) every branch below reads
-        self.sum_rows = (self.branch_u, self.branch_v)
-        self.per_group = prior.ordered or bg.a0 == bg.a1 + bg.a2
-        # the concave pieces whose pointwise max is the proposal marginal
-        if self.per_group:
-            s1, s2 = self.group_shapes
-            self.branches = (
-                _BranchSum(
-                    _Branch(log_coef_u, log_t_u, c0, c1, s1, log_b0, row=0),
-                    _Branch(log_coef_v, log_t_v, 0.0, 0.0, s2, log_b0, row=1),
-                ),
-            )
-        else:
-            self.branches = (self.branch_u, self.branch_v)
-        _check_decay(self.branches)
+        s1, s2 = self.group_shapes
+        # (G w, G (1 - w)) = (s1, s2) G / (s1 + s2), exactly (s1, s2) when c = 0
+        scale = self.gamma_shape / (s1 + s2)
+        self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
+        self.branch = _BranchSum(
+            _Branch(
+                log_coef_u,
+                log_t_u,
+                k + prior.shape.a - 1.0,
+                prior.shape.b - sum_log_t,
+                scale * s1,
+                self.log_b0,
+            ),
+            _Branch(log_coef_v, log_t_v, 0.0, 0.0, scale * s2, self.log_b0),
+        )
+        _check_decay(self.branch)
 
     @classmethod
     def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":
@@ -361,64 +318,51 @@ class _PosteriorCore:
             prior,
         )
 
-    def _group_rates(self, ln_u, ln_v, rng: RngStream):
-        """Per-group proposal: each rate from its gamma given the shape.  For
-        the order-restricted model lambda2 is drawn first and lambda1 from
-        its gamma cut to (0, lambda2), and the log weight gains the log of
-        the probability that the uncut lambda1 falls below lambda2, plus the
-        folded prior's second term relative to its first."""
+    def _rates(self, sums: np.ndarray, rng: RngStream):
+        """Rates given the shapes' log power sums ``(ln U, ln V)``: a
+        gamma(G) total split by a beta(s1, s2) fraction of the rescaled
+        rates, cut below x0 for an ordered prior; and their log weights."""
         bg = self.prior.bg
         s1, s2 = self.group_shapes
-        rate1 = np.exp(np.logaddexp(self.log_b0, ln_u))
-        rate2 = np.exp(np.logaddexp(self.log_b0, ln_v))
+        ln_r1, ln_r2 = np.logaddexp(self.log_b0, sums)
+        ln_rho = ln_r2 - ln_r1
+        size = ln_rho.size
+        total = rng.gamma(self.gamma_shape, size=size)
+        ln_g = np.zeros(size)
         if self.prior.ordered:
-            from scipy.special import gammainc, gammaincinv
+            from scipy.special import betainc, betaincinv, expit
 
-            l2 = rng.gamma(s2, rate=rate2)
-            cut = gammainc(s1, rate1 * l2)
-            u = 1.0 - rng.uniform(l2.size)
+            x0 = expit(-ln_rho)
+            cut = betainc(s1, s2, x0)
+            u = 1.0 - rng.uniform(size)
             with np.errstate(divide="ignore"):
-                l1 = gammaincinv(s1, u * cut) / rate1
-                ln_g = np.log(cut)
+                frac = betaincinv(s1, s2, u * cut)
+                ln_g += np.log(cut)
             # where the inverse underflows the cut is deep in the left tail,
-            # and there the cut gamma tends to lambda2 * Beta(s1, 1)
-            l1 = np.where(l1 > 0.0, l1, l2 * u ** (1.0 / s1))
+            # and there the cut beta tends to x0 * Beta(s1, 1)
+            frac = np.where(frac > 0.0, frac, x0 * u ** (1.0 / s1))
+            frac = np.minimum(frac, np.nextafter(x0, 0.0))
+        else:
+            frac = rng.beta(s1, s2, size=size)
+        c = bg.a0 - bg.a1 - bg.a2
+        if c != 0.0:
+            w = s1 / (s1 + s2)
+            with np.errstate(divide="ignore"):
+                ln_h = np.logaddexp(
+                    np.log(frac) + (1.0 - w) * ln_rho, np.log1p(-frac) - w * ln_rho
+                )
+            ln_g += c * ln_h
+        l1 = frac * total / np.exp(ln_r1)
+        l2 = (1.0 - frac) * total / np.exp(ln_r2)
+        if self.prior.ordered:
             l1 = np.minimum(l1, np.nextafter(l2, 0.0))
             if bg.a1 != bg.a2:
                 ln_g += np.log1p((l1 / l2) ** abs(bg.a2 - bg.a1)) - math.log(2.0)
-        else:
-            l1 = rng.gamma(s1, rate=rate1)
-            l2 = rng.gamma(s2, rate=rate2)
-            ln_g = np.zeros(l1.size)
-        if bg.a0 != bg.a1 + bg.a2:
-            ln_g += (bg.a0 - bg.a1 - bg.a2) * np.log(l1 + l2)
-        return l1, l2, ln_g
-
-    def _beta_gamma_rates(self, ln_u, ln_v, rng: RngStream):
-        """Beta-gamma proposal on the smaller power sum W = min(U, V): total
-        rate gamma, split beta."""
-        ln_w = np.minimum(ln_u, ln_v)
-        rate = np.exp(np.minimum(np.logaddexp(self.log_b0, ln_u), np.logaddexp(self.log_b0, ln_v)))
-        total = rng.gamma(self.gamma_shape, rate=rate)
-        frac = rng.beta(*self.group_shapes, size=ln_u.size)
-        l1 = frac * total
-        l2 = (1.0 - frac) * total
-        # leftover likelihood factor: exp(-l1 (U - W) - l2 (V - W)), computed
-        # as W expm1(ln U - ln W) to dodge cancellation between huge sums
-        du = ln_u - ln_w
-        dv = ln_v - ln_w
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_val = np.exp(ln_w)
-            ln_g = -np.where(du > 0.0, l1 * w_val * np.expm1(du), 0.0)
-            ln_g -= np.where(dv > 0.0, l2 * w_val * np.expm1(dv), 0.0)
         return l1, l2, ln_g
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
-        alpha, (ln_u, ln_v) = _sample_marginal(self.branches, self.sum_rows, n, rng)
-        if self.per_group:
-            l1, l2, ln_g = self._group_rates(ln_u, ln_v, rng)
-        else:
-            l1, l2, ln_g = self._beta_gamma_rates(ln_u, ln_v, rng)
+        alpha, sums = _sample_marginal(self.branch, n, rng)
+        l1, l2, ln_g = self._rates(sums, rng)
         if not np.any(ln_g > -math.inf):
             raise DegenerateWeightsError("every importance weight underflowed to zero")
         normalized, _ = _max_shift(ln_g)
@@ -440,16 +384,13 @@ def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
     """Unnormalized log of the proposal's shape marginal ``s(a)``, the
     density the shape draws come from; vectorized over ``alpha``.
 
-    This is the shape marginal of the rate proposal (see the module
-    docstring), not of the posterior: the importance weights carry the
-    difference.  For an ordered prior, or one with ``a0 = a1 + a2``, it is
-    the one concave per-group branch, and for an unordered prior with
-    ``a0 = a1 + a2`` it is the posterior's own shape marginal.  For the
-    other unordered priors it is the pointwise max of two concave branches,
-    with a convex kink where they cross.
+    For every prior this is the one concave branch of the module docstring.
+    For an unordered prior with ``a0 = a1 + a2`` it is the posterior's own
+    shape marginal; for the others the importance weights carry the
+    difference.
     """
     core = _PosteriorCore.from_jpc(sample, prior)
-    return _marginal(core.branches, core.sum_rows, np.asarray(alpha, dtype=float))[0]
+    return core.branch(np.asarray(alpha, dtype=float))[0]
 
 
 def draw_posterior(
@@ -492,7 +433,7 @@ def weibull_posterior_complete(
     """Exact (unit-weight) posterior draws for one complete Weibull sample.
 
     The rate prior is gamma(bg_a, bg_b); zeros give the flat limit.  With a
-    single population there is one power sum, hence one concave branch and
+    single population there is one power sum, hence one concave term and
     no importance correction at all.
     """
     if n_draws < 1:
@@ -502,9 +443,9 @@ def weibull_posterior_complete(
     c1 = shape.b - data.sum_log
     c2 = bg_a + n
     log_b0 = math.log(bg_b) if bg_b > 0.0 else -math.inf
-    branch = _Branch(np.zeros(n), data.log_values, c0, c1, c2, log_b0)
-    _check_decay((branch,))
-    alpha, (ln_sum,) = _sample_marginal((branch,), (branch,), n_draws, rng)
+    branch = _BranchSum(_Branch(np.zeros(n), data.log_values, c0, c1, c2, log_b0))
+    _check_decay(branch)
+    alpha, (ln_sum,) = _sample_marginal(branch, n_draws, rng)
     lam = rng.gamma(c2, rate=np.exp(np.logaddexp(log_b0, ln_sum)))
     return alpha, lam
 

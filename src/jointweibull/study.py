@@ -7,7 +7,9 @@ results are a pure function of the configuration no matter how the loop is
 ordered or resumed.  Replications in which one group never fails carry no
 information about the other group's rate; they are skipped and counted, as
 are the (rare) replications where a flat-prior posterior fails its
-properness check.
+properness check.  A posterior whose effective sample size falls below one
+percent of its draws is counted per method as ``low_ess`` and kept in the
+averages.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ class McRow:
     al: Optional[float]
     cp: Optional[float]
     skipped: int
+    low_ess: int
 
 
 @dataclass
@@ -114,7 +117,9 @@ class McReport:
 
     def to_csv(self, stream) -> None:
         writer = csv.writer(stream)
-        writer.writerow(["scheme", "parameter", "method", "AE", "MSE", "AL", "CP", "skipped"])
+        writer.writerow(
+            ["scheme", "parameter", "method", "AE", "MSE", "AL", "CP", "skipped", "low_ess"]
+        )
         for row in self.rows:
             writer.writerow(
                 [
@@ -123,6 +128,7 @@ class McReport:
                     row.method,
                     *("" if v is None else f"{v:.6g}" for v in (row.ae, row.mse, row.al, row.cp)),
                     row.skipped,
+                    row.low_ess,
                 ]
             )
 
@@ -147,31 +153,38 @@ _SKIPPABLE = (
 )
 
 
-def _point_estimates(config: StudyConfig, sample, rep_stream: RngStream, method: str):
-    if method == "mle":
-        p = fit_mle(sample).params
-        return p.alpha, p.lambda1, p.lambda2
-    if method == "mle-ordered":
-        p = fit_mle_ordered(sample).params
-        return p.alpha, p.lambda1, p.lambda2
-    post = draw_posterior(
+_COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
+
+
+def _posterior(config: StudyConfig, sample, rep_stream: RngStream, method: str):
+    return draw_posterior(
         sample,
         config.prior_for(method),
         config.n_posterior,
         rep_stream.substream(_METHOD_OFFSET[method]),
     )
-    return (
-        bayes_estimate(post, lambda a, l1, l2: a),
-        bayes_estimate(post, lambda a, l1, l2: l1),
-        bayes_estimate(post, lambda a, l1, l2: l2),
-    )
+
+
+def _point_estimates(config: StudyConfig, sample, rep_stream: RngStream, method: str):
+    """A method's estimates of the three parameters, and whether its
+    posterior's effective sample size was low."""
+    if method == "mle":
+        p = fit_mle(sample).params
+        return (p.alpha, p.lambda1, p.lambda2), False
+    if method == "mle-ordered":
+        p = fit_mle_ordered(sample).params
+        return (p.alpha, p.lambda1, p.lambda2), False
+    post = _posterior(config, sample, rep_stream, method)
+    return tuple(bayes_estimate(post, h) for h in _COMPONENTS), post.low_ess
 
 
 def _interval_triple(config: StudyConfig, sample, rep_stream: RngStream, method: str):
+    """A method's intervals for the three parameters, and whether its
+    posterior's effective sample size was low."""
     if method == "mle":
-        return asymptotic_ci(sample, fit_mle(sample), config.level)
+        return asymptotic_ci(sample, fit_mle(sample), config.level), False
     if method == "mle-ordered":
-        return asymptotic_ci(sample, fit_mle_ordered(sample), config.level)
+        return asymptotic_ci(sample, fit_mle_ordered(sample), config.level), False
     if method == "bootstrap":
         res = bootstrap_ci(
             sample,
@@ -180,25 +193,16 @@ def _interval_triple(config: StudyConfig, sample, rep_stream: RngStream, method:
             ordered=False,
             rng=rep_stream.substream(_METHOD_OFFSET[method]),
         )
-        return res.alpha, res.lambda1, res.lambda2
-    post = draw_posterior(
-        sample,
-        config.prior_for(method),
-        config.n_posterior,
-        rep_stream.substream(_METHOD_OFFSET[method]),
-    )
-    return (
-        hpd_interval(post, lambda a, l1, l2: a, config.level),
-        hpd_interval(post, lambda a, l1, l2: l1, config.level),
-        hpd_interval(post, lambda a, l1, l2: l2, config.level),
-    )
+        return (res.alpha, res.lambda1, res.lambda2), False
+    post = _posterior(config, sample, rep_stream, method)
+    return tuple(hpd_interval(post, h, config.level) for h in _COMPONENTS), post.low_ess
 
 
 def _replicate(config: StudyConfig, point: bool) -> McReport:
     """The replication loop of both studies: point estimates per method,
     accumulated as estimate and squared error into AE and MSE, or (with
     ``point`` False) intervals per method, accumulated as width and coverage
-    into AL and CP.
+    into AL and CP.  Low-ESS posteriors are counted per method, not skipped.
     """
     if point:
         methods = [m for m in config.methods if m != "bootstrap"]
@@ -208,6 +212,7 @@ def _replicate(config: StudyConfig, point: bool) -> McReport:
         evaluate = _interval_triple
     sums = {(p, m): [0.0, 0.0] for p in PARAMETERS for m in methods}
     truth = (config.truth.alpha, config.truth.lambda1, config.truth.lambda2)
+    low_ess = dict.fromkeys(methods, 0)
     used = 0
     skipped = 0
     for i in range(config.replications):
@@ -222,7 +227,8 @@ def _replicate(config: StudyConfig, point: bool) -> McReport:
             skipped += 1
             continue
         used += 1
-        for m, triple in results.items():
+        for m, (triple, low) in results.items():
+            low_ess[m] += low
             for p, res, tv in zip(PARAMETERS, triple, truth):
                 cell = sums[(p, m)]
                 if point:
@@ -239,7 +245,7 @@ def _replicate(config: StudyConfig, point: bool) -> McReport:
         for m in methods:
             first, second = (v / used for v in sums[(p, m)])
             cells = (first, second, None, None) if point else (None, None, first, second)
-            report.rows.append(McRow(label, p, m, *cells, skipped))
+            report.rows.append(McRow(label, p, m, *cells, skipped, low_ess[m]))
     return report
 
 

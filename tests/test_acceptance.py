@@ -258,11 +258,11 @@ def test_criterion_7_property_suites(fiber) -> None:
                         break
 
     def proposal_branches_log_concave() -> None:
-        # a rate prior that does not factor over the groups gets a proposal
-        # marginal that is the pointwise max of two branches, with a convex
-        # kink where they cross; a factoring one (the flat prior) gets one
-        # per-group branch.  Each branch gets its own tangent envelope, so
-        # each one has to be concave
+        # every rate prior gets a proposal marginal that is one branch: the
+        # logs of both power sums weighted by a0 + k, split in the ratio of
+        # the group shapes (for the flat prior the weights are the failure
+        # counts).  The branch gets one tangent envelope, so it has to be
+        # concave
         informative = PriorSpec(BetaGammaHyper(3.0, 1.0, 2.0, 4.0), ShapeHyper(2.0, 1.0))
         flat = PriorSpec(BetaGammaHyper(0.0, 0.0, 0.0, 0.0), ShapeHyper(0.0, 4.0))
         grid = np.linspace(1.5, 6.0, 901)
@@ -274,12 +274,14 @@ def test_criterion_7_property_suites(fiber) -> None:
             shape = prior.shape
             return (k + shape.a - 1.0) * np.log(grid) - (shape.b - fiber.sum_log_t) * grid
 
-        c2 = informative.bg.a0 + k
-        b0 = informative.bg.b0
+        bg = informative.bg
+        s1, s2 = bg.a1 + k1, bg.a2 + k2
+        total = bg.a0 + k
         branches = {
-            "U": lead(informative) - c2 * np.log(b0 + np.exp(ln_u)),
-            "V": lead(informative) - c2 * np.log(b0 + np.exp(ln_v)),
-            "per-group": lead(flat) - k1 * ln_u - k2 * ln_v,
+            "informative": lead(informative)
+            - total * s1 / (s1 + s2) * np.log(bg.b0 + np.exp(ln_u))
+            - total * s2 / (s1 + s2) * np.log(bg.b0 + np.exp(ln_v)),
+            "flat": lead(flat) - k1 * ln_u - k2 * ln_v,
         }
         for name, vals in branches.items():
             second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
@@ -290,13 +292,10 @@ def test_criterion_7_property_suites(fiber) -> None:
                     f"log shape-proposal branch {name} is not concave on the joint sample: "
                     f"second difference +{second[i]:.2e} at alpha={grid[i + 1]:.3f}"
                 )
-        marginal = np.array([log_marginal_shape(fiber, informative, a) for a in grid])
-        upper = np.maximum(branches["U"], branches["V"])
-        if not np.allclose(marginal, upper, rtol=1e-10, atol=0.0):
-            failures.append("log shape-proposal marginal is not the max of its two branches")
-        marginal = np.array([log_marginal_shape(fiber, flat, a) for a in grid])
-        if not np.allclose(marginal, branches["per-group"], rtol=1e-10, atol=0.0):
-            failures.append("flat-prior log shape-proposal marginal is not its per-group branch")
+        for name, prior in (("informative", informative), ("flat", flat)):
+            marginal = np.array([log_marginal_shape(fiber, prior, a) for a in grid])
+            if not np.allclose(marginal, branches[name], rtol=1e-10, atol=0.0):
+                failures.append(f"{name}-prior log shape-proposal marginal is not its one branch")
 
     def information_matches_finite_differences() -> None:
         rng = RngStream(77)

@@ -86,10 +86,11 @@ def test_hyper_validation() -> None:
 
 
 def test_shape_marginal_matches_handwritten_branches(fiber, flat_rate4, ip_prior) -> None:
-    """For a rate prior that does not factor over the groups the sampling
-    marginal is the pointwise larger of two concave branches; for the flat
-    one it is the single per-group branch.  Rebuild both from the power sums
-    and compare."""
+    """For every rate prior the sampling marginal is one concave branch: the
+    logs of the two power sums weighted by the total-rate shape a0 + k,
+    split in the ratio of the group shapes (a1 + k1, a2 + k2).  For the flat
+    prior the weights are the failure counts.  Rebuild both from the power
+    sums and compare."""
     k, k1, k2 = fiber.scheme.k, fiber.k1, fiber.k2
     grid = np.linspace(0.5, 8.0, 60)
     ln_u = log_u_stat(fiber, grid)
@@ -97,11 +98,16 @@ def test_shape_marginal_matches_handwritten_branches(fiber, flat_rate4, ip_prior
     c0 = k + ip_prior.shape.a - 1.0
     c1 = ip_prior.shape.b - fiber.sum_log_t
     c2 = ip_prior.bg.a0 + k
+    s1, s2 = ip_prior.bg.a1 + k1, ip_prior.bg.a2 + k2
     b0 = ip_prior.bg.b0
-    bu = c0 * np.log(grid) - c1 * grid - c2 * np.log(b0 + np.exp(ln_u))
-    bv = c0 * np.log(grid) - c1 * grid - c2 * np.log(b0 + np.exp(ln_v))
+    expect = (
+        c0 * np.log(grid)
+        - c1 * grid
+        - c2 * s1 / (s1 + s2) * np.log(b0 + np.exp(ln_u))
+        - c2 * s2 / (s1 + s2) * np.log(b0 + np.exp(ln_v))
+    )
     got = log_marginal_shape(fiber, ip_prior, grid)
-    assert got == pytest.approx(np.maximum(bu, bv), rel=1e-10)
+    assert got == pytest.approx(expect, rel=1e-10)
     c0 = k + flat_rate4.shape.a - 1.0
     c1 = flat_rate4.shape.b - fiber.sum_log_t
     expect = c0 * np.log(grid) - c1 * grid - k1 * ln_u - k2 * ln_v
@@ -117,7 +123,8 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
     """Branch values and slopes on a point array equal per-point scalar
     calls, and the hull built from array calls has the tangent points,
     heights and slopes of one built point by point: on the fiber sample and
-    20 reference-design samples, for the four study presets."""
+    20 reference-design samples, for the four study presets, each with its
+    one sampled branch."""
     scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
     truth = JointParams(1.0, 0.5, 1.0)
     config = StudyConfig(scheme, truth, 1, POINT_METHODS)
@@ -130,26 +137,27 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
                 core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
             except ImproperPosteriorError:
                 continue
-            for br in core.branches:
-                pointwise = [br.local(float(a))[:2] for a in grid]
-                value, slope, _ = br.local(grid)
-                np.testing.assert_allclose(value, [v for v, _ in pointwise], rtol=1e-13)
-                np.testing.assert_allclose(slope, [d for _, d in pointwise], rtol=1e-13)
-                got = build_static_envelope(br.local)
-                want = static_envelope_pointwise(br.local)
-                np.testing.assert_allclose(got._bx, want._bx, rtol=1e-13)
-                np.testing.assert_allclose(got._bh, want._bh, rtol=1e-13)
-                np.testing.assert_allclose(got._bdh, want._bdh, rtol=1e-13)
-                hulls += 1
-    assert hulls >= 100
+            br = core.branch
+            pointwise = [br.local(float(a))[:2] for a in grid]
+            value, slope, _ = br.local(grid)
+            np.testing.assert_allclose(value, [v for v, _ in pointwise], rtol=1e-13)
+            np.testing.assert_allclose(slope, [d for _, d in pointwise], rtol=1e-13)
+            got = build_static_envelope(br.local)
+            want = static_envelope_pointwise(br.local)
+            np.testing.assert_allclose(got._bx, want._bx, rtol=1e-13)
+            np.testing.assert_allclose(got._bh, want._bh, rtol=1e-13)
+            np.testing.assert_allclose(got._bdh, want._bdh, rtol=1e-13)
+            hulls += 1
+    # one hull per preset and sample: 4 presets x 21 samples
+    assert hulls >= 84
 
 
 def test_branch_curvature_matches_central_differences(fiber) -> None:
     """The analytic curvature of every concave branch, and of their sum,
     equals central differences of the branch slope to 1e-7 relative: on
     the fiber sample and 20 reference-design samples, for the four study
-    presets, on the branches the sampler draws from and on both one-group
-    branches."""
+    presets, on the branch the sampler draws from and on both of its
+    one-group terms."""
     scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
     truth = JointParams(1.0, 0.5, 1.0)
     config = StudyConfig(scheme, truth, 1, POINT_METHODS)
@@ -163,7 +171,7 @@ def test_branch_curvature_matches_central_differences(fiber) -> None:
                 core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
             except ImproperPosteriorError:
                 continue
-            for br in core.branches + (core.branch_u, core.branch_v):
+            for br in (core.branch,) + core.branch.parts:
                 numeric = (br.local(grid + step)[1] - br.local(grid - step)[1]) / (2.0 * step)
                 curvature = br.local(grid)[2]
                 assert np.all(curvature < 0.0)
@@ -227,19 +235,38 @@ def test_ordered_posterior_lopsided_brute_force(tiny_k4_lopsided) -> None:
 
 def test_ordered_flat_prior_against_the_data_order(fiber) -> None:
     """On the fiber sample as given the data put lambda1 above lambda2, so
-    the restricted posterior crowds the line lambda1 = lambda2 and the
-    weights of the per-group proposal spread out.  The draws still agree
-    with quadrature of the restricted posterior, with and without the 0.75
-    shift (unshifted, only the sampled per-group branch needs to decay)."""
+    the restricted posterior crowds the line lambda1 = lambda2.  The weight
+    of the flat ordered prior is the probability of the cut given the shape
+    alone, so the ESS stays near the draw count, and the draws agree with
+    quadrature of the restricted posterior, with and without the 0.75 shift
+    (unshifted, only the sampled branch needs to decay)."""
     prior = PriorSpec.flat(shape_rate=4.0, ordered=True)
+    n = 20_000
     for sample in (fiber, fiber_jpc_sample()):
-        post = draw_posterior(sample, prior, 200_000, RngStream(626, 0))
+        post = draw_posterior(sample, prior, n, RngStream(626, 0))
         assert np.all(post.lambda1 < post.lambda2)
         assert np.all((post.weights >= 0.0) & (post.weights <= 1.0))
-        assert post.ess > 2000
+        assert post.ess > 0.9 * n
         oracle = jpc_posterior_oracle(sample, prior.bg, prior.shape, ordered=True)
         for g, o in zip(_means(post), oracle):
             assert g == pytest.approx(o, rel=0.02)
+
+
+def test_ordered_coupled_prior_against_the_data_order() -> None:
+    """An ordered prior whose rates do not factor (a0 - a1 - a2 = +4) and
+    whose folded sum has two distinct terms (a1 != a2), on the fiber sample
+    as given, where the data put lambda1 above lambda2: the draws keep the
+    order, the weights stay near flat, and the means agree with quadrature
+    of the restricted posterior."""
+    sample = fiber_jpc_sample()
+    prior = PriorSpec(BetaGammaHyper(6.5, 2.0, 0.5, 2.0), ShapeHyper(2.0, 1.0), ordered=True)
+    n = 20_000
+    post = draw_posterior(sample, prior, n, RngStream(633, 0))
+    assert np.all(post.lambda1 < post.lambda2)
+    assert post.ess > 0.9 * n
+    oracle = jpc_posterior_oracle(sample, prior.bg, prior.shape, ordered=True)
+    for g, o in zip(_means(post), oracle):
+        assert g == pytest.approx(o, rel=0.02)
 
 
 def test_ordered_flat_prior_with_the_data_order(fiber) -> None:

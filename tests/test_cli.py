@@ -120,6 +120,18 @@ def test_bayes_ordered_on_the_bundled_file(capsys) -> None:
     assert float(out["lambda1"][0]) < float(out["lambda2"][0])
 
 
+def test_bayes_ordered_on_the_bundled_file_keeps_its_draws(capsys) -> None:
+    """On the file as shipped the data put lambda1 above lambda2, against
+    the order.  The ordered flat prior's weight depends on the shape alone,
+    so the effective sample size stays near the draw count and no low-ESS
+    warning is printed."""
+    path = str(Path(jointweibull.__file__).parent / "data" / "fiber_jpc_sample.txt")
+    assert main(["bayes", path, "--ordered", "--b", "4"]) == 0
+    captured = capsys.readouterr()
+    assert "effective sample size" not in captured.err
+    assert float(_kv(captured.out)["ess"][0]) > 0.9 * 10_000
+
+
 def test_bootstrap_command(fiber_file, capsys) -> None:
     rc = main(
         ["bootstrap", fiber_file, "--shift", "0.75", "--n-boot", "60", "--seed", "52"]
@@ -281,8 +293,9 @@ def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
     """Importing the CLI must not load ``scipy.stats``, whose import is most
     of a CLI call's start-up, nor ``scipy.special``, which only the commands
     that need its functions load; a ``fit`` call needs none of them, and
-    neither does a ``bayes`` call with the default (flat, unordered) prior,
-    whose rates factor over the groups and need no cut."""
+    neither does a ``bayes`` call with an unordered prior, the default flat
+    one or one whose rates do not factor over the groups: only the cut of
+    an ordered prior needs the incomplete beta function."""
     pkg_root = str(Path(jointweibull.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
@@ -296,17 +309,21 @@ def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
         f"    codes.append(jointweibull.cli.main(['fit', {fiber_file!r}]))\n"
         "    after_fit = loaded()\n"
         f"    codes.append(jointweibull.cli.main(['bayes', {fiber_file!r}, '--n-draws', '200']))\n"
-        "print(json.dumps([after_import, codes, after_fit, loaded()]))\n"
+        "    after_bayes = loaded()\n"
+        f"    codes.append(jointweibull.cli.main(['bayes', {fiber_file!r}, '--n-draws', '200',\n"
+        "        '--a0', '3', '--b0', '1', '--a1', '1', '--a2', '1']))\n"
+        "print(json.dumps([after_import, codes, after_fit, after_bayes, loaded()]))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert res.returncode == 0, res.stderr
-    after_import, exit_codes, after_fit, after_bayes = json.loads(res.stdout)
+    after_import, exit_codes, after_fit, after_bayes, after_coupled = json.loads(res.stdout)
     assert after_import == [False, False]
-    assert exit_codes == [0, 0]
+    assert exit_codes == [0, 0, 0]
     assert after_fit == [False, False]
     assert after_bayes == [False, False]
+    assert after_coupled == [False, False]
 
 
 @pytest.mark.skipif(

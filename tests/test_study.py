@@ -5,10 +5,12 @@ import math
 
 import pytest
 
+from jointweibull.bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior
 from jointweibull.errors import StudyFailedError
-from jointweibull.jpc import CensoringScheme, JointParams
-from jointweibull.rng import beta_gamma_mean
+from jointweibull.jpc import CensoringScheme, JointParams, simulate_jpc
+from jointweibull.rng import BetaGammaHyper, RngStream, beta_gamma_mean, splitmix64
 from jointweibull.study import (
+    _METHOD_OFFSET,
     INTERVAL_METHODS,
     PARAMETERS,
     POINT_METHODS,
@@ -155,12 +157,41 @@ def test_study_fails_when_every_replication_skips() -> None:
         run_interval_study(cfg)
 
 
+def test_low_ess_replications_are_counted_not_skipped() -> None:
+    """A rate prior far from the data, with (l1 + l2)^298 in its density,
+    leaves some replications' importance weights degenerate.  Each cell
+    counts its method's low-ESS replications, as a replay of the posteriors
+    finds them, and the averages still include those replications."""
+    prior = PriorSpec(BetaGammaHyper(300.0, 1.0, 1.0, 1.0), ShapeHyper(2.0, 2.0))
+    cfg = _config(replications=20, methods=("mle", "bayes-ip"), informative=prior)
+    report = run_point_study(cfg)
+    low = 0
+    estimates = []
+    for i in range(cfg.replications):
+        rep = RngStream(cfg.base_seed, splitmix64(i + 1))
+        sample = simulate_jpc(cfg.scheme, cfg.truth, rep.substream(0))
+        if sample.k1 == 0 or sample.k2 == 0:
+            continue
+        post = draw_posterior(
+            sample, prior, cfg.n_posterior, rep.substream(_METHOD_OFFSET["bayes-ip"])
+        )
+        low += post.low_ess
+        estimates.append(bayes_estimate(post, lambda a, l1, l2: a))
+    assert 0 < low < len(estimates)
+    for p in PARAMETERS:
+        assert report.cell(p, "bayes-ip").low_ess == low
+        assert report.cell(p, "mle").low_ess == 0
+    cell = report.cell("alpha", "bayes-ip")
+    assert cell.skipped == cfg.replications - len(estimates)
+    assert cell.ae == pytest.approx(sum(estimates) / len(estimates), rel=1e-12)
+
+
 def test_report_csv_round_trip() -> None:
     report = run_point_study(_config(replications=10))
     buf = io.StringIO()
     report.to_csv(buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "scheme,parameter,method,AE,MSE,AL,CP,skipped"
+    assert lines[0] == "scheme,parameter,method,AE,MSE,AL,CP,skipped,low_ess"
     assert len(lines) == 1 + len(PARAMETERS)
     first = lines[1].split(",")
     assert first[1] == "alpha" and first[2] == "mle"
