@@ -11,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .mle import _fit_alpha_batch
-from .rng import RngStream, log_sum_exp
+from .mle import _NO_SHAPE, _fit_rows
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -86,42 +86,33 @@ def _complete_loglik(data: CompleteSample, alpha: float, lam: float) -> float:
     )
 
 
-def _solve(*stack) -> tuple[np.ndarray, int]:
-    """Shapes of a stack of complete samples (see ``mle._fit_alpha_batch``);
-    a row without a maximizer raises."""
-    alpha, ok, sweeps = _fit_alpha_batch(*stack)
-    if not ok.all():
-        raise ConvergenceError("profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]")
-    return alpha, sweeps
-
-
 def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
-    """Shape/rate MLE of a complete sample by a Newton search on the
-    profile score."""
+    """Shape/rate MLE of a complete sample: :func:`_fit_complete_rows` on a
+    stack of one."""
     if data.n < 2 or data.sorted[0] == data.sorted[-1]:
         raise ValueError("need at least two distinct values to fit a shape")
-    n = data.n
-    alpha, sweeps = _solve(data.log_values[None, :], np.zeros(n), n)
-    alpha = float(alpha[0])
-    lam = n / float(np.sum(data.array**alpha))
+    alpha, lam, sweeps = _fit_complete_rows(data.log_values[None, :])
+    alpha, lam = float(alpha[0]), float(lam[0])
     return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), sweeps)
 
 
-def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Shape/rate MLEs of stacked complete samples, one per row of
-    ``log_x``, fitted in lockstep."""
-    n = log_x.shape[1]
-    alpha, _ = _solve(log_x, np.zeros(n), n)
-    lam = np.exp(math.log(n) - log_sum_exp(alpha[:, None] * log_x))
-    return alpha, lam
+    ``log_x``: a one-group ``mle._fit_rows`` stack, every value a failure of
+    weight 1.  Returns ``(alpha, lam, sweeps)``; a row without a shape
+    maximizer raises."""
+    alpha, rates, _, ok, sweeps = _fit_rows(log_x, 0.0, log_x.shape[1])
+    if not ok.all():
+        raise ConvergenceError(_NO_SHAPE)
+    return alpha, rates[0], sweeps
 
 
 def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShapeFit:
     """Joint MLE of two complete samples sharing one shape parameter.
 
     This is the joint experiment with no withdrawals: every value of sample
-    1 is a group-1 failure and every value of sample 2 a group-2 one, so the
-    profile is fitted as that one-row stack.
+    1 is a group-1 failure and every value of sample 2 a group-2 one, so it
+    is fitted as that one-row ``mle._fit_rows`` stack.
     """
     for d in (data1, data2):
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
@@ -131,10 +122,10 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     in1 = np.arange(n1 + n2) < n1
     logc1 = np.where(in1, 0.0, -np.inf)
     logc2 = np.where(in1, -np.inf, 0.0)
-    alpha, sweeps = _solve(lnt, logc1, n1, logc2, n2)
-    alpha = float(alpha[0])
-    lam1 = n1 / float(np.sum(data1.array**alpha))
-    lam2 = n2 / float(np.sum(data2.array**alpha))
+    alpha, rates, _, ok, sweeps = _fit_rows(lnt, logc1, n1, logc2, n2)
+    if not ok[0]:
+        raise ConvergenceError(_NO_SHAPE)
+    alpha, lam1, lam2 = float(alpha[0]), float(rates[0, 0]), float(rates[1, 0])
     loglik = _complete_loglik(data1, alpha, lam1) + _complete_loglik(data2, alpha, lam2)
     return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps)
 
@@ -190,7 +181,7 @@ def ks_pvalue(
         x = np.sort(rng.exponential((n_mc, n)), axis=1)
         if estimated:
             log_x = np.log(x)
-            alpha, lam = _fit_complete_rows(log_x)
+            alpha, lam, _ = _fit_complete_rows(log_x)
             x = lam[:, None] * np.exp(alpha[:, None] * log_x)  # fitted cumulative hazards
         d = _ks_rowwise(-np.expm1(-x))
         return int(np.count_nonzero(d >= distance)) / n_mc

@@ -9,13 +9,14 @@ A joint sample file reads::
     ...
     tk deltak sk
 
-A values file holds one or more numbers per line, separated by blanks or
-commas, with the same comment rule.  Malformed or inconsistent input raises
-:class:`SampleFileError`.
+A values file holds one or more positive finite numbers per line,
+separated by blanks or commas, with the same comment rule.  Malformed or
+inconsistent input raises :class:`SampleFileError`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import SampleFileError
@@ -93,8 +94,9 @@ def serialize_jpc_sample(sample: JpcSample) -> str:
 
 
 def parse_complete_lines(lines: Sequence[str]) -> tuple[float, ...]:
-    """The numbers of a values file, in order; an empty result is returned
-    as is, for the caller to reject with the file's name."""
+    """The numbers of a values file, in order; each must be a positive
+    finite real, as a time of a joint sample file must.  An empty result
+    is returned as is, for the caller to reject with the file's name."""
     values = []
     for i, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -102,9 +104,12 @@ def parse_complete_lines(lines: Sequence[str]) -> tuple[float, ...]:
             continue
         for tok in stripped.replace(",", " ").split():
             try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise SampleFileError(f"line {i}: not a number: {tok!r}") from exc
+                v = float(tok)
+            except ValueError:
+                v = math.nan
+            if not (math.isfinite(v) and v > 0.0):
+                raise SampleFileError(f"line {i}: not a positive finite real: {tok!r}")
+            values.append(v)
     return tuple(values)
 
 

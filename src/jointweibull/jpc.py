@@ -19,7 +19,7 @@ with ``w_j = R_j - s_j``, and the log-likelihood is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -159,13 +159,11 @@ class JpcSample:
 
     @cached_property
     def log_coef1(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.coef1)
+        return log_weights(self.scheme.R, self.delta, self.s)[0]
 
     @cached_property
     def log_coef2(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.coef2)
+        return log_weights(self.scheme.R, self.delta, self.s)[1]
 
     @property
     def k1(self) -> int:
@@ -178,6 +176,14 @@ class JpcSample:
     @cached_property
     def sum_log_t(self) -> float:
         return float(self.log_t.sum())
+
+
+def log_weights(R, delta, s) -> tuple[np.ndarray, np.ndarray]:
+    """ln of the weights of t_j^a inside U and V, ``s_j + delta_j`` and
+    ``R_j - s_j + 1 - delta_j`` (``-inf`` where a weight is zero), for one
+    outcome or for outcomes stacked in rows."""
+    with np.errstate(divide="ignore"):
+        return np.log(s + delta), np.log(np.asarray(R) - s + 1 - delta)
 
 
 def _non_negative(alpha: float) -> float:
@@ -224,18 +230,13 @@ def log_likelihood(sample: JpcSample, params: JointParams) -> float:
 
 def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -> JpcSample:
     """Run one experiment under the given design and parameters: a one-row
-    :func:`simulate_jpc_batch`, drawn again in the rare case where the
-    times ``exp(log t)`` do not strictly increase or underflow to zero."""
-    while True:
-        log_t, delta, s = simulate_jpc_batch(
-            scheme, (params.alpha, params.lambda1, params.lambda2), rng, 1
-        )
-        with np.errstate(over="ignore"):
-            t = np.exp(log_t[0])
-        if np.isposinf(t[-1]):  # a redraw could never order infinite times
-            raise ValueError("failure times overflow a double at these parameters")
-        if np.all(np.diff(t, prepend=0.0) > 0.0):
-            break
+    :func:`simulate_jpc_batch`.  Raises ``ValueError`` where the times
+    ``exp(log t)`` are not strictly increasing positive finite doubles."""
+    log_t, delta, s = simulate_jpc_batch(scheme, astuple(params), rng, 1)
+    with np.errstate(over="ignore"):
+        t = np.exp(log_t[0])
+    if not (np.isfinite(t[-1]) and np.all(np.diff(t, prepend=0.0) > 0.0)):
+        raise ValueError("failure times overflow, underflow to zero or collide as doubles at these parameters")
     obs = tuple(
         JpcObservation(t=float(tj), delta=int(dj), s=int(sj))
         for tj, dj, sj in zip(t, delta[0], s[0])

@@ -9,21 +9,23 @@ which is unimodal.  The order-restricted fit (``l1 <= l2``) keeps the
 unrestricted rates wherever they already respect the order and otherwise
 pools both groups onto the common rate ``k / (U(a) + V(a))``.
 
-Every shape fit is a stack of samples, one per row, handed to the
-package's one root finder (``rng._solve_rows``) with the profile score's
-analytic slope: the rows are bracketed and then take safeguarded Newton
-steps in lockstep until each step or bracket is within 1e-10 relative,
-and each row's root is the one it would get alone.  A single fit is a stack of
-one; the bootstrap refits all its resamples, drawn by the batched
-tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one stack, which
-keeps a 500-resample percentile interval at a few tens of milliseconds for
-typical designs.
+Every maximum likelihood fit in the package is a stack of samples, one per
+row, fitted by :func:`_fit_rows`: it hands the profile score and its
+analytic slope to the package's one root finder (``rng._solve_rows``),
+whose rows are bracketed and then take safeguarded Newton steps in
+lockstep until each step or bracket is within 1e-10 relative, so each
+row's shape is the one it would get alone; it then reads each group's rate
+from one log-sum-exp and pools the rows that break the order.  A single
+fit is a stack of one; the bootstrap refits all its resamples, drawn by the
+batched tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one stack,
+which keeps a 500-resample percentile interval at a few tens of
+milliseconds for typical designs; and ``gof``'s complete-sample fits, the
+Monte Carlo KS refits among them, are one-group stacks.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from statistics import NormalDist
 from typing import Callable, NamedTuple, Optional
 
@@ -36,11 +38,13 @@ from .errors import (
     UnstableBootstrapError,
 )
 from .jpc import (
+    CensoringScheme,
     JointParams,
     JpcSample,
     log_likelihood,
     log_u_stat,
     log_v_stat,
+    log_weights,
     simulate_jpc_batch,
 )
 from .rng import _MAX_SWEEPS, RngStream, _softmax_moments, _solve_rows, log_sum_exp
@@ -96,6 +100,9 @@ class InfoMatrix:
         object.__setattr__(self, "entries", e)
 
 
+_NO_SHAPE = "profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]"
+
+
 def _require_both_groups(sample: JpcSample) -> None:
     if sample.k1 == 0 or sample.k2 == 0:
         raise NoMleError(
@@ -125,20 +132,13 @@ def profile_loglik(sample: JpcSample, alpha: float) -> float:
     return float(val)
 
 
-def _order_respected(sample: JpcSample, alpha: float) -> bool:
-    # k1/U < k2/V, compared in the log domain
-    lhs = math.log(sample.k1) - float(log_u_stat(sample, alpha))
-    rhs = math.log(sample.k2) - float(log_v_stat(sample, alpha))
-    return lhs < rhs
+def _breaks_order(log_rate1, log_rate2):
+    """Rows whose rates k1/U, k2/V, given by their logs, break l1 < l2."""
+    return log_rate1 >= log_rate2
 
 
 def _profile_score(
-    lnt: np.ndarray,
-    logc1: np.ndarray,
-    k1,
-    logc2: Optional[np.ndarray] = None,
-    k2=0.0,
-    log_pooled: Optional[np.ndarray] = None,
+    lnt, logc1, k1, logc2=None, k2=0, log_pooled=None
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The profile scores of stacked samples and their slopes, as a function
     of one shape per row.
@@ -175,7 +175,7 @@ def _profile_score(
         d = d - k2 * m2
         slope = slope - k2 * v2
         if log_pooled is not None:
-            violated = (log_k1 - ln_u) >= (log_k2 - ln_v)
+            violated = _breaks_order(log_k1 - ln_u, log_k2 - ln_v)
             if violated.any():
                 mp, vp, _ = _softmax_moments(log_pooled + a * lnt, lnt)
                 d = np.where(violated, lead - k * mp, d)
@@ -185,42 +185,58 @@ def _profile_score(
     return score
 
 
-def _fit_alpha_batch(*stack) -> tuple[np.ndarray, np.ndarray, int]:
-    """Profile-maximizing shapes of stacked samples (the stack is that of
-    :func:`_profile_score`); returns the shapes, the rows that have one in
-    [1e-10, 1e10], and the sweep count."""
-    return _solve_rows(_profile_score(*stack), stack[0].shape[0])
+def _fit_rows(
+    lnt, logc1, k1, logc2=None, k2=0, log_pooled=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Maximum likelihood fits of stacked samples (the stack is that of
+    :func:`_profile_score`).
+
+    Returns ``(alpha, rates, pooled, ok, sweeps)``: the profile-maximizing
+    shapes; the rates ``k_g / S_g(alpha)``, one row per group; on an
+    order-restricted stack, the rows whose rates break the order, where both
+    rates are the pooled ``k / (U + V)``; the rows that have a shape in
+    [1e-10, 1e10] (the other rows' shapes and rates mean nothing); and the
+    sweep count.
+    """
+    score = _profile_score(lnt, logc1, k1, logc2, k2, log_pooled)
+    alpha, ok, sweeps = _solve_rows(score, lnt.shape[0])
+    a = alpha[:, None]
+    groups = ((logc1, k1),) if logc2 is None else ((logc1, k1), (logc2, k2))
+    with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
+        log_rates = np.stack([np.log(kg) - log_sum_exp(c + a * lnt) for c, kg in groups])
+        pooled = np.zeros(alpha.shape, dtype=bool)
+        if log_pooled is not None:
+            pooled = _breaks_order(*log_rates)
+            if pooled.any():
+                log_common = np.log(k1 + k2) - log_sum_exp(log_pooled + a * lnt)
+                log_rates = np.where(pooled, log_common, log_rates)
+    return alpha, np.exp(log_rates), pooled, ok, sweeps
 
 
-def _fit_one(sample: JpcSample, log_pooled: Optional[np.ndarray] = None) -> tuple[float, int, bool]:
-    """Shape fit of one sample as a stack of one: (alpha, sweeps, converged)."""
-    alpha, ok, sweeps = _fit_alpha_batch(
-        sample.log_t[None, :],
-        sample.log_coef1[None, :],
-        sample.k1,
-        sample.log_coef2[None, :],
-        sample.k2,
-        log_pooled,
-    )
+def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool):
+    """:func:`_fit_rows` on stacked outcomes of one design, one per row of
+    ``lnt``, ``delta`` and ``s``; with ``ordered`` under l1 <= l2."""
+    k1 = delta.sum(axis=1, dtype=float)
+    logc1, logc2 = log_weights(scheme.R, delta, s)
+    log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0) if ordered else None
+    return _fit_rows(lnt, logc1, k1, logc2, scheme.k - k1, log_pooled)
+
+
+def _fit(sample: JpcSample, ordered: bool) -> MleFit:
+    """Fit of one sample as a stack of one."""
+    _require_both_groups(sample)
+    rows = (x[None, :] for x in (sample.log_t, sample.delta, sample.s))
+    alpha, rates, pooled, ok, sweeps = _fit_design(sample.scheme, *rows, ordered)
     if not ok[0]:
-        raise ConvergenceError("profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]")
-    return float(alpha[0]), sweeps, sweeps < _MAX_SWEEPS
+        raise ConvergenceError(_NO_SHAPE)
+    params = JointParams(float(alpha[0]), float(rates[0, 0]), float(rates[1, 0]))
+    loglik = log_likelihood(sample, params)
+    return MleFit(params, loglik, ordered, bool(pooled[0]), sweeps, sweeps < _MAX_SWEEPS)
 
 
 def fit_mle(sample: JpcSample) -> MleFit:
     """Unrestricted maximum likelihood fit of (alpha, lambda1, lambda2)."""
-    _require_both_groups(sample)
-    alpha, iters, conv = _fit_one(sample)
-    l1, l2 = lambda_hats(sample, alpha)
-    params = JointParams(alpha, l1, l2)
-    return MleFit(
-        params=params,
-        loglik=log_likelihood(sample, params),
-        ordered=False,
-        boundary=False,
-        iterations=iters,
-        converged=conv,
-    )
+    return _fit(sample, ordered=False)
 
 
 def fit_mle_ordered(sample: JpcSample) -> MleFit:
@@ -231,28 +247,7 @@ def fit_mle_ordered(sample: JpcSample) -> MleFit:
     k/(U+V).  The profiled criterion stays unimodal with a continuous
     derivative, so the same root finder applies.
     """
-    _require_both_groups(sample)
-    k = sample.scheme.k
-    log_pooled_coef = np.log(np.asarray(sample.scheme.R, dtype=float) + 1.0)
-    alpha, iters, conv = _fit_one(sample, log_pooled_coef)
-    if _order_respected(sample, alpha):
-        l1, l2 = lambda_hats(sample, alpha)
-        boundary = False
-    else:
-        pooled = math.exp(
-            math.log(k) - float(log_sum_exp(log_pooled_coef + alpha * sample.log_t))
-        )
-        l1 = l2 = pooled
-        boundary = True
-    params = JointParams(alpha, l1, l2)
-    return MleFit(
-        params=params,
-        loglik=log_likelihood(sample, params),
-        ordered=True,
-        boundary=boundary,
-        iterations=iters,
-        converged=conv,
-    )
+    return _fit(sample, ordered=True)
 
 
 def fisher_info(sample: JpcSample, params: JointParams) -> InfoMatrix:
@@ -338,53 +333,20 @@ def bootstrap_ci(
         raise ValueError("level must lie strictly between 0 and 1")
     if n_boot < 1:
         raise ValueError("n_boot must be at least 1")
-    fit0 = fit_mle_ordered(sample) if ordered else fit_mle(sample)
+    fit0 = _fit(sample, ordered)
     scheme = sample.scheme
-    p0 = fit0.params
-    lnt, delta, s = simulate_jpc_batch(scheme, (p0.alpha, p0.lambda1, p0.lambda2), rng, n_boot)
+    lnt, delta, s = simulate_jpc_batch(scheme, astuple(fit0.params), rng, n_boot)
     k1 = delta.sum(axis=1)
-    k2 = scheme.k - k1
-    both = (k1 > 0) & (k2 > 0)
+    both = (k1 > 0) & (k1 < scheme.k)
     skipped = n_boot - int(both.sum())
     if skipped > n_boot // 2:
-        raise UnstableBootstrapError(
-            f"{skipped} of {n_boot} resamples had all failures in one group"
-        )
-    lnt, delta, s = lnt[both], delta[both], s[both]
-    k1 = k1[both].astype(float)
-    k2 = k2[both].astype(float)
-    with np.errstate(divide="ignore"):
-        logc1 = np.log(s + delta)
-        logc2 = np.log(np.asarray(scheme.R) - s + 1 - delta)
-    log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0) if ordered else None
-    alpha, ok, _ = _fit_alpha_batch(lnt, logc1, k1, logc2, k2, log_pooled)
+        raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples had all failures in one group")
+    alpha, rates, _, ok, _ = _fit_design(scheme, lnt[both], delta[both], s[both], ordered)
     skipped += int((~ok).sum())
     if skipped > n_boot // 2:
-        raise UnstableBootstrapError(
-            f"{skipped} of {n_boot} resamples failed to produce a fit"
-        )
-    alpha = alpha[ok]
-    lnt, logc1, logc2, k1, k2 = (
-        lnt[ok],
-        logc1[ok],
-        logc2[ok],
-        k1[ok],
-        k2[ok],
-    )
-    ln_u = log_sum_exp(logc1 + alpha[:, None] * lnt)
-    ln_v = log_sum_exp(logc2 + alpha[:, None] * lnt)
-    l1 = np.exp(np.log(k1) - ln_u)
-    l2 = np.exp(np.log(k2) - ln_v)
-    if ordered:
-        viol = l1 >= l2
-        if viol.any():
-            ln_uv = log_sum_exp(log_pooled + alpha[:, None] * lnt)
-            pooled = np.exp(np.log(k1 + k2) - ln_uv)
-            l1 = np.where(viol, pooled, l1)
-            l2 = np.where(viol, pooled, l2)
-    lo_q, hi_q = 0.5 * (1.0 - level), 0.5 * (1.0 + level)
+        raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples failed to produce a fit")
     out = []
-    for est in (alpha, l1, l2):
-        qs = np.quantile(est, [lo_q, hi_q])
-        out.append(IntervalEstimate(float(qs[0]), float(qs[1]), level))
-    return BootstrapResult(out[0], out[1], out[2], skipped)
+    for est in (alpha, *rates):
+        lo, hi = np.quantile(est[ok], [0.5 * (1.0 - level), 0.5 * (1.0 + level)])
+        out.append(IntervalEstimate(float(lo), float(hi), level))
+    return BootstrapResult(*out, skipped)

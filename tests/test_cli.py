@@ -162,6 +162,15 @@ def test_exit_code_parse_failure(tmp_path, capsys) -> None:
     p.write_text("2 2\nR: 1 1\n", encoding="utf-8")
     assert main(["fit", str(p)]) == 4
     assert main(["fit", str(tmp_path / "missing.txt")]) == 4
+    p.write_text("2 2 2\nR: 1 1\n0.5 1 1\nnan 0 0\n", encoding="utf-8")
+    assert main(["fit", str(p)]) == 4
+    good = tmp_path / "good.txt"
+    good.write_text("1.2\n0.5\n2.0\n", encoding="utf-8")
+    for bad in ("-3", "nan"):
+        p.write_text(f"1.2\n{bad}\n", encoding="utf-8")
+        assert main(["analyze", str(p), str(good)]) == 4
+    # a value that --shift makes non-positive is an argument error
+    assert main(["analyze", str(good), str(good), "--shift", "0.6"]) == 1
     capsys.readouterr()
 
 

@@ -112,9 +112,10 @@ def test_parse_complete_values(tmp_path) -> None:
     p.write_text("# strengths\n1.2, 3.4\n5.6\n", encoding="utf-8")
     assert parse_complete_file(str(p)) == (1.2, 3.4, 5.6)
     bad = tmp_path / "bad.txt"
-    bad.write_text("1.2 oops\n", encoding="utf-8")
-    with pytest.raises(SampleFileError):
-        parse_complete_file(str(bad))
+    for text, line in (("1.2 oops", 1), ("1.2\n-3", 2), ("1.2\n0", 2), ("1.2\nnan", 2), ("1.2\n2, inf", 2)):
+        bad.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(SampleFileError, match=f"line {line}:"):
+            parse_complete_file(str(bad))
     empty = tmp_path / "empty.txt"
     empty.write_text("# only comments\n", encoding="utf-8")
     with pytest.raises(SampleFileError):

@@ -204,8 +204,8 @@ def test_simulation_is_deterministic() -> None:
 
 def test_simulation_is_a_one_row_batch() -> None:
     """``simulate_jpc`` is the batch simulator's first row on the same stream;
-    times whose logs are finite but overflow a double raise, since no redraw
-    could put two infinite times in order."""
+    times whose logs are finite but overflow a double, or underflow to zero,
+    raise rather than being drawn again."""
     for seed in range(20):
         sample = simulate_jpc(_REF_SCHEME, _REF_TRUTH, RngStream(64, seed))
         log_t, delta, s = simulate_jpc_batch(_REF_SCHEME, astuple(_REF_TRUTH), RngStream(64, seed), 1)
@@ -213,6 +213,8 @@ def test_simulation_is_a_one_row_batch() -> None:
         assert np.array_equal(sample.delta, delta[0]) and np.array_equal(sample.s, s[0])
     with pytest.raises(ValueError, match="overflow"):
         simulate_jpc(CensoringScheme(3, 3, 2, (2, 2)), JointParams(1e-4, 1e-3, 1e-3), RngStream(1))
+    with pytest.raises(ValueError, match="underflow"):
+        simulate_jpc(CensoringScheme(3, 3, 2, (1, 3)), JointParams(0.5, 1e300, 1e300), RngStream(1))
 
 
 def test_shift_sample(fiber) -> None:

@@ -22,7 +22,7 @@ from jointweibull.jpc import (
 from jointweibull.mle import (
     BootstrapResult,
     IntervalEstimate,
-    _fit_alpha_batch,
+    _fit_rows,
     _profile_score,
     asymptotic_ci,
     bootstrap_ci,
@@ -309,9 +309,10 @@ def test_bootstrap_argument_validation(fiber) -> None:
 
 def test_stacked_rows_fit_as_they_fit_alone() -> None:
     """Every row of a bootstrap-like stack of reference-design samples gets,
-    byte for byte, the shape that fit_mle and fit_mle_ordered give the same
-    sample alone: a scalar fit is a stack of one, and the lockstep sweeps
-    leave each row's bracket sequence to that row."""
+    byte for byte, the shape, the rates and the boundary flag that fit_mle
+    and fit_mle_ordered give the same sample alone: a scalar fit is a stack
+    of one, and the lockstep sweeps leave each row's bracket sequence to
+    that row.  Some rows of the order-restricted stack pool."""
     scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
     log_t, delta, s = simulate_jpc_batch(scheme, (1.0, 0.5, 1.0), RngStream(81, 0), 400)
     samples = []
@@ -327,13 +328,16 @@ def test_stacked_rows_fit_as_they_fit_alone() -> None:
         np.stack([x.log_coef2 for x in samples]),
         np.array([x.k2 for x in samples], dtype=float),
     )
-    free, ok, _ = _fit_alpha_batch(*stack)
-    assert ok.all()
-    assert list(free) == [fit_mle(x).params.alpha for x in samples]
     log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0)
-    restricted, ok, _ = _fit_alpha_batch(*stack, log_pooled)
-    assert ok.all()
-    assert list(restricted) == [fit_mle_ordered(x).params.alpha for x in samples]
+    for fit, tail in ((fit_mle, ()), (fit_mle_ordered, (log_pooled,))):
+        alpha, rates, pooled, ok, _ = _fit_rows(*stack, *tail)
+        assert ok.all()
+        alone = [fit(x) for x in samples]
+        assert list(alpha) == [f.params.alpha for f in alone]
+        assert list(rates[0]) == [f.params.lambda1 for f in alone]
+        assert list(rates[1]) == [f.params.lambda2 for f in alone]
+        assert list(pooled) == [f.boundary for f in alone]
+    assert 10 < pooled.sum() < len(samples) - 10
 
 
 REFERENCE = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
@@ -423,7 +427,7 @@ def test_root_finder_meets_brentq_within_15_sweeps() -> None:
     assert len(samples) > 350
     stack = _stack(samples)
     for ordered, log_pooled in ((False, None), (True, LOG_POOLED)):
-        roots, ok, sweeps = _fit_alpha_batch(*stack, log_pooled)
+        roots, _, _, ok, sweeps = _fit_rows(*stack, log_pooled)
         assert ok.all()
         assert sweeps <= 15
         want = [_brentq_root(x, ordered) for x in samples]
