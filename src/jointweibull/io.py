@@ -23,6 +23,17 @@ from .errors import SampleFileError
 from .jpc import CensoringScheme, JpcObservation, JpcSample, break_ties
 
 
+def _positive_real(tok: str, lineno: int) -> float:
+    """``tok`` as a positive finite real, the one rule for a time or value."""
+    try:
+        v = float(tok)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0.0):
+        raise SampleFileError(f"line {lineno}: not a positive finite real: {tok!r}")
+    return v
+
+
 def parse_jpc_lines(lines: Sequence[str]) -> JpcSample:
     content: list[tuple[int, str]] = []
     for i, raw in enumerate(lines, start=1):
@@ -59,8 +70,8 @@ def parse_jpc_lines(lines: Sequence[str]) -> JpcSample:
         parts = line.split()
         if len(parts) != 3:
             raise SampleFileError(f"line {lineno}: expected 't delta s'")
+        times.append(_positive_real(parts[0], lineno))
         try:
-            times.append(float(parts[0]))
             deltas.append(int(parts[1]))
             splits.append(int(parts[2]))
         except ValueError as exc:
@@ -102,14 +113,7 @@ def parse_complete_lines(lines: Sequence[str]) -> tuple[float, ...]:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        for tok in stripped.replace(",", " ").split():
-            try:
-                v = float(tok)
-            except ValueError:
-                v = math.nan
-            if not (math.isfinite(v) and v > 0.0):
-                raise SampleFileError(f"line {i}: not a positive finite real: {tok!r}")
-            values.append(v)
+        values.extend(_positive_real(tok, i) for tok in stripped.replace(",", " ").split())
     return tuple(values)
 
 

@@ -266,7 +266,8 @@ def simulate_jpc_batch(
     and the k epochs are k array steps over all rows.  Times come back as
     ``ln t = ln(tau) / alpha``, which never forms t^alpha.  Rows whose log
     times do not strictly increase (floating-point collision only) are
-    redrawn at their own parameters.
+    redrawn at their own parameters; a row whose first hazard overflows,
+    where every gap would be 0, raises ``ValueError`` before any draw.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -274,6 +275,9 @@ def simulate_jpc_batch(
     for name, v in (("alpha", alpha), ("lambda1", lam1), ("lambda2", lam2)):
         if not np.all(np.isfinite(v) & (v > 0.0)):
             raise ValueError(f"{name} must be a positive finite real in every row")
+    with np.errstate(over="ignore"):  # survivors only fall, so this is the largest hazard
+        if not np.all(np.isfinite(scheme.m * lam1 + scheme.n * lam2)):
+            raise ValueError("first-epoch hazard m*lambda1 + n*lambda2 overflows a double")
     k = scheme.k
     log_t = np.empty((size, k))
     delta = np.empty((size, k), dtype=np.int64)

@@ -8,8 +8,9 @@ draws, Monte Carlo studies) receives an explicit :class:`RngStream`; there
 is no module-level hidden state.
 
 Tangents to a concave log-density form a piecewise-exponential upper hull
-whose segments are truncated exponentials, which can be normalized and
-sampled exactly; the posterior samplers use such hulls as static proposals
+whose segments are truncated exponentials.  Measured from its higher end,
+each segment is normalized and sampled exactly by one closed form with no
+overflowing term; the posterior samplers use such hulls as static proposals
 for their shape draws.  A log-density is one vectorized callable
 (:data:`LogDensity`) that returns its value, slope and curvature together,
 and a hull is built in one step from the arrays of its tangents.  The
@@ -235,23 +236,6 @@ def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
 # piecewise-exponential upper hulls
 
 
-def _log_integral_exp_linear(a: float, u: float, v: float) -> float:
-    # log of the integral of exp(a*q) over [u, v]; v may be +inf when a < 0.
-    if v == math.inf:
-        if a >= 0.0:
-            return math.inf
-        return a * u - math.log(-a)
-    d = v - u
-    if d <= 0.0:
-        return -math.inf
-    ad = a * d
-    if abs(ad) < 1e-12:
-        return a * u + math.log(d) + math.log1p(0.5 * ad)
-    if ad > 700.0:
-        return a * v - math.log(a)
-    return a * u + math.log(math.expm1(ad) / a)
-
-
 class PiecewiseExpEnvelope:
     """Upper hull of a concave log-density built from tangent lines.
 
@@ -259,9 +243,17 @@ class PiecewiseExpEnvelope:
     minimum of any collection of tangents is a valid envelope regardless of
     where the tangents were taken; placement only affects tightness.  The
     hull is a piecewise-linear function of the abscissa, hence a piecewise
-    exponential density after exponentiation, which we can integrate and
-    invert segment by segment in closed form.  Its support is [0, inf), the
+    exponential density after exponentiation.  Its support is [0, inf), the
     range of every shape parameter the package samples.
+
+    Each segment is a truncated exponential measured from its higher end,
+    the left end unless its slope ``a`` is positive.  With rate ``|a|``,
+    width ``d`` and height ``H`` there, its log mass is
+    ``H + ln((1 - exp(-|a| d)) / |a|)``, or ``H + ln d`` where
+    ``|a| d < 1e-12``, and a draw with uniform ``w`` lies
+    ``-ln(1 - w (1 - exp(-|a| d))) / |a|``, or ``w d``, from that end.  Seen
+    from there no term overflows and a rising segment needs no branch of its
+    own, so both forms are array expressions over all segments.
     """
 
     def __init__(self, x, h, dh):
@@ -288,9 +280,7 @@ class PiecewiseExpEnvelope:
                     break
             if not drop_new:
                 keep_x.append(xi), keep_h.append(hi), keep_dh.append(di)
-        x = np.asarray(keep_x)
-        h = np.asarray(keep_h)
-        dh = np.asarray(keep_dh)
+        x, h, dh = (np.asarray(v) for v in (keep_x, keep_h, keep_dh))
         if x.size == 0:
             raise NonIntegrableTargetError("no usable tangent points")
         if dh[-1] >= 0.0:
@@ -302,11 +292,16 @@ class PiecewiseExpEnvelope:
         zi = (h[1:] - h[:-1] + x[:-1] * dh[:-1] - x[1:] * dh[1:]) / (dh[:-1] - dh[1:])
         zi = np.minimum(np.maximum(zi, x[:-1]), x[1:])
         z = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(zi, 0.0)), [math.inf]))
-        logmass = np.empty(x.size)
-        for i in range(x.size):
-            logmass[i] = (h[i] - dh[i] * x[i]) + _log_integral_exp_linear(
-                dh[i], z[i], z[i + 1]
-            )
+        # a draw steps from the segment's higher end by ln(1 - w _em) / a, or
+        # by w _span (signed away from that end) on a flat segment
+        d = np.diff(z)
+        up = dh > 0.0
+        self._end, self._span = np.where(up, z[1:], z[:-1]), np.where(up, -d, d)
+        rd = np.abs(dh) * d
+        self._flat, self._em = rd < 1e-12, -np.expm1(-rd)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(self._flat, np.log(d), np.log(self._em / np.abs(dh)))
+        logmass = h + dh * (self._end - x) + tail
         self._bx, self._bh, self._bdh, self._bz = x, h, dh, z
         if not np.any(logmass > -math.inf):
             raise NonIntegrableTargetError("envelope mass underflowed to zero")
@@ -327,26 +322,11 @@ class PiecewiseExpEnvelope:
         """Exact draws from the normalized envelope density."""
         seg = np.searchsorted(self._cum, rng.uniform(n), side="left")
         seg = np.clip(seg, 0, self._bx.size - 1)
-        a = self._bdh[seg]
-        u = self._bz[seg]
-        v = self._bz[seg + 1]
-        w = rng.uniform(n)
-        w = np.clip(w, 1e-16, 1.0 - 1e-16)
-        out = np.empty(n)
-        flat = np.isfinite(v) & (np.abs(a * (v - u)) < 1e-12)
-        neg = (a < 0.0) & ~flat
-        pos = (a > 0.0) & ~flat
-        if flat.any():
-            out[flat] = u[flat] + w[flat] * (v[flat] - u[flat])
-        if neg.any():
-            an, un, vn, wn = a[neg], u[neg], v[neg], w[neg]
-            grow = np.expm1(an * (vn - un))  # expm1(-inf) = -1 on the last segment
-            out[neg] = un + np.log1p(wn * grow) / an
-        if pos.any():
-            ap, up, vp, wp = a[pos], u[pos], v[pos], w[pos]
-            # mass piles up at v; anchor there for stability
-            out[pos] = vp + np.logaddexp(np.log(wp), np.log1p(-wp) - ap * (vp - up)) / ap
-        return np.clip(out, 0.0, None)
+        w = np.clip(rng.uniform(n), 1e-16, 1.0 - 1e-16)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.log1p(-w * self._em[seg]) / self._bdh[seg]
+        step = np.where(self._flat[seg], w * self._span[seg], step)
+        return np.clip(self._end[seg] + step, 0.0, None)
 
 
 # --------------------------------------------------------------------------

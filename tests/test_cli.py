@@ -84,6 +84,14 @@ def test_simulate_is_deterministic_and_fits(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+def test_simulate_exits_one_when_the_first_hazard_overflows(capsys) -> None:
+    """m*lambda1 + n*lambda2 past a double would make every gap 0, and so
+    every redraw fail: the command refuses before drawing."""
+    args = ["simulate", "--m", "3", "--n", "3", "--k", "2", "--R", "1", "3", "--alpha", "0.5"]
+    assert main(args + ["--lambda1", "1e308", "--lambda2", "1", "--seed", "1"]) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_seed_env_var(tmp_path, capsys, monkeypatch) -> None:
     args = [
         "simulate", "--m", "4", "--n", "4", "--k", "4", "--R", "1", "1", "1", "1",
@@ -162,8 +170,10 @@ def test_exit_code_parse_failure(tmp_path, capsys) -> None:
     p.write_text("2 2\nR: 1 1\n", encoding="utf-8")
     assert main(["fit", str(p)]) == 4
     assert main(["fit", str(tmp_path / "missing.txt")]) == 4
-    p.write_text("2 2 2\nR: 1 1\n0.5 1 1\nnan 0 0\n", encoding="utf-8")
-    assert main(["fit", str(p)]) == 4
+    for bad in ("nan", "-2"):
+        p.write_text(f"2 2 2\nR: 1 1\n0.5 1 1\n{bad} 0 1\n", encoding="utf-8")
+        assert main(["fit", str(p)]) == 4
+        assert "line 4:" in capsys.readouterr().err
     good = tmp_path / "good.txt"
     good.write_text("1.2\n0.5\n2.0\n", encoding="utf-8")
     for bad in ("-3", "nan"):

@@ -101,6 +101,9 @@ def test_parse_reports_malformed_input() -> None:
         parse_jpc_lines(["2 2 2", "R: 1 1", "1.0 1 1"])
     with pytest.raises(SampleFileError):
         parse_jpc_lines(["2 2 2", "R: 1 1", "1.0 one 1", "2.0 0 0"])
+    for bad in ("nan", "-2", "0", "inf"):
+        with pytest.raises(SampleFileError, match="line 4:"):
+            parse_jpc_lines(["2 2 2", "R: 1 1", "1.0 1 1", f"{bad} 0 1"])
     with pytest.raises(SampleFileError):  # sum(R) inconsistent with m+n-k
         parse_jpc_lines(["2 2 2", "R: 2 1", "1.0 1 1", "2.0 0 0"])
     with pytest.raises(SampleFileError):

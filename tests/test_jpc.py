@@ -215,6 +215,9 @@ def test_simulation_is_a_one_row_batch() -> None:
         simulate_jpc(CensoringScheme(3, 3, 2, (2, 2)), JointParams(1e-4, 1e-3, 1e-3), RngStream(1))
     with pytest.raises(ValueError, match="underflow"):
         simulate_jpc(CensoringScheme(3, 3, 2, (1, 3)), JointParams(0.5, 1e300, 1e300), RngStream(1))
+    # a first-epoch hazard m*lambda1 + n*lambda2 past a double makes every gap 0
+    with pytest.raises(ValueError, match="overflow"):
+        simulate_jpc(CensoringScheme(3, 3, 2, (1, 3)), JointParams(0.5, 1e308, 1.0), RngStream(1))
 
 
 def test_shift_sample(fiber) -> None:

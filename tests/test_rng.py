@@ -228,6 +228,33 @@ def test_single_tangent_envelope_samples_exponential() -> None:
     assert res.pvalue > 1e-3
 
 
+def test_hull_draws_follow_its_piecewise_exponential_law() -> None:
+    """A hull with rising segments, a near-flat one (|a| d < 1e-12), falling
+    ones and the infinite last one samples its own normalized density: the
+    draws pass a KS test against the exact piecewise-exponential CDF and all
+    lie in [0, inf)."""
+    # tangents to -(q - 3)^2 / 2 meet at the midpoints of their abscissae
+    x = np.array([0.5, 1.5, 2.5, 3.0 - 1e-13, 4.0, 5.0])
+    h, a = -0.5 * (x - 3.0) ** 2, 3.0 - x
+    env = PiecewiseExpEnvelope(x, h, a)
+    np.testing.assert_array_equal(env._bx, x)
+    z = np.concatenate(([0.0], 0.5 * (x[:-1] + x[1:]), [math.inf]))
+    assert np.all(a[:3] > 0.0) and 0.0 < a[3] * (z[4] - z[3]) < 1e-12 and np.all(a[4:] < 0.0)
+
+    def mass_below(q):
+        """Unnormalized hull mass on [0, q] for an array ``q``."""
+        q = np.asarray(q, dtype=float)[:, None]
+        u, v = z[:-1], np.minimum(z[1:], np.maximum(q, z[:-1]))
+        seg = np.exp(h + a * (u - x)) * np.expm1(a * (v - u)) / a
+        return seg.sum(axis=1)
+
+    total = mass_below([math.inf])[0]
+    assert env.log_total_mass() == pytest.approx(math.log(total), rel=1e-12)
+    draws = env.sample(20_000, RngStream(36, 0))
+    assert np.all(np.isfinite(draws) & (draws >= 0.0))
+    assert stats.kstest(draws, lambda q: mass_below(q) / total).pvalue > 1e-3
+
+
 def test_locate_mode_matches_the_analytic_gamma_mode() -> None:
     """The root finder's mode of a gamma log-density is (shape - 1) / rate."""
     rng = RngStream(38, 0)
