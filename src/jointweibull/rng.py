@@ -352,8 +352,12 @@ def _solve_rows(
     (``rtsafe``).  It stops when its Newton step is no longer than half of
     1e-10 of its abscissa, when its value is exactly 0, or when its bracket
     is no wider than 1e-10 of its upper end; it stays put while the other
-    rows go on, up to 200 sweeps in all.  Only a row's own evaluations move its bracket and its next
-    point, so each row's root is the one it would get alone.
+    rows go on, up to 200 sweeps in all.  Only a row's own evaluations move
+    its bracket and its next point, so each row's root is the one it would
+    get alone.  A stack takes as many sweeps as its slowest row, each one
+    over all rows: the maximum likelihood fits stack samples, and
+    :func:`_locate_modes` stacks the shape modes of several priors on one
+    sample.
 
     Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that was never
     bracketed: its root is ``inf`` when the value stays positive past 1e10
@@ -414,21 +418,20 @@ def _solve_rows(
     return root, ok, sweeps
 
 
-def _locate_mode(local: LogDensity) -> tuple[float, bool]:
-    """Return (mode, at_boundary) for a concave log-density on [0, inf).
+def _locate_modes(local: LogDensity, n_rows: int = 1) -> np.ndarray:
+    """Modes of ``n_rows`` concave log-densities on [0, inf), given as one
+    callable that takes one abscissa per row, from one :func:`_solve_rows`
+    search; a lone density is one row.
 
     The mode is the root of the log-density's slope.  A slope still
-    positive at 1e10 means the density never turns down.  One still
-    negative at 1e-10, or a root at or below 1e-8, puts the mode at the
-    support edge, taken as 1e-8.
+    positive at 1e10 means the density never turns down, and is refused.
+    One still negative at 1e-10, or a root at or below 1e-8, puts the mode
+    at the support edge, taken as 1e-8.
     """
-    root, _, _ = _solve_rows(local, 1)
-    mode = float(root[0])
-    if mode == math.inf:
+    root, _, _ = _solve_rows(local, n_rows)
+    if np.any(root == math.inf):
         raise NonIntegrableTargetError("log-density still increasing at 1e10")
-    if mode <= 1e-8:
-        return 1e-8, True
-    return mode, False
+    return np.maximum(root, 1e-8)
 
 
 _STATIC_OFFSETS = (
@@ -437,20 +440,23 @@ _STATIC_OFFSETS = (
 )
 
 
-def build_static_envelope(local: LogDensity) -> PiecewiseExpEnvelope:
+def build_static_envelope(local: LogDensity, mode=None) -> PiecewiseExpEnvelope:
     """A ready-to-sample hull with curvature-scaled tangent placement.
 
-    An interior mode gets tangents at ``_STATIC_OFFSETS`` multiples of
-    1/sqrt(-curvature) at the mode around it; a mode at the support edge
-    gets three, spaced by the inverse of the slope there.  The last tangent
-    thus sits 8 scales past the mode or 3/|slope| past the edge, where a
-    strictly concave target slopes down; a target that does not leaves the
-    hull's rightmost slope non-negative, which the hull refuses.  All
-    tangents come from one array call of ``local``.
+    The ``mode`` of ``local`` is located here unless the caller has it from
+    a stacked search (:func:`_locate_modes`).  An interior mode gets
+    tangents at ``_STATIC_OFFSETS`` multiples of 1/sqrt(-curvature) at the
+    mode around it; a mode at the support edge (1e-8) gets three, spaced
+    by the inverse of the slope there.  The last tangent thus sits 8 scales
+    past the mode or 3/|slope| past the edge, where a strictly concave
+    target slopes down; a target that does not leaves the hull's rightmost
+    slope non-negative, which the hull refuses.  All tangents come from one
+    array call of ``local``.
     """
-    mode, at_edge = _locate_mode(local)
+    if mode is None:
+        (mode,) = _locate_modes(local)
     _, d, f2 = (float(v[0]) for v in local(np.array([mode])))
-    if at_edge:
+    if mode <= 1e-8:
         if not math.isfinite(d):
             raise ValueError("log-density derivative not finite at the support edge")
         scale = 1.0 / max(abs(d), 1e-8)

@@ -18,7 +18,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior, hpd_interval
+from .bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior, hpd_interval, shape_modes
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -79,8 +79,11 @@ class StudyConfig:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if not self.methods:
             raise ValueError("at least one method is required")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"repeated methods: {list(self.methods)}")
+        for name in ("replications", "n_posterior", "n_boot"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie strictly between 0 and 1")
 
@@ -156,45 +159,24 @@ _SKIPPABLE = (
 _COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 
 
-def _posterior(config: StudyConfig, sample, rep_stream: RngStream, method: str):
-    return draw_posterior(
-        sample,
-        config.prior_for(method),
-        config.n_posterior,
-        rep_stream.substream(_METHOD_OFFSET[method]),
-    )
-
-
-def _point_estimates(config: StudyConfig, sample, rep_stream: RngStream, method: str):
-    """A method's estimates of the three parameters, and whether its
-    posterior's effective sample size was low."""
-    if method == "mle":
-        p = fit_mle(sample).params
-        return (p.alpha, p.lambda1, p.lambda2), False
-    if method == "mle-ordered":
-        p = fit_mle_ordered(sample).params
-        return (p.alpha, p.lambda1, p.lambda2), False
-    post = _posterior(config, sample, rep_stream, method)
-    return tuple(bayes_estimate(post, h) for h in _COMPONENTS), post.low_ess
-
-
-def _interval_triple(config: StudyConfig, sample, rep_stream: RngStream, method: str):
-    """A method's intervals for the three parameters, and whether its
-    posterior's effective sample size was low."""
-    if method == "mle":
-        return asymptotic_ci(sample, fit_mle(sample), config.level), False
-    if method == "mle-ordered":
-        return asymptotic_ci(sample, fit_mle_ordered(sample), config.level), False
+def _evaluate(config: StudyConfig, sample, rep_stream: RngStream, method: str, mode, point: bool):
+    """A method's estimates (with ``point`` False, its intervals) of the
+    three parameters, and whether its posterior's effective sample size was
+    low.  A posterior's hull is built around ``mode``, its shape mode."""
+    if method.startswith("mle"):
+        fit = (fit_mle_ordered if method == "mle-ordered" else fit_mle)(sample)
+        if point:
+            return (fit.params.alpha, fit.params.lambda1, fit.params.lambda2), False
+        return asymptotic_ci(sample, fit, config.level), False
+    stream = rep_stream.substream(_METHOD_OFFSET[method])
     if method == "bootstrap":
         res = bootstrap_ci(
-            sample,
-            level=config.level,
-            n_boot=config.n_boot,
-            ordered=False,
-            rng=rep_stream.substream(_METHOD_OFFSET[method]),
+            sample, level=config.level, n_boot=config.n_boot, ordered=False, rng=stream
         )
         return (res.alpha, res.lambda1, res.lambda2), False
-    post = _posterior(config, sample, rep_stream, method)
+    post = draw_posterior(sample, config.prior_for(method), config.n_posterior, stream, mode=mode)
+    if point:
+        return tuple(bayes_estimate(post, h) for h in _COMPONENTS), post.low_ess
     return tuple(hpd_interval(post, h, config.level) for h in _COMPONENTS), post.low_ess
 
 
@@ -204,12 +186,9 @@ def _replicate(config: StudyConfig, point: bool) -> McReport:
     ``point`` False) intervals per method, accumulated as width and coverage
     into AL and CP.  Low-ESS posteriors are counted per method, not skipped.
     """
-    if point:
-        methods = [m for m in config.methods if m != "bootstrap"]
-        evaluate = _point_estimates
-    else:
-        methods = list(config.methods)
-        evaluate = _interval_triple
+    methods = [m for m in config.methods if not (point and m == "bootstrap")]
+    bayes = [m for m in methods if m.startswith("bayes")]
+    priors = [config.prior_for(m) for m in bayes]
     sums = {(p, m): [0.0, 0.0] for p in PARAMETERS for m in methods}
     truth = (config.truth.alpha, config.truth.lambda1, config.truth.lambda2)
     low_ess = dict.fromkeys(methods, 0)
@@ -222,7 +201,9 @@ def _replicate(config: StudyConfig, point: bool) -> McReport:
             skipped += 1
             continue
         try:
-            results = {m: evaluate(config, sample, rep, m) for m in methods}
+            # one mode search for all posteriors; each then draws alone
+            modes = dict(zip(bayes, shape_modes(sample, priors))) if bayes else {}
+            results = {m: _evaluate(config, sample, rep, m, modes.get(m), point) for m in methods}
         except _SKIPPABLE:
             skipped += 1
             continue

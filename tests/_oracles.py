@@ -398,10 +398,10 @@ def static_envelope_pointwise(local):
     """The tangent hull of ``rng.build_static_envelope`` built point by point:
     every height and slope comes from its own scalar call of the
     ``(value, slope, curvature)`` callable ``local``."""
-    from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_mode
+    from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_modes
 
-    mode, at_edge = _locate_mode(local)
-    if at_edge:
+    (mode,) = _locate_modes(local)
+    if mode <= 1e-8:
         d = float(local(mode)[1])
         scale = 1.0 / max(abs(d), 1e-8)
         pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]

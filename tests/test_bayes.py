@@ -21,6 +21,7 @@ from jointweibull.bayes import (
     hpd_interval,
     log_marginal_shape,
     posterior_predictive_pvalue,
+    shape_modes,
     weibull_posterior_complete,
     weighted_hpd,
 )
@@ -45,6 +46,7 @@ from jointweibull.jpc import (
 from jointweibull.rng import (
     BetaGammaHyper,
     RngStream,
+    _locate_modes,
     build_static_envelope,
 )
 from jointweibull.study import POINT_METHODS, StudyConfig
@@ -150,6 +152,80 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
             hulls += 1
     # one hull per preset and sample: 4 presets x 21 samples
     assert hulls >= 84
+
+
+_PRESETS = ("bayes-ip", "bayes-nip", "bayes-ordered-ip", "bayes-ordered-nip")
+
+
+def _preset_samples(fiber):
+    """The fiber sample and 20 reference-design samples, with the study's
+    priors for the four Bayes presets."""
+    scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+    truth = JointParams(1.0, 0.5, 1.0)
+    config = StudyConfig(scheme, truth, 1, POINT_METHODS)
+    samples = [fiber] + [simulate_jpc(scheme, truth, RngStream(90, i)) for i in range(20)]
+    return samples, [config.prior_for(m) for m in _PRESETS]
+
+
+def test_stacked_mode_search_matches_lone_searches(fiber) -> None:
+    """One lockstep mode search over the four presets of a sample gives
+    each preset the mode of its own one-row search byte for byte, so the
+    hulls built from the stack are the lone hulls: on the 84 preset cores of
+    the fiber sample and 20 reference-design samples."""
+    samples, priors = _preset_samples(fiber)
+    cores = 0
+    for sample in samples:
+        stacked = shape_modes(sample, priors)
+        assert stacked.shape == (len(priors),)
+        for prior, mode in zip(priors, stacked):
+            branch = _PosteriorCore.from_jpc(sample, prior).branch
+            assert _locate_modes(branch.local).tobytes() == mode.tobytes()
+            got = build_static_envelope(branch.local, mode)
+            want = build_static_envelope(branch.local)
+            for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+            cores += 1
+    assert cores == 84
+
+
+def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> None:
+    """A preset whose posterior is improper stops the stacked search with
+    the error type and message it raises alone, wherever it sits in the
+    stack: a rate posterior with a flat weight on an empty group, and a
+    shape marginal that does not decay."""
+    one_sided = JpcSample(
+        CensoringScheme(3, 1, 3, (0, 1, 0)),
+        (JpcObservation(1.0, 1, 0), JpcObservation(2.0, 1, 0), JpcObservation(3.0, 1, 0)),
+    )
+    cases = ((one_sided, PriorSpec.flat(shape_rate=4.0)), (improper_jpc, PriorSpec.flat()))
+    for sample, bad in cases:
+        with pytest.raises(ImproperPosteriorError) as alone:
+            draw_posterior(sample, bad, 100, RngStream(640, 0))
+        for stack in ([bad], [ip_prior, bad], [bad, ip_prior, ip_prior]):
+            with pytest.raises(ImproperPosteriorError) as stacked:
+                shape_modes(sample, stack)
+            assert type(stacked.value) is type(alone.value)
+            assert str(stacked.value) == str(alone.value)
+    assert shape_modes(improper_jpc, [ip_prior]).shape == (1,)
+
+
+def test_sampler_proposes_few_more_shapes_than_it_keeps(fiber) -> None:
+    """The first batch is sized for the acceptance the hulls get, so over
+    the fiber sample and 20 reference-design samples under the four study
+    presets the sampler proposes at most 1.1 shapes per draw; it reports
+    its counts with the draws."""
+    samples, priors = _preset_samples(fiber)
+    n = 1000
+    proposed = draws = 0
+    for i, sample in enumerate(samples):
+        for prior in priors:
+            post = draw_posterior(sample, prior, n, RngStream(641, i))
+            assert n <= post.accepted <= post.proposed
+            assert 3 <= post.tangents <= 19
+            proposed += post.proposed
+            draws += post.n_draws
+    assert draws == 84 * n
+    assert proposed / draws <= 1.1
 
 
 def test_branch_curvature_matches_central_differences(fiber) -> None:

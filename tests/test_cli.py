@@ -274,6 +274,34 @@ def test_study_command_config_errors(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+def test_study_command_refuses_bad_settings_before_running(tmp_path, capsys, monkeypatch) -> None:
+    """No posterior draws, no bootstrap resamples and a repeated method are
+    refused with the bad-configuration code before any replication runs."""
+    import jointweibull.cli as cli
+
+    def never(config):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_point_study", never)
+    monkeypatch.setattr(cli, "run_interval_study", never)
+    base = {
+        "m": 20, "n": 22, "k": 20, "R": [7] + [0] * 18 + [15],
+        "alpha": 1.0, "lambda1": 0.5, "lambda2": 1.0,
+        "replications": 3, "methods": ["mle", "bayes-nip", "bootstrap"], "kind": "interval",
+    }
+    p = tmp_path / "study.json"
+    for key, value, word in (
+        ("n_posterior", 0, "n_posterior"),
+        ("n_boot", 0, "n_boot"),
+        ("methods", ["mle", "bayes-nip", "mle"], "repeated"),
+    ):
+        p.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+        assert main(["study", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad configuration" in captured.err and word in captured.err
+
+
 def _console_script_command(name: str) -> list[str]:
     """The ``[project.scripts]`` entry ``name`` as a fresh interpreter runs
     it from an installer's wrapper: import the target, ``sys.exit(main())``."""

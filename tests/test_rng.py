@@ -16,7 +16,7 @@ from jointweibull.rng import (
     RngStream,
     beta_gamma_mean,
     beta_gamma_variance,
-    _locate_mode,
+    _locate_modes,
     _solve_rows,
     build_static_envelope,
     log_beta_gamma_pdf,
@@ -256,14 +256,20 @@ def test_hull_draws_follow_its_piecewise_exponential_law() -> None:
 
 
 def test_locate_mode_matches_the_analytic_gamma_mode() -> None:
-    """The root finder's mode of a gamma log-density is (shape - 1) / rate."""
+    """The root finder's mode of a gamma log-density is (shape - 1) / rate,
+    searched alone or with the 29 others stacked one per row; the stack
+    gives each row its lone mode byte for byte."""
     rng = RngStream(38, 0)
-    for _ in range(30):
-        shape = 1.05 + 40.0 * rng.uniform()
-        rate = 10.0 ** (4.0 * rng.uniform() - 2.0)
-        mode, at_edge = _locate_mode(_gamma_target(shape, rate))
-        assert not at_edge
+    shapes = 1.05 + 40.0 * rng.uniform(30)
+    rates = 10.0 ** (4.0 * rng.uniform(30) - 2.0)
+    alone = []
+    for shape, rate in zip(shapes, rates):
+        (mode,) = _locate_modes(_gamma_target(shape, rate))
         assert mode == pytest.approx((shape - 1.0) / rate, rel=1e-9)
+        alone.append(mode)
+    assert min(alone) > 1e-8
+    stacked = _locate_modes(_gamma_target(shapes, rates), 30)
+    np.testing.assert_array_equal(stacked, alone)
 
 
 def test_adaptive_sampler_boundary_mode() -> None:
@@ -271,7 +277,7 @@ def test_adaptive_sampler_boundary_mode() -> None:
     puts the mode at the edge; the static hull built there samples the law
     exactly under rejection."""
     target = _linear_target(-1.0)
-    assert _locate_mode(target) == (1e-8, True)
+    assert list(_locate_modes(target)) == [1e-8]
     env = build_static_envelope(target)
     rng = RngStream(35, 0)
     q = env.sample(30_000, rng)

@@ -40,6 +40,12 @@ def test_config_validation() -> None:
         _config(replications=0)
     with pytest.raises(ValueError):
         _config(level=1.0)
+    with pytest.raises(ValueError, match="n_posterior"):
+        _config(n_posterior=0)
+    with pytest.raises(ValueError, match="n_boot"):
+        _config(n_boot=0)
+    with pytest.raises(ValueError, match="repeated"):
+        _config(methods=("mle", "bayes-ip", "mle"))
 
 
 def test_prior_selection() -> None:
@@ -90,6 +96,13 @@ def test_method_streams_do_not_interact() -> None:
     )
     for p in PARAMETERS:
         assert both.cell(p, "bayes-nip") == alone.cell(p, "bayes-nip")
+    # the Bayes presets share one stacked mode search per replication, and
+    # each one run alone still gets its cells from the full run exactly
+    full = run_point_study(_config(replications=40, methods=POINT_METHODS, base_seed=5))
+    for m in POINT_METHODS[2:]:
+        alone = run_point_study(_config(replications=40, methods=(m,), base_seed=5))
+        for p in PARAMETERS:
+            assert full.cell(p, m) == alone.cell(p, m)
 
 
 def test_informative_prior_tightens_rate_mse() -> None:
