@@ -256,32 +256,27 @@ def _study_config_from_json(path: str) -> tuple[StudyConfig, str]:
     except json.JSONDecodeError as exc:
         raise SampleFileError(f"{path}: invalid JSON: {exc}") from exc
     try:
-        scheme = CensoringScheme(
-            m=raw["m"], n=raw["n"], k=raw["k"], R=tuple(raw["R"])
-        )
-        truth = JointParams(
-            alpha=raw["alpha"], lambda1=raw["lambda1"], lambda2=raw["lambda2"]
-        )
+        raw = dict(raw)  # each key read is popped, so what is left are StudyConfig's options
+        scheme = CensoringScheme(raw.pop("m"), raw.pop("n"), raw.pop("k"), tuple(raw.pop("R")))
+        truth = JointParams(raw.pop("alpha"), raw.pop("lambda1"), raw.pop("lambda2"))
         informative = None
         if "informative" in raw:
-            ip = raw["informative"]
+            ip = dict(raw.pop("informative"))
             informative = PriorSpec(
-                bg=BetaGammaHyper(ip["a0"], ip["b0"], ip["a1"], ip["a2"]),
-                shape=ShapeHyper(ip["a"], ip["b"]),
+                bg=BetaGammaHyper(ip.pop("a0"), ip.pop("b0"), ip.pop("a1"), ip.pop("a2")),
+                shape=ShapeHyper(ip.pop("a"), ip.pop("b")),
             )
+            if ip:
+                raise ValueError(f"unknown key 'informative.{min(ip)}'")
+        kind = raw.pop("kind", "point")
         config = StudyConfig(
             scheme=scheme,
             truth=truth,
-            replications=raw["replications"],
-            methods=tuple(raw["methods"]),
-            level=raw.get("level", 0.9),
-            n_posterior=raw.get("n_posterior", 1000),
-            n_boot=raw.get("n_boot", 500),
-            base_seed=raw.get("base_seed", 0),
-            shape_rate_flat=raw.get("shape_rate_flat", 0.0),
+            replications=raw.pop("replications"),
+            methods=tuple(raw.pop("methods")),
             informative=informative,
+            **raw,  # an unknown key is an unexpected keyword argument
         )
-        kind = raw.get("kind", "point")
     except KeyError as exc:
         raise SampleFileError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -101,10 +101,10 @@ def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     ``log_x``: a one-group ``mle._fit_rows`` stack, every value a failure of
     weight 1.  Returns ``(alpha, lam, sweeps)``; a row without a shape
     maximizer raises."""
-    alpha, rates, _, ok, sweeps = _fit_rows(log_x, 0.0, log_x.shape[1])
+    alpha, log_rates, ok, sweeps = _fit_rows(log_x, 0.0, log_x.shape[1])
     if not ok.all():
         raise ConvergenceError(_NO_SHAPE)
-    return alpha, rates[0], sweeps
+    return alpha, np.exp(log_rates[0]), sweeps
 
 
 def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShapeFit:
@@ -122,10 +122,11 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     in1 = np.arange(n1 + n2) < n1
     logc1 = np.where(in1, 0.0, -np.inf)
     logc2 = np.where(in1, -np.inf, 0.0)
-    alpha, rates, _, ok, sweeps = _fit_rows(lnt, logc1, n1, logc2, n2)
+    alpha, log_rates, ok, sweeps = _fit_rows(lnt, logc1, n1, logc2, n2)
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
-    alpha, lam1, lam2 = float(alpha[0]), float(rates[0, 0]), float(rates[1, 0])
+    alpha = float(alpha[0])
+    lam1, lam2 = np.exp(log_rates[:, 0]).tolist()
     loglik = _complete_loglik(data1, alpha, lam1) + _complete_loglik(data2, alpha, lam2)
     return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps)
 

@@ -5,20 +5,24 @@ so the shape is the root of the derivative of the profiled log-likelihood
 
     p(a) = k ln a - k1 ln U(a) - k2 ln V(a) + (a - 1) sum ln t_j ,
 
-which is unimodal.  The order-restricted fit (``l1 <= l2``) keeps the
-unrestricted rates wherever they already respect the order and otherwise
-pools both groups onto the common rate ``k / (U(a) + V(a))``.
+which is unimodal.  The order-restricted fit (``l1 <= l2``) is the free fit
+if its rates respect the order, and otherwise the common-rate fit: one rate
+``k / (U(a) + V(a))``, its shape maximizing the one-group profile with
+weights ``R_j + 1``.  The log-likelihood is jointly concave in
+``(a, ln l1, ln l2)`` (power sums are sums of exponentials of linear terms)
+and the order is a half-space, so a restricted maximum inside it would be
+the free one: a free fit that breaks the order puts it on ``l1 = l2``.
 
 Every maximum likelihood fit in the package is a stack of samples, one per
 row, fitted by :func:`_fit_rows`: it hands the profile score and its
 analytic slope to the package's one root finder (``rng._solve_rows``),
 whose rows are bracketed and then take safeguarded Newton steps in
 lockstep until each step or bracket is within 1e-10 relative, so each
-row's shape is the one it would get alone; it then reads each group's rate
-from one log-sum-exp and pools the rows that break the order.  A single
-fit is a stack of one; the bootstrap refits all its resamples, drawn by the
-batched tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one stack,
-which keeps a 500-resample percentile interval at a few tens of
+row's shape is the one it would get alone; it then reads each group's log
+rate from one log-sum-exp.  Only :func:`_fit_design` knows the order.  A
+single fit is a stack of one; the bootstrap refits all its resamples, drawn
+by the batched tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one
+stack, which keeps a 500-resample percentile interval at a few tens of
 milliseconds for typical designs; and ``gof``'s complete-sample fits, the
 Monte Carlo KS refits among them, are one-group stacks.
 """
@@ -54,9 +58,11 @@ from .rng import _MAX_SWEEPS, RngStream, _softmax_moments, _solve_rows, log_sum_
 class MleFit:
     """A fitted parameter triple with diagnostics of how it was obtained.
 
-    ``iterations`` counts the profile-score sweeps of the shape search.
-    ``converged`` means the Newton step or the bracket fell below 1e-10
-    relative before the 200-sweep cap.
+    ``boundary`` marks an ordered fit refitted with the common rate.
+    ``iterations`` counts the profile-score sweeps of the shape search, on a
+    boundary fit those of the free and the common-rate search together.
+    ``converged`` means each search's Newton step or bracket fell below
+    1e-10 relative before the 200-sweep cap.
     """
 
     params: JointParams
@@ -132,106 +138,85 @@ def profile_loglik(sample: JpcSample, alpha: float) -> float:
     return float(val)
 
 
-def _breaks_order(log_rate1, log_rate2):
-    """Rows whose rates k1/U, k2/V, given by their logs, break l1 < l2."""
-    return log_rate1 >= log_rate2
-
-
-def _profile_score(
-    lnt, logc1, k1, logc2=None, k2=0, log_pooled=None
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _profile_score(lnt, logc1, k1, logc2=None, k2=0) -> Callable[[np.ndarray], tuple]:
     """The profile scores of stacked samples and their slopes, as a function
     of one shape per row.
 
     Row i holds log times ``lnt[i]`` and log power-sum coefficients
     ``logc1[i]``, ``logc2[i]`` (``-inf`` for a zero coefficient) with failure
     counts ``k1``, ``k2`` (per-row arrays or scalars).  Without ``logc2`` the
-    stack is of one group only, as complete samples are (``logc1 = 0``,
-    ``k1 = n``).  With ``log_pooled`` the fit is order-restricted: rows whose
-    rates k1/U, k2/V break the order take the score of the pooled profile
-    instead.
+    stack is of one group only, as complete samples and common-rate refits
+    are (``logc1 = 0``, ``k1 = n``; ``logc1 = ln(R + 1)``, ``k1 = k``).
 
     The score of a row is ``k/a + sum ln t - k1 E1 - k2 E2``, with ``E1``,
     ``E2`` the means of ``ln t`` under the softmax weights ``c1 t^a``,
     ``c2 t^a``; its slope, ``-k/a^2 - k1 Var1 - k2 Var2`` with the variances
-    under the same weights, is negative, so each profile is concave.  A
-    pooled row has ``-k/a^2 - k Varp``.
+    under the same weights, is negative, so each profile is concave.
     """
     k = k1 + k2
     slt = lnt.sum(axis=1)
-    if log_pooled is not None:
-        log_k1 = np.log(k1)
-        log_k2 = np.log(k2)
 
     def score(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = alpha[:, None]
-        lead, bend = k / alpha + slt, -k / alpha**2
-        m1, v1, ln_u = _softmax_moments(logc1 + a * lnt, lnt)
-        d = lead - k1 * m1
-        slope = bend - k1 * v1
+        m1, v1, _ = _softmax_moments(logc1 + a * lnt, lnt)
+        d = k / alpha + slt - k1 * m1
+        slope = -k / alpha**2 - k1 * v1
         if logc2 is None:
             return d, slope
-        m2, v2, ln_v = _softmax_moments(logc2 + a * lnt, lnt)
-        d = d - k2 * m2
-        slope = slope - k2 * v2
-        if log_pooled is not None:
-            violated = _breaks_order(log_k1 - ln_u, log_k2 - ln_v)
-            if violated.any():
-                mp, vp, _ = _softmax_moments(log_pooled + a * lnt, lnt)
-                d = np.where(violated, lead - k * mp, d)
-                slope = np.where(violated, bend - k * vp, slope)
-        return d, slope
+        m2, v2, _ = _softmax_moments(logc2 + a * lnt, lnt)
+        return d - k2 * m2, slope - k2 * v2
 
     return score
 
 
-def _fit_rows(
-    lnt, logc1, k1, logc2=None, k2=0, log_pooled=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _fit_rows(lnt, logc1, k1, logc2=None, k2=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Maximum likelihood fits of stacked samples (the stack is that of
     :func:`_profile_score`).
 
-    Returns ``(alpha, rates, pooled, ok, sweeps)``: the profile-maximizing
-    shapes; the rates ``k_g / S_g(alpha)``, one row per group; on an
-    order-restricted stack, the rows whose rates break the order, where both
-    rates are the pooled ``k / (U + V)``; the rows that have a shape in
-    [1e-10, 1e10] (the other rows' shapes and rates mean nothing); and the
-    sweep count.
+    Returns ``(alpha, log_rates, ok, sweeps)``: the profile-maximizing
+    shapes; the log rates ``ln(k_g / S_g(alpha))``, one row per group; the
+    rows that have a shape in [1e-10, 1e10] (the other rows' shapes and
+    rates mean nothing); and the sweep count.
     """
-    score = _profile_score(lnt, logc1, k1, logc2, k2, log_pooled)
+    score = _profile_score(lnt, logc1, k1, logc2, k2)
     alpha, ok, sweeps = _solve_rows(score, lnt.shape[0])
     a = alpha[:, None]
     groups = ((logc1, k1),) if logc2 is None else ((logc1, k1), (logc2, k2))
     with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
         log_rates = np.stack([np.log(kg) - log_sum_exp(c + a * lnt) for c, kg in groups])
-        pooled = np.zeros(alpha.shape, dtype=bool)
-        if log_pooled is not None:
-            pooled = _breaks_order(*log_rates)
-            if pooled.any():
-                log_common = np.log(k1 + k2) - log_sum_exp(log_pooled + a * lnt)
-                log_rates = np.where(pooled, log_common, log_rates)
-    return alpha, np.exp(log_rates), pooled, ok, sweeps
+    return alpha, log_rates, ok, sweeps
 
 
 def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool):
     """:func:`_fit_rows` on stacked outcomes of one design, one per row of
-    ``lnt``, ``delta`` and ``s``; with ``ordered`` under l1 <= l2."""
+    ``lnt``, ``delta`` and ``s``.  Returns ``(alpha, rates, boundary, ok,
+    sweeps)``: with ``ordered``, the ``boundary`` rows broke l1 <= l2 in the
+    free fit and are refitted with the common rate; ``sweeps`` lists the
+    sweep count of each search."""
     k1 = delta.sum(axis=1, dtype=float)
     logc1, logc2 = log_weights(scheme.R, delta, s)
-    log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0) if ordered else None
-    return _fit_rows(lnt, logc1, k1, logc2, scheme.k - k1, log_pooled)
+    alpha, log_rates, ok, sweeps = _fit_rows(lnt, logc1, k1, logc2, scheme.k - k1)
+    sweeps = [sweeps]
+    boundary = ok & (log_rates[0] >= log_rates[1]) if ordered else np.zeros_like(ok)
+    if boundary.any():
+        log_w = np.log(np.asarray(scheme.R, dtype=float) + 1.0)  # ln of U + V's weights
+        alpha[boundary], log_common, ok[boundary], more = _fit_rows(lnt[boundary], log_w, scheme.k)
+        log_rates[:, boundary] = log_common[0]
+        sweeps.append(more)
+    return alpha, np.exp(log_rates), boundary, ok, sweeps
 
 
 def _fit(sample: JpcSample, ordered: bool) -> MleFit:
     """Fit of one sample as a stack of one."""
     _require_both_groups(sample)
     rows = (x[None, :] for x in (sample.log_t, sample.delta, sample.s))
-    alpha, rates, pooled, ok, sweeps = _fit_design(sample.scheme, *rows, ordered)
+    alpha, rates, boundary, ok, sweeps = _fit_design(sample.scheme, *rows, ordered)
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
     params = JointParams(float(alpha[0]), float(rates[0, 0]), float(rates[1, 0]))
     loglik = log_likelihood(sample, params)
-    return MleFit(params, loglik, ordered, bool(pooled[0]), sweeps, sweeps < _MAX_SWEEPS)
+    converged = max(sweeps) < _MAX_SWEEPS
+    return MleFit(params, loglik, ordered, bool(boundary[0]), sum(sweeps), converged)
 
 
 def fit_mle(sample: JpcSample) -> MleFit:
@@ -240,13 +225,9 @@ def fit_mle(sample: JpcSample) -> MleFit:
 
 
 def fit_mle_ordered(sample: JpcSample) -> MleFit:
-    """Maximum likelihood under the restriction lambda1 <= lambda2.
-
-    Where the unrestricted rates already satisfy the order the profile is
-    unchanged; elsewhere both rates collapse to the pooled value
-    k/(U+V).  The profiled criterion stays unimodal with a continuous
-    derivative, so the same root finder applies.
-    """
+    """Maximum likelihood under the restriction lambda1 <= lambda2: the
+    unrestricted fit if its rates respect the order, otherwise the
+    common-rate fit (see the module docstring for why)."""
     return _fit(sample, ordered=True)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 from .bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior, hpd_interval, shape_modes
@@ -81,9 +82,11 @@ class StudyConfig:
             raise ValueError("at least one method is required")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"repeated methods: {list(self.methods)}")
-        for name in ("replications", "n_posterior", "n_boot"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for name in ("replications", "n_posterior", "n_boot", "base_seed"):
+            v = getattr(self, name)
+            low = 0 if name == "base_seed" else 1
+            if isinstance(v, bool) or not isinstance(v, Integral) or not low <= v < 2**64:
+                raise ValueError(f"{name} must be an integer in [{low}, 2^64), not {v!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie strictly between 0 and 1")
 

@@ -13,6 +13,7 @@ import jointweibull
 from jointweibull.cli import SEED_ENV_VAR, main
 from jointweibull.datasets import carbon_fiber_10mm, carbon_fiber_20mm, fiber_jpc_sample
 from jointweibull.io import serialize_jpc_sample
+from jointweibull.study import StudyConfig
 
 _PROJECT_ROOT = Path(__file__).resolve().parents[1]
 
@@ -300,6 +301,46 @@ def test_study_command_refuses_bad_settings_before_running(tmp_path, capsys, mon
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad configuration" in captured.err and word in captured.err
+
+
+def test_study_command_refuses_unknown_keys_and_bad_counts(tmp_path, capsys, monkeypatch) -> None:
+    """A misspelled key, top-level or in the informative prior, a count that
+    is not an integer and a seed outside [0, 2^64) exit 4 naming the key,
+    before any replication runs and with nothing on stdout; absent options
+    take StudyConfig's own defaults."""
+    import jointweibull.cli as cli
+
+    def never(config):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_point_study", never)
+    base = {
+        "m": 20, "n": 22, "k": 20, "R": [7] + [0] * 18 + [15],
+        "alpha": 1.0, "lambda1": 0.5, "lambda2": 1.0,
+        "replications": 3, "methods": ["mle", "bayes-ip"],
+    }
+    prior = {"a0": 1.5, "b0": 1.0, "a1": 2.0, "a2": 4.0, "a": 2.0, "b": 2.0}
+    p = tmp_path / "study.json"
+    p.write_text(json.dumps({**base, "informative": prior}), encoding="utf-8")
+    config, kind = cli._study_config_from_json(str(p))
+    assert kind == "point"
+    assert config == StudyConfig(
+        config.scheme, config.truth, 3, ("mle", "bayes-ip"), informative=config.informative
+    )
+    for extra, word in (
+        ({"n_posteriors": 50}, "n_posteriors"),
+        ({"informative": {**prior, "c": 1.0}}, "informative.c"),
+        ({"replications": 2.5}, "replications"),
+        ({"n_boot": 2.5}, "n_boot"),
+        ({"n_posterior": True}, "n_posterior"),
+        ({"base_seed": -1}, "base_seed"),
+        ({"base_seed": 2**64}, "base_seed"),
+    ):
+        p.write_text(json.dumps({**base, **extra}), encoding="utf-8")
+        assert main(["study", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert word in captured.err
 
 
 def _console_script_command(name: str) -> list[str]:

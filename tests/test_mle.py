@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from jointweibull.errors import NoMleError, UnstableBootstrapError
 from jointweibull.jpc import (
@@ -22,6 +22,7 @@ from jointweibull.jpc import (
 from jointweibull.mle import (
     BootstrapResult,
     IntervalEstimate,
+    _fit_design,
     _fit_rows,
     _profile_score,
     asymptotic_ci,
@@ -32,7 +33,7 @@ from jointweibull.mle import (
     lambda_hats,
     profile_loglik,
 )
-from jointweibull.rng import RngStream, _solve_rows
+from jointweibull.rng import RngStream
 
 from _oracles import fd_hessian, random_jpc_sample, swap_groups
 
@@ -312,36 +313,22 @@ def test_stacked_rows_fit_as_they_fit_alone() -> None:
     byte for byte, the shape, the rates and the boundary flag that fit_mle
     and fit_mle_ordered give the same sample alone: a scalar fit is a stack
     of one, and the lockstep sweeps leave each row's bracket sequence to
-    that row.  Some rows of the order-restricted stack pool."""
-    scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
-    log_t, delta, s = simulate_jpc_batch(scheme, (1.0, 0.5, 1.0), RngStream(81, 0), 400)
-    samples = []
-    for lt, d, sj in zip(log_t, delta, s):
-        if 0 < d.sum() < scheme.k:
-            obs = (JpcObservation(float(t), int(g), int(w)) for t, g, w in zip(np.exp(lt), d, sj))
-            samples.append(JpcSample(scheme, tuple(obs)))
+    that row, in the free search and in the common-rate refit alike.  Some
+    rows of the order-restricted stack are refitted."""
+    samples = _reference_samples(400, 81)
     assert len(samples) > 350
-    stack = (
-        np.stack([x.log_t for x in samples]),
-        np.stack([x.log_coef1 for x in samples]),
-        np.array([x.k1 for x in samples], dtype=float),
-        np.stack([x.log_coef2 for x in samples]),
-        np.array([x.k2 for x in samples], dtype=float),
-    )
-    log_pooled = np.log(np.asarray(scheme.R, dtype=float) + 1.0)
-    for fit, tail in ((fit_mle, ()), (fit_mle_ordered, (log_pooled,))):
-        alpha, rates, pooled, ok, _ = _fit_rows(*stack, *tail)
+    for fit, ordered in ((fit_mle, False), (fit_mle_ordered, True)):
+        alpha, rates, boundary, ok, _ = _fit_design(REFERENCE, *_design_rows(samples), ordered)
         assert ok.all()
         alone = [fit(x) for x in samples]
         assert list(alpha) == [f.params.alpha for f in alone]
         assert list(rates[0]) == [f.params.lambda1 for f in alone]
         assert list(rates[1]) == [f.params.lambda2 for f in alone]
-        assert list(pooled) == [f.boundary for f in alone]
-    assert 10 < pooled.sum() < len(samples) - 10
+        assert list(boundary) == [f.boundary for f in alone]
+    assert 10 < boundary.sum() < len(samples) - 10
 
 
 REFERENCE = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
-LOG_POOLED = np.log(np.asarray(REFERENCE.R, dtype=float) + 1.0)
 
 
 def _reference_samples(n: int, seed: int) -> list[JpcSample]:
@@ -363,6 +350,10 @@ def _stack(samples: list[JpcSample]) -> tuple:
         np.stack([x.log_coef2 for x in samples]),
         np.array([x.k2 for x in samples], dtype=float),
     )
+
+
+def _design_rows(samples: list[JpcSample]) -> tuple:
+    return tuple(np.stack([getattr(x, n) for x in samples]) for n in ("log_t", "delta", "s"))
 
 
 def _pooled(sample: JpcSample, alpha: float) -> bool:
@@ -392,85 +383,72 @@ def _brentq_root(sample: JpcSample, ordered: bool = False) -> float:
 
 def test_profile_score_slope_matches_central_differences(fiber) -> None:
     """The analytic slope of the profile score equals central differences
-    of the score to 1e-7 relative, unrestricted and order-restricted, on
-    the pooled rows too: on the fiber sample and 20 reference-design
-    samples.  Shapes whose difference steps straddle the switch between
-    the unrestricted and the pooled score are skipped."""
+    of the score to 1e-7 relative, for the two-group score and for the
+    common-rate score as a one-group score with weights R + 1: on the fiber
+    sample and 20 reference-design samples."""
     samples = [fiber] + _reference_samples(24, 83)[:20]
     assert len(samples) == 21
     grid = np.geomspace(0.1, 12.0, 30)
     h = 1e-5 * grid
-    pooled_points = 0
     for sample in samples:
-        stack = _stack([sample])
-        for log_pooled in (None, LOG_POOLED):
-            score = _profile_score(*stack, log_pooled)
+        log_common = np.log(np.asarray(sample.scheme.R, dtype=float) + 1.0)
+        for score in (
+            _profile_score(*_stack([sample])),
+            _profile_score(sample.log_t[None, :], log_common, sample.scheme.k),
+        ):
             for a, step in zip(grid, h):
-                sides = {_pooled(sample, x) for x in (a - step, a, a + step)}
-                if log_pooled is not None and len(sides) > 1:
-                    continue
-                pooled_points += log_pooled is not None and sides == {True}
                 _, slope = score(np.array([a]))
                 ahead, _ = score(np.array([a + step]))
                 behind, _ = score(np.array([a - step]))
                 numeric = (ahead[0] - behind[0]) / (2.0 * step)
                 assert slope[0] < 0.0
                 assert slope[0] == pytest.approx(numeric, rel=1e-7)
-    assert pooled_points >= 30
 
 
 def test_root_finder_meets_brentq_within_15_sweeps() -> None:
     """On a 400-experiment reference stack every row, unrestricted or
-    order-restricted, ends within 15 sweeps, and its root equals scipy's
-    brentq on the longhand profile score to 1e-11 relative."""
+    order-restricted, ends each search within 15 sweeps, and its root
+    equals scipy's brentq on the longhand profile score to 1e-11 relative;
+    the order-restricted root is that of the piecewise score, which takes
+    the common-rate branch wherever the free rates break the order."""
     samples = _reference_samples(400, 81)
     assert len(samples) > 350
-    stack = _stack(samples)
-    for ordered, log_pooled in ((False, None), (True, LOG_POOLED)):
-        roots, _, _, ok, sweeps = _fit_rows(*stack, log_pooled)
+    rows = _design_rows(samples)
+    for ordered in (False, True):
+        roots, _, _, ok, sweeps = _fit_design(REFERENCE, *rows, ordered)
         assert ok.all()
-        assert sweeps <= 15
+        assert len(sweeps) == 1 + ordered and max(sweeps) <= 15
         want = [_brentq_root(x, ordered) for x in samples]
         np.testing.assert_allclose(roots, want, rtol=1e-11, atol=0.0)
 
 
-def test_newton_steps_on_the_kinked_profile_follow_the_bracket_rule() -> None:
-    """The order-restricted score has a kink where the search crosses from
-    the unrestricted to the pooled profile.  Replaying each such row's
-    search shows the Newton phase starting from the bracket end with a
-    positive score, every step that lands inside the open bracket taken as
-    is and any other replaced by the bracket's midpoint; the row still
-    converges to brentq's root on the longhand score."""
-    crossed = 0
-    for sample in _reference_samples(400, 81):
-        score = _profile_score(*_stack([sample]), LOG_POOLED)
-        seen = []
+def test_ordered_fit_meets_a_constrained_optimizer() -> None:
+    """On samples whose free fit breaks the order, SLSQP maximizing the
+    log-likelihood over (alpha, ln l1, ln l2) under ln l1 <= ln l2, from
+    several starts, never beats fit_mle_ordered by more than 1e-8 and comes
+    within 1e-6 of it: the restricted maximum lies on the boundary."""
+    samples = _reference_samples(400, 85)
+    broken = [x for x in samples if (p := fit_mle(x).params).lambda1 >= p.lambda2]
+    assert len(broken) >= 20
+    for sample in broken[:20]:
+        fit = fit_mle_ordered(sample)
+        assert fit.boundary and fit.converged
 
-        def logged(alpha, score=score, seen=seen):
-            d, slope = score(alpha)
-            seen.append((float(alpha[0]), float(d[0]), float(slope[0])))
-            return d, slope
+        def negative(theta: np.ndarray) -> float:
+            a, ln1, ln2 = theta
+            return -log_likelihood(sample, JointParams(a, math.exp(ln1), math.exp(ln2)))
 
-        root, ok, sweeps = _solve_rows(logged, 1)
-        if len({_pooled(sample, x) for x, _, _ in seen}) < 2:
-            continue
-        crossed += 1
-        # bracketing ends at the first evaluation whose sign differs from
-        # the one at 1; Newton steps start from the end with a positive score
-        first = next(i for i, (_, d, _) in enumerate(seen) if np.sign(d) != np.sign(seen[0][1]))
-        lo, hi = sorted((seen[first - 1][0], seen[first][0]))
-        start = seen[first] if seen[first][1] >= 0.0 else seen[first - 1]
-        path = [start] + seen[first + 1 :]
-        for (x, d, slope), (x_next, d_next, _) in zip(path, path[1:]):
-            target = x - d / slope
-            if lo < target < hi:
-                assert x_next == target
-            else:
-                assert x_next == 0.5 * (lo + hi)
-            if d_next > 0.0:
-                lo = x_next
-            else:
-                hi = x_next
-        assert ok[0] and sweeps <= 15
-        assert root[0] == pytest.approx(_brentq_root(sample, ordered=True), rel=1e-11)
-    assert crossed >= 2
+        best = -math.inf
+        for start in ((1.0, 0.0, 0.0), (0.5, -1.0, 0.5), (2.0, -2.0, -1.0), (1.5, 0.5, 1.0)):
+            res = minimize(
+                negative,
+                np.array(start),
+                method="SLSQP",
+                bounds=((0.05, 20.0), (-15.0, 5.0), (-15.0, 5.0)),
+                constraints=({"type": "ineq", "fun": lambda th: th[2] - th[1]},),
+                options={"ftol": 1e-14, "maxiter": 500},
+            )
+            assert res.x[1] <= res.x[2] + 1e-9
+            best = max(best, -negative(res.x))
+        assert best <= fit.loglik + 1e-8
+        assert best >= fit.loglik - 1e-6

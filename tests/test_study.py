@@ -48,6 +48,21 @@ def test_config_validation() -> None:
         _config(methods=("mle", "bayes-ip", "mle"))
 
 
+def test_config_refuses_non_integer_counts_and_seeds_outside_64_bits() -> None:
+    for key, value in (
+        ("replications", 2.5),
+        ("n_boot", 2.5),
+        ("n_posterior", True),
+        ("replications", "3"),
+        ("base_seed", -1),
+        ("base_seed", 2**64),
+        ("base_seed", 1.0),
+    ):
+        with pytest.raises(ValueError, match=key):
+            _config(**{key: value})
+    assert _config(base_seed=2**64 - 1).base_seed == 2**64 - 1
+
+
 def test_prior_selection() -> None:
     cfg = _config(methods=POINT_METHODS, shape_rate_flat=2.0)
     nip = cfg.prior_for("bayes-nip")
