@@ -10,7 +10,6 @@ from .errors import (
     NoMleError,
     NonIntegrableTargetError,
     SampleFileError,
-    SingularInformationError,
     StudyFailedError,
     UnstableBootstrapError,
 )

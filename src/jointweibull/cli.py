@@ -34,7 +34,6 @@ from .errors import (
     NoMleError,
     NonIntegrableTargetError,
     SampleFileError,
-    SingularInformationError,
     UnstableBootstrapError,
 )
 from .gof import (
@@ -115,13 +114,9 @@ def _cmd_fit(args) -> int:
     _emit(out, "converged", int(fit.converged))
     if args.ordered:
         _emit(out, "boundary", int(fit.boundary))
-    try:
-        cis = asymptotic_ci(sample, fit, args.level)
-        for name, ci in zip(("alpha", "lambda1", "lambda2"), cis):
-            _emit(out, f"ci_{name}", ci.lower, ci.upper)
-        _emit(out, "ci_level", args.level)
-    except SingularInformationError as exc:
-        print(f"warning: no asymptotic intervals: {exc}", file=sys.stderr)
+    for name, ci in zip(("alpha", "lambda1", "lambda2"), asymptotic_ci(sample, fit, args.level)):
+        _emit(out, f"ci_{name}", ci.lower, ci.upper)
+    _emit(out, "ci_level", args.level)
     return 0
 
 
@@ -311,6 +306,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _level(text: str) -> float:
+    if not 0.0 < float(text) < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, not {text}")
+    return float(text)
+
+
+def _count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text}")
+    return int(text)
+
+
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a0", type=float, default=0.0, help="beta-gamma total-rate shape")
     p.add_argument("--b0", type=float, default=0.0, help="beta-gamma total-rate rate")
@@ -340,15 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sample")
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--ordered", action="store_true")
-    p.add_argument("--level", type=float, default=0.9)
+    p.add_argument("--level", type=_level, default=0.9)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("bootstrap", help="parametric bootstrap percentile intervals")
     p.add_argument("sample")
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--ordered", action="store_true")
-    p.add_argument("--level", type=float, default=0.9)
-    p.add_argument("--n-boot", type=int, default=500)
+    p.add_argument("--level", type=_level, default=0.9)
+    p.add_argument("--n-boot", type=_count, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_bootstrap)
 
@@ -356,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sample")
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--ordered", action="store_true")
-    p.add_argument("--level", type=float, default=0.9)
-    p.add_argument("--n-draws", type=int, default=10000)
+    p.add_argument("--level", type=_level, default=0.9)
+    p.add_argument("--n-draws", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=None)
     _add_prior_flags(p)
     p.set_defaults(func=_cmd_bayes)
@@ -368,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data1")
     p.add_argument("data2")
     p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--n-draws", type=int, default=2000)
-    p.add_argument("--n-rep", type=int, default=2000)
+    p.add_argument("--n-draws", type=_count, default=2000)
+    p.add_argument("--n-rep", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=None)
     _add_prior_flags(p)
     p.set_defaults(func=_cmd_analyze)
@@ -397,7 +404,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SampleFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConvergenceError, UnstableBootstrapError, SingularInformationError, ValueError) as exc:
+    except (ConvergenceError, UnstableBootstrapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,9 @@
 
 The command line maps these onto distinct exit codes so that scripted
 callers can tell "no MLE exists for this sample" apart from "the posterior
-does not integrate" and from plain input-file problems.
+does not integrate" and from plain input-file problems.  A Monte Carlo
+study skips and counts a replication in which any method raises an
+``EstimationError``.
 """
 
 from __future__ import annotations
@@ -41,11 +43,6 @@ class UnstableBootstrapError(EstimationError):
 class DegenerateWeightsError(EstimationError):
     """Raised when every importance weight is zero, leaving nothing to
     normalize."""
-
-
-class SingularInformationError(EstimationError):
-    """Raised when the observed information matrix cannot be inverted or is
-    not positive definite at the supplied parameter values."""
 
 
 class StudyFailedError(EstimationError):

@@ -165,7 +165,7 @@ class JpcSample:
     def log_coef2(self) -> np.ndarray:
         return log_weights(self.scheme.R, self.delta, self.s)[1]
 
-    @property
+    @cached_property
     def k1(self) -> int:
         return int(self.delta.sum())
 

@@ -6,10 +6,10 @@ from streams keyed by ``(base_seed, splitmix64(i+1) + method offset)``, so
 results are a pure function of the configuration no matter how the loop is
 ordered or resumed.  Replications in which one group never fails carry no
 information about the other group's rate; they are skipped and counted, as
-are the (rare) replications where a flat-prior posterior fails its
-properness check.  A posterior whose effective sample size falls below one
-percent of its draws is counted per method as ``low_ess`` and kept in the
-averages.
+are the (rare) replications where a method raises an ``EstimationError``
+(an improper posterior, a failed fit or bootstrap).  A posterior whose
+effective sample size falls below one percent of its draws is counted per
+method as ``low_ess`` and kept in the averages.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from numbers import Integral
 from typing import Optional
 
 from .bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior, hpd_interval, shape_modes
-from .errors import (
-    ConvergenceError,
-    DegenerateWeightsError,
-    ImproperPosteriorError,
-    StudyFailedError,
-    UnstableBootstrapError,
-)
+from .errors import EstimationError, StudyFailedError
 from .jpc import CensoringScheme, JointParams, simulate_jpc
 from .mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
 from .rng import BetaGammaHyper, RngStream, splitmix64
@@ -151,14 +145,6 @@ def _scheme_label(scheme: CensoringScheme) -> str:
     return f"m={scheme.m} n={scheme.n} k={scheme.k} R={' '.join(parts)}"
 
 
-_SKIPPABLE = (
-    ImproperPosteriorError,
-    DegenerateWeightsError,
-    ConvergenceError,
-    UnstableBootstrapError,
-)
-
-
 _COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 
 
@@ -207,7 +193,7 @@ def _replicate(config: StudyConfig, point: bool) -> McReport:
             # one mode search for all posteriors; each then draws alone
             modes = dict(zip(bayes, shape_modes(sample, priors))) if bayes else {}
             results = {m: _evaluate(config, sample, rep, m, modes.get(m), point) for m in methods}
-        except _SKIPPABLE:
+        except EstimationError:
             skipped += 1
             continue
         used += 1

@@ -317,12 +317,14 @@ def complete_posterior_oracle(data, a0, b0, a, b, alpha_hi=12.0, n_alpha=6000):
 
 
 def fd_hessian(fun, point, rel_step=1e-5):
-    """Central-difference Hessian of a scalar function of three variables."""
+    """Central-difference Hessian of a scalar function of ``len(point)``
+    variables."""
     point = np.asarray(point, dtype=float)
     h = rel_step * np.maximum(np.abs(point), 1.0)
-    out = np.empty((3, 3))
-    for i in range(3):
-        for jj in range(i, 3):
+    n = point.size
+    out = np.empty((n, n))
+    for i in range(n):
+        for jj in range(i, n):
             if i == jj:
                 up = point.copy(); up[i] += h[i]
                 dn = point.copy(); dn[i] -= h[i]

@@ -60,10 +60,19 @@ def test_fit_command(fiber_file, capsys) -> None:
 
 
 def test_fit_ordered_command(fiber_file, capsys) -> None:
+    """A boundary fit prints the common-rate model's intervals, one for both
+    rates, and no warning."""
     assert main(["fit", fiber_file, "--shift", "0.75", "--ordered"]) == 0
-    out = _kv(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = _kv(captured.out)
     assert out["boundary"] == ["1"]
     assert out["lambda1"] == out["lambda2"]
+    for name in ("alpha", "lambda1", "lambda2"):
+        lo, hi = (float(v) for v in out[f"ci_{name}"])
+        assert lo < float(out[name][0]) < hi
+    assert out["ci_lambda1"] == out["ci_lambda2"]
+    assert out["ci_level"] == ["0.9"]
+    assert captured.err == ""
 
 
 def test_simulate_is_deterministic_and_fits(tmp_path, capsys) -> None:
@@ -193,6 +202,35 @@ def test_usage_errors_exit_one(capsys) -> None:
         main(["no-such-command"])
     assert info.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{sample}", "--level", "1.5"],
+        ["fit", "{sample}", "--level", "nan"],
+        ["bootstrap", "{sample}", "--level", "0"],
+        ["bootstrap", "{sample}", "--n-boot", "0"],
+        ["bayes", "{sample}", "--level", "0"],
+        ["bayes", "{sample}", "--n-draws", "0"],
+        ["bayes", "{sample}", "--n-draws", "2.5"],
+        ["analyze", "{data1}", "{data2}", "--n-rep", "0"],
+        ["analyze", "{data1}", "{data2}", "--n-draws", "-3"],
+    ],
+)
+def test_bad_level_and_counts_are_usage_errors(argv, fiber_file, tmp_path, capsys) -> None:
+    """A level outside (0, 1) or a count below 1 is refused while the
+    arguments are parsed, before anything is printed."""
+    files = {"sample": fiber_file}
+    for name, values in (("data1", carbon_fiber_20mm()), ("data2", carbon_fiber_10mm())):
+        files[name] = str(tmp_path / f"{name}.txt")
+        Path(files[name]).write_text("\n".join(map(str, values)), encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main([a.format(**files) for a in argv + ["--shift", "0.75"]])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}" in captured.err
 
 
 def test_analyze_has_no_ordered_flag(capsys) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -250,6 +251,48 @@ def test_asymptotic_intervals_center_and_nest(fiber) -> None:
         assert mid == pytest.approx(e, rel=1e-9)
     with pytest.raises(ValueError):
         asymptotic_ci(fiber, fit, level=1.0)
+
+
+_Z90 = NormalDist().inv_cdf(0.95)
+
+
+def _half_widths(cis) -> np.ndarray:
+    return np.array([0.5 * (ci.upper - ci.lower) for ci in cis])
+
+
+def test_asymptotic_intervals_of_free_fits_invert_the_information(fiber) -> None:
+    """The closed form of a free fit gives the intervals of the inverted
+    3x3 observed information."""
+    samples = [fiber, *_reference_samples(600, 2026)]
+    assert len(samples) > 500
+    for sample in samples:
+        fit = fit_mle(sample)
+        inv = np.linalg.inv(fisher_info(sample, fit.params).entries)
+        expected = _Z90 * np.sqrt(np.diag(inv))
+        assert _half_widths(asymptotic_ci(sample, fit)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_asymptotic_intervals_of_boundary_fits_are_the_common_rate_model(fiber) -> None:
+    """A boundary fit's intervals invert a central-difference Hessian of the
+    common-rate log-likelihood l(a, l, l), not the free model's information
+    at that point; both rates get the same interval.  The oracle's rate is
+    scaled by the fitted one so that its step is relative."""
+    fits = [(x, fit_mle_ordered(x)) for x in [fiber, *_reference_samples(400, 81)]]
+    fits = [(x, fit) for x, fit in fits if fit.boundary]
+    assert len(fits) > 20
+    for sample, fit in fits:
+        a, lam = fit.params.alpha, fit.params.lambda1
+        assert fit.boundary and fit.params.lambda2 == lam
+
+        def fun(p: np.ndarray) -> float:
+            return log_likelihood(sample, JointParams(p[0], lam * p[1], lam * p[1]))
+
+        cov = np.linalg.inv(-fd_hessian(fun, np.array([a, 1.0]), rel_step=1e-4))
+        expected = _Z90 * np.sqrt(np.diag(cov)) * np.array([1.0, lam])
+        cis = asymptotic_ci(sample, fit)
+        assert cis[1] == cis[2]
+        assert _half_widths(cis)[:2] == pytest.approx(expected, rel=1e-5)
+        assert all(ci.contains(e) for ci, e in zip(cis, (a, lam, lam)))
 
 
 def test_interval_estimate_contract() -> None:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
 import pytest
 
 from jointweibull.bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior
-from jointweibull.errors import StudyFailedError
+from jointweibull import study
+from jointweibull.errors import NonIntegrableTargetError, StudyFailedError
 from jointweibull.jpc import CensoringScheme, JointParams, simulate_jpc
 from jointweibull.rng import BetaGammaHyper, RngStream, beta_gamma_mean, splitmix64
 from jointweibull.study import (
@@ -232,3 +234,47 @@ def test_method_tuples_are_fixed() -> None:
     assert set(POINT_METHODS) < set(INTERVAL_METHODS)
     assert "bootstrap" in INTERVAL_METHODS and "bootstrap" not in POINT_METHODS
     assert isinstance(McReport().rows, list)
+
+
+def test_ordered_mle_intervals_keep_every_replication_on_the_fiber_design() -> None:
+    """At the fiber sample's own ordered fit about half the ordered fits lie
+    on lambda1 = lambda2; their intervals come from the common-rate model,
+    so none is lost."""
+    config = StudyConfig(
+        scheme=CensoringScheme(69, 63, 20, (4,) * 19 + (36,)),
+        truth=JointParams(4.3475, 0.045326, 0.045326),
+        replications=200,
+        methods=("mle-ordered",),
+        base_seed=1,
+    )
+    report = run_interval_study(config)
+    assert [row.skipped for row in report.rows] == [0, 0, 0]
+    assert all(0.5 < row.cp <= 1.0 for row in report.rows)
+
+
+def test_an_estimation_error_skips_its_replication(monkeypatch) -> None:
+    """A method that raises any ``EstimationError`` skips the replication it
+    hit; the cells are those of a run without that replication."""
+    real = study.fit_mle_ordered
+    calls = []
+
+    def counted(sample):
+        calls.append(sample)
+        if len(calls) == fail_at:
+            raise NonIntegrableTargetError("refused")
+        return real(sample)
+
+    monkeypatch.setattr(study, "fit_mle_ordered", counted)
+    config = _config(replications=30, methods=("mle", "mle-ordered"))
+    fail_at = 0
+    shorter = run_point_study(dataclasses.replace(config, replications=29))
+    used = len(calls)
+    calls.clear()
+    run_point_study(config)
+    assert len(calls) == used + 1  # the last replication reaches the method
+    calls.clear()
+    fail_at = used + 1
+    report = run_point_study(config)
+    for row, ref in zip(report.rows, shorter.rows, strict=True):
+        assert row.skipped == ref.skipped + 1
+        assert dataclasses.replace(row, skipped=ref.skipped) == ref
