@@ -63,16 +63,13 @@ from .mle import IntervalEstimate
 from .rng import (
     BetaGammaHyper,
     RngStream,
+    _check_hyper,
     _locate_modes,
     _max_shift,
     _softmax_moments,
     build_static_envelope,
     log_sum_exp,
 )
-
-_TAIL_PROBE = 1e8
-_TAIL_SLOPE_TOL = -1e-12
-
 
 @dataclass(frozen=True)
 class ShapeHyper:
@@ -83,9 +80,7 @@ class ShapeHyper:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative")
+            _check_hyper(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,8 @@ class _Branch:
     With D = S/(b0 + S) for S = sum c t^a, and E, Var the mean and variance
     of ``ln t`` under the weights ``c t^a``, its slope is
     ``c0/a - c1 - c2 D E`` and its curvature
-    ``-c0/a^2 - c2 D (Var + (1 - D) E^2)``.  In a stacked mode search the
-    coefficients are arrays, one entry per row, and so is the shape."""
+    ``-c0/a^2 - c2 D (Var + (1 - D) E^2)``.  In a stacked mode search each
+    field and the shape hold one entry (or row) per (sample, prior) pair."""
 
     log_coef: np.ndarray
     log_t: np.ndarray
@@ -170,7 +165,7 @@ class _Branch:
     log_b0: float
 
     def _logits(self, alpha) -> np.ndarray:
-        logits = np.multiply.outer(alpha, self.log_t)
+        logits = np.asarray(alpha)[..., None] * self.log_t
         logits += self.log_coef
         return logits
 
@@ -213,8 +208,17 @@ class _BranchSum:
 
 
 def _check_decay(branch: _BranchSum) -> None:
-    if branch.local(_TAIL_PROBE)[1] >= _TAIL_SLOPE_TOL:
-        raise ImproperPosteriorError("shape marginal does not decay at the upper probe point")
+    """Refuse a concave shape marginal unless its slope's limit, ``-sum(c1 +
+    c2 L)`` with L a term's largest log time of positive weight (0 if below
+    0 and b0 > 0), is negative beyond 1e-12 of its terms' size (rounding)."""
+    limit = size = 0.0
+    for p in branch.parts:
+        top = p.log_t[p.log_coef > -math.inf].max()
+        terms = p.c1, p.c2 * (max(top, 0.0) if p.log_b0 > -math.inf else top)
+        limit -= sum(terms)
+        size += sum(map(abs, terms))
+    if not limit < -1e-12 * size:
+        raise ImproperPosteriorError("shape marginal does not decay")
 
 
 def _sample_marginal(
@@ -258,7 +262,8 @@ class _PosteriorCore:
     A core is defined by the two weighted power sums (as log-coefficient /
     log-time arrays), the failure counts, and the prior.  It owns the shape
     marginal of the one rate proposal (see the module docstring) and its
-    properness checks, hands it to the envelope sampler ``_sample_marginal``,
+    properness checks, hands it to the envelope sampler ``_sample_marginal``
+    with its ``mode`` (located there unless :func:`shape_modes` has set it),
     and draws the rates with their importance weights.
     """
 
@@ -274,6 +279,7 @@ class _PosteriorCore:
         prior: PriorSpec,
     ):
         self.prior = prior
+        self.mode = None
         k = k1 + k2
         bg = prior.bg
         # an ordered prior keeps the larger term of its folded sum on
@@ -372,8 +378,8 @@ class _PosteriorCore:
                 ln_g += np.log1p((l1 / l2) ** abs(bg.a2 - bg.a1)) - math.log(2.0)
         return l1, l2, ln_g
 
-    def draw(self, n: int, rng: RngStream, mode=None) -> WeightedPosterior:
-        alpha, sums, counts = _sample_marginal(self.branch, n, rng, mode)
+    def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
+        alpha, sums, counts = _sample_marginal(self.branch, n, rng, self.mode)
         l1, l2, ln_g = self._rates(sums, rng)
         if not np.any(ln_g > -math.inf):
             raise DegenerateWeightsError("every importance weight underflowed to zero")
@@ -406,26 +412,26 @@ def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
     return core.branch(np.asarray(alpha, dtype=float))[0]
 
 
-def shape_modes(sample: JpcSample, priors) -> np.ndarray:
-    """The shape marginal's mode under each prior, from one lockstep search
-    with one row per prior: each term holds the priors' coefficients as
-    arrays.  A row's mode is the one a lone search finds, and each prior is
-    checked for properness as in :func:`draw_posterior`."""
-    cores = [_PosteriorCore.from_jpc(sample, prior) for prior in priors]
+def shape_modes(cores) -> None:
+    """Set the ``mode`` of each core (of samples with equal k) from one
+    lockstep search, one row per core: a row's mode is the one a lone
+    search finds, ``inf`` where its marginal still rises at 1e10."""
     stack = []
     for terms in zip(*(c.branch.parts for c in cores)):
         coefs = np.array([(t.c0, t.c1, t.c2, t.log_b0) for t in terms])
-        stack.append(_Branch(terms[0].log_coef, terms[0].log_t, *coefs.T))
-    return _locate_modes(_BranchSum(*stack).local, len(cores))
+        rows = (np.stack([getattr(t, a) for t in terms]) for a in ("log_coef", "log_t"))
+        stack.append(_Branch(*rows, *coefs.T))
+    for core, mode in zip(cores, _locate_modes(_BranchSum(*stack).local, len(cores))):
+        core.mode = mode
 
 
 def draw_posterior(
-    sample: JpcSample, prior: PriorSpec, n_draws: int, rng: RngStream, mode=None
+    sample: JpcSample, prior: PriorSpec, n_draws: int, rng: RngStream, core=None
 ) -> WeightedPosterior:
     """Importance-weighted posterior draws for a censoring outcome.
 
-    ``mode``, the shape marginal's mode from :func:`shape_modes`, is found
-    here when not given.
+    ``core``, the ``_PosteriorCore`` of ``sample`` and ``prior`` (its mode
+    maybe set by :func:`shape_modes`), is built here when not given.
 
     Raises :class:`ImproperPosteriorError` when either the rate update or
     the shape marginal fails its integrability check, which happens for
@@ -433,8 +439,8 @@ def draw_posterior(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    core = _PosteriorCore.from_jpc(sample, prior)
-    return core.draw(n_draws, rng, mode)
+    core = core or _PosteriorCore.from_jpc(sample, prior)
+    return core.draw(n_draws, rng)
 
 
 def draw_posterior_two_complete(

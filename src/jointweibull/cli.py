@@ -114,7 +114,8 @@ def _cmd_fit(args) -> int:
     _emit(out, "converged", int(fit.converged))
     if args.ordered:
         _emit(out, "boundary", int(fit.boundary))
-    for name, ci in zip(("alpha", "lambda1", "lambda2"), asymptotic_ci(sample, fit, args.level)):
+    cis = asymptotic_ci(sample, fit.params, fit.boundary, args.level)
+    for name, ci in zip(("alpha", "lambda1", "lambda2"), cis):
         _emit(out, f"ci_{name}", ci.lower, ci.upper)
     _emit(out, "ci_level", args.level)
     return 0

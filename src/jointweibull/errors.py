@@ -26,7 +26,7 @@ class ConvergenceError(EstimationError):
 
 class ImproperPosteriorError(EstimationError):
     """Raised when the posterior fails an integrability check, e.g. the
-    shape marginal is still non-decreasing at the upper probe point or a
+    slope of the shape marginal does not tend to a negative limit or a
     conditional gamma/beta update would receive a non-positive parameter."""
 
 

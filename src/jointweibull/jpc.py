@@ -230,16 +230,20 @@ def log_likelihood(sample: JpcSample, params: JointParams) -> float:
 
 def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -> JpcSample:
     """Run one experiment under the given design and parameters: a one-row
-    :func:`simulate_jpc_batch`.  Raises ``ValueError`` where the times
-    ``exp(log t)`` are not strictly increasing positive finite doubles."""
-    log_t, delta, s = simulate_jpc_batch(scheme, astuple(params), rng, 1)
+    :func:`simulate_jpc_batch` made a sample by :func:`sample_of_row`."""
+    return sample_of_row(scheme, *(x[0] for x in simulate_jpc_batch(scheme, astuple(params), rng, 1)))
+
+
+def sample_of_row(scheme: CensoringScheme, log_t, delta, s) -> JpcSample:
+    """One row of :func:`simulate_jpc_batch` as a sample with times ``t =
+    exp(log t)``.  Raises ``ValueError`` where these are not strictly
+    increasing positive finite doubles."""
     with np.errstate(over="ignore"):
-        t = np.exp(log_t[0])
+        t = np.exp(log_t)
     if not (np.isfinite(t[-1]) and np.all(np.diff(t, prepend=0.0) > 0.0)):
         raise ValueError("failure times overflow, underflow to zero or collide as doubles at these parameters")
     obs = tuple(
-        JpcObservation(t=float(tj), delta=int(dj), s=int(sj))
-        for tj, dj, sj in zip(t, delta[0], s[0])
+        JpcObservation(t=float(tj), delta=int(dj), s=int(sj)) for tj, dj, sj in zip(t, delta, s)
     )
     return JpcSample(scheme=scheme, obs=obs)
 

@@ -189,29 +189,34 @@ def _pooled(scheme: CensoringScheme) -> tuple[np.ndarray, int]:
     return np.log(np.asarray(scheme.R, dtype=float) + 1.0), scheme.k
 
 
-def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool):
+def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool) -> list[tuple]:
     """:func:`_fit_rows` on stacked outcomes of one design, one per row of
-    ``lnt``, ``delta`` and ``s``.  Returns ``(alpha, rates, boundary, ok,
-    sweeps)``: with ``ordered``, the ``boundary`` rows broke l1 <= l2 in the
+    ``lnt``, ``delta`` and ``s``.  Returns the free fit and, with
+    ``ordered``, the ordered fit after it, each ``(alpha, rates, boundary,
+    ok, sweeps)``: the ordered fit's ``boundary`` rows broke l1 <= l2 in the
     free fit and are refitted with the common rate; ``sweeps`` lists the
     sweep count of each search."""
     k1 = delta.sum(axis=1, dtype=float)
     logc1, logc2 = log_weights(scheme.R, delta, s)
     alpha, log_rates, ok, sweeps = _fit_rows(lnt, logc1, k1, logc2, scheme.k - k1)
     sweeps = [sweeps]
-    boundary = ok & (log_rates[0] >= log_rates[1]) if ordered else np.zeros_like(ok)
-    if boundary.any():
-        alpha[boundary], log_common, ok[boundary], more = _fit_rows(lnt[boundary], *_pooled(scheme))
-        log_rates[:, boundary] = log_common[0]
-        sweeps.append(more)
-    return alpha, np.exp(log_rates), boundary, ok, sweeps
+    fits = [(alpha, np.exp(log_rates), np.zeros_like(ok), ok, sweeps)]
+    if ordered:
+        boundary = ok & (log_rates[0] >= log_rates[1])
+        alpha, log_rates, ok, sweeps = alpha.copy(), log_rates.copy(), ok.copy(), sweeps.copy()
+        if boundary.any():
+            alpha[boundary], log_common, ok[boundary], more = _fit_rows(lnt[boundary], *_pooled(scheme))
+            log_rates[:, boundary] = log_common[0]
+            sweeps.append(more)
+        fits.append((alpha, np.exp(log_rates), boundary, ok, sweeps))
+    return fits
 
 
 def _fit(sample: JpcSample, ordered: bool) -> MleFit:
     """Fit of one sample as a stack of one."""
     _require_both_groups(sample)
     rows = (x[None, :] for x in (sample.log_t, sample.delta, sample.s))
-    alpha, rates, boundary, ok, sweeps = _fit_design(sample.scheme, *rows, ordered)
+    alpha, rates, boundary, ok, sweeps = _fit_design(sample.scheme, *rows, ordered)[-1]
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
     params = JointParams(float(alpha[0]), float(rates[0, 0]), float(rates[1, 0]))
@@ -263,13 +268,14 @@ def fisher_info(sample: JpcSample, params: JointParams) -> InfoMatrix:
 
 
 def asymptotic_ci(
-    sample: JpcSample, fit: MleFit, level: float = 0.9
+    sample: JpcSample, params: JointParams, boundary: bool = False, level: float = 0.9
 ) -> tuple[IntervalEstimate, IntervalEstimate, IntervalEstimate]:
     """Normal-theory intervals of the model that was fitted (the common-rate
-    one on a boundary fit, whose rate is the interval of both ``lambda1``
-    and ``lambda2``); ``fit`` must come from :func:`fit_mle` or
-    :func:`fit_mle_ordered`.  Group g (free: weights ``c1``, ``c2``, counts
-    ``k1``, ``k2``; common rate: weights ``R + 1``, count ``k``) adds ``k_g
+    one on a ``boundary`` fit, whose rate is the interval of both
+    ``lambda1`` and ``lambda2``); ``params`` and ``boundary`` are those of a
+    fit by :func:`fit_mle` or :func:`fit_mle_ordered`.  Group g (free:
+    weights ``c1``, ``c2``, counts ``k1``, ``k2``; common rate: weights ``R
+    + 1``, count ``k``) adds ``k_g
     ln l_g - l_g S_g(a)``, ``S_g = sum c_g t^a``, to the log-likelihood.  At
     the fit ``l_g = k_g/S_g``, so with ``E_g``, ``Var_g`` the mean and
     variance of ``ln t`` under the weights ``c_g t^a``, inverting the
@@ -280,10 +286,10 @@ def asymptotic_ci(
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    a, l1, l2 = fit.params.alpha, fit.params.lambda1, fit.params.lambda2
+    a, l1, l2 = params.alpha, params.lambda1, params.lambda2
     lnt = sample.log_t
     free = [(sample.log_coef1, sample.k1), (sample.log_coef2, sample.k2)]
-    groups = [_pooled(sample.scheme)] if fit.boundary else free
+    groups = [_pooled(sample.scheme)] if boundary else free
     moments = [(kg, *_softmax_moments(c + a * lnt, lnt)[:2]) for c, kg in groups]
     var_a = 1.0 / (sample.scheme.k / a**2 + sum(kg * v for kg, _, v in moments))
     rel = [math.sqrt(1.0 / kg + m * m * var_a) for kg, m, _ in moments]
@@ -331,7 +337,7 @@ def bootstrap_ci(
     skipped = n_boot - int(both.sum())
     if skipped > n_boot // 2:
         raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples had all failures in one group")
-    alpha, rates, _, ok, _ = _fit_design(scheme, lnt[both], delta[both], s[both], ordered)
+    alpha, rates, _, ok, _ = _fit_design(scheme, lnt[both], delta[both], s[both], ordered)[-1]
     skipped += int((~ok).sum())
     if skipped > n_boot // 2:
         raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples failed to produce a fit")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -173,9 +174,13 @@ class BetaGammaHyper:
 
     def __post_init__(self):
         for name in ("a0", "b0", "a1", "a2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative")
+            _check_hyper(name, getattr(self, name))
+
+
+def _check_hyper(name: str, v) -> None:
+    """Refuse a hyperparameter that is not a finite real >= 0 (a bool too)."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"{name} must be a finite real >= 0, not {v!r}")
 
 
 def beta_gamma_mean(hyper: BetaGammaHyper) -> tuple[float, float]:
@@ -356,8 +361,8 @@ def _solve_rows(
     its bracket and its next point, so each row's root is the one it would
     get alone.  A stack takes as many sweeps as its slowest row, each one
     over all rows: the maximum likelihood fits stack samples, and
-    :func:`_locate_modes` stacks the shape modes of several priors on one
-    sample.
+    :func:`_locate_modes` stacks the shape modes of many (sample, prior)
+    pairs.
 
     Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that was never
     bracketed: its root is ``inf`` when the value stays positive past 1e10
@@ -424,13 +429,12 @@ def _locate_modes(local: LogDensity, n_rows: int = 1) -> np.ndarray:
     search; a lone density is one row.
 
     The mode is the root of the log-density's slope.  A slope still
-    positive at 1e10 means the density never turns down, and is refused.
-    One still negative at 1e-10, or a root at or below 1e-8, puts the mode
-    at the support edge, taken as 1e-8.
+    positive at 1e10 means the density never turns down: that row's mode is
+    ``inf``, which :func:`build_static_envelope` refuses, so one such row
+    fails alone.  One still negative at 1e-10, or a root at or below 1e-8,
+    puts the mode at the support edge, taken as 1e-8.
     """
     root, _, _ = _solve_rows(local, n_rows)
-    if np.any(root == math.inf):
-        raise NonIntegrableTargetError("log-density still increasing at 1e10")
     return np.maximum(root, 1e-8)
 
 
@@ -450,11 +454,13 @@ def build_static_envelope(local: LogDensity, mode=None) -> PiecewiseExpEnvelope:
     by the inverse of the slope there.  The last tangent thus sits 8 scales
     past the mode or 3/|slope| past the edge, where a strictly concave
     target slopes down; a target that does not leaves the hull's rightmost
-    slope non-negative, which the hull refuses.  All tangents come from one
-    array call of ``local``.
+    slope non-negative, which the hull refuses, as it refuses a mode of
+    ``inf``.  All tangents come from one array call of ``local``.
     """
     if mode is None:
         (mode,) = _locate_modes(local)
+    if mode == math.inf:
+        raise NonIntegrableTargetError("log-density still increasing at 1e10")
     _, d, f2 = (float(v[0]) for v in local(np.array([mode])))
     if mode <= 1e-8:
         if not math.isfinite(d):

@@ -30,6 +30,7 @@ from jointweibull.errors import (
     DegenerateWeightsError,
     EstimationError,
     ImproperPosteriorError,
+    NonIntegrableTargetError,
 )
 from jointweibull.gof import CompleteSample
 from jointweibull.jpc import (
@@ -168,31 +169,31 @@ def _preset_samples(fiber):
 
 
 def test_stacked_mode_search_matches_lone_searches(fiber) -> None:
-    """One lockstep mode search over the four presets of a sample gives
-    each preset the mode of its own one-row search byte for byte, so the
-    hulls built from the stack are the lone hulls: on the 84 preset cores of
-    the fiber sample and 20 reference-design samples."""
+    """One lockstep mode search over the 84 preset cores of the fiber
+    sample and 20 reference-design samples, one row per (sample, prior)
+    pair, gives each core the mode of its own one-row search byte for byte,
+    so the hulls built from the stack are the lone hulls."""
     samples, priors = _preset_samples(fiber)
-    cores = 0
-    for sample in samples:
-        stacked = shape_modes(sample, priors)
-        assert stacked.shape == (len(priors),)
-        for prior, mode in zip(priors, stacked):
-            branch = _PosteriorCore.from_jpc(sample, prior).branch
-            assert _locate_modes(branch.local).tobytes() == mode.tobytes()
-            got = build_static_envelope(branch.local, mode)
-            want = build_static_envelope(branch.local)
-            for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
-                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
-            cores += 1
-    assert cores == 84
+    cores = [_PosteriorCore.from_jpc(sample, prior) for sample in samples for prior in priors]
+    assert len(cores) == 84
+    shape_modes(cores)
+    for core in cores:
+        branch = core.branch
+        (lone,) = _locate_modes(branch.local)
+        assert lone.tobytes() == core.mode.tobytes()
+        got = build_static_envelope(branch.local, core.mode)
+        want = build_static_envelope(branch.local)
+        for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> None:
-    """A preset whose posterior is improper stops the stacked search with
-    the error type and message it raises alone, wherever it sits in the
-    stack: a rate posterior with a flat weight on an empty group, and a
-    shape marginal that does not decay."""
+    """A preset whose posterior is improper raises from its core, as a study
+    chunk builds it, the error type and message it raises alone: a rate
+    posterior with a flat weight on an empty group, and a shape marginal
+    that does not decay.  A core whose marginal decays only past 1e10
+    (shape rate 1e-11 on a marginal a e^(-a b)) sits in a stacked search
+    without moving the other rows, and its draws fail as they fail alone."""
     one_sided = JpcSample(
         CensoringScheme(3, 1, 3, (0, 1, 0)),
         (JpcObservation(1.0, 1, 0), JpcObservation(2.0, 1, 0), JpcObservation(3.0, 1, 0)),
@@ -201,12 +202,44 @@ def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> N
     for sample, bad in cases:
         with pytest.raises(ImproperPosteriorError) as alone:
             draw_posterior(sample, bad, 100, RngStream(640, 0))
-        for stack in ([bad], [ip_prior, bad], [bad, ip_prior, ip_prior]):
-            with pytest.raises(ImproperPosteriorError) as stacked:
-                shape_modes(sample, stack)
-            assert type(stacked.value) is type(alone.value)
-            assert str(stacked.value) == str(alone.value)
-    assert shape_modes(improper_jpc, [ip_prior]).shape == (1,)
+        with pytest.raises(ImproperPosteriorError) as chunk:
+            _PosteriorCore.from_jpc(sample, bad)
+        assert type(chunk.value) is type(alone.value)
+        assert str(chunk.value) == str(alone.value)
+    other = JpcSample(improper_jpc.scheme, (JpcObservation(1.5, 0, 0), JpcObservation(4.0, 1, 0)))
+    slow = PriorSpec.flat(shape_rate=1e-11)
+    pairs = [(improper_jpc, ip_prior), (improper_jpc, slow), (other, ip_prior), (other, slow)]
+    cores = [_PosteriorCore.from_jpc(sample, prior) for sample, prior in pairs]
+    shape_modes(cores)
+    for (sample, prior), core in zip(pairs, cores):
+        if prior is ip_prior:
+            assert core.mode.tobytes() == _locate_modes(core.branch.local).tobytes()
+            continue
+        assert core.mode == math.inf
+        with pytest.raises(NonIntegrableTargetError) as alone:
+            draw_posterior(sample, prior, 100, RngStream(640, 0))
+        with pytest.raises(NonIntegrableTargetError) as stacked:
+            draw_posterior(sample, prior, 100, RngStream(640, 0), core=core)
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_decay_is_read_from_the_slope_limit() -> None:
+    """Flat rates with shape rate b on two times 1 and 1 + 1e-9, one per
+    group, leave the shape marginal a e^(-a b), a gamma(2, b) law, whose
+    slope tends to -b.  At b = 5e-9 the slope at 1e8 is still +5e-9, yet
+    the posterior is proper: its shape draws, exact under this prior, follow
+    the gamma law; at b = 0 it is refused."""
+    sample = JpcSample(
+        CensoringScheme(1, 1, 2, (0, 0)), (JpcObservation(1.0, 1, 0), JpcObservation(1.0 + 1e-9, 0, 0))
+    )
+    b = 5e-9
+    core = _PosteriorCore.from_jpc(sample, PriorSpec.flat(shape_rate=b))
+    assert core.branch.local(1e8)[1] > 0.0
+    post = draw_posterior(sample, PriorSpec.flat(shape_rate=b), 4000, RngStream(642, 0))
+    assert np.all(post.weights == 1.0)
+    assert stats.kstest(post.alpha, stats.gamma(2.0, scale=1.0 / b).cdf).pvalue > 1e-3
+    with pytest.raises(ImproperPosteriorError):
+        _PosteriorCore.from_jpc(sample, PriorSpec.flat())
 
 
 def test_sampler_proposes_few_more_shapes_than_it_keeps(fiber) -> None:

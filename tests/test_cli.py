@@ -343,9 +343,10 @@ def test_study_command_refuses_bad_settings_before_running(tmp_path, capsys, mon
 
 def test_study_command_refuses_unknown_keys_and_bad_counts(tmp_path, capsys, monkeypatch) -> None:
     """A misspelled key, top-level or in the informative prior, a count that
-    is not an integer and a seed outside [0, 2^64) exit 4 naming the key,
-    before any replication runs and with nothing on stdout; absent options
-    take StudyConfig's own defaults."""
+    is not an integer, a seed outside [0, 2^64), a flat shape rate that is
+    not a finite real >= 0 and a bool in the informative prior exit 4
+    naming the key, before any replication runs and with nothing on stdout;
+    absent options take StudyConfig's own defaults."""
     import jointweibull.cli as cli
 
     def never(config):
@@ -373,6 +374,9 @@ def test_study_command_refuses_unknown_keys_and_bad_counts(tmp_path, capsys, mon
         ({"n_posterior": True}, "n_posterior"),
         ({"base_seed": -1}, "base_seed"),
         ({"base_seed": 2**64}, "base_seed"),
+        ({"shape_rate_flat": "x"}, "shape_rate_flat"),
+        ({"shape_rate_flat": -1}, "shape_rate_flat"),
+        ({"informative": {**prior, "a0": True}}, "a0 must be"),
     ):
         p.write_text(json.dumps({**base, **extra}), encoding="utf-8")
         assert main(["study", str(p)]) == 4

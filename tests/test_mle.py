@@ -241,8 +241,8 @@ def test_information_diagonal_structure(tiny_k2) -> None:
 
 def test_asymptotic_intervals_center_and_nest(fiber) -> None:
     fit = fit_mle(fiber)
-    ci90 = asymptotic_ci(fiber, fit, level=0.9)
-    ci95 = asymptotic_ci(fiber, fit, level=0.95)
+    ci90 = asymptotic_ci(fiber, fit.params, level=0.9)
+    ci95 = asymptotic_ci(fiber, fit.params, level=0.95)
     est = (fit.params.alpha, fit.params.lambda1, fit.params.lambda2)
     for lo_wide, narrow, e in zip(ci95, ci90, est):
         assert narrow.contains(e)
@@ -250,7 +250,7 @@ def test_asymptotic_intervals_center_and_nest(fiber) -> None:
         mid = 0.5 * (narrow.lower + narrow.upper)
         assert mid == pytest.approx(e, rel=1e-9)
     with pytest.raises(ValueError):
-        asymptotic_ci(fiber, fit, level=1.0)
+        asymptotic_ci(fiber, fit.params, level=1.0)
 
 
 _Z90 = NormalDist().inv_cdf(0.95)
@@ -269,7 +269,7 @@ def test_asymptotic_intervals_of_free_fits_invert_the_information(fiber) -> None
         fit = fit_mle(sample)
         inv = np.linalg.inv(fisher_info(sample, fit.params).entries)
         expected = _Z90 * np.sqrt(np.diag(inv))
-        assert _half_widths(asymptotic_ci(sample, fit)) == pytest.approx(expected, rel=1e-12)
+        assert _half_widths(asymptotic_ci(sample, fit.params)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_asymptotic_intervals_of_boundary_fits_are_the_common_rate_model(fiber) -> None:
@@ -289,7 +289,7 @@ def test_asymptotic_intervals_of_boundary_fits_are_the_common_rate_model(fiber) 
 
         cov = np.linalg.inv(-fd_hessian(fun, np.array([a, 1.0]), rel_step=1e-4))
         expected = _Z90 * np.sqrt(np.diag(cov)) * np.array([1.0, lam])
-        cis = asymptotic_ci(sample, fit)
+        cis = asymptotic_ci(sample, fit.params, fit.boundary)
         assert cis[1] == cis[2]
         assert _half_widths(cis)[:2] == pytest.approx(expected, rel=1e-5)
         assert all(ci.contains(e) for ci, e in zip(cis, (a, lam, lam)))
@@ -361,7 +361,7 @@ def test_stacked_rows_fit_as_they_fit_alone() -> None:
     samples = _reference_samples(400, 81)
     assert len(samples) > 350
     for fit, ordered in ((fit_mle, False), (fit_mle_ordered, True)):
-        alpha, rates, boundary, ok, _ = _fit_design(REFERENCE, *_design_rows(samples), ordered)
+        alpha, rates, boundary, ok, _ = _fit_design(REFERENCE, *_design_rows(samples), ordered)[-1]
         assert ok.all()
         alone = [fit(x) for x in samples]
         assert list(alpha) == [f.params.alpha for f in alone]
@@ -458,7 +458,7 @@ def test_root_finder_meets_brentq_within_15_sweeps() -> None:
     assert len(samples) > 350
     rows = _design_rows(samples)
     for ordered in (False, True):
-        roots, _, _, ok, sweeps = _fit_design(REFERENCE, *rows, ordered)
+        roots, _, _, ok, sweeps = _fit_design(REFERENCE, *rows, ordered)[-1]
         assert ok.all()
         assert len(sweeps) == 1 + ordered and max(sweeps) <= 15
         want = [_brentq_root(x, ordered) for x in samples]

@@ -3,13 +3,16 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from jointweibull.bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior
 from jointweibull import study
-from jointweibull.errors import NonIntegrableTargetError, StudyFailedError
-from jointweibull.jpc import CensoringScheme, JointParams, simulate_jpc
+from jointweibull.errors import ImproperPosteriorError, NonIntegrableTargetError, StudyFailedError
+from jointweibull.jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
+from jointweibull.mle import fit_mle, fit_mle_ordered
 from jointweibull.rng import BetaGammaHyper, RngStream, beta_gamma_mean, splitmix64
 from jointweibull.study import (
     _METHOD_OFFSET,
@@ -31,6 +34,19 @@ def _config(**kw) -> StudyConfig:
     base = dict(scheme=_SCHEME, truth=_TRUTH, replications=50, methods=("mle",))
     base.update(kw)
     return StudyConfig(**base)
+
+
+def _replay_samples(config: StudyConfig) -> list:
+    """The study's samples, rebuilt from the chunk layout: chunk c simulates
+    ``_CHUNK`` experiments in one batch from ``(base_seed, splitmix64(c *
+    _CHUNK + 1))``, and replication i is row i mod ``_CHUNK`` of its chunk."""
+    size = study._CHUNK
+    samples = []
+    for first in range(0, config.replications, size):
+        stream = RngStream(config.base_seed, splitmix64(first + 1))
+        rows = simulate_jpc_batch(config.scheme, dataclasses.astuple(config.truth), stream, size)
+        samples += [sample_of_row(config.scheme, *row) for row in zip(*rows)]
+    return samples[: config.replications]
 
 
 def test_config_validation() -> None:
@@ -59,6 +75,11 @@ def test_config_refuses_non_integer_counts_and_seeds_outside_64_bits() -> None:
         ("base_seed", -1),
         ("base_seed", 2**64),
         ("base_seed", 1.0),
+        ("shape_rate_flat", "x"),
+        ("shape_rate_flat", True),
+        ("shape_rate_flat", -1.0),
+        ("shape_rate_flat", math.nan),
+        ("shape_rate_flat", math.inf),
     ):
         with pytest.raises(ValueError, match=key):
             _config(**{key: value})
@@ -85,11 +106,16 @@ def test_informative_preset_is_mean_matched() -> None:
 
 def test_point_study_reference_band() -> None:
     """First hundred replications of the reference design: the average
-    shape estimate sits near 1.08 with mean squared error near 0.071."""
-    report = run_point_study(_config(replications=100, base_seed=1))
+    shape estimate sits near 1.11 with mean squared error near 0.079, and
+    both are exactly those of fit_mle on the replayed samples."""
+    config = _config(replications=100, base_seed=1)
+    report = run_point_study(config)
     cell = report.cell("alpha", "mle")
-    assert cell.ae == pytest.approx(1.075983, abs=1e-5)
-    assert cell.mse == pytest.approx(0.070980, abs=1e-5)
+    assert cell.ae == pytest.approx(1.112500, abs=1e-5)
+    assert cell.mse == pytest.approx(0.079279, abs=1e-5)
+    shapes = [fit_mle(x).params.alpha for x in _replay_samples(config) if x.k1 and x.k2]
+    assert cell.ae == sum(shapes) / len(shapes)
+    assert cell.mse == sum((a - 1.0) ** 2 for a in shapes) / len(shapes)
     assert cell.al is None and cell.cp is None
     assert cell.skipped == 0
     # rate cells carry the same bookkeeping
@@ -197,9 +223,8 @@ def test_low_ess_replications_are_counted_not_skipped() -> None:
     report = run_point_study(cfg)
     low = 0
     estimates = []
-    for i in range(cfg.replications):
+    for i, sample in enumerate(_replay_samples(cfg)):
         rep = RngStream(cfg.base_seed, splitmix64(i + 1))
-        sample = simulate_jpc(cfg.scheme, cfg.truth, rep.substream(0))
         if sample.k1 == 0 or sample.k2 == 0:
             continue
         post = draw_posterior(
@@ -255,17 +280,17 @@ def test_ordered_mle_intervals_keep_every_replication_on_the_fiber_design() -> N
 def test_an_estimation_error_skips_its_replication(monkeypatch) -> None:
     """A method that raises any ``EstimationError`` skips the replication it
     hit; the cells are those of a run without that replication."""
-    real = study.fit_mle_ordered
+    real = study.draw_posterior
     calls = []
 
-    def counted(sample):
-        calls.append(sample)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
         if len(calls) == fail_at:
             raise NonIntegrableTargetError("refused")
-        return real(sample)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(study, "fit_mle_ordered", counted)
-    config = _config(replications=30, methods=("mle", "mle-ordered"))
+    monkeypatch.setattr(study, "draw_posterior", counted)
+    config = _config(replications=30, methods=("mle", "bayes-nip"), n_posterior=200)
     fail_at = 0
     shorter = run_point_study(dataclasses.replace(config, replications=29))
     used = len(calls)
@@ -277,4 +302,104 @@ def test_an_estimation_error_skips_its_replication(monkeypatch) -> None:
     report = run_point_study(config)
     for row, ref in zip(report.rows, shorter.rows, strict=True):
         assert row.skipped == ref.skipped + 1
+        assert dataclasses.replace(row, skipped=ref.skipped) == ref
+
+
+def _record_replications(monkeypatch) -> dict:
+    """Patch the study's per-replication calls to record, per sample (keyed
+    by its log times, in the order the study first reaches it), each
+    asymptotic interval's fit and each posterior's draws."""
+    seen: dict = {}
+    real_ci, real_draw = study.asymptotic_ci, study.draw_posterior
+
+    def ci(sample, params, boundary, level):
+        seen.setdefault(sample.log_t.tobytes(), []).append(("ci", params, boundary))
+        return real_ci(sample, params, boundary, level)
+
+    def draw(sample, prior, n_draws, rng, core=None):
+        post = real_draw(sample, prior, n_draws, rng, core=core)
+        record = ("post", prior, post.alpha.tobytes(), post.lambda1.tobytes(), post.normalized.tobytes())
+        seen.setdefault(sample.log_t.tobytes(), []).append(record)
+        return post
+
+    monkeypatch.setattr(study, "asymptotic_ci", ci)
+    monkeypatch.setattr(study, "draw_posterior", draw)
+    return seen
+
+
+def test_first_replications_of_a_longer_study_are_the_shorter_study(monkeypatch) -> None:
+    """A study simulates whole chunks, so replication i depends only on the
+    base seed and i: the first 21 replications of a 42-replication study
+    (chunks of 16, so the 21 end inside a chunk and the 42 span three) get
+    the samples, fits and posterior draws of a 21-replication study."""
+    assert 21 % study._CHUNK and 42 > 2 * study._CHUNK
+    seen = _record_replications(monkeypatch)
+    config = _config(replications=21, methods=("mle", "bayes-nip"), n_posterior=200)
+    run_interval_study(config)
+    short = list(seen.items())
+    seen.clear()
+    run_interval_study(dataclasses.replace(config, replications=42))
+    longer = list(seen.items())
+    assert len(short) >= 20 and len(longer) >= 40
+    assert longer[: len(short)] == short
+    assert all([r[0] for r in records] == ["ci", "post"] for _, records in longer)
+
+
+def test_stacked_study_fits_are_the_lone_fits(monkeypatch) -> None:
+    """Each chunk fits its samples in one free stack and refits only the
+    rows that break lambda1 <= lambda2 with one common rate; every sample's
+    intervals still come from exactly the fit_mle and fit_mle_ordered fits
+    of that sample alone, byte for byte, boundary fits among them."""
+    seen = _record_replications(monkeypatch)
+    config = _config(replications=48, methods=("mle", "mle-ordered"))
+    run_interval_study(config)
+    samples = {x.log_t.tobytes(): x for x in _replay_samples(config)}
+    boundary = 0
+    for key, records in seen.items():
+        free, ordered = fit_mle(samples[key]), fit_mle_ordered(samples[key])
+        want = Counter([("ci", free.params, False), ("ci", ordered.params, ordered.boundary)])
+        assert Counter(records) == want
+        boundary += ordered.boundary
+    assert len(seen) >= 45 and boundary >= 1
+
+
+def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatch) -> None:
+    """Inside a chunk, a posterior core that raises ImproperPosteriorError
+    and one whose shape marginal decays only past 1e10 (the limit of its
+    slope pushed to -1e-13, so its row of the chunk's stacked mode search
+    has no root and its draws raise) skip their own replications only: the
+    cells are those of the study that stops before them."""
+    config = _config(replications=20, methods=("mle", "bayes-nip"), n_posterior=200)
+    samples = _replay_samples(config)
+    assert all(x.k1 and x.k2 for x in samples[16:])
+    improper, slow = samples[18].log_t.tobytes(), samples[19].log_t.tobytes()
+    real = study._PosteriorCore
+
+    class Rigged(real):
+        @classmethod
+        def from_jpc(cls, sample, prior):
+            key = sample.log_t.tobytes()
+            if key == improper:
+                raise ImproperPosteriorError("refused")
+            core = real.from_jpc(sample, prior)
+            if key == slow:
+                limit = core.branch.local(np.array([1e150]))[1][0]
+                core.branch.parts[0].c1 += limit + 1e-13
+            return core
+
+    modes = []
+    real_modes = study.shape_modes
+
+    def recorded(cores):
+        real_modes(cores)
+        modes.extend(core.mode for core in cores)
+
+    monkeypatch.setattr(study, "_PosteriorCore", Rigged)
+    monkeypatch.setattr(study, "shape_modes", recorded)
+    shorter = run_point_study(dataclasses.replace(config, replications=18))
+    modes.clear()
+    report = run_point_study(config)
+    assert len(modes) == 19 and modes.count(math.inf) == 1
+    for row, ref in zip(report.rows, shorter.rows, strict=True):
+        assert row.skipped == ref.skipped + 2
         assert dataclasses.replace(row, skipped=ref.skipped) == ref
