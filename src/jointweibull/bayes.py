@@ -62,13 +62,12 @@ from .jpc import JpcSample, simulate_jpc_batch
 from .mle import IntervalEstimate
 from .rng import (
     BetaGammaHyper,
+    PowerSum,
     RngStream,
     _check_hyper,
     _locate_modes,
     _max_shift,
-    _softmax_moments,
     build_static_envelope,
-    log_sum_exp,
 )
 
 @dataclass(frozen=True)
@@ -150,27 +149,18 @@ class WeightedPosterior:
 @dataclass
 class _Branch:
     """One group's concave term of the shape marginal,
-    ``c0 ln a - c1 a - c2 ln(b0 + sum c t^a)``, vectorized over shapes.
-    With D = S/(b0 + S) for S = sum c t^a, and E, Var the mean and variance
-    of ``ln t`` under the weights ``c t^a``, its slope is
-    ``c0/a - c1 - c2 D E`` and its curvature
+    ``c0 ln a - c1 a - c2 ln(b0 + S)``, vectorized over shapes, with the
+    power sum S = sum c t^a given by its kernel ``sums``.  With D = S/(b0 +
+    S), and E, Var the mean and variance of ``ln t`` under the weights
+    ``c t^a``, its slope is ``c0/a - c1 - c2 D E`` and its curvature
     ``-c0/a^2 - c2 D (Var + (1 - D) E^2)``.  In a stacked mode search each
     field and the shape hold one entry (or row) per (sample, prior) pair."""
 
-    log_coef: np.ndarray
-    log_t: np.ndarray
+    sums: PowerSum
     c0: float
     c1: float
     c2: float
     log_b0: float
-
-    def _logits(self, alpha) -> np.ndarray:
-        logits = np.asarray(alpha)[..., None] * self.log_t
-        logits += self.log_coef
-        return logits
-
-    def log_sum(self, alpha):
-        return log_sum_exp(self._logits(alpha))
 
     def at(self, alpha, ln_sum):
         """The term at shapes ``alpha``, given ``ln_sum = ln(sum c t^a)``."""
@@ -180,8 +170,8 @@ class _Branch:
 
     def local(self, alpha):
         """Value, slope and curvature at shapes ``alpha``, all from one pass
-        of the softmax moments of ``ln t``, whose log-sum is ``ln S``."""
-        mean_lnt, var_lnt, ln_sum = _softmax_moments(self._logits(alpha), self.log_t)
+        of the kernel's moments of ``ln t`` and ``ln S``."""
+        mean_lnt, var_lnt, ln_sum = self.sums.moments(alpha)
         damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
         return (
             self.at(alpha, ln_sum),
@@ -200,7 +190,7 @@ class _BranchSum:
 
     def __call__(self, alpha):
         """``s(alpha)`` and the stacked log power sums it reads."""
-        sums = np.stack([p.log_sum(alpha) for p in self.parts])
+        sums = np.stack([p.sums.log_sum(alpha) for p in self.parts])
         return sum(p.at(alpha, s) for p, s in zip(self.parts, sums)), sums
 
     def local(self, alpha):
@@ -209,11 +199,12 @@ class _BranchSum:
 
 def _check_decay(branch: _BranchSum) -> None:
     """Refuse a concave shape marginal unless its slope's limit, ``-sum(c1 +
-    c2 L)`` with L a term's largest log time of positive weight (0 if below
-    0 and b0 > 0), is negative beyond 1e-12 of its terms' size (rounding)."""
+    c2 L)`` with L the ``top`` of a term's kernel, its largest log time of
+    positive weight (0 if below 0 and b0 > 0), is negative beyond 1e-12 of
+    its terms' size (rounding)."""
     limit = size = 0.0
     for p in branch.parts:
-        top = p.log_t[p.log_coef > -math.inf].max()
+        top = float(p.sums.top)
         terms = p.c1, p.c2 * (max(top, 0.0) if p.log_b0 > -math.inf else top)
         limit -= sum(terms)
         size += sum(map(abs, terms))
@@ -259,20 +250,18 @@ def _sample_marginal(
 class _PosteriorCore:
     """Shared machinery behind every posterior in this module.
 
-    A core is defined by the two weighted power sums (as log-coefficient /
-    log-time arrays), the failure counts, and the prior.  It owns the shape
-    marginal of the one rate proposal (see the module docstring) and its
-    properness checks, hands it to the envelope sampler ``_sample_marginal``
-    with its ``mode`` (located there unless :func:`shape_modes` has set it),
-    and draws the rates with their importance weights.
+    A core is defined by the kernels of the two weighted power sums, the
+    failure counts, and the prior.  It owns the shape marginal of the one
+    rate proposal (see the module docstring) and its properness checks,
+    hands it to the envelope sampler ``_sample_marginal`` with its ``mode``
+    (located there unless :func:`shape_modes` has set it), and draws the
+    rates with their importance weights.
     """
 
     def __init__(
         self,
-        log_coef_u: np.ndarray,
-        log_t_u: np.ndarray,
-        log_coef_v: np.ndarray,
-        log_t_v: np.ndarray,
+        sums_u: PowerSum,
+        sums_v: PowerSum,
         k1: int,
         k2: int,
         sum_log_t: float,
@@ -296,50 +285,29 @@ class _PosteriorCore:
         scale = self.gamma_shape / (s1 + s2)
         self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
         self.branch = _BranchSum(
-            _Branch(
-                log_coef_u,
-                log_t_u,
-                k + prior.shape.a - 1.0,
-                prior.shape.b - sum_log_t,
-                scale * s1,
-                self.log_b0,
-            ),
-            _Branch(log_coef_v, log_t_v, 0.0, 0.0, scale * s2, self.log_b0),
+            _Branch(sums_u, k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, scale * s1, self.log_b0),
+            _Branch(sums_v, 0.0, 0.0, scale * s2, self.log_b0),
         )
         _check_decay(self.branch)
 
     @classmethod
     def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":
-        return cls(
-            sample.log_coef1,
-            sample.log_t,
-            sample.log_coef2,
-            sample.log_t,
-            sample.k1,
-            sample.k2,
-            sample.sum_log_t,
-            prior,
-        )
+        return cls(*sample.power_sums, sample.k1, sample.k2, sample.sum_log_t, prior)
 
     @classmethod
     def from_two_complete(
         cls, data1: CompleteSample, data2: CompleteSample, prior: PriorSpec
     ) -> "_PosteriorCore":
-        return cls(
-            np.zeros(data1.n),
-            data1.log_values,
-            np.zeros(data2.n),
-            data2.log_values,
-            data1.n,
-            data2.n,
-            data1.sum_log + data2.sum_log,
-            prior,
-        )
+        sums = (PowerSum(0.0, d.log_values) for d in (data1, data2))
+        return cls(*sums, data1.n, data2.n, data1.sum_log + data2.sum_log, prior)
 
     def _rates(self, sums: np.ndarray, rng: RngStream):
         """Rates given the shapes' log power sums ``(ln U, ln V)``: a
         gamma(G) total split by a beta(s1, s2) fraction of the rescaled
-        rates, cut below x0 for an ordered prior; and their log weights."""
+        rates, cut below x0 for an ordered prior; and their log weights.
+        Each rate is ``exp(ln fraction + ln total - ln R_g)``, which never
+        divides by an overflowed ``R_g``: a rate is 0 only where its log is
+        below -745 and infinite only where it is above 709.78."""
         bg = self.prior.bg
         s1, s2 = self.group_shapes
         ln_r1, ln_r2 = np.logaddexp(self.log_b0, sums)
@@ -362,16 +330,14 @@ class _PosteriorCore:
             frac = np.minimum(frac, np.nextafter(x0, 0.0))
         else:
             frac = rng.beta(s1, s2, size=size)
+        with np.errstate(divide="ignore"):
+            ln_frac, ln_rest, ln_total = np.log(frac), np.log1p(-frac), np.log(total)
         c = bg.a0 - bg.a1 - bg.a2
         if c != 0.0:
             w = s1 / (s1 + s2)
-            with np.errstate(divide="ignore"):
-                ln_h = np.logaddexp(
-                    np.log(frac) + (1.0 - w) * ln_rho, np.log1p(-frac) - w * ln_rho
-                )
-            ln_g += c * ln_h
-        l1 = frac * total / np.exp(ln_r1)
-        l2 = (1.0 - frac) * total / np.exp(ln_r2)
+            ln_g += c * np.logaddexp(ln_frac + (1.0 - w) * ln_rho, ln_rest - w * ln_rho)
+        l1 = np.exp(ln_frac + ln_total - ln_r1)
+        l2 = np.exp(ln_rest + ln_total - ln_r2)
         if self.prior.ordered:
             l1 = np.minimum(l1, np.nextafter(l2, 0.0))
             if bg.a1 != bg.a2:
@@ -419,8 +385,7 @@ def shape_modes(cores) -> None:
     stack = []
     for terms in zip(*(c.branch.parts for c in cores)):
         coefs = np.array([(t.c0, t.c1, t.c2, t.log_b0) for t in terms])
-        rows = (np.stack([getattr(t, a) for t in terms]) for a in ("log_coef", "log_t"))
-        stack.append(_Branch(*rows, *coefs.T))
+        stack.append(_Branch(PowerSum.stack([t.sums for t in terms]), *coefs.T))
     for core, mode in zip(cores, _locate_modes(_BranchSum(*stack).local, len(cores))):
         core.mode = mode
 
@@ -478,7 +443,7 @@ def weibull_posterior_complete(
     c1 = shape.b - data.sum_log
     c2 = bg_a + n
     log_b0 = math.log(bg_b) if bg_b > 0.0 else -math.inf
-    branch = _BranchSum(_Branch(np.zeros(n), data.log_values, c0, c1, c2, log_b0))
+    branch = _BranchSum(_Branch(PowerSum(0.0, data.log_values), c0, c1, c2, log_b0))
     _check_decay(branch)
     alpha, (ln_sum,), _ = _sample_marginal(branch, n_draws, rng)
     lam = rng.gamma(c2, rate=np.exp(np.logaddexp(log_b0, ln_sum)))

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import RngStream, log_sum_exp
+from .rng import PowerSum, RngStream
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,9 @@ class JpcSample:
         return (self.w + 1 - self.delta).astype(float)
 
     @cached_property
-    def log_coef1(self) -> np.ndarray:
-        return log_weights(self.scheme.R, self.delta, self.s)[0]
-
-    @cached_property
-    def log_coef2(self) -> np.ndarray:
-        return log_weights(self.scheme.R, self.delta, self.s)[1]
+    def power_sums(self) -> tuple[PowerSum, PowerSum]:
+        """The kernels of ln U and ln V, set up once per sample."""
+        return tuple(PowerSum(c, self.log_t) for c in log_weights(self.scheme.R, self.delta, self.s))
 
     @cached_property
     def k1(self) -> int:
@@ -203,14 +200,12 @@ def v_stat(sample: JpcSample, alpha: float) -> float:
 
 
 def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:
-    """ln U(alpha), stable for any exponent; vectorized over ``alpha``."""
-    a = np.asarray(alpha, dtype=float)
-    return log_sum_exp(sample.log_coef1 + a[..., None] * sample.log_t)
+    """ln U(alpha) for alpha >= 0, free of overflow; vectorized over alpha."""
+    return sample.power_sums[0].log_sum(alpha)
 
 
 def log_v_stat(sample: JpcSample, alpha) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    return log_sum_exp(sample.log_coef2 + a[..., None] * sample.log_t)
+    return sample.power_sums[1].log_sum(alpha)
 
 
 def log_likelihood(sample: JpcSample, params: JointParams) -> float:

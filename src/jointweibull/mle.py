@@ -20,7 +20,7 @@ analytic slope to the package's one root finder (``rng._solve_rows``),
 whose rows are bracketed and then take safeguarded Newton steps in
 lockstep until each step or bracket is within 1e-10 relative, so each
 row's shape is the one it would get alone; it then reads each group's log
-rate from one log-sum-exp.  Only :func:`_fit_design` knows the order.  A
+rate from the power-sum kernel.  Only :func:`_fit_design` knows the order.  A
 single fit is a stack of one; the bootstrap refits all its resamples, drawn
 by the batched tau = t^alpha simulator (``jpc.simulate_jpc_batch``), in one
 stack, which keeps a 500-resample percentile interval at a few tens of
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from statistics import NormalDist
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .jpc import (
     log_weights,
     simulate_jpc_batch,
 )
-from .rng import _MAX_SWEEPS, RngStream, _softmax_moments, _solve_rows, log_sum_exp
+from .rng import _MAX_SWEEPS, PowerSum, RngStream, _solve_rows
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def profile_loglik(sample: JpcSample, alpha: float) -> float:
     return float(val)
 
 
-def _profile_score(lnt, logc1, k1, logc2=None, k2=0) -> Callable[[np.ndarray], tuple]:
+class _ProfileScore:
     """The profile scores of stacked samples and their slopes, as a function
     of one shape per row.
 
@@ -145,41 +145,38 @@ def _profile_score(lnt, logc1, k1, logc2=None, k2=0) -> Callable[[np.ndarray], t
     are (``logc1 = 0``, ``k1 = n``; ``logc1 = ln(R + 1)``, ``k1 = k``).
 
     The score of a row is ``k/a + sum ln t - k1 E1 - k2 E2``, with ``E1``,
-    ``E2`` the means of ``ln t`` under the softmax weights ``c1 t^a``,
-    ``c2 t^a``; its slope, ``-k/a^2 - k1 Var1 - k2 Var2`` with the variances
-    under the same weights, is negative, so each profile is concave.
+    ``E2`` the means of ``ln t`` under the weights ``c1 t^a``, ``c2 t^a``;
+    its slope, ``-k/a^2 - k1 Var1 - k2 Var2`` with the variances under the
+    same weights, is negative, so each profile is concave.
     """
-    k = k1 + k2
-    slt = lnt.sum(axis=1)
 
-    def score(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = alpha[:, None]
-        m1, v1, _ = _softmax_moments(logc1 + a * lnt, lnt)
-        d = k / alpha + slt - k1 * m1
-        slope = -k / alpha**2 - k1 * v1
-        if logc2 is None:
-            return d, slope
-        m2, v2, _ = _softmax_moments(logc2 + a * lnt, lnt)
-        return d - k2 * m2, slope - k2 * v2
+    def __init__(self, lnt, logc1, k1, logc2=None, k2=0):
+        self.k = k1 + k2
+        self.slt = lnt.sum(axis=1)
+        pairs = ((logc1, k1),) if logc2 is None else ((logc1, k1), (logc2, k2))
+        self.groups = [(PowerSum(c, lnt), kg) for c, kg in pairs]
 
-    return score
+    def __call__(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d, slope = self.k / alpha + self.slt, -self.k / alpha**2
+        for sums, kg in self.groups:
+            mean, var, _ = sums.moments(alpha)
+            d, slope = d - kg * mean, slope - kg * var
+        return d, slope
 
 
 def _fit_rows(lnt, logc1, k1, logc2=None, k2=0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Maximum likelihood fits of stacked samples (the stack is that of
-    :func:`_profile_score`).
+    :class:`_ProfileScore`).
 
     Returns ``(alpha, log_rates, ok, sweeps)``: the profile-maximizing
     shapes; the log rates ``ln(k_g / S_g(alpha))``, one row per group; the
     rows that have a shape in [1e-10, 1e10] (the other rows' shapes and
     rates mean nothing); and the sweep count.
     """
-    score = _profile_score(lnt, logc1, k1, logc2, k2)
+    score = _ProfileScore(lnt, logc1, k1, logc2, k2)
     alpha, ok, sweeps = _solve_rows(score, lnt.shape[0])
-    a = alpha[:, None]
-    groups = ((logc1, k1),) if logc2 is None else ((logc1, k1), (logc2, k2))
     with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
-        log_rates = np.stack([np.log(kg) - log_sum_exp(c + a * lnt) for c, kg in groups])
+        log_rates = np.stack([np.log(kg) - sums.log_sum(alpha) for sums, kg in score.groups])
     return alpha, log_rates, ok, sweeps
 
 
@@ -287,10 +284,10 @@ def asymptotic_ci(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     a, l1, l2 = params.alpha, params.lambda1, params.lambda2
-    lnt = sample.log_t
-    free = [(sample.log_coef1, sample.k1), (sample.log_coef2, sample.k2)]
-    groups = [_pooled(sample.scheme)] if boundary else free
-    moments = [(kg, *_softmax_moments(c + a * lnt, lnt)[:2]) for c, kg in groups]
+    logc, k = _pooled(sample.scheme)
+    free = zip(sample.power_sums, (sample.k1, sample.k2))
+    groups = [(PowerSum(logc, sample.log_t), k)] if boundary else free
+    moments = [(kg, *sums.moments(a)[:2]) for sums, kg in groups]
     var_a = 1.0 / (sample.scheme.k / a**2 + sum(kg * v for kg, _, v in moments))
     rel = [math.sqrt(1.0 / kg + m * m * var_a) for kg, m, _ in moments]
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))

@@ -18,10 +18,11 @@ module also holds the package's one root finder, :func:`_solve_rows`, a
 lockstep bracket and safeguarded Newton step over rows of decreasing
 functions given with their slopes: it locates the mode that seeds each
 hull, and the maximum likelihood fits elsewhere solve their profile score
-equations with it.  Next to it sits the package's one log-sum-exp,
-:func:`log_sum_exp`, whose max-shift also gives the softmax moments
-(:func:`_softmax_moments`) that the profile score, the shape marginal's
-slope and both of their curvatures are made of.
+equations with it.  Next to it sits the one power-sum kernel,
+:class:`PowerSum`: every ln(sum c t^a) in the package and its first two
+derivatives in ``a``, which the profile score, the shape marginal's slope
+and both of their curvatures are made of.  The max-shift of the
+log-sum-exp :func:`log_sum_exp` serves only importance weights and hulls.
 """
 
 from __future__ import annotations
@@ -72,20 +73,56 @@ def log_sum_exp(x):
         return np.log(wgt.sum(axis=-1)) + top[..., 0]
 
 
-def _softmax_moments(
-    logits: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and variance of ``values`` under the softmax of ``logits`` along
-    the last axis, and the log-sum-exps of ``logits``: for ``logits = ln c +
-    a ln t`` and ``values = ln t`` they are d/da and d2/da2 of
-    ln(sum c t^a), and ln(sum c t^a) itself."""
-    wgt, top = _max_shift(logits)
-    tot = wgt.sum(axis=-1)
-    mean = (wgt * values).sum(axis=-1) / tot
-    dev = values - mean[..., None]
-    dev *= dev
-    dev *= wgt
-    return mean, dev.sum(axis=-1) / tot, top[..., 0] + np.log(tot)
+class PowerSum:
+    """``ln S(a)``, ``S(a) = sum_j c_j t_j^a``, for shapes ``a >= 0``: of one
+    group (1-D ``log_c``, ``log_t``) or of stacked groups, one per row.
+
+    Set up once: ``top`` = L, the largest ``ln t_j`` of weight ``c_j > 0``,
+    the offsets ``ln t_j - L <= 0`` and the weights, so ``ln S(a) = a L +
+    ln sum_j c_j exp(a (ln t_j - L))``: no term overflows and the top
+    column adds its ``c`` (>= 1 for the package's counts), so no call takes
+    a max or mends a shift.  A zero-weight column holds offset 0 and weight
+    0.  A 1-D group's values are one matrix-vector product over its positive
+    columns; moments use every column, so a lone group is a stack's row.
+    """
+
+    def __init__(self, log_c, log_t):
+        log_t = np.asarray(log_t, dtype=float)
+        pos = np.broadcast_to(np.asarray(log_c) > -math.inf, log_t.shape)
+        self.top = np.where(pos, log_t, -math.inf).max(axis=-1)
+        self.off = np.where(pos, log_t - self.top[..., None], 0.0)
+        self.wgt = np.where(pos, np.exp(log_c), 0.0)
+        if log_t.ndim == 1:
+            self._pos_off, self._pos_wgt = self.off[pos], self.wgt[pos]
+
+    @classmethod
+    def stack(cls, sums) -> "PowerSum":
+        """One stack of 1-D groups of equal length, one row each."""
+        out = cls.__new__(cls)
+        out.top, out.off, out.wgt = (np.stack([getattr(p, a) for p in sums]) for a in ("top", "off", "wgt"))
+        return out
+
+    def log_sum(self, alpha):
+        """``ln S`` at ``alpha``: any shape of shapes for a 1-D group, one
+        shape per row for a stack."""
+        a = np.asarray(alpha, dtype=float)
+        if self.top.ndim:
+            return self.moments(a)[2]
+        return a * self.top + np.log(np.exp(np.multiply.outer(a, self._pos_off)) @ self._pos_wgt)
+
+    def moments(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean and variance of ``ln t`` under the weights ``c t^a``, and
+        ``ln S``: d/da and d2/da2 of ``ln S`` at ``alpha``, and ``ln S``."""
+        a = np.asarray(alpha, dtype=float)
+        w = a[..., None] * self.off
+        np.exp(w, out=w)
+        w *= self.wgt
+        tot = w.sum(axis=-1)
+        mean = (w * self.off).sum(axis=-1) / tot
+        dev = self.off - mean[..., None]
+        dev *= dev
+        dev *= w
+        return self.top + mean, dev.sum(axis=-1) / tot, a * self.top + np.log(tot)
 
 
 def splitmix64(x: int) -> int:

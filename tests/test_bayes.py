@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from jointweibull.bayes import (
     _PosteriorCore,
     _jpc_discrepancy_rows,
     _resample_indices,
+    _sample_marginal,
     ShapeHyper,
     WeightedPosterior,
     bayes_estimate,
@@ -579,6 +581,35 @@ def test_posterior_container_validation() -> None:
 def test_improper_posterior_is_refused(improper_jpc) -> None:
     with pytest.raises(ImproperPosteriorError):
         draw_posterior(improper_jpc, PriorSpec.flat(), 100, RngStream(618, 0))
+
+
+def test_rates_at_large_shapes_come_from_their_logs(improper_jpc) -> None:
+    """With shape rate 1e-6 the flat-prior marginal of the ``improper_jpc``
+    sample (times 2 and 3, one per group) is gamma(2, 1e-6), mode 1e6,
+    where U = 2^a and V = 3^a overflow a double; with shape rate 1 it is
+    gamma(2, 1).  The draws raise no RuntimeWarning.  Replayed from the
+    same stream, each rate is exp of ln B + ln T - ln U (of ln(1 - B) + ln T
+    - ln V): finite, >= 0, and 0 only where that log is below -745."""
+    n = 2000
+    for rate, mean in ((1e-6, 2e6), (1.0, 2.0)):
+        prior = PriorSpec.flat(shape_rate=rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            post = draw_posterior(improper_jpc, prior, n, RngStream(611, 0))
+        rng = RngStream(611, 0)
+        core = _PosteriorCore.from_jpc(improper_jpc, prior)
+        alpha, (ln_u, ln_v), _ = _sample_marginal(core.branch, n, rng)
+        assert alpha.tobytes() == post.alpha.tobytes()
+        assert np.mean(alpha) == pytest.approx(mean, rel=0.1)
+        ln_total, frac = np.log(rng.gamma(2.0, size=n)), rng.beta(1.0, 1.0, size=n)
+        for lam, ln_lam in (
+            (post.lambda1, np.log(frac) + ln_total - ln_u),
+            (post.lambda2, np.log1p(-frac) + ln_total - ln_v),
+        ):
+            assert np.all(np.isfinite(lam) & (lam >= 0.0))
+            assert np.all((lam > 0.0) | (ln_lam < -745.0))
+            assert np.all(lam > 0.0) == (rate == 1.0)
+            np.testing.assert_allclose(lam, np.exp(ln_lam), rtol=1e-12, atol=0.0)
 
 
 def test_slowly_decaying_flat_posterior_matches_quadrature(slow_decay_jpc) -> None:

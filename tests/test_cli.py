@@ -425,7 +425,11 @@ def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
     that need its functions load; a ``fit`` call needs none of them, and
     neither does a ``bayes`` call with an unordered prior, the default flat
     one or one whose rates do not factor over the groups: only the cut of
-    an ordered prior needs the incomplete beta function."""
+    an ordered prior needs the incomplete beta function.  ``analyze`` on
+    the bundled strength data needs neither: its Kolmogorov and chi-square
+    tails are series and ``math.erfc``."""
+    data = Path(jointweibull.__file__).resolve().parent / "data"
+    strengths = [str(data / f"fiber_strength_{mm}mm.txt") for mm in (20, 10)]
     pkg_root = str(Path(jointweibull.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
@@ -442,18 +446,22 @@ def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
         "    after_bayes = loaded()\n"
         f"    codes.append(jointweibull.cli.main(['bayes', {fiber_file!r}, '--n-draws', '200',\n"
         "        '--a0', '3', '--b0', '1', '--a1', '1', '--a2', '1']))\n"
-        "print(json.dumps([after_import, codes, after_fit, after_bayes, loaded()]))\n"
+        "    after_coupled = loaded()\n"
+        f"    codes.append(jointweibull.cli.main(['analyze', *{strengths!r}, '--shift', '0.75',\n"
+        "        '--n-draws', '500', '--n-rep', '300']))\n"
+        "print(json.dumps([after_import, codes, after_fit, after_bayes, after_coupled, loaded()]))\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert res.returncode == 0, res.stderr
-    after_import, exit_codes, after_fit, after_bayes, after_coupled = json.loads(res.stdout)
+    after_import, exit_codes, after_fit, after_bayes, after_coupled, after_analyze = json.loads(res.stdout)
     assert after_import == [False, False]
-    assert exit_codes == [0, 0, 0]
+    assert exit_codes == [0, 0, 0, 0]
     assert after_fit == [False, False]
     assert after_bayes == [False, False]
     assert after_coupled == [False, False]
+    assert after_analyze == [False, False]
 
 
 @pytest.mark.skipif(

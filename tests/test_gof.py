@@ -9,6 +9,7 @@ from scipy import optimize, special, stats
 from jointweibull.gof import (
     CompleteSample,
     _fit_complete_rows,
+    _kolmogorov_sf,
     fit_common_shape,
     fit_weibull_complete,
     ks_distance,
@@ -122,6 +123,26 @@ def test_ks_pvalue_asymptotic_matches_limit_law() -> None:
     for d, n in [(0.046, 69), (0.079, 63), (0.2, 25)]:
         expect = float(stats.kstwobign.sf(math.sqrt(n) * d))
         assert ks_pvalue(d, n) == pytest.approx(expect, rel=1e-6)
+
+
+def test_asymptotic_tails_match_scipy_special(ds1, ds2) -> None:
+    """The two tails ``analyze`` needs, written without ``scipy.special``,
+    against scipy's: the Kolmogorov series against ``kolmogorov`` on
+    x in [1e-3, 8], both regimes and their switch at 1, and ``erfc(sqrt(x /
+    2))`` against ``chdtrc(1, x)`` on [0, 700]; each to 1e-13 relative.  The
+    package's p-values are these tails at their statistics."""
+    xs = np.concatenate([np.geomspace(1e-3, 8.0, 4001), np.linspace(0.99, 1.01, 201)])
+    got = np.array([_kolmogorov_sf(x) for x in xs])
+    np.testing.assert_allclose(got, special.kolmogorov(xs), rtol=1e-13, atol=0.0)
+    stats_ = np.concatenate([[0.0], np.geomspace(1e-12, 700.0, 4001), np.linspace(0.0, 700.0, 4001)])
+    got = np.array([math.erfc(math.sqrt(x / 2.0)) for x in stats_])
+    np.testing.assert_allclose(got, special.chdtrc(1, stats_), rtol=1e-13, atol=0.0)
+    assert ks_pvalue(0.0, 10) == 1.0
+    for d, n in [(0.046, 69), (0.079, 63), (0.2, 25), (0.9, 40)]:
+        assert ks_pvalue(d, n) == pytest.approx(special.kolmogorov(math.sqrt(n) * d), rel=1e-13)
+    for pair in ((ds1, ds2), (ds2, ds1), (ds1, CompleteSample(ds1.values[::2]))):
+        stat, p = lr_test_common_shape(*pair)
+        assert p == pytest.approx(special.chdtrc(1, stat), rel=1e-13)
 
 
 def test_ks_pvalue_mc_agrees_with_limit_for_simple_null() -> None:

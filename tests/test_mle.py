@@ -14,6 +14,7 @@ from jointweibull.jpc import (
     JpcObservation,
     JpcSample,
     log_likelihood,
+    log_weights,
     log_u_stat,
     log_v_stat,
     simulate_jpc_batch,
@@ -25,7 +26,7 @@ from jointweibull.mle import (
     IntervalEstimate,
     _fit_design,
     _fit_rows,
-    _profile_score,
+    _ProfileScore,
     asymptotic_ci,
     bootstrap_ci,
     fisher_info,
@@ -386,11 +387,12 @@ def _reference_samples(n: int, seed: int) -> list[JpcSample]:
 
 
 def _stack(samples: list[JpcSample]) -> tuple:
+    logc = [log_weights(x.scheme.R, x.delta, x.s) for x in samples]
     return (
         np.stack([x.log_t for x in samples]),
-        np.stack([x.log_coef1 for x in samples]),
+        np.stack([c[0] for c in logc]),
         np.array([x.k1 for x in samples], dtype=float),
-        np.stack([x.log_coef2 for x in samples]),
+        np.stack([c[1] for c in logc]),
         np.array([x.k2 for x in samples], dtype=float),
     )
 
@@ -436,8 +438,8 @@ def test_profile_score_slope_matches_central_differences(fiber) -> None:
     for sample in samples:
         log_common = np.log(np.asarray(sample.scheme.R, dtype=float) + 1.0)
         for score in (
-            _profile_score(*_stack([sample])),
-            _profile_score(sample.log_t[None, :], log_common, sample.scheme.k),
+            _ProfileScore(*_stack([sample])),
+            _ProfileScore(sample.log_t[None, :], log_common, sample.scheme.k),
         ):
             for a, step in zip(grid, h):
                 _, slope = score(np.array([a]))

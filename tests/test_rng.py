@@ -13,6 +13,7 @@ from jointweibull.errors import NonIntegrableTargetError
 from jointweibull.rng import (
     BetaGammaHyper,
     PiecewiseExpEnvelope,
+    PowerSum,
     RngStream,
     beta_gamma_mean,
     beta_gamma_variance,
@@ -393,3 +394,76 @@ def test_log_sum_exp_matches_scipy() -> None:
         got = log_sum_exp(rows)
     assert got[0] == -np.inf
     assert got[1] == pytest.approx(float(logsumexp(rows[1])), rel=1e-15)
+
+
+_SHAPES = (1e-10, 1e-3, 1.0, 50.0, 1e6)
+
+
+def _log_weights(w: np.ndarray) -> np.ndarray:
+    return np.where(w > 0, np.log(np.maximum(w, 1)), -np.inf)
+
+
+def _power_sum_groups() -> list[tuple[np.ndarray, np.ndarray]]:
+    """(ln c, ln t) of one-group cases: integer weights with zero-weight
+    columns above the top log time of positive weight, and a group whose
+    only positive column (weight 3) sits below two zero-weight ones."""
+    log_t = np.linspace(-1.5, 1.5, 12)
+    wide = np.array([2, 0, 1, 4, 0, 3, 1, 0, 2, 0, 0, 0], dtype=float)
+    lone = np.zeros(12)
+    lone[8] = 3.0
+    return [(_log_weights(wide), log_t), (_log_weights(lone), log_t)]
+
+
+def _check_moments(sums: PowerSum, log_s, alpha: np.ndarray) -> None:
+    """Mean and variance of ln t against central differences of ``log_s``,
+    an oracle ln S: steps 1e-5 and 2e-4 of max(alpha, 1)."""
+    mean, var, ln_s = sums.moments(alpha)
+    np.testing.assert_allclose(ln_s, log_s(alpha), rtol=1e-14, atol=0.0)
+    h = 1e-5 * np.maximum(alpha, 1.0)
+    numeric = (log_s(alpha + h) - log_s(alpha - h)) / (2.0 * h)
+    np.testing.assert_allclose(mean, numeric, rtol=1e-6, atol=1e-8)
+    h = 2e-4 * np.maximum(alpha, 1.0)
+    numeric = (log_s(alpha + h) - 2.0 * log_s(alpha) + log_s(alpha - h)) / h**2
+    np.testing.assert_allclose(var, numeric, rtol=1e-5, atol=1e-7)
+    assert np.all(var >= 0.0)
+
+
+def test_power_sum_matches_max_shift_log_sum_exp() -> None:
+    """The power-sum kernel's ln S against the max-shift log-sum-exp of the
+    raw logits ln c + a ln t to 1e-14 relative, and its moments of ln t
+    against central differences of that ln S, at shapes 1e-10, 1e-3, 1, 50
+    and 1e6: on a group with zero-weight columns above its top log time, on
+    a group with one positive column, on stacked rows with different tops
+    and zero patterns, and on the scalar-coefficient stack of complete
+    samples; with RuntimeWarning as an error throughout.  A stack's moments
+    are its rows' lone moments byte for byte."""
+    gen = np.random.default_rng(47)
+    alpha = np.array(_SHAPES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for log_c, log_t in _power_sum_groups():
+            sums = PowerSum(log_c, log_t)
+            assert sums.top == log_t[log_c > -np.inf].max()
+            oracle = lambda a: log_sum_exp(log_c + np.asarray(a)[..., None] * log_t)
+            np.testing.assert_allclose(sums.log_sum(alpha), oracle(alpha), rtol=1e-14, atol=0.0)
+            assert sums.log_sum(2.0).shape == () and sums.log_sum(alpha[None]).shape == (1, 5)
+            _check_moments(sums, oracle, alpha)
+        # stacked rows: tops from about -2 to 3, zero-weight columns anywhere
+        rows = 40
+        log_t = np.sort(gen.normal(0.0, 1.0, (rows, 10)), axis=1) + gen.uniform(-2.5, 1.5, (rows, 1))
+        weights = gen.integers(0, 4, (rows, 10)).astype(float)
+        weights[np.arange(rows), gen.integers(0, 10, rows)] = 2.0
+        log_c = _log_weights(weights)
+        stacks = [(PowerSum(log_c, log_t), log_c), (PowerSum(0.0, log_t), 0.0)]
+        for sums, c in stacks:
+            assert np.ptp(sums.top) > 3.0
+            oracle = lambda a: log_sum_exp(c + a[:, None] * log_t)
+            for a in _SHAPES:
+                shape = np.full(rows, a)
+                np.testing.assert_allclose(sums.log_sum(shape), oracle(shape), rtol=1e-14, atol=0.0)
+                _check_moments(sums, oracle, shape)
+            shape = np.array(_SHAPES * (rows // 5))
+            stacked = sums.moments(shape)
+            for i in range(rows):
+                lone = PowerSum(np.broadcast_to(c, log_t.shape)[i], log_t[i]).moments(shape[i])
+                assert [x[i] for x in stacked] == [x for x in lone]
