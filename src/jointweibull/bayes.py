@@ -57,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateWeightsError, ImproperPosteriorError
-from .gof import CompleteSample, _ks_rowwise
+from .gof import CompleteSample, _ks_rows
 from .jpc import JpcSample, simulate_jpc_batch
 from .mle import IntervalEstimate
 from .rng import (
@@ -497,25 +497,6 @@ def hpd_interval(post: WeightedPosterior, h: Callable, level: float) -> Interval
     return weighted_hpd(vals, post.normalized, level)
 
 
-def _jpc_discrepancy_rows(log_t, delta, alpha, lam1, lam2) -> np.ndarray:
-    """Largest group-wise KS distance of each row's failure times against
-    that row's fitted lifetime laws; groups without failures score 0.
-
-    ``log_t`` and ``delta`` are ``(rows, k)`` (or one ``(k,)`` sample shared
-    by all rows) with log times increasing along each row, so a failure's
-    rank inside its group is the running count of the group's failures.
-    """
-    worst = 0.0
-    for grp, lam in ((1, lam1), (0, lam2)):
-        mask = delta == grp
-        rank = np.cumsum(mask, axis=-1)
-        n_g = np.maximum(rank[..., -1:], 1)
-        f = -np.expm1(-lam[:, None] * np.exp(alpha[:, None] * log_t))
-        gap = np.maximum(rank / n_g - f, f - (rank - 1) / n_g)
-        worst = np.maximum(worst, np.where(mask, gap, 0.0).max(axis=-1))
-    return worst
-
-
 def posterior_predictive_pvalue(
     data,
     prior: PriorSpec,
@@ -534,12 +515,12 @@ def posterior_predictive_pvalue(
     the observed discrepancy.  The stream is used in this order: posterior
     draws (unless given), resampling indices, replicates.
 
-    ``data`` may be a :class:`CompleteSample` (one population; discrepancy:
-    KS distance against the drawn parameters) or a :class:`JpcSample`
-    (discrepancy: the larger of the two group-wise KS distances of observed
-    failure times).  Both run as array steps over all draws and replicates:
-    complete replicates by inversion, joint ones in one
-    :func:`simulate_jpc_batch` call with per-row parameters.
+    The discrepancy is the largest group-wise KS distance of the times
+    against the drawn laws (``gof._ks_rows``).  ``data`` may be a
+    :class:`CompleteSample`, one group whose replicates come by inversion,
+    or a :class:`JpcSample`, whose failure times form two groups and whose
+    replicates come from one :func:`simulate_jpc_batch` call with per-row
+    parameters.  Both run as array steps over all draws and replicates.
 
     ``posterior`` supplies draws the caller already has instead of drawing
     them from ``prior``: for a :class:`JpcSample` a :class:`WeightedPosterior`
@@ -553,34 +534,33 @@ def posterior_predictive_pvalue(
         raise ValueError("n_rep must be positive")
     if isinstance(data, CompleteSample):
         if posterior is None:
-            alphas, lams = weibull_posterior_complete(
+            alpha, lam = weibull_posterior_complete(
                 data, prior.bg.a0, prior.bg.b0, prior.shape, n_rep, rng
             )
-            norm = np.full(n_rep, 1.0 / n_rep)
-        else:
-            alphas, lams, norm = (np.asarray(v) for v in posterior)
-        f_obs = -np.expm1(-lams[:, None] * data.sorted**alphas[:, None])
-        d_obs = _ks_rowwise(f_obs)
-        idx = _resample_indices(norm, n_rep, rng)
-        u = rng.uniform((n_rep, data.n))
-        reps = np.sort(
-            (-np.log1p(-u) / lams[idx, None]) ** (1.0 / alphas[idx, None]), axis=1
-        )
-        f_rep = -np.expm1(-lams[idx, None] * reps ** alphas[idx, None])
-        d_rep = _ks_rowwise(f_rep)
-        p = float(np.mean(d_rep >= d_obs[idx]))
-        return p, float((norm * d_obs).sum())
-    if isinstance(data, JpcSample):
+            posterior = (alpha, lam, np.full(n_rep, 1.0 / n_rep))
+        a, l1, norm = (np.asarray(v) for v in posterior)
+        l2 = l1
+        log_t, delta = np.log(data.sorted), np.ones(data.n)
+
+        def replicate(a, lam, _):
+            e = -np.log1p(-rng.uniform((n_rep, data.n)))
+            return np.sort(np.log(e / lam[:, None]) / a[:, None], axis=1), delta
+
+    elif isinstance(data, JpcSample):
         post = posterior or draw_posterior(data, prior, n_rep, rng)
-        a, l1, l2 = post.alpha, post.lambda1, post.lambda2
-        d_obs = _jpc_discrepancy_rows(data.log_t, data.delta, a, l1, l2)
-        idx = _resample_indices(post.normalized, n_rep, rng)
-        a, l1, l2 = a[idx], l1[idx], l2[idx]
-        log_t, delta, _ = simulate_jpc_batch(data.scheme, (a, l1, l2), rng, n_rep)
-        d_rep = _jpc_discrepancy_rows(log_t, delta, a, l1, l2)
-        p = float(np.mean(d_rep >= d_obs[idx]))
-        return p, float((post.normalized * d_obs).sum())
-    raise TypeError("data must be a CompleteSample or a JpcSample")
+        a, l1, l2, norm = post.alpha, post.lambda1, post.lambda2, post.normalized
+        log_t, delta = data.log_t, data.delta
+
+        def replicate(a, l1, l2):
+            return simulate_jpc_batch(data.scheme, (a, l1, l2), rng, n_rep)[:2]
+
+    else:
+        raise TypeError("data must be a CompleteSample or a JpcSample")
+    d_obs = _ks_rows(log_t, delta, a, l1, l2)
+    idx = _resample_indices(norm, n_rep, rng)
+    a, l1, l2 = a[idx], l1[idx], l2[idx]
+    d_rep = _ks_rows(*replicate(a, l1, l2), a, l1, l2)
+    return float(np.mean(d_rep >= d_obs[idx])), float((norm * d_obs).sum())
 
 
 def _resample_indices(normalized: np.ndarray, n: int, rng: RngStream) -> np.ndarray:

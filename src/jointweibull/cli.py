@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bayes import (
     PriorSpec,
     ShapeHyper,
@@ -176,6 +178,9 @@ def _cmd_analyze(args) -> int:
     for path in (args.data1, args.data2):
         data.append(CompleteSample.from_raw(parse_complete_file(path), shift=args.shift))
     shape_prior = ShapeHyper(args.a, args.b)
+    prior = PriorSpec(
+        bg=BetaGammaHyper(args.a0, args.b0, args.a1, args.a2), shape=shape_prior
+    )
     for tag, ds, offset in (("data1", data[0], 10), ("data2", data[1], 20)):
         fit = fit_weibull_complete(ds)
         d = ks_distance(ds, fit.alpha, fit.lam)
@@ -191,11 +196,10 @@ def _cmd_analyze(args) -> int:
         _emit(out, f"{tag}_bayes_lambda", float(lams.mean()))
         p_b, exp_ks = posterior_predictive_pvalue(
             ds,
-            PriorSpec(
-                bg=BetaGammaHyper(args.a0, args.b0, 1.0, 1.0), shape=shape_prior
-            ),
+            prior,
             n_rep=args.n_rep,
             rng=RngStream(seed, offset + 1),
+            posterior=(alphas, lams, np.full(args.n_draws, 1.0 / args.n_draws)),
         )
         _emit(out, f"{tag}_bayes_expected_ks", exp_ks)
         _emit(out, f"{tag}_bayes_predictive_p", p_b)
@@ -210,9 +214,6 @@ def _cmd_analyze(args) -> int:
         d = ks_distance(ds, common.alpha, lam)
         _emit(out, f"common_{tag}_ks", d)
         _emit(out, f"common_{tag}_ks_pvalue", ks_pvalue(d, ds.n))
-    prior = PriorSpec(
-        bg=BetaGammaHyper(args.a0, args.b0, args.a1, args.a2), shape=shape_prior
-    )
     post = draw_posterior_two_complete(
         data[0], data[1], prior, args.n_draws, RngStream(seed, 30)
     )

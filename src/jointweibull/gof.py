@@ -77,13 +77,10 @@ class CommonShapeFit:
 
 
 def _complete_loglik(data: CompleteSample, alpha: float, lam: float) -> float:
+    """Log-likelihood at shape ``alpha`` and that shape's fitted rate ``lam``
+    = n / sum x^alpha, where the rate term lam * sum x^alpha is n."""
     n = data.n
-    return (
-        n * math.log(alpha)
-        + n * math.log(lam)
-        + (alpha - 1.0) * data.sum_log
-        - lam * float(np.sum(data.array**alpha))
-    )
+    return n * (math.log(alpha) + math.log(lam) - 1.0) + (alpha - 1.0) * data.sum_log
 
 
 def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
@@ -131,22 +128,31 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps)
 
 
-def _ks_rowwise(cdf_rows: np.ndarray) -> np.ndarray:
-    """KS distance for each row of fitted-CDF values at the sorted sample."""
-    n = cdf_rows.shape[-1]
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    d_plus = (grid_hi - cdf_rows).max(axis=-1)
-    d_minus = (cdf_rows - grid_lo).max(axis=-1)
-    return np.maximum(d_plus, d_minus)
+def _ks_rows(log_t, delta, alpha, lam1, lam2) -> np.ndarray:
+    """Largest group-wise KS distance of each row's times against that row's
+    Weibull laws: shape ``alpha``, rate ``lam1`` for group 1 (``delta`` 1)
+    and ``lam2`` for group 2.  ``log_t`` is ``(rows, k)``, or one ``(k,)``
+    sample shared by all rows, increasing along each row; ``delta`` is
+    ``(k,)`` or ``(rows, k)``.  A time of rank r among the n_g of its group
+    is compared with r/n_g and (r - 1)/n_g, so a complete sample is one
+    group (``delta`` all 1) and a group without times adds nothing."""
+    in1 = delta == 1
+    r1, r2 = np.cumsum(in1, axis=-1), np.cumsum(~in1, axis=-1)
+    rank = np.where(in1, r1, r2)
+    n_g = np.where(in1, r1[..., -1:], r2[..., -1:])
+    g = alpha[:, None] * log_t
+    np.exp(g, out=g)
+    g *= np.where(in1, -lam1[:, None], -lam2[:, None])
+    np.expm1(g, out=g)  # minus the CDF at every time
+    return np.maximum((rank / n_g + g).max(axis=-1), -(g + (rank - 1) / n_g).min(axis=-1))
 
 
 def ks_distance(data: CompleteSample, alpha: float, lam: float) -> float:
     """Sup distance between the empirical CDF and a Weibull CDF."""
     if not (alpha > 0.0 and lam > 0.0):
         raise ValueError("alpha and lambda must be positive")
-    f = -np.expm1(-lam * data.sorted**alpha)
-    return float(_ks_rowwise(f))
+    a, lam = np.array([alpha]), np.array([lam])
+    return float(_ks_rows(np.log(data.sorted), np.ones(data.n), a, lam, lam)[0])
 
 
 def ks_pvalue(
@@ -179,12 +185,12 @@ def ks_pvalue(
             raise ValueError("a Monte Carlo p-value needs an explicit RngStream")
         if estimated and n < 2:
             raise ValueError("need at least two values to refit a shape")
-        x = np.sort(rng.exponential((n_mc, n)), axis=1)
+        log_x = np.log(np.sort(rng.exponential((n_mc, n)), axis=1))
         if estimated:
-            log_x = np.log(x)
             alpha, lam, _ = _fit_complete_rows(log_x)
-            x = lam[:, None] * np.exp(alpha[:, None] * log_x)  # fitted cumulative hazards
-        d = _ks_rowwise(-np.expm1(-x))
+        else:
+            alpha = lam = np.ones(n_mc)
+        d = _ks_rows(log_x, np.ones(n), alpha, lam, lam)
         return int(np.count_nonzero(d >= distance)) / n_mc
     return _kolmogorov_sf(math.sqrt(n) * distance)
 

@@ -289,8 +289,10 @@ class PiecewiseExpEnvelope:
     range of every shape parameter the package samples.
 
     Each segment is a truncated exponential measured from its higher end,
-    the left end unless its slope ``a`` is positive.  With rate ``|a|``,
-    width ``d`` and height ``H`` there, its log mass is
+    the left end unless its slope ``a`` is positive; a flat segment
+    (``|a| d < 1e-12``, where the sign of ``a`` is round-off) is measured
+    from its left end.  With rate ``|a|``, width ``d`` and height ``H``
+    there, its log mass is
     ``H + ln((1 - exp(-|a| d)) / |a|)``, or ``H + ln d`` where
     ``|a| d < 1e-12``, and a draw with uniform ``w`` lies
     ``-ln(1 - w (1 - exp(-|a| d))) / |a|``, or ``w d``, from that end.  Seen
@@ -306,41 +308,32 @@ class PiecewiseExpEnvelope:
         usable = np.isfinite(x) & np.isfinite(h) & np.isfinite(dh) & (x >= 0.0)
         order = np.argsort(x[usable])
         x, h, dh = (v[usable][order] for v in (x, h, dh))
-        # Concavity means slopes are non-increasing left to right; floating
-        # noise can produce tiny inversions or duplicates.  Each tangent
-        # individually dominates the target, so any subset is still a valid
-        # hull: on a clash we keep whichever of the two parallel lines sits
-        # lower, which is the tighter choice.
-        keep_x, keep_h, keep_dh = [], [], []
-        for xi, hi, di in zip(x, h, dh):
-            drop_new = False
-            while keep_dh and di >= keep_dh[-1] - 1e-13 * (1.0 + abs(di)):
-                if hi - di * xi < keep_h[-1] - keep_dh[-1] * keep_x[-1]:
-                    keep_x.pop(), keep_h.pop(), keep_dh.pop()
-                else:
-                    drop_new = True
-                    break
-            if not drop_new:
-                keep_x.append(xi), keep_h.append(hi), keep_dh.append(di)
-        x, h, dh = (np.asarray(v) for v in (keep_x, keep_h, keep_dh))
         if x.size == 0:
             raise NonIntegrableTargetError("no usable tangent points")
-        if dh[-1] >= 0.0:
+        # Concavity means slopes fall left to right; floating noise can give
+        # tiny inversions or duplicates.  Each tangent dominates the target
+        # alone, so any subset is a valid hull: keep a tangent only where its
+        # slope is below every slope to its left.  The rightmost tangent and
+        # the rightmost kept one must both fall, or the mass is infinite.
+        left = np.concatenate(([math.inf], np.minimum.accumulate(dh)[:-1]))
+        keep = dh < left - 1e-13 * (1.0 + np.abs(dh))
+        if max(dh[-1], dh[keep][-1]) >= 0.0:
             raise NonIntegrableTargetError(
                 "rightmost tangent slope is non-negative; envelope has infinite mass"
             )
+        x, h, dh = x[keep], h[keep], dh[keep]
         # breakpoints: support edge, pairwise tangent intersections, +inf;
         # a clipped breakpoint still yields a valid (if looser) hull
         zi = (h[1:] - h[:-1] + x[:-1] * dh[:-1] - x[1:] * dh[1:]) / (dh[:-1] - dh[1:])
         zi = np.minimum(np.maximum(zi, x[:-1]), x[1:])
         z = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(zi, 0.0)), [math.inf]))
         # a draw steps from the segment's higher end by ln(1 - w _em) / a, or
-        # by w _span (signed away from that end) on a flat segment
+        # by w _span from the left end of a flat segment
         d = np.diff(z)
-        up = dh > 0.0
-        self._end, self._span = np.where(up, z[1:], z[:-1]), np.where(up, -d, d)
         rd = np.abs(dh) * d
         self._flat, self._em = rd < 1e-12, -np.expm1(-rd)
+        up = (dh > 0.0) & ~self._flat
+        self._end, self._span = np.where(up, z[1:], z[:-1]), np.where(up, -d, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             tail = np.where(self._flat, np.log(d), np.log(self._em / np.abs(dh)))
         logmass = h + dh * (self._end - x) + tail

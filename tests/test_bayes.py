@@ -12,7 +12,6 @@ from jointweibull.bayes import (
     PriorSpec,
     _BranchSum,
     _PosteriorCore,
-    _jpc_discrepancy_rows,
     _resample_indices,
     _sample_marginal,
     ShapeHyper,
@@ -34,7 +33,7 @@ from jointweibull.errors import (
     ImproperPosteriorError,
     NonIntegrableTargetError,
 )
-from jointweibull.gof import CompleteSample
+from jointweibull.gof import CompleteSample, _ks_rows
 from jointweibull.jpc import (
     CensoringScheme,
     JointParams,
@@ -715,19 +714,19 @@ def _replayed(scheme, log_t, delta, s) -> JpcSample:
 
 
 def test_jpc_discrepancy_rows_match_scalar_oracle(fiber, flat_rate4) -> None:
-    """The row-wise discrepancy against the scalar sort-per-group oracle: on
-    the fiber sample at 1000 posterior draws, on every replicate of a batch
-    (each row replayed as a JpcSample), and on a sample whose failures all
-    come from group 1."""
+    """The row-wise KS routine on joint samples against the scalar
+    sort-per-group oracle: on the fiber sample at 1000 posterior draws, on
+    every replicate of a batch (each row replayed as a JpcSample), and on a
+    sample whose failures all come from group 1."""
     post = draw_posterior(fiber, flat_rate4, 1000, RngStream(626, 0))
     a, l1, l2 = post.alpha, post.lambda1, post.lambda2
-    rows = _jpc_discrepancy_rows(fiber.log_t, fiber.delta, a, l1, l2)
+    rows = _ks_rows(fiber.log_t, fiber.delta, a, l1, l2)
     want = [jpc_discrepancy_oracle(fiber, JointParams(*p)) for p in zip(a, l1, l2)]
     assert np.max(np.abs(rows - want)) <= 1e-12
     n = 300
     a, l1, l2 = a[:n], l1[:n], l2[:n]
     log_t, delta, s = simulate_jpc_batch(fiber.scheme, (a, l1, l2), RngStream(627, 0), n)
-    rows = _jpc_discrepancy_rows(log_t, delta, a, l1, l2)
+    rows = _ks_rows(log_t, delta, a, l1, l2)
     for i in range(n):
         rep = _replayed(fiber.scheme, log_t[i], delta[i], s[i])
         assert abs(rows[i] - jpc_discrepancy_oracle(rep, JointParams(a[i], l1[i], l2[i]))) <= 1e-12
@@ -735,7 +734,7 @@ def test_jpc_discrepancy_rows_match_scalar_oracle(fiber, flat_rate4) -> None:
         CensoringScheme(2, 2, 2, (0, 2)), (JpcObservation(1.0, 1, 0), JpcObservation(2.0, 1, 0))
     )
     par = JointParams(1.3, 0.6, 0.9)
-    got = _jpc_discrepancy_rows(one_group.log_t, one_group.delta, *(np.array([v]) for v in (1.3, 0.6, 0.9)))
+    got = _ks_rows(one_group.log_t, one_group.delta, *(np.array([v]) for v in (1.3, 0.6, 0.9)))
     assert abs(got[0] - jpc_discrepancy_oracle(one_group, par)) <= 1e-12
 
 
@@ -756,8 +755,8 @@ def test_predictive_pvalue_joint_sample_batch_matches_scalar_loop(fiber, flat_ra
     idx = _resample_indices(post.normalized, n_rep, rng)
     a, l1, l2 = post.alpha[idx], post.lambda1[idx], post.lambda2[idx]
     log_t, delta, _ = simulate_jpc_batch(fiber.scheme, (a, l1, l2), rng, n_rep)
-    d_batch = _jpc_discrepancy_rows(log_t, delta, a, l1, l2)
-    d_obs_rows = _jpc_discrepancy_rows(fiber.log_t, fiber.delta, post.alpha, post.lambda1, post.lambda2)
+    d_batch = _ks_rows(log_t, delta, a, l1, l2)
+    d_obs_rows = _ks_rows(fiber.log_t, fiber.delta, post.alpha, post.lambda1, post.lambda2)
     assert p == float(np.mean(d_batch >= d_obs_rows[idx]))
     loop_rng = RngStream(630, 0)
     d_loop = np.array(

@@ -10,6 +10,7 @@ from jointweibull.gof import (
     CompleteSample,
     _fit_complete_rows,
     _kolmogorov_sf,
+    _ks_rows,
     fit_common_shape,
     fit_weibull_complete,
     ks_distance,
@@ -119,6 +120,24 @@ def test_ks_distance_matches_reference(ds1) -> None:
         ks_distance(ds1, -1.0, 1.0)
 
 
+def test_ks_rows_on_complete_samples_match_scipy(ds1, ds2) -> None:
+    """A complete sample is one group of the row-wise KS routine: over 200
+    shapes and rates spread about each fit, the bundled strengths (ties
+    included) give scipy's KS statistic at every row's law, to 1e-12."""
+    rng = RngStream(76, 0)
+    for ds in (ds1, ds2):
+        assert np.unique(ds.array).size < ds.n
+        fit = fit_weibull_complete(ds)
+        alpha = fit.alpha * np.exp(0.4 * (rng.uniform(200) - 0.5))
+        lam = fit.lam * np.exp(rng.uniform(200) - 0.5)
+        rows = _ks_rows(np.log(ds.sorted), np.ones(ds.n), alpha, lam, lam)
+        want = [
+            stats.kstest(ds.array, lambda x, a=a, l=l: -np.expm1(-l * np.asarray(x) ** a)).statistic
+            for a, l in zip(alpha, lam)
+        ]
+        np.testing.assert_allclose(rows, want, rtol=0.0, atol=1e-12)
+
+
 def test_ks_pvalue_asymptotic_matches_limit_law() -> None:
     for d, n in [(0.046, 69), (0.079, 63), (0.2, 25)]:
         expect = float(stats.kstwobign.sf(math.sqrt(n) * d))
@@ -163,6 +182,23 @@ def test_ks_pvalue_estimation_shrinks_the_null(ds1) -> None:
     simple = ks_pvalue(d, n, estimated=False, n_mc=1500, rng=RngStream(72, 0))
     fitted = ks_pvalue(d, n, estimated=True, n_mc=1500, rng=RngStream(72, 0))
     assert fitted < simple
+
+
+def test_ks_pvalue_monte_carlo_counts_match_the_direct_formula(ds1, ds2) -> None:
+    """With refits, the Monte Carlo p-value counts exactly the null
+    distances at least the observed one, each written out directly as the
+    largest of i/n - F_i and F_i - (i - 1)/n over a row's sorted refitted
+    CDF values F; observed distances on the null's own values test ties."""
+    for ds, seed in ((ds1, 77), (ds2, 78)):
+        n = ds.n
+        log_x = np.log(np.sort(RngStream(seed, 0).exponential((200, n)), axis=1))
+        alpha, lam, _ = _fit_complete_rows(log_x)
+        f = -np.expm1(-lam[:, None] * np.exp(alpha[:, None] * log_x))
+        null = np.maximum((np.arange(1, n + 1) / n - f).max(axis=1), (f - np.arange(n) / n).max(axis=1))
+        fit = fit_weibull_complete(ds)
+        for d in [ks_distance(ds, fit.alpha, fit.lam), *null[:10]]:
+            got = ks_pvalue(d, n, estimated=True, n_mc=200, rng=RngStream(seed, 0))
+            assert got == np.count_nonzero(null >= d) / 200
 
 
 def test_ks_pvalue_validation() -> None:

@@ -256,6 +256,21 @@ def test_hull_draws_follow_its_piecewise_exponential_law() -> None:
     assert stats.kstest(draws, lambda q: mass_below(q) / total).pvalue > 1e-3
 
 
+def test_flat_hull_segment_is_measured_from_its_left_end() -> None:
+    """The sign of a flat segment's slope is round-off: a mode tangent of
+    slope +1e-16 or -1e-16 gives the same draws from one stream.  The
+    tangents to -50 (q - 3)^2 are steep enough that the breakpoints 2 and 4
+    come out exact either way, so only the orientation could differ; most
+    draws land in the flat segment between them."""
+    x = np.array([1.0, 3.0, 5.0])
+    h = -50.0 * (x - 3.0) ** 2
+    envs = [PiecewiseExpEnvelope(x, h, [200.0, a, -200.0]) for a in (1e-16, -1e-16)]
+    assert list(envs[0]._bz) == list(envs[1]._bz) == [0.0, 2.0, 4.0, math.inf]
+    draws = [env.sample(5000, RngStream(39, 0)) for env in envs]
+    np.testing.assert_array_equal(draws[0], draws[1])
+    assert np.count_nonzero((draws[0] > 2.0) & (draws[0] < 4.0)) > 4000
+
+
 def test_locate_mode_matches_the_analytic_gamma_mode() -> None:
     """The root finder's mode of a gamma log-density is (shape - 1) / rate,
     searched alone or with the 29 others stacked one per row; the stack
@@ -296,8 +311,9 @@ def test_sampler_refuses_growing_log_density() -> None:
 
 def test_array_built_hull_keeps_only_usable_tangents() -> None:
     """The hull keeps the finite tangents at or above its support edge 0, in
-    abscissa order, and refuses tangent sets whose rightmost slope is not
-    negative or that leave no usable tangent."""
+    abscissa order, and refuses tangent sets that leave no usable tangent
+    or whose rightmost slope, before or after the concavity clean-up, is
+    not negative."""
     x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     h, dh, _ = _gamma_target(3.0, 2.0)(np.maximum(x, 1e-12))
     want = PiecewiseExpEnvelope(x, h, dh)
@@ -311,6 +327,8 @@ def test_array_built_hull_keeps_only_usable_tangents() -> None:
     assert got.log_total_mass() == want.log_total_mass()
     with pytest.raises(NonIntegrableTargetError, match="rightmost"):
         PiecewiseExpEnvelope([1.0, 2.0], [0.0, -1.0], [-1.0, 0.0])
+    with pytest.raises(NonIntegrableTargetError, match="rightmost"):
+        PiecewiseExpEnvelope([1.0, 2.0], [0.0, 0.0], [1e-14, -1e-14])
     with pytest.raises(NonIntegrableTargetError, match="no usable"):
         PiecewiseExpEnvelope([-0.5, 2.0], [0.0, math.nan], [-1.0, -1.0])
 
