@@ -34,9 +34,9 @@ with ``(as, bs)`` the shape prior's hyperparameters.  It is one concave
 branch: both weights are non-negative, and the log of each power sum is a
 log-sum-exp of functions affine in ``a``.  The shape is drawn exactly from
 ``exp(s)`` by rejection from one static tangent hull; then
-``T ~ Gamma(G)`` and ``B ~ Beta(s1, s2)``, cut to ``(0, x0)`` by inversion
-for an ordered prior, give ``l1 = B T/R1`` and ``l2 = (1-B) T/R2``.  The
-importance weight is
+``T ~ Gamma(G)`` and ``B ~ Beta(s1, s2)``, cut to ``(0, x0)`` for an ordered
+prior (by rejection where the cut keeps enough mass, else by inversion),
+give ``l1 = B T/R1`` and ``l2 = (1-B) T/R2``.  The importance weight is
 
     ln g = c ln h(B) + [ordered] ln I_x0(s1, s2)
            + [ordered] ln((1 + (l1/l2)^|a2 - a1|) / 2),
@@ -69,6 +69,10 @@ from .rng import (
     _max_shift,
     build_static_envelope,
 )
+
+_CUT_FLOOR = 0.25
+_CUT_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class ShapeHyper:
@@ -305,6 +309,8 @@ class _PosteriorCore:
         """Rates given the shapes' log power sums ``(ln U, ln V)``: a
         gamma(G) total split by a beta(s1, s2) fraction of the rescaled
         rates, cut below x0 for an ordered prior; and their log weights.
+        Where the cut keeps ``_CUT_FLOOR`` of the mass or more, beta draws
+        below x0 are kept over ``_CUT_ROUNDS`` rounds; the rest invert ``I``.
         Each rate is ``exp(ln fraction + ln total - ln R_g)``, which never
         divides by an overflowed ``R_g``: a rate is 0 only where its log is
         below -745 and infinite only where it is above 709.78."""
@@ -320,13 +326,21 @@ class _PosteriorCore:
 
             x0 = expit(-ln_rho)
             cut = betainc(s1, s2, x0)
-            u = 1.0 - rng.uniform(size)
+            frac = np.empty(size)
+            left = np.flatnonzero(cut >= _CUT_FLOOR)
+            for _ in range(_CUT_ROUNDS):
+                b = rng.beta(s1, s2, size=left.size)
+                below = b < x0[left]
+                frac[left[below]] = b[below]
+                left = left[~below]
+            left = np.union1d(np.flatnonzero(cut < _CUT_FLOOR), left)
+            u = 1.0 - rng.uniform(left.size)
             with np.errstate(divide="ignore"):
-                frac = betaincinv(s1, s2, u * cut)
+                inv = betaincinv(s1, s2, u * cut[left])
                 ln_g += np.log(cut)
             # where the inverse underflows the cut is deep in the left tail,
             # and there the cut beta tends to x0 * Beta(s1, 1)
-            frac = np.where(frac > 0.0, frac, x0 * u ** (1.0 / s1))
+            frac[left] = np.where(inv > 0.0, inv, x0[left] * u ** (1.0 / s1))
             frac = np.minimum(frac, np.nextafter(x0, 0.0))
         else:
             frac = rng.beta(s1, s2, size=size)
@@ -517,10 +531,11 @@ def posterior_predictive_pvalue(
 
     The discrepancy is the largest group-wise KS distance of the times
     against the drawn laws (``gof._ks_rows``).  ``data`` may be a
-    :class:`CompleteSample`, one group whose replicates come by inversion,
-    or a :class:`JpcSample`, whose failure times form two groups and whose
-    replicates come from one :func:`simulate_jpc_batch` call with per-row
-    parameters.  Both run as array steps over all draws and replicates.
+    :class:`CompleteSample`, one group whose replicates are sorted uniforms
+    under their own law whatever the draw, or a :class:`JpcSample`, whose
+    failure times form two groups and whose replicates come from one
+    :func:`simulate_jpc_batch` call with per-row parameters.  Both run as
+    array steps over all draws and replicates.
 
     ``posterior`` supplies draws the caller already has instead of drawing
     them from ``prior``: for a :class:`JpcSample` a :class:`WeightedPosterior`
@@ -542,9 +557,10 @@ def posterior_predictive_pvalue(
         l2 = l1
         log_t, delta = np.log(data.sorted), np.ones(data.n)
 
-        def replicate(a, lam, _):
-            e = -np.log1p(-rng.uniform((n_rep, data.n)))
-            return np.sort(np.log(e / lam[:, None]) / a[:, None], axis=1), delta
+        def replicate(*_):
+            e = np.sort(-np.log1p(-rng.uniform((n_rep, data.n))), axis=1)
+            unit = np.ones(n_rep)
+            return np.log(e), delta, unit, unit, unit
 
     elif isinstance(data, JpcSample):
         post = posterior or draw_posterior(data, prior, n_rep, rng)
@@ -552,14 +568,14 @@ def posterior_predictive_pvalue(
         log_t, delta = data.log_t, data.delta
 
         def replicate(a, l1, l2):
-            return simulate_jpc_batch(data.scheme, (a, l1, l2), rng, n_rep)[:2]
+            return (*simulate_jpc_batch(data.scheme, (a, l1, l2), rng, n_rep)[:2], a, l1, l2)
 
     else:
         raise TypeError("data must be a CompleteSample or a JpcSample")
     d_obs = _ks_rows(log_t, delta, a, l1, l2)
     idx = _resample_indices(norm, n_rep, rng)
     a, l1, l2 = a[idx], l1[idx], l2[idx]
-    d_rep = _ks_rows(*replicate(a, l1, l2), a, l1, l2)
+    d_rep = _ks_rows(*replicate(a, l1, l2))
     return float(np.mean(d_rep >= d_obs[idx])), float((norm * d_obs).sum())
 
 

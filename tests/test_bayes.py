@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import trapezoid
+from scipy.special import betainc, betaincinv, expit
 
 from jointweibull.bayes import (
+    _CUT_FLOOR,
     PriorSpec,
     _BranchSum,
     _PosteriorCore,
@@ -388,6 +390,98 @@ def test_ordered_flat_prior_with_the_data_order(fiber) -> None:
     )
     assert np.all(post.lambda1 < post.lambda2)
     assert post.ess > 0.95 * n
+
+
+class _CountingStream(RngStream):
+    """A stream that records how many beta and uniform values it hands out."""
+
+    def __init__(self, seed: int, counter: int = 0):
+        super().__init__(seed, counter)
+        self.counts = {"beta": 0, "uniform": 0}
+
+    def beta(self, a, b, size=None):
+        self.counts["beta"] += size
+        return super().beta(a, b, size)
+
+    def uniform(self, size=None):
+        self.counts["uniform"] += size
+        return super().uniform(size)
+
+
+def _reference_design():
+    scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
+    truth = JointParams(1.0, 0.5, 1.0)
+    return scheme, truth, StudyConfig(scheme, truth, 1, POINT_METHODS)
+
+
+def test_ordered_rate_fraction_follows_the_cut_beta(fiber) -> None:
+    """An ordered core's rate fraction B, on rows whose cut masses I_x0 run
+    from 0.05 to 0.95 across the rejection floor, follows the beta cut to
+    (0, x0): I_B/I_x0 passes a KS test against U(0, 1).  Rows below the
+    floor take the inversion, the others beta draws, and the uniforms left
+    over count the rows that rejection handed to the inversion."""
+    core = _PosteriorCore.from_jpc(fiber, PriorSpec.flat(shape_rate=4.0, ordered=True))
+    s1, s2 = core.group_shapes
+    n = 6000
+    x0 = betaincinv(s1, s2, np.linspace(0.05, 0.95, n))
+    # flat rates: R1 = U = 1 and R2 = V = (1 - x0)/x0 put the cut at x0
+    log_sums = np.stack([np.zeros(n), np.log1p(-x0) - np.log(x0)])
+    x0 = expit(-log_sums[1])
+    cut = betainc(s1, s2, x0)
+    rng = _CountingStream(650, 0)
+    l1, l2, _ = core._rates(log_sums, rng)
+    assert np.all(l1 < l2)
+    frac = l1 / (l1 + l2 * np.exp(log_sums[1]))
+    assert np.all(frac < x0)
+    assert stats.kstest(betainc(s1, s2, frac) / cut, "uniform").pvalue > 1e-3
+    below = int(np.sum(cut < _CUT_FLOOR))
+    assert 0 < below < n
+    assert rng.counts["beta"] >= n - below
+    assert rng.counts["uniform"] > below + 100
+
+
+def test_ordered_fiber_draws_take_the_inversion_path(fiber) -> None:
+    """On the fiber sample as given, with or without the shift, every cut
+    mass lies below the rejection floor, so an ordered draw inverts the
+    incomplete beta for every rate fraction: its rates equal those of the
+    inversion recomputed by hand from the same stream, value for value."""
+    n = 2000
+    ip = _reference_design()[2].prior_for("bayes-ordered-ip")
+    for sample in (fiber_jpc_sample(), fiber):
+        for prior in (PriorSpec.flat(shape_rate=4.0, ordered=True), ip):
+            post = draw_posterior(sample, prior, n, RngStream(651, 0))
+            core = _PosteriorCore.from_jpc(sample, prior)
+            s1, s2 = core.group_shapes
+            rng = RngStream(651, 0)
+            _, sums, _ = _sample_marginal(core.branch, n, rng)
+            ln_r1, ln_r2 = np.logaddexp(core.log_b0, sums)
+            total = rng.gamma(core.gamma_shape, size=n)
+            x0 = expit(ln_r1 - ln_r2)
+            cut = betainc(s1, s2, x0)
+            assert cut.max() < _CUT_FLOOR
+            u = 1.0 - rng.uniform(n)
+            frac = betaincinv(s1, s2, u * cut)
+            frac = np.minimum(np.where(frac > 0.0, frac, x0 * u ** (1.0 / s1)), np.nextafter(x0, 0.0))
+            l2 = np.exp(np.log1p(-frac) + np.log(total) - ln_r2)
+            l1 = np.minimum(np.exp(np.log(frac) + np.log(total) - ln_r1), np.nextafter(l2, 0.0))
+            np.testing.assert_array_equal(post.lambda1, l1)
+            np.testing.assert_array_equal(post.lambda2, l2)
+
+
+def test_ordered_presets_keep_their_ess_on_reference_samples() -> None:
+    """Over 60 reference-design samples, 1,000 draws each, the two ordered
+    study presets keep an ESS of at least 85% of the draws on every sample
+    and 95% on average.  The worst sample's ESS is near 88.7% under the
+    informative preset and its read over 30 posterior streams spans
+    0.87-0.90, so a floor of 89% on every sample would test the stream,
+    not the sampler."""
+    scheme, truth, config = _reference_design()
+    samples = [simulate_jpc(scheme, truth, RngStream(2026, i)) for i in range(60)]
+    n = 1000
+    for method in ("bayes-ordered-ip", "bayes-ordered-nip"):
+        prior = config.prior_for(method)
+        ess = [draw_posterior(s, prior, n, RngStream(652, i)).ess / n for i, s in enumerate(samples)]
+        assert min(ess) >= 0.85 and np.mean(ess) >= 0.95, method
 
 
 def test_matching_power_sums_give_unit_weights(symmetric_uv, flat_rate4) -> None:
