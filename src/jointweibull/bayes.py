@@ -460,8 +460,9 @@ def weibull_posterior_complete(
     branch = _BranchSum(_Branch(PowerSum(0.0, data.log_values), c0, c1, c2, log_b0))
     _check_decay(branch)
     alpha, (ln_sum,), _ = _sample_marginal(branch, n_draws, rng)
-    lam = rng.gamma(c2, rate=np.exp(np.logaddexp(log_b0, ln_sum)))
-    return alpha, lam
+    # a unit-rate gamma divided by b0 + S in logs, as _PosteriorCore._rates
+    # does, so no large shape overflows exp(ln(b0 + S))
+    return alpha, np.exp(np.log(rng.gamma(c2, size=n_draws)) - np.logaddexp(log_b0, ln_sum))
 
 
 def bayes_estimate(post: WeightedPosterior, h: Callable) -> float:

@@ -15,13 +15,13 @@ for their shape draws.  A log-density is one vectorized callable
 (:data:`LogDensity`) that returns its value, slope and curvature together,
 and a hull is built in one step from the arrays of its tangents.  The
 module also holds the package's one root finder, :func:`_solve_rows`, a
-lockstep bracket and safeguarded Newton step over rows of decreasing
-functions given with their slopes: it locates the mode that seeds each
-hull, and the maximum likelihood fits elsewhere solve their profile score
-equations with it.  Next to it sits the one power-sum kernel,
-:class:`PowerSum`: every ln(sum c t^a) in the package and its first two
-derivatives in ``a``, which the profile score, the shape marginal's slope
-and both of their curvatures are made of.  The max-shift of the
+lockstep safeguarded Newton search from a start the caller chooses, over
+rows of decreasing functions given with their slopes: it locates the mode
+that seeds each hull, and the maximum likelihood fits elsewhere solve
+their profile score equations with it.  Next to it sits the one power-sum
+kernel, :class:`PowerSum`: every ln(sum c t^a) in the package and its first
+two derivatives in ``a``, which the profile score, the shape marginal's
+slope and both of their curvatures are made of.  The max-shift of the
 log-sum-exp :func:`log_sum_exp` serves only importance weights and hulls.
 """
 
@@ -112,17 +112,18 @@ class PowerSum:
 
     def moments(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean and variance of ``ln t`` under the weights ``c t^a``, and
-        ``ln S``: d/da and d2/da2 of ``ln S`` at ``alpha``, and ``ln S``."""
+        ``ln S``: d/da and d2/da2 of ``ln S`` at ``alpha``, and ``ln S``.
+        The sums are contractions over the weighted exponentials, and the
+        variance is the weighted sum of squared deviations from the mean."""
         a = np.asarray(alpha, dtype=float)
         w = a[..., None] * self.off
         np.exp(w, out=w)
         w *= self.wgt
-        tot = w.sum(axis=-1)
-        mean = (w * self.off).sum(axis=-1) / tot
+        tot = np.einsum("...j->...", w)
+        mean = np.einsum("...j,...j->...", w, self.off) / tot
         dev = self.off - mean[..., None]
-        dev *= dev
-        dev *= w
-        return self.top + mean, dev.sum(axis=-1) / tot, a * self.top + np.log(tot)
+        var = np.einsum("...j,...j,...j->...", w, dev, dev) / tot
+        return self.top + mean, var, a * self.top + np.log(tot)
 
 
 def splitmix64(x: int) -> int:
@@ -369,87 +370,69 @@ class PiecewiseExpEnvelope:
 
 
 def _solve_rows(
-    deriv: Callable[[np.ndarray], tuple], n_rows: int
+    deriv: Callable[[np.ndarray], tuple], n_rows: int, start=1.0
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Roots of ``n_rows`` decreasing-through-zero functions, found in lockstep.
 
     ``deriv`` maps an ``(n_rows,)`` array of abscissae to a tuple that ends
     with the row values and their slopes, so a :data:`LogDensity` gives the
-    roots of its slope, its modes; one call is one sweep.  Every row is
-    bracketed from 1, doubling while its value is positive and halving
-    while it is negative, inside [1e-10, 1e10]; a sweep serves both
-    directions at once, and a direction that no row needs costs nothing.
-    Each row then takes Newton steps ``x - d/slope``, the first from its
-    bracket end with a positive value and the others from its last point,
-    so on a convex decreasing function they climb to the root from below
-    inside the bracket.  A row bisects its bracket where a step is not
-    finite, has a slope that is not negative, or leaves the open bracket
-    (``rtsafe``).  It stops when its Newton step is no longer than half of
-    1e-10 of its abscissa, when its value is exactly 0, or when its bracket
-    is no wider than 1e-10 of its upper end; it stays put while the other
-    rows go on, up to 200 sweeps in all.  Only a row's own evaluations move
-    its bracket and its next point, so each row's root is the one it would
-    get alone.  A stack takes as many sweeps as its slowest row, each one
-    over all rows: the maximum likelihood fits stack samples, and
+    roots of its slope, its modes; one call is one sweep.  Each row starts
+    at ``start`` (a scalar or one abscissa per row, inside [1e-10, 1e10]; a
+    close start saves sweeps) and takes Newton steps ``x - d/slope`` from
+    its last point.  A point with a positive value becomes the row's lower
+    bracket end and one with a negative value its upper end.  Until a row
+    has both ends, its step is clipped to [x/2, 2x], and a step that is not
+    finite or whose slope is not negative doubles or halves ``x`` towards
+    the root, as the clipped steps do; a row whose next point would leave
+    [1e-10, 1e10] stops there.  Once bracketed, a step that leaves the open
+    bracket bisects it instead (``rtsafe``), moving at most to 2x.  A row
+    stops when its Newton step is no longer than half of 1e-10 of its
+    abscissa, when its value is exactly 0, or when its bracket is no wider
+    than 1e-10 of its upper end; it stays put while the other rows go on,
+    up to 200 sweeps in all.  Only a row's own evaluations move its state,
+    so each row's root is the one it would get alone from the same start.
+    A stack takes as many sweeps as its slowest row, each one over all
+    rows: the maximum likelihood fits stack samples, and
     :func:`_locate_modes` stacks the shape modes of many (sample, prior)
     pairs.
 
-    Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that was never
-    bracketed: its root is ``inf`` when the value stays positive past 1e10
-    and ``0`` when it stays negative below 1e-10.
+    Returns ``(root, ok, sweeps)``.  ``ok`` is False for a row that neither
+    landed nor was bracketed: its root is ``inf`` when its value stays
+    positive up to 1e10 and ``0`` when it stays negative down to 1e-10.
     """
-    x = np.ones(n_rows)
-    lo = np.ones(n_rows)
-    hi = np.ones(n_rows)
+    x = np.array(np.broadcast_to(np.asarray(start, dtype=float), (n_rows,)))
+    lo = np.zeros(n_rows)
+    hi = np.full(n_rows, math.inf)
+    active = np.ones(n_rows, dtype=bool)
     *_, d, slope = deriv(x)
     sweeps = 1
-    up = d > 0.0
-    down = d < 0.0
-    hi[up] = 2.0
-    lo[down] = 0.5
-    ok = np.ones(n_rows, dtype=bool)
-    while up.any() or down.any():
-        moving = up | down
-        probe = np.where(up, hi, lo)
-        *_, dp, sp = deriv(probe)
-        sweeps += 1
-        # keep the bracket end with a positive value as the Newton start
-        take = moving & ((dp >= 0.0) | (d <= 0.0))
-        x = np.where(take, probe, x)
-        d = np.where(take, dp, d)
-        slope = np.where(take, sp, slope)
-        up &= dp > 0.0
-        down &= dp < 0.0
-        lo[up] = hi[up]
-        hi[up] *= 2.0
-        hi[down] = lo[down]
-        lo[down] *= 0.5
-        ok &= ~((up & (hi > _ROOT_CEIL)) | (down & (lo < _ROOT_FLOOR)))
-        up &= ok
-        down &= ok
-    active = ok.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
+            # a stopped row's state is frozen, so updating it again is a no-op
+            rise = d > 0.0
+            lo = np.where(rise, x, lo)
+            hi = np.where(rise, hi, x)
             step = d / slope
             newton = (slope < 0.0) & np.isfinite(step)
             landed = (d == 0.0) | (newton & (np.abs(step) <= 0.5 * _REL_TOL * x))
-            active &= ~landed & (hi - lo > _REL_TOL * hi)
+            active &= ~landed & (lo < (1.0 - _REL_TOL) * hi)
             if sweeps >= _MAX_SWEEPS or not active.any():
                 break
-            nxt = x - step
-            nxt = np.where(newton & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            twice = 2.0 * x
+            nxt = np.minimum(np.maximum(x - step, 0.5 * x), twice)
+            nxt = np.where(newton & (nxt > lo) & (nxt < hi), nxt, np.minimum(0.5 * (lo + hi), twice))
+            # a row that would leave [1e-10, 1e10] unbracketed has no root there
+            active &= (nxt >= _ROOT_FLOOR) & (nxt <= _ROOT_CEIL)
             x = np.where(active, nxt, x)
             *_, dx, sx = deriv(x)
             sweeps += 1
             d = np.where(active, dx, d)
             slope = np.where(active, sx, slope)
-            rise = d > 0.0
-            lo = np.where(active & rise, x, lo)
-            hi = np.where(active & ~rise, x, hi)
         # a row stops with the state that stopped it, so its root follows
         # from that state: the Newton step it landed with, or its bracket
         root = np.where(landed, np.where(d == 0.0, x, x - step), 0.5 * (lo + hi))
-    root = np.where(ok, root, np.where(hi > 1.0, math.inf, 0.0))
+    ok = landed | ((lo > 0.0) & (hi < math.inf))
+    root = np.where(ok, root, np.where(d > 0.0, math.inf, 0.0))
     return root, ok, sweeps
 
 

@@ -25,7 +25,7 @@ from .bayes import PriorSpec, ShapeHyper, _PosteriorCore, bayes_estimate, draw_p
 from .bayes import hpd_interval, shape_modes
 from .errors import EstimationError, StudyFailedError
 from .jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
-from .mle import _fit_design, asymptotic_ci, bootstrap_ci
+from .mle import _bootstrap, _fit_design, asymptotic_ci
 from .rng import BetaGammaHyper, RngStream, _check_hyper, splitmix64
 
 POINT_METHODS = (
@@ -158,7 +158,8 @@ _COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 def _evaluate(config: StudyConfig, sample, rep_stream: RngStream, method: str, prep, point: bool):
     """A method's estimates (with ``point`` False, its intervals) of the
     parameters and its low-ESS flag, from what the chunk made ready for it:
-    a fit's parameters and boundary flag, or a posterior core with its mode."""
+    a fit's parameters and boundary flag (the bootstrap's is the free fit),
+    or a posterior core with its mode."""
     if method.startswith("mle"):
         params, boundary = prep
         if point:
@@ -166,9 +167,7 @@ def _evaluate(config: StudyConfig, sample, rep_stream: RngStream, method: str, p
         return asymptotic_ci(sample, params, boundary, config.level), False
     stream = rep_stream.substream(_METHOD_OFFSET[method])
     if method == "bootstrap":
-        res = bootstrap_ci(
-            sample, level=config.level, n_boot=config.n_boot, ordered=False, rng=stream
-        )
+        res = _bootstrap(sample, prep[0], config.level, config.n_boot, False, stream)
         return (res.alpha, res.lambda1, res.lambda2), False
     post = draw_posterior(sample, prep.prior, config.n_posterior, stream, core=prep)
     if point:
@@ -179,14 +178,15 @@ def _evaluate(config: StudyConfig, sample, rep_stream: RngStream, method: str, p
 def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> list:
     """Per replication of the chunk from ``first``, a dict from method to
     what :func:`_evaluate` returns, or None where it is skipped.  The
-    ordered fit refits only the free fit's rows that break l1 <= l2."""
+    ordered fit refits only the free fit's rows that break l1 <= l2, and the
+    bootstrap resamples from the free fit."""
     scheme = config.scheme
     stream = RngStream(config.base_seed, splitmix64(first + 1))
     rows = simulate_jpc_batch(scheme, astuple(config.truth), stream, _CHUNK)
     samples = [sample_of_row(scheme, *row) for row in zip(*(x[: config.replications - first] for x in rows))]
     prep = {j: {} for j, x in enumerate(samples) if x.k1 and x.k2}
     live = list(prep)
-    fitted = [m for m in methods if m.startswith("mle")]
+    fitted = [m for m in methods if m.startswith("mle") or m == "bootstrap"]
     if fitted and live:
         stack = (np.stack([getattr(samples[j], a) for j in live]) for a in ("log_t", "delta", "s"))
         fits = _fit_design(scheme, *stack, "mle-ordered" in fitted)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import trapezoid
-from scipy.special import betainc, betaincinv, expit
+from scipy.special import betainc, betaincinv, digamma, expit, polygamma
 
 from jointweibull.bayes import (
     _CUT_FLOOR,
@@ -49,6 +49,7 @@ from jointweibull.jpc import (
 )
 from jointweibull.rng import (
     BetaGammaHyper,
+    PowerSum,
     RngStream,
     _locate_modes,
     build_static_envelope,
@@ -524,6 +525,42 @@ def test_complete_sample_posterior_proper_prior(ds2) -> None:
     oa, ol = complete_posterior_oracle(ds2, 2.0, 3.0, 3.0, 1.0)
     assert alphas.mean() == pytest.approx(oa, rel=0.02)
     assert lams.mean() == pytest.approx(ol, rel=0.02)
+
+
+def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
+    """30 strengths s (-ln(1 - u))^(1/116) at u = (i + 0.5)/30.  Near
+    s = 20,000 under a flat prior with shape rate 0, alpha ln t passes
+    1,100 and S = sum t^alpha overflows; the draws raise no warning and
+    every rate is finite (most underflow to 0, as lambda near 20,000^-116
+    must in double precision).  At s = 445, with the shape pinned at 116
+    by its prior, ln S lies past exp's limit of 709.78 while every alpha ln
+    t stays below it, and every rate is positive: ln lambda + ln S(alpha)
+    is ln of a gamma(30) draw, whose mean is digamma(30), and the
+    predictive check is finite."""
+    u = (np.arange(30) + 0.5) / 30.0
+
+    def strengths(scale: float) -> CompleteSample:
+        return CompleteSample.from_raw(tuple(scale * (-np.log1p(-u)) ** (1.0 / 116.0)))
+
+    pinned = ShapeHyper(116.0 * 290_000.0, 290_000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alphas, lams = weibull_posterior_complete(
+            strengths(20_000.0), 0.0, 0.0, ShapeHyper(0.0, 0.0), 2_000, RngStream(612, 0)
+        )
+        assert np.all(np.isfinite(lams) & (lams >= 0.0))
+        assert np.median(alphas) > 100.0
+        data = strengths(445.0)
+        alphas, lams = weibull_posterior_complete(data, 0.0, 0.0, pinned, 4_000, RngStream(613, 0))
+        log_t = np.log(data.sorted)
+        ln_sum = PowerSum(0.0, log_t).log_sum(alphas)
+        assert ln_sum.min() > 709.8 and alphas.max() * log_t[-1] < 709.7
+        assert np.all(np.isfinite(lams) & (lams > 0.0))
+        ln_g = np.log(lams) + ln_sum
+        assert abs(ln_g.mean() - digamma(30.0)) < 4.0 * math.sqrt(polygamma(1, 30.0) / ln_g.size)
+        prior = PriorSpec(BetaGammaHyper(0.0, 0.0, 0.0, 0.0), pinned)
+        p, expected = posterior_predictive_pvalue(data, prior, n_rep=500, rng=RngStream(614, 0))
+    assert 0.0 < p <= 1.0 and 0.0 < expected < 1.0
 
 
 def test_two_complete_shared_shape_matches_quadrature() -> None:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
+from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.errors import NoMleError, UnstableBootstrapError
 from jointweibull.jpc import (
     CensoringScheme,
@@ -17,6 +19,7 @@ from jointweibull.jpc import (
     log_weights,
     log_u_stat,
     log_v_stat,
+    sample_of_row,
     simulate_jpc_batch,
     u_stat,
     v_stat,
@@ -465,6 +468,51 @@ def test_root_finder_meets_brentq_within_15_sweeps() -> None:
         assert len(sweeps) == 1 + ordered and max(sweeps) <= 15
         want = [_brentq_root(x, ordered) for x in samples]
         np.testing.assert_allclose(roots, want, rtol=1e-11, atol=0.0)
+
+
+def test_warm_started_searches_meet_brentq_from_any_start(fiber) -> None:
+    """From starts 1e-6, 1, the fitted shape and 1e6, every shape search
+    lands within 1e-10 relative of scipy's brentq on the longhand profile
+    score, unrestricted and order-restricted (a boundary row refits the
+    common rate from its free shape): on the fiber sample shifted by 0.75
+    and as given, on a 400-experiment reference stack (each row started at
+    its own fit) and on 2,000 bootstrap resamples of the fiber design
+    (started at the fiber sample's fit, as the bootstrap starts them)."""
+    fitted = fit_mle(fiber).params
+    resamples = simulate_jpc_batch(fiber.scheme, astuple(fitted), RngStream(91, 0), 2_000)
+    boot = [x for x in (sample_of_row(fiber.scheme, *row) for row in zip(*resamples)) if x.k1 and x.k2]
+    reference = _reference_samples(400, 81)
+    cases = [
+        ([fiber], fitted.alpha),
+        ([fiber_jpc_sample()], fit_mle(fiber_jpc_sample()).params.alpha),
+        (reference, _fit_design(REFERENCE, *_design_rows(reference), False)[0][0]),
+        (boot, fitted.alpha),
+    ]
+    assert len(boot) > 1_900
+    for samples, own in cases:
+        rows = _design_rows(samples)
+        for ordered in (False, True):
+            want = [_brentq_root(x, ordered) for x in samples]
+            for start in (1e-6, 1.0, own, 1e6):
+                alpha, _, _, ok, sweeps = _fit_design(samples[0].scheme, *rows, ordered, start=start)[-1]
+                assert ok.all() and max(sweeps) < 200
+                np.testing.assert_allclose(alpha, want, rtol=1e-10, atol=0.0)
+
+
+def test_reference_bootstrap_stacks_take_at_most_7_sweeps() -> None:
+    """The bootstrap starts every refit at the shape of the fit it resamples:
+    on 500 resamples of each of ten reference samples, the unrestricted
+    search and, in the order-restricted refit, both searches end within 7
+    sweeps (from 1, such stacks took 9)."""
+    for i, sample in enumerate(_reference_samples(12, 87)[:10]):
+        for fit, ordered in ((fit_mle, False), (fit_mle_ordered, True)):
+            params = fit(sample).params
+            lnt, delta, s = simulate_jpc_batch(REFERENCE, astuple(params), RngStream(88, i), 500)
+            k1 = delta.sum(axis=1)
+            both = (k1 > 0) & (k1 < REFERENCE.k)
+            rows = (lnt[both], delta[both], s[both])
+            *_, ok, sweeps = _fit_design(REFERENCE, *rows, ordered, start=params.alpha)[-1]
+            assert ok.all() and max(sweeps) <= 7
 
 
 def test_ordered_fit_meets_a_constrained_optimizer() -> None:

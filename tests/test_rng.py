@@ -335,28 +335,33 @@ def test_array_built_hull_keeps_only_usable_tangents() -> None:
 
 def test_root_finder_flags_rows_it_never_brackets() -> None:
     """A row whose value keeps its sign over [1e-10, 1e10] is not ok and
-    reads inf (always positive) or 0 (always negative); the rows beside it
-    still land on their roots, the ones they get alone."""
+    reads inf (always positive) or 0 (always negative), from the default
+    start of 1 and from warm starts on either side of the roots; the rows
+    beside it still land on their roots, the ones they get alone from the
+    same start."""
 
     def rows(x):
         d = np.array([1.0 / x[0], -1.0 - x[1], 3.0 - x[2], np.log(0.25 / x[3])])
         slope = np.array([-1.0 / x[0] ** 2, -1.0, -1.0, -1.0 / x[3]])
         return d, slope
 
-    root, ok, sweeps = _solve_rows(rows, 4)
-    assert list(ok) == [False, False, True, True]
-    assert root[0] == math.inf and root[1] == 0.0
-    assert root[2:] == pytest.approx([3.0, 0.25], rel=1e-12)
-    assert sweeps < 200
-    alone, _, _ = _solve_rows(lambda x: (3.0 - x, -np.ones_like(x)), 1)
-    assert alone[0] == root[2]
+    for start in (1.0, np.array([1e9, 1e-9, 2.9, 0.3]), np.array([1e-6, 1e6, 1e6, 1e-6])):
+        root, ok, sweeps = _solve_rows(rows, 4, start)
+        assert list(ok) == [False, False, True, True]
+        assert root[0] == math.inf and root[1] == 0.0
+        assert root[2:] == pytest.approx([3.0, 0.25], rel=1e-12)
+        assert sweeps < 200
+        alone, _, _ = _solve_rows(lambda x: (3.0 - x, -np.ones_like(x)), 1, np.broadcast_to(start, 4)[2])
+        assert alone[0] == root[2]
 
 
 def test_newton_step_leaving_the_bracket_bisects() -> None:
-    """atan(6.5 - x) is decreasing but concave left of its root, so from the
-    bracket [4, 8] its positive end 4 sends the Newton step to 12.6, past
-    the bracket: the search bisects to 6 instead, then steps to the root
-    from there, with every later step inside the bracket."""
+    """atan(6.5 - x) is decreasing but concave left of its root.  From 1
+    the Newton steps overshoot and are clipped to doublings up to 8, where
+    the value turns negative; the step from 8 lands inside the bracket [4,
+    8] at 8 + atan(-1.5) (1 + 1.5^2), and the step from there leaves the
+    bracket, so the search bisects [4.806, 8] instead, then steps to the
+    root with every later step inside the bracket."""
     seen = []
 
     def row(x):
@@ -365,10 +370,13 @@ def test_newton_step_leaving_the_bracket_bisects() -> None:
         return d, -1.0 / (1.0 + (6.5 - x) ** 2)
 
     root, ok, sweeps = _solve_rows(row, 1)
-    assert [x for x, _ in seen[:5]] == [1.0, 2.0, 4.0, 8.0, 6.0]
-    start_d = seen[2][1]
-    assert 4.0 + start_d * (1.0 + 2.5**2) > 8.0
-    assert all(6.0 < x < 8.0 for x, _ in seen[5:])
+    probes = [x for x, _ in seen]
+    assert probes[:4] == [1.0, 2.0, 4.0, 8.0]
+    assert probes[4] == pytest.approx(8.0 + math.atan(-1.5) * (1.0 + 1.5**2), rel=1e-15)
+    x4, d4 = seen[4]
+    assert x4 + d4 * (1.0 + (6.5 - x4) ** 2) > 8.0
+    assert probes[5] == 0.5 * (x4 + 8.0)
+    assert all(probes[5] < x < 8.0 for x in probes[6:])
     assert ok[0] and sweeps == len(seen) < 15
     assert root[0] == pytest.approx(6.5, rel=1e-12)
 

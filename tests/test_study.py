@@ -12,7 +12,7 @@ from jointweibull.bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_poste
 from jointweibull import study
 from jointweibull.errors import ImproperPosteriorError, NonIntegrableTargetError, StudyFailedError
 from jointweibull.jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
-from jointweibull.mle import fit_mle, fit_mle_ordered
+from jointweibull.mle import bootstrap_ci, fit_mle, fit_mle_ordered
 from jointweibull.rng import BetaGammaHyper, RngStream, beta_gamma_mean, splitmix64
 from jointweibull.study import (
     _METHOD_OFFSET,
@@ -361,6 +361,29 @@ def test_stacked_study_fits_are_the_lone_fits(monkeypatch) -> None:
         assert Counter(records) == want
         boundary += ordered.boundary
     assert len(seen) >= 45 and boundary >= 1
+
+
+def test_study_bootstrap_is_bootstrap_ci_of_each_sample(monkeypatch) -> None:
+    """An interval study hands each sample's free fit from its chunk's stack
+    to the bootstrap instead of fitting the sample again; every
+    replication's bootstrap intervals still equal, byte for byte, those of
+    bootstrap_ci on that sample with the replication's bootstrap substream."""
+    seen = {}
+    real = study._bootstrap
+
+    def recorded(sample, *args):
+        seen[sample.log_t.tobytes()] = real(sample, *args)
+        return seen[sample.log_t.tobytes()]
+
+    monkeypatch.setattr(study, "_bootstrap", recorded)
+    config = _config(replications=20, methods=("mle", "bootstrap"), n_boot=120, base_seed=5)
+    run_interval_study(config)
+    live = [(i, x) for i, x in enumerate(_replay_samples(config)) if x.k1 and x.k2]
+    assert len(seen) == len(live) >= 18
+    for i, sample in live:
+        stream = RngStream(config.base_seed, splitmix64(i + 1)).substream(_METHOD_OFFSET["bootstrap"])
+        alone = bootstrap_ci(sample, level=config.level, n_boot=config.n_boot, rng=stream)
+        assert seen[sample.log_t.tobytes()] == alone
 
 
 def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatch) -> None:
