@@ -406,7 +406,7 @@ def _solve_rows(
     active = np.ones(n_rows, dtype=bool)
     *_, d, slope = deriv(x)
     sweeps = 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             # a stopped row's state is frozen, so updating it again is a no-op
             rise = d > 0.0
