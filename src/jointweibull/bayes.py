@@ -46,6 +46,10 @@ between ``-w ln rho`` and ``(1-w) ln rho``, the second term in (-inf, 0]
 and the last in [-ln 2, 0] (0 when a1 = a2).  So an unordered prior with
 c = 0, the flat one among them, draws exactly, with g = 1.  No quadrature
 enters, so shape draws are exact up to floating point.
+
+A posterior core holds one group or two.  One complete sample is one
+group with a gamma(a0, b0) rate prior: G = s1 = a0 + n, so w = 1, c = 0,
+the rate is ``T/R1`` with no split, and g = 1.
 """
 
 from __future__ import annotations
@@ -110,11 +114,12 @@ class WeightedPosterior:
     """Importance-weighted posterior draws of (alpha, lambda1, lambda2).
 
     ``weights`` holds the raw importance factors g (unit weights mean the
-    draws are exact): exactly 1 for an unordered prior with a0 = a1 + a2,
-    and in [0, 1] for an ordered one with a0 = a1 + a2 (the flat ordered
-    prior among them).  The other priors carry the factor h(B)^c of the
-    module docstring, which lies between rho^(-c w) and rho^(c (1 - w)) for
-    rho = (b0 + V)/(b0 + U).  ``normalized`` always sums to one.
+    draws are exact): exactly 1 for one complete sample and for an
+    unordered prior with a0 = a1 + a2, and in [0, 1] for an ordered one
+    with a0 = a1 + a2 (the flat ordered prior among them).  The other
+    priors carry the factor h(B)^c of the module docstring, which lies
+    between rho^(-c w) and rho^(c (1 - w)) for rho = (b0 + V)/(b0 + U).
+    ``normalized`` always sums to one.
     ``low_ess`` is set when the effective sample size 1/sum(normalized^2)
     falls below one percent of the number of draws.  ``proposed``, ``accepted``
     and ``tangents`` count the shapes drawn from the hull, those that rejection
@@ -254,73 +259,76 @@ def _sample_marginal(
 class _PosteriorCore:
     """Shared machinery behind every posterior in this module.
 
-    A core is defined by the kernels of the two weighted power sums, the
-    failure counts, and the prior.  It owns the shape marginal of the one
-    rate proposal (see the module docstring) and its properness checks,
-    hands it to the envelope sampler ``_sample_marginal`` with its ``mode``
-    (located there unless :func:`shape_modes` has set it), and draws the
-    rates with their importance weights.
+    A core holds one group or two, each a (power-sum kernel, failure
+    count) pair, with the sum of the log failure times and the prior; a
+    one-group core reads only a0, b0 and the shape prior.  It owns the
+    shape marginal of the one rate proposal (see the module docstring) and
+    its properness checks, hands it to the envelope sampler
+    ``_sample_marginal`` with its ``mode`` (located there unless
+    :func:`shape_modes` has set it), and draws the rates with their
+    importance weights.
     """
 
-    def __init__(
-        self,
-        sums_u: PowerSum,
-        sums_v: PowerSum,
-        k1: int,
-        k2: int,
-        sum_log_t: float,
-        prior: PriorSpec,
-    ):
+    def __init__(self, groups, sum_log_t: float, prior: PriorSpec):
         self.prior = prior
         self.mode = None
-        k = k1 + k2
+        counts = [n for _, n in groups]
+        k = sum(counts)
         bg = prior.bg
-        # an ordered prior keeps the larger term of its folded sum on
-        # lambda1 < lambda2, which puts the smaller of a1, a2 with lambda1
-        low, high = sorted((bg.a1, bg.a2)) if prior.ordered else (bg.a1, bg.a2)
-        self.group_shapes = (low + k1, high + k2)
         self.gamma_shape = bg.a0 + k
+        if len(groups) == 1:
+            self.group_shapes = (self.gamma_shape,)
+        else:
+            # an ordered prior keeps the larger term of its folded sum on
+            # lambda1 < lambda2, which puts the smaller of a1, a2 with lambda1
+            low, high = sorted((bg.a1, bg.a2)) if prior.ordered else (bg.a1, bg.a2)
+            self.group_shapes = (low + counts[0], high + counts[1])
         if min(self.gamma_shape, *self.group_shapes) <= 0.0:
             raise ImproperPosteriorError(
                 "rate posterior is improper: a flat hyperparameter meets a zero count"
             )
-        s1, s2 = self.group_shapes
         # (G w, G (1 - w)) = (s1, s2) G / (s1 + s2), exactly (s1, s2) when c = 0
-        scale = self.gamma_shape / (s1 + s2)
+        scale = self.gamma_shape / sum(self.group_shapes)
         self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
-        self.branch = _BranchSum(
-            _Branch(sums_u, k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, scale * s1, self.log_b0),
-            _Branch(sums_v, 0.0, 0.0, scale * s2, self.log_b0),
-        )
+        # the shape's own terms ride on the first group
+        lead = [(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t), (0.0, 0.0)]
+        terms = zip(groups, lead, self.group_shapes)
+        self.branch = _BranchSum(*(_Branch(u, *c, scale * s, self.log_b0) for (u, _), c, s in terms))
         _check_decay(self.branch)
 
     @classmethod
     def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":
-        return cls(*sample.power_sums, sample.k1, sample.k2, sample.sum_log_t, prior)
+        return cls(list(zip(sample.power_sums, (sample.k1, sample.k2))), sample.sum_log_t, prior)
 
     @classmethod
-    def from_two_complete(
-        cls, data1: CompleteSample, data2: CompleteSample, prior: PriorSpec
-    ) -> "_PosteriorCore":
-        sums = (PowerSum(0.0, d.log_values) for d in (data1, data2))
-        return cls(*sums, data1.n, data2.n, data1.sum_log + data2.sum_log, prior)
+    def from_complete(cls, samples, prior: PriorSpec) -> "_PosteriorCore":
+        """The core of one complete sample, or of two sharing one shape."""
+        groups = [(PowerSum(0.0, d.log_values), d.n) for d in samples]
+        return cls(groups, sum(d.sum_log for d in samples), prior)
 
     def _rates(self, sums: np.ndarray, rng: RngStream):
-        """Rates given the shapes' log power sums ``(ln U, ln V)``: a
-        gamma(G) total split by a beta(s1, s2) fraction of the rescaled
-        rates, cut below x0 for an ordered prior; and their log weights.
-        Where the cut keeps ``_CUT_FLOOR`` of the mass or more, beta draws
-        below x0 are kept over ``_CUT_ROUNDS`` rounds; the rest invert ``I``.
-        Each rate is ``exp(ln fraction + ln total - ln R_g)``, which never
-        divides by an overflowed ``R_g``: a rate is 0 only where its log is
-        below -745 and infinite only where it is above 709.78."""
+        """Rates given the shapes' log power sums, one row per group, and
+        their log weights.  One group's rate is its gamma(G) total over R_1.
+        Two groups split the total by a beta(s1, s2) fraction of the
+        rescaled rates, cut below x0 for an ordered prior.  Where the cut
+        keeps ``_CUT_FLOOR`` of the mass or more, beta draws below x0 are
+        kept over ``_CUT_ROUNDS`` rounds; the rest invert ``I``.  Each rate
+        is ``exp(ln fraction + ln total - ln R_g)``, which never divides by
+        an overflowed ``R_g``: a rate is 0 only where its log is below -745
+        and infinite only where it is above 709.78."""
+        ln_r = np.logaddexp(self.log_b0, sums)
+        size = ln_r.shape[1]
+        total = rng.gamma(self.gamma_shape, size=size)
+        with np.errstate(divide="ignore"):
+            ln_total = np.log(total)
+        ln_g = np.zeros(size)
+        if len(ln_r) == 1:
+            lam = np.exp(ln_total - ln_r[0])
+            return lam, lam, ln_g
         bg = self.prior.bg
         s1, s2 = self.group_shapes
-        ln_r1, ln_r2 = np.logaddexp(self.log_b0, sums)
+        ln_r1, ln_r2 = ln_r
         ln_rho = ln_r2 - ln_r1
-        size = ln_rho.size
-        total = rng.gamma(self.gamma_shape, size=size)
-        ln_g = np.zeros(size)
         if self.prior.ordered:
             from scipy.special import betainc, betaincinv, expit
 
@@ -345,7 +353,7 @@ class _PosteriorCore:
         else:
             frac = rng.beta(s1, s2, size=size)
         with np.errstate(divide="ignore"):
-            ln_frac, ln_rest, ln_total = np.log(frac), np.log1p(-frac), np.log(total)
+            ln_frac, ln_rest = np.log(frac), np.log1p(-frac)
         c = bg.a0 - bg.a1 - bg.a2
         if c != 0.0:
             w = s1 / (s1 + s2)
@@ -359,6 +367,8 @@ class _PosteriorCore:
         return l1, l2, ln_g
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
+        if n < 1:
+            raise ValueError("n_draws must be positive")
         alpha, sums, counts = _sample_marginal(self.branch, n, rng, self.mode)
         l1, l2, ln_g = self._rates(sums, rng)
         if not np.any(ln_g > -math.inf):
@@ -416,8 +426,6 @@ def draw_posterior(
     the shape marginal fails its integrability check, which happens for
     flat priors when one group never fails.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
     core = core or _PosteriorCore.from_jpc(sample, prior)
     return core.draw(n_draws, rng)
 
@@ -430,10 +438,7 @@ def draw_posterior_two_complete(
     rng: RngStream,
 ) -> WeightedPosterior:
     """Posterior draws for two complete samples sharing one shape."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
-    core = _PosteriorCore.from_two_complete(data1, data2, prior)
-    return core.draw(n_draws, rng)
+    return _PosteriorCore.from_complete((data1, data2), prior).draw(n_draws, rng)
 
 
 def weibull_posterior_complete(
@@ -446,23 +451,15 @@ def weibull_posterior_complete(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (unit-weight) posterior draws for one complete Weibull sample.
 
-    The rate prior is gamma(bg_a, bg_b); zeros give the flat limit.  With a
-    single population there is one power sum, hence one concave term and
-    no importance correction at all.
+    The rate prior is gamma(bg_a, bg_b); zeros give the flat limit.  The
+    draws come from a one-group ``_PosteriorCore``: one power sum, hence
+    one concave term and no importance correction at all.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
-    n = data.n
-    c0 = n + shape.a - 1.0
-    c1 = shape.b - data.sum_log
-    c2 = bg_a + n
-    log_b0 = math.log(bg_b) if bg_b > 0.0 else -math.inf
-    branch = _BranchSum(_Branch(PowerSum(0.0, data.log_values), c0, c1, c2, log_b0))
-    _check_decay(branch)
-    alpha, (ln_sum,), _ = _sample_marginal(branch, n_draws, rng)
-    # a unit-rate gamma divided by b0 + S in logs, as _PosteriorCore._rates
-    # does, so no large shape overflows exp(ln(b0 + S))
-    return alpha, np.exp(np.log(rng.gamma(c2, size=n_draws)) - np.logaddexp(log_b0, ln_sum))
+    for name, v in (("bg_a", bg_a), ("bg_b", bg_b)):
+        _check_hyper(name, v)
+    prior = PriorSpec(BetaGammaHyper(bg_a, bg_b, 0.0, 0.0), shape)
+    post = _PosteriorCore.from_complete((data,), prior).draw(n_draws, rng)
+    return post.alpha, post.lambda1
 
 
 def bayes_estimate(post: WeightedPosterior, h: Callable) -> float:
@@ -533,7 +530,9 @@ def posterior_predictive_pvalue(
     The discrepancy is the largest group-wise KS distance of the times
     against the drawn laws (``gof._ks_rows``).  ``data`` may be a
     :class:`CompleteSample`, one group whose replicates are sorted uniforms
-    under their own law whatever the draw, or a :class:`JpcSample`, whose
+    under their own law whatever the draw (its posterior reads only a0, b0
+    and the shape prior from ``prior``: a gamma(a0, b0) rate prior, whatever
+    a1, a2 and the order flag say), or a :class:`JpcSample`, whose
     failure times form two groups and whose replicates come from one
     :func:`simulate_jpc_batch` call with per-row parameters.  Both run as
     array steps over all draws and replicates.
@@ -550,10 +549,8 @@ def posterior_predictive_pvalue(
         raise ValueError("n_rep must be positive")
     if isinstance(data, CompleteSample):
         if posterior is None:
-            alpha, lam = weibull_posterior_complete(
-                data, prior.bg.a0, prior.bg.b0, prior.shape, n_rep, rng
-            )
-            posterior = (alpha, lam, np.full(n_rep, 1.0 / n_rep))
+            post = _PosteriorCore.from_complete((data,), prior).draw(n_rep, rng)
+            posterior = (post.alpha, post.lambda1, post.normalized)
         a, l1, norm = (np.asarray(v) for v in posterior)
         l2 = l1
         log_t, delta = np.log(data.sorted), np.ones(data.n)

@@ -563,6 +563,31 @@ def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
     assert 0.0 < p <= 1.0 and 0.0 < expected < 1.0
 
 
+@pytest.mark.parametrize(
+    "name, bg_a, bg_b",
+    [("bg_b", 0.0, -1.0), ("bg_a", math.nan, 0.0), ("bg_b", 0.0, math.inf), ("bg_a", True, 0.0)],
+)
+def test_complete_posterior_refuses_bad_rate_hyperparameters(ds1, name, bg_a, bg_b) -> None:
+    """A negative, nan, infinite or boolean rate hyperparameter is refused
+    by name, not run as the flat prior or failed later in the sampler."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real >= 0"):
+        weibull_posterior_complete(ds1, bg_a, bg_b, ShapeHyper(0.0, 4.0), 100, RngStream(615, 0))
+
+
+def test_complete_sample_core_reads_only_the_gamma_rate_prior(ds1) -> None:
+    """A one-group core's rate prior is gamma(a0, b0): its draws carry unit
+    weights and one rate array, and the complete-data predictive check
+    gives the same result whatever the prior's a1, a2 and order flag."""
+    shape = ShapeHyper(2.0, 1.0)
+    split = PriorSpec(BetaGammaHyper(3.0, 1.0, 2.0, 4.0), shape, ordered=True)
+    post = _PosteriorCore.from_complete((ds1,), split).draw(1000, RngStream(616, 0))
+    assert np.all(post.weights == 1.0)
+    assert post.lambda1 is post.lambda2
+    gamma_only = PriorSpec(BetaGammaHyper(3.0, 1.0, 0.0, 0.0), shape)
+    got = [posterior_predictive_pvalue(ds1, p, n_rep=500, rng=RngStream(617, 0)) for p in (gamma_only, split)]
+    assert got[0] == got[1]
+
+
 def test_two_complete_shared_shape_matches_quadrature() -> None:
     """Two complete samples modelled with one shape, cross-checked through
     the equivalent no-withdrawal joint sample."""
@@ -779,9 +804,11 @@ def test_flat_prior_with_one_sided_failures_is_refused() -> None:
         draw_posterior(one_sided, PriorSpec.flat(shape_rate=4.0), 100, RngStream(619, 0))
 
 
-def test_draw_count_validation(fiber, flat_rate4) -> None:
+def test_draw_count_validation(fiber, ds1, ds2, flat_rate4) -> None:
     with pytest.raises(ValueError):
         draw_posterior(fiber, flat_rate4, 0, RngStream(620, 0))
+    with pytest.raises(ValueError):
+        draw_posterior_two_complete(ds1, ds2, flat_rate4, 0, RngStream(620, 0))
     with pytest.raises(ValueError):
         weibull_posterior_complete(
             CompleteSample(values=(1.0, 2.0)), 0.0, 0.0, ShapeHyper(0.0, 1.0), 0, RngStream(62, 0)
