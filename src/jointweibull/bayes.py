@@ -30,10 +30,11 @@ with ``rho = R2/R1``.  The order ``lambda1 < lambda2`` is exactly the cut
     s(a) = (k + as - 1) ln a - a (bs - sum ln t)
            - G w ln(b0 + U(a)) - G (1 - w) ln(b0 + V(a)),
 
-with ``(as, bs)`` the shape prior's hyperparameters.  It is one concave
-branch: both weights are non-negative, and the log of each power sum is a
-log-sum-exp of functions affine in ``a``.  The shape is drawn exactly from
-``exp(s)`` by rejection from one static tangent hull; then
+with ``(as, bs)`` the shape prior's hyperparameters: one concave term
+(``rng._ConcaveTerm``, as a fit's profile is), since both weights are
+non-negative and the log of each power sum is a log-sum-exp of functions
+affine in ``a``.  The shape is drawn exactly from ``exp(s)`` by rejection
+from one static tangent hull; then
 ``T ~ Gamma(G)`` and ``B ~ Beta(s1, s2)``, cut to ``(0, x0)`` for an ordered
 prior (by rejection where the cut keeps enough mass, else by inversion),
 give ``l1 = B T/R1`` and ``l2 = (1-B) T/R2``.  The importance weight is
@@ -69,6 +70,7 @@ from .rng import (
     PowerSum,
     RngStream,
     _check_hyper,
+    _ConcaveTerm,
     _locate_modes,
     _max_shift,
     build_static_envelope,
@@ -155,74 +157,19 @@ class WeightedPosterior:
         return float(1.0 / np.sum(self.normalized**2))
 
 
-@dataclass
-class _Branch:
-    """One group's concave term of the shape marginal,
-    ``c0 ln a - c1 a - c2 ln(b0 + S)``, vectorized over shapes, with the
-    power sum S = sum c t^a given by its kernel ``sums``.  With D = S/(b0 +
-    S), and E, Var the mean and variance of ``ln t`` under the weights
-    ``c t^a``, its slope is ``c0/a - c1 - c2 D E`` and its curvature
-    ``-c0/a^2 - c2 D (Var + (1 - D) E^2)``.  In a stacked mode search each
-    field and the shape hold one entry (or row) per (sample, prior) pair."""
-
-    sums: PowerSum
-    c0: float
-    c1: float
-    c2: float
-    log_b0: float
-
-    def at(self, alpha, ln_sum):
-        """The term at shapes ``alpha``, given ``ln_sum = ln(sum c t^a)``."""
-        with np.errstate(divide="ignore"):
-            lead = self.c0 * np.log(alpha) if np.any(self.c0 != 0.0) else 0.0
-        return lead - self.c1 * alpha - self.c2 * np.logaddexp(self.log_b0, ln_sum)
-
-    def local(self, alpha):
-        """Value, slope and curvature at shapes ``alpha``, all from one pass
-        of the kernel's moments of ``ln t`` and ``ln S``."""
-        mean_lnt, var_lnt, ln_sum = self.sums.moments(alpha)
-        damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
-        return (
-            self.at(alpha, ln_sum),
-            self.c0 / alpha - self.c1 - self.c2 * damp * mean_lnt,
-            -self.c0 / alpha**2 - self.c2 * damp * (var_lnt + (1.0 - damp) * mean_lnt**2),
-        )
-
-
-class _BranchSum:
-    """A shape marginal: the sum of concave per-group terms, itself
-    concave.  Its log power sums, one row per term, come back with its
-    values, since the rates are drawn from them."""
-
-    def __init__(self, *parts: _Branch):
-        self.parts = parts
-
-    def __call__(self, alpha):
-        """``s(alpha)`` and the stacked log power sums it reads."""
-        sums = np.stack([p.sums.log_sum(alpha) for p in self.parts])
-        return sum(p.at(alpha, s) for p, s in zip(self.parts, sums)), sums
-
-    def local(self, alpha):
-        return tuple(sum(terms) for terms in zip(*(p.local(alpha) for p in self.parts)))
-
-
-def _check_decay(branch: _BranchSum) -> None:
-    """Refuse a concave shape marginal unless its slope's limit, ``-sum(c1 +
-    c2 L)`` with L the ``top`` of a term's kernel, its largest log time of
-    positive weight (0 if below 0 and b0 > 0), is negative beyond 1e-12 of
-    its terms' size (rounding)."""
-    limit = size = 0.0
-    for p in branch.parts:
-        top = float(p.sums.top)
-        terms = p.c1, p.c2 * (max(top, 0.0) if p.log_b0 > -math.inf else top)
-        limit -= sum(terms)
-        size += sum(map(abs, terms))
-    if not limit < -1e-12 * size:
+def _check_decay(branch: _ConcaveTerm) -> None:
+    """Refuse a concave shape marginal unless its slope's limit, ``-c1 -
+    sum c2 L`` with L the ``top`` of a group's kernel, its largest log time
+    of positive weight (0 if below 0 and b0 > 0), is negative beyond 1e-12
+    of its terms' size (rounding)."""
+    floor = 0.0 if branch.log_b0 > -math.inf else -math.inf
+    terms = [branch.c1] + [c2 * max(float(g.top), floor) for g, c2 in branch.groups]
+    if not -sum(terms) < -1e-12 * sum(map(abs, terms)):
         raise ImproperPosteriorError("shape marginal does not decay")
 
 
 def _sample_marginal(
-    branch: _BranchSum, n: int, rng: RngStream, mode=None
+    branch: _ConcaveTerm, n: int, rng: RngStream, mode=None
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact shape draws from exp(s), s the concave ``branch``, by rejection
     from its static tangent hull around ``mode`` (located here if not
@@ -234,7 +181,7 @@ def _sample_marginal(
     proposals is exact whatever the batch sizes."""
     envelope = build_static_envelope(branch.local, mode)
     out = np.empty(n)
-    kept = np.empty((len(branch.parts), n))
+    kept = np.empty((len(branch.groups), n))
     have = proposed = accepted = guard = 0
     rate = 0.95
     while have < n:
@@ -290,10 +237,8 @@ class _PosteriorCore:
         # (G w, G (1 - w)) = (s1, s2) G / (s1 + s2), exactly (s1, s2) when c = 0
         scale = self.gamma_shape / sum(self.group_shapes)
         self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
-        # the shape's own terms ride on the first group
-        lead = [(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t), (0.0, 0.0)]
-        terms = zip(groups, lead, self.group_shapes)
-        self.branch = _BranchSum(*(_Branch(u, *c, scale * s, self.log_b0) for (u, _), c, s in terms))
+        c2 = [(u, scale * s) for (u, _), s in zip(groups, self.group_shapes)]
+        self.branch = _ConcaveTerm(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, c2, self.log_b0)
         _check_decay(self.branch)
 
     @classmethod
@@ -406,11 +351,12 @@ def shape_modes(cores) -> None:
     """Set the ``mode`` of each core (of samples with equal k) from one
     lockstep search, one row per core: a row's mode is the one a lone
     search finds, ``inf`` where its marginal still rises at 1e10."""
-    stack = []
-    for terms in zip(*(c.branch.parts for c in cores)):
-        coefs = np.array([(t.c0, t.c1, t.c2, t.log_b0) for t in terms])
-        stack.append(_Branch(PowerSum.stack([t.sums for t in terms]), *coefs.T))
-    for core, mode in zip(cores, _locate_modes(_BranchSum(*stack).local, len(cores))):
+    terms = [c.branch for c in cores]
+    c0, c1, log_b0 = (np.array([getattr(t, a) for t in terms]) for a in ("c0", "c1", "log_b0"))
+    cols = zip(*(t.groups for t in terms))
+    groups = [(PowerSum.stack([g for g, _ in col]), np.array([c2 for _, c2 in col])) for col in cols]
+    stack = _ConcaveTerm(c0, c1, groups, log_b0)
+    for core, mode in zip(cores, _locate_modes(stack.deriv, len(cores))):
         core.mode = mode
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .mle import _NO_SHAPE, _fit_rows
-from .rng import RngStream
+from .rng import PowerSum, RngStream
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     ``log_x``: a one-group ``mle._fit_rows`` stack, every value a failure of
     weight 1.  Returns ``(alpha, lam, sweeps)``; a row without a shape
     maximizer raises."""
-    alpha, log_rates, ok, sweeps = _fit_rows(log_x, 0.0, log_x.shape[1])
+    groups = [(PowerSum(0.0, log_x), log_x.shape[1])]
+    alpha, log_rates, ok, sweeps = _fit_rows(groups, log_x.sum(axis=1))
     if not ok.all():
         raise ConvergenceError(_NO_SHAPE)
     return alpha, np.exp(log_rates[0]), sweeps
@@ -109,17 +110,13 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
 
     This is the joint experiment with no withdrawals: every value of sample
     1 is a group-1 failure and every value of sample 2 a group-2 one, so it
-    is fitted as that one-row ``mle._fit_rows`` stack.
+    is fitted as that one-row ``mle._fit_rows`` stack, one kernel per sample.
     """
     for d in (data1, data2):
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values in each sample")
-    n1, n2 = data1.n, data2.n
-    lnt = np.concatenate([data1.log_values, data2.log_values])[None, :]
-    in1 = np.arange(n1 + n2) < n1
-    logc1 = np.where(in1, 0.0, -np.inf)
-    logc2 = np.where(in1, -np.inf, 0.0)
-    alpha, log_rates, ok, sweeps = _fit_rows(lnt, logc1, n1, logc2, n2)
+    groups = [(PowerSum(0.0, d.log_values), d.n) for d in (data1, data2)]
+    alpha, log_rates, ok, sweeps = _fit_rows(groups, np.array([data1.sum_log + data2.sum_log]))
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
     alpha = float(alpha[0])

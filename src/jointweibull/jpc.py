@@ -21,10 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .rng import PowerSum, RngStream
+
+
+def _check_count(name: str, v, low: int = 0) -> None:
+    """Refuse a count that is not an integer in [low, 2^64), a float or a
+    bool among them."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or not low <= v < 2**64:
+        raise ValueError(f"{name} must be an integer in [{low}, 2^64), not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,8 @@ class CensoringScheme:
     """Design of a joint progressive type-II experiment.
 
     ``R[j]`` is the number of survivors withdrawn at the j-th failure; the
-    scheme exhausts both groups: ``sum(R) + k == m + n``.
+    scheme exhausts both groups: ``sum(R) + k == m + n``.  Every count is
+    an integer; a float or a bool is refused, not truncated.
     """
 
     m: int
@@ -41,15 +50,15 @@ class CensoringScheme:
     R: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "R", tuple(int(r) for r in self.R))
-        if self.m < 1 or self.n < 1:
-            raise ValueError("both group sizes must be positive")
-        if not 1 <= self.k <= self.m + self.n:
+        counts = tuple(self.R)
+        named = [("m", self.m, 1), ("n", self.n, 1), ("k", self.k, 1)]
+        for name, v, low in named + [(f"R[{j}]", r, 0) for j, r in enumerate(counts)]:
+            _check_count(name, v, low)
+        object.__setattr__(self, "R", tuple(map(int, counts)))
+        if self.k > self.m + self.n:
             raise ValueError("k must lie in [1, m+n]")
         if len(self.R) != self.k:
             raise ValueError("R must list one withdrawal count per failure")
-        if any(r < 0 for r in self.R):
-            raise ValueError("withdrawal counts must be non-negative")
         if sum(self.R) != self.m + self.n - self.k:
             raise ValueError("withdrawals must exhaust the groups: sum(R) == m+n-k")
 
@@ -66,10 +75,10 @@ class JpcObservation:
     def __post_init__(self):
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise ValueError("failure time must be a positive finite real")
-        if self.delta not in (0, 1):
+        _check_count("delta", self.delta)
+        if self.delta > 1:
             raise ValueError("delta must be 0 or 1")
-        if self.s < 0:
-            raise ValueError("withdrawal split must be non-negative")
+        _check_count("s", self.s)
 
 
 @dataclass(frozen=True)
@@ -184,8 +193,8 @@ def log_weights(R, delta, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _non_negative(alpha: float) -> float:
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be a finite real >= 0")
     return float(alpha)
 
 

@@ -15,12 +15,15 @@ and the order is a half-space, so a restricted maximum inside it would be
 the free one: a free fit that breaks the order puts it on ``l1 = l2``.
 
 Every maximum likelihood fit in the package is a stack of samples, one per
-row, fitted by :func:`_fit_rows`: it hands the profile score and its
-analytic slope to the package's one root finder (``rng._solve_rows``),
-whose rows take safeguarded Newton steps in lockstep from a start, which
-also bracket them, until each step or bracket is within 1e-10 relative,
-so each row's shape is the one it would get alone from that start; it then
-reads each group's log rate from the power-sum kernel.  Only
+row, fitted by :func:`_fit_rows`.  Its profile is the package's one concave
+power-sum term (``rng._ConcaveTerm``) with ``c0 = k``, ``c1 = -sum ln t``
+and ``c2_g = k_g``: the shape marginal of a posterior under a flat rate
+prior and a gamma(1, 0) shape prior, plus ``sum ln t``.  Its slope and
+curvature go to the package's one root finder (``rng._solve_rows``), whose
+rows take safeguarded Newton steps in lockstep from a start, which also
+bracket them, until each step or bracket is within 1e-10 relative, so each
+row's shape is the one it would get alone from that start; each group's
+log rate is then read from its power-sum kernel.  Only
 :func:`_fit_design` knows the order; its common-rate refits start at each
 row's free shape.  A single fit is a stack of one, started at 1.  The
 bootstrap refits all its resamples, drawn by the batched tau = t^alpha
@@ -52,7 +55,7 @@ from .jpc import (
     log_weights,
     simulate_jpc_batch,
 )
-from .rng import _MAX_SWEEPS, PowerSum, RngStream, _solve_rows
+from .rng import _MAX_SWEEPS, PowerSum, RngStream, _ConcaveTerm, _solve_rows
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ def _require_both_groups(sample: JpcSample) -> None:
 def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
     """Closed-form rate maximizers k1/U(alpha), k2/V(alpha)."""
     _require_both_groups(sample)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be a positive finite real")
     l1 = math.exp(math.log(sample.k1) - float(log_u_stat(sample, alpha)))
     l2 = math.exp(math.log(sample.k2) - float(log_v_stat(sample, alpha)))
     return l1, l2
@@ -130,8 +133,8 @@ def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
 def profile_loglik(sample: JpcSample, alpha: float) -> float:
     """Profiled shape criterion p(alpha) (rates maximized out, constants
     dropped)."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be a positive finite real")
     k = sample.scheme.k
     val = k * math.log(alpha) + (alpha - 1.0) * sample.sum_log_t
     val -= sample.k1 * float(log_u_stat(sample, alpha))
@@ -139,56 +142,28 @@ def profile_loglik(sample: JpcSample, alpha: float) -> float:
     return float(val)
 
 
-class _ProfileScore:
-    """The profile scores of stacked samples and their slopes, as a function
-    of one shape per row.
-
-    Row i holds log times ``lnt[i]`` and log power-sum coefficients
-    ``logc1[i]``, ``logc2[i]`` (``-inf`` for a zero coefficient) with failure
-    counts ``k1``, ``k2`` (per-row arrays or scalars).  Without ``logc2`` the
-    stack is of one group only, as complete samples and common-rate refits
-    are (``logc1 = 0``, ``k1 = n``; ``logc1 = ln(R + 1)``, ``k1 = k``).
-
-    The score of a row is ``k/a + sum ln t - k1 E1 - k2 E2``, with ``E1``,
-    ``E2`` the means of ``ln t`` under the weights ``c1 t^a``, ``c2 t^a``;
-    its slope, ``-k/a^2 - k1 Var1 - k2 Var2`` with the variances under the
-    same weights, is negative, so each profile is concave.
-    """
-
-    def __init__(self, lnt, logc1, k1, logc2=None, k2=0):
-        self.k = k1 + k2
-        self.slt = lnt.sum(axis=1)
-        pairs = ((logc1, k1),) if logc2 is None else ((logc1, k1), (logc2, k2))
-        self.groups = [(PowerSum(c, lnt), kg) for c, kg in pairs]
-
-    def __call__(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d, slope = self.k / alpha + self.slt, -self.k / alpha**2
-        for sums, kg in self.groups:
-            mean, var, _ = sums.moments(alpha)
-            d, slope = d - kg * mean, slope - kg * var
-        return d, slope
-
-
-def _fit_rows(lnt, logc1, k1, logc2=None, k2=0, start=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Maximum likelihood fits of stacked samples (the stack is that of
-    :class:`_ProfileScore`), their shape searches started at ``start``.
+def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Maximum likelihood fits of stacked samples, one per row: ``groups``
+    lists (power-sum kernel, failure count) pairs, a count per row or one
+    for all, and ``sum_log_t`` holds each row's sum of log times.  The
+    shape searches start at ``start``.
 
     Returns ``(alpha, log_rates, ok, sweeps)``: the profile-maximizing
     shapes; the log rates ``ln(k_g / S_g(alpha))``, one row per group; the
     rows that have a shape in [1e-10, 1e10] (the other rows' shapes and
     rates mean nothing); and the sweep count.
     """
-    score = _ProfileScore(lnt, logc1, k1, logc2, k2)
-    alpha, ok, sweeps = _solve_rows(score, lnt.shape[0], start)
+    profile = _ConcaveTerm(sum(kg for _, kg in groups), -sum_log_t, groups)
+    alpha, ok, sweeps = _solve_rows(profile.deriv, len(sum_log_t), start)
     with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
-        log_rates = np.stack([np.log(kg) - sums.log_sum(alpha) for sums, kg in score.groups])
+        log_rates = np.stack([np.log(kg) - sums.log_sum(alpha) for sums, kg in groups])
     return alpha, log_rates, ok, sweeps
 
 
-def _pooled(scheme: CensoringScheme) -> tuple[np.ndarray, int]:
-    """The common-rate model's one group: ln of the weights ``R_j + 1`` of
-    ``t_j^a`` in ``U + V``, and its failure count ``k``."""
-    return np.log(np.asarray(scheme.R, dtype=float) + 1.0), scheme.k
+def _pooled(scheme: CensoringScheme, log_t) -> tuple[PowerSum, int]:
+    """The common-rate model's one group: the kernel of ``U + V``, whose
+    weights of ``t_j^a`` are ``R_j + 1``, and its failure count ``k``."""
+    return PowerSum(np.log(np.asarray(scheme.R, dtype=float) + 1.0), log_t), scheme.k
 
 
 def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool, start=1.0) -> list[tuple]:
@@ -201,16 +176,17 @@ def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool, start=1.0
     count of each search."""
     k1 = delta.sum(axis=1, dtype=float)
     logc1, logc2 = log_weights(scheme.R, delta, s)
-    alpha, log_rates, ok, sweeps = _fit_rows(lnt, logc1, k1, logc2, scheme.k - k1, start)
+    groups = [(PowerSum(logc1, lnt), k1), (PowerSum(logc2, lnt), scheme.k - k1)]
+    alpha, log_rates, ok, sweeps = _fit_rows(groups, lnt.sum(axis=1), start)
     sweeps = [sweeps]
     fits = [(alpha, np.exp(log_rates), np.zeros_like(ok), ok, sweeps)]
     if ordered:
         boundary = ok & (log_rates[0] >= log_rates[1])
         alpha, log_rates, ok, sweeps = alpha.copy(), log_rates.copy(), ok.copy(), sweeps.copy()
         if boundary.any():
-            alpha[boundary], log_common, ok[boundary], more = _fit_rows(
-                lnt[boundary], *_pooled(scheme), start=alpha[boundary]
-            )
+            rows = lnt[boundary]
+            fit = _fit_rows([_pooled(scheme, rows)], rows.sum(axis=1), alpha[boundary])
+            alpha[boundary], log_common, ok[boundary], more = fit
             log_rates[:, boundary] = log_common[0]
             sweeps.append(more)
         fits.append((alpha, np.exp(log_rates), boundary, ok, sweeps))
@@ -292,9 +268,8 @@ def asymptotic_ci(
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     a, l1, l2 = params.alpha, params.lambda1, params.lambda2
-    logc, k = _pooled(sample.scheme)
     free = zip(sample.power_sums, (sample.k1, sample.k2))
-    groups = [(PowerSum(logc, sample.log_t), k)] if boundary else free
+    groups = [_pooled(sample.scheme, sample.log_t)] if boundary else free
     moments = [(kg, *sums.moments(a)[:2]) for sums, kg in groups]
     var_a = 1.0 / (sample.scheme.k / a**2 + sum(kg * v for kg, _, v in moments))
     rel = [math.sqrt(1.0 / kg + m * m * var_a) for kg, m, _ in moments]

@@ -18,11 +18,14 @@ module also holds the package's one root finder, :func:`_solve_rows`, a
 lockstep safeguarded Newton search from a start the caller chooses, over
 rows of decreasing functions given with their slopes: it locates the mode
 that seeds each hull, and the maximum likelihood fits elsewhere solve
-their profile score equations with it.  Next to it sits the one power-sum
+their profile score equations with it.  Next to it sit the one power-sum
 kernel, :class:`PowerSum`: every ln(sum c t^a) in the package and its first
-two derivatives in ``a``, which the profile score, the shape marginal's
-slope and both of their curvatures are made of.  The max-shift of the
-log-sum-exp :func:`log_sum_exp` serves only importance weights and hulls.
+two derivatives in ``a``, and the one concave term built on it,
+:class:`_ConcaveTerm`: ``c0 ln a - c1 a - sum_g c2_g ln(b0 + S_g(a))``,
+which is both the profile log-likelihood of every maximum likelihood fit
+and the shape marginal of every posterior.  The max-shift :func:`_max_shift`
+serves the importance weights and the hulls; :func:`log_sum_exp` is only
+the tests' oracle for :class:`PowerSum`.
 """
 
 from __future__ import annotations
@@ -124,6 +127,55 @@ class PowerSum:
         dev = self.off - mean[..., None]
         var = np.einsum("...j,...j,...j->...", w, dev, dev) / tot
         return self.top + mean, var, a * self.top + np.log(tot)
+
+
+class _ConcaveTerm:
+    """``s(a) = c0 ln a - c1 a - sum_g c2_g ln(b0 + S_g(a))``, concave in the
+    shape ``a > 0`` where ``c0`` and every ``c2_g`` are >= 0, from ``groups``
+    of (kernel of ``S_g``, ``c2_g``) pairs and ``log_b0`` (``-inf`` for no
+    ``b0``): the profile log-likelihood of a fit (``c0 = k``, ``c1 = -sum ln
+    t``, ``c2_g = k_g``, no ``b0``) and the shape marginal of a posterior
+    core.  In a stack each coefficient and shape hold one entry per row.
+    With ``D = S/(b0 + S)`` and ``E``, ``Var`` the mean and variance of ``ln
+    t`` under the weights of ``S``, the slope is ``c0/a - c1 - sum c2 D E``
+    and the curvature ``-c0/a^2 - sum c2 D (Var + (1 - D) E^2)``; without
+    ``b0``, ``D`` is exactly 1 and is not formed.
+    """
+
+    def __init__(self, c0, c1, groups, log_b0=-math.inf):
+        self.c0, self.c1, self.groups, self.log_b0 = c0, c1, list(groups), log_b0
+        self._damped = bool(np.any(np.asarray(log_b0) > -math.inf))
+
+    def __call__(self, alpha):
+        """``s(alpha)`` and the log power sums it reads, one row per group."""
+        sums = np.stack([g.log_sum(alpha) for g, _ in self.groups])
+        return self._value(alpha, sums), sums
+
+    def local(self, alpha):
+        """Value, slope and curvature at ``alpha``: a :data:`LogDensity`."""
+        moments = [g.moments(alpha) for g, _ in self.groups]
+        return (self._value(alpha, [m[2] for m in moments]), *self._derivs(alpha, moments))
+
+    def deriv(self, alpha):
+        """Slope and curvature at ``alpha``, all a root search reads."""
+        return self._derivs(alpha, [g.moments(alpha) for g, _ in self.groups])
+
+    def _value(self, alpha, sums):
+        with np.errstate(divide="ignore"):
+            val = self.c0 * np.log(alpha) if np.any(self.c0 != 0.0) else 0.0
+        val = val - self.c1 * alpha
+        for (_, c2), ln_sum in zip(self.groups, sums):
+            val = val - c2 * (np.logaddexp(self.log_b0, ln_sum) if self._damped else ln_sum)
+        return val
+
+    def _derivs(self, alpha, moments):
+        slope, curv = self.c0 / alpha - self.c1, -self.c0 / alpha**2
+        for (_, c2), (mean, var, ln_sum) in zip(self.groups, moments):
+            if self._damped:
+                damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
+                c2, var = c2 * damp, var + (1.0 - damp) * mean**2
+            slope, curv = slope - c2 * mean, curv - c2 * var
+        return slope, curv
 
 
 def splitmix64(x: int) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, field
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .bayes import PriorSpec, ShapeHyper, _PosteriorCore, bayes_estimate, draw_posterior
 from .bayes import hpd_interval, shape_modes
 from .errors import EstimationError, StudyFailedError
-from .jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
+from .jpc import CensoringScheme, JointParams, _check_count, sample_of_row, simulate_jpc_batch
 from .mle import _bootstrap, _fit_design, asymptotic_ci
 from .rng import BetaGammaHyper, RngStream, _check_hyper, splitmix64
 
@@ -83,10 +82,7 @@ class StudyConfig:
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"repeated methods: {list(self.methods)}")
         for name in ("replications", "n_posterior", "n_boot", "base_seed"):
-            v = getattr(self, name)
-            low = 0 if name == "base_seed" else 1
-            if isinstance(v, bool) or not isinstance(v, Integral) or not low <= v < 2**64:
-                raise ValueError(f"{name} must be an integer in [{low}, 2^64), not {v!r}")
+            _check_count(name, getattr(self, name), 0 if name == "base_seed" else 1)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie strictly between 0 and 1")
         _check_hyper("shape_rate_flat", self.shape_rate_flat)

@@ -12,7 +12,6 @@ from scipy.special import betainc, betaincinv, digamma, expit, polygamma
 from jointweibull.bayes import (
     _CUT_FLOOR,
     PriorSpec,
-    _BranchSum,
     _PosteriorCore,
     _resample_indices,
     _sample_marginal,
@@ -47,10 +46,12 @@ from jointweibull.jpc import (
     simulate_jpc,
     simulate_jpc_batch,
 )
+from jointweibull.mle import fit_mle, profile_loglik
 from jointweibull.rng import (
     BetaGammaHyper,
     PowerSum,
     RngStream,
+    _ConcaveTerm,
     _locate_modes,
     build_static_envelope,
 )
@@ -265,6 +266,27 @@ def test_sampler_proposes_few_more_shapes_than_it_keeps(fiber) -> None:
     assert proposed / draws <= 1.1
 
 
+def test_flat_rate_marginal_is_the_profile_likelihood(fiber) -> None:
+    """Under a flat rate prior and a gamma(1, 0) shape prior the shape
+    marginal and the profile log-likelihood are one concave term (c0 = k,
+    c1 = -sum ln t, c2_g = k_g), so on the fiber sample and 20
+    reference-design samples the marginal minus sum ln t equals
+    ``profile_loglik`` to 1e-13 relative over a shape grid, and the stacked
+    mode search of their cores lands on ``fit_mle``'s shape to 1e-12
+    relative."""
+    samples, _ = _preset_samples(fiber)
+    prior = PriorSpec(BetaGammaHyper(0.0, 0.0, 0.0, 0.0), ShapeHyper(1.0, 0.0))
+    grid = np.geomspace(0.05, 20.0, 40)
+    for sample in samples:
+        got = log_marginal_shape(sample, prior, grid) - sample.sum_log_t
+        want = [profile_loglik(sample, a) for a in grid]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    cores = [_PosteriorCore.from_jpc(sample, prior) for sample in samples]
+    shape_modes(cores)
+    want = [fit_mle(sample).params.alpha for sample in samples]
+    np.testing.assert_allclose([core.mode for core in cores], want, rtol=1e-12, atol=0.0)
+
+
 def test_branch_curvature_matches_central_differences(fiber) -> None:
     """The analytic curvature of every concave branch, and of their sum,
     equals central differences of the branch slope to 1e-7 relative: on
@@ -284,12 +306,14 @@ def test_branch_curvature_matches_central_differences(fiber) -> None:
                 core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
             except ImproperPosteriorError:
                 continue
-            for br in (core.branch,) + core.branch.parts:
+            branch = core.branch
+            ones = tuple(_ConcaveTerm(branch.c0, branch.c1, [g], branch.log_b0) for g in branch.groups)
+            for br in (branch,) + ones:
                 numeric = (br.local(grid + step)[1] - br.local(grid - step)[1]) / (2.0 * step)
                 curvature = br.local(grid)[2]
                 assert np.all(curvature < 0.0)
                 np.testing.assert_allclose(curvature, numeric, rtol=1e-7, atol=0.0)
-                sums += isinstance(br, _BranchSum)
+                sums += len(br.groups) > 1
                 checked += 1
     assert checked >= 200 and sums >= 20
 

@@ -385,6 +385,34 @@ def test_study_command_refuses_unknown_keys_and_bad_counts(tmp_path, capsys, mon
         assert word in captured.err
 
 
+def test_study_command_refuses_fractional_counts(tmp_path, capsys, monkeypatch) -> None:
+    """A design count that is not an integer exits 4 naming it, before any
+    replication runs and with nothing on stdout: a fractional withdrawal
+    count that truncates to a valid design, and a float m or k."""
+    import jointweibull.cli as cli
+
+    def never(config):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_interval_study", never)
+    base = {
+        "m": 69, "n": 63, "k": 20, "R": [4] * 19 + [36],
+        "alpha": 4.3475, "lambda1": 0.045326, "lambda2": 0.045326,
+        "replications": 3, "methods": ["mle-ordered"], "kind": "interval",
+    }
+    p = tmp_path / "study.json"
+    for extra, word in (
+        ({"R": [4] * 19 + [36.5]}, "R[19]"),
+        ({"m": 69.0}, "m must be"),
+        ({"k": 20.0}, "k must be"),
+    ):
+        p.write_text(json.dumps({**base, **extra}), encoding="utf-8")
+        assert main(["study", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and word in captured.err
+
+
 def _console_script_command(name: str) -> list[str]:
     """The ``[project.scripts]`` entry ``name`` as a fresh interpreter runs
     it from an installer's wrapper: import the target, ``sys.exit(main())``."""

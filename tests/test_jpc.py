@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import astuple
 
@@ -52,6 +53,31 @@ def test_observation_validation() -> None:
         JpcObservation(1.0, 2, 0)
     with pytest.raises(ValueError):
         JpcObservation(1.0, 1, -1)
+
+
+_REF_R = (7,) + (0,) * 18 + (15,)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: CensoringScheme(20.0, 22, 20, _REF_R), "m"),
+        (lambda: CensoringScheme(20, True, 20, _REF_R), "n"),
+        (lambda: CensoringScheme(20, 22, 20.0, _REF_R), "k"),
+        (lambda: CensoringScheme(20, 22, 20, (7.9,) + (0,) * 18 + (15.9,)), "R[0]"),
+        (lambda: CensoringScheme(20, 22, 20, _REF_R[:-1] + (15.0,)), "R[19]"),
+        (lambda: JpcObservation(1.0, 1, 0.5), "s"),
+        (lambda: JpcObservation(1.0, 1, True), "s"),
+        (lambda: JpcObservation(1.0, 1.0, 0), "delta"),
+        (lambda: JpcObservation(1.0, True, 0), "delta"),
+    ],
+)
+def test_counts_must_be_integers(make, name) -> None:
+    """A count or group indicator that is a float or a bool, even one that
+    truncates to a valid design, is refused with a ValueError that names
+    it."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer"):
+        make()
 
 
 def test_params_validation() -> None:

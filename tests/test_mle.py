@@ -29,7 +29,6 @@ from jointweibull.mle import (
     IntervalEstimate,
     _fit_design,
     _fit_rows,
-    _ProfileScore,
     asymptotic_ci,
     bootstrap_ci,
     fisher_info,
@@ -38,7 +37,7 @@ from jointweibull.mle import (
     lambda_hats,
     profile_loglik,
 )
-from jointweibull.rng import RngStream
+from jointweibull.rng import PowerSum, RngStream, _ConcaveTerm
 
 from _oracles import fd_hessian, random_jpc_sample, swap_groups
 
@@ -440,9 +439,11 @@ def test_profile_score_slope_matches_central_differences(fiber) -> None:
     h = 1e-5 * grid
     for sample in samples:
         log_common = np.log(np.asarray(sample.scheme.R, dtype=float) + 1.0)
+        lnt, logc1, k1, logc2, k2 = _stack([sample])
+        slt, k = lnt.sum(axis=1), sample.scheme.k
         for score in (
-            _ProfileScore(*_stack([sample])),
-            _ProfileScore(sample.log_t[None, :], log_common, sample.scheme.k),
+            _ConcaveTerm(k1 + k2, -slt, [(PowerSum(logc1, lnt), k1), (PowerSum(logc2, lnt), k2)]).deriv,
+            _ConcaveTerm(k, -slt, [(PowerSum(log_common, lnt), k)]).deriv,
         ):
             for a, step in zip(grid, h):
                 _, slope = score(np.array([a]))
@@ -451,6 +452,15 @@ def test_profile_score_slope_matches_central_differences(fiber) -> None:
                 numeric = (ahead[0] - behind[0]) / (2.0 * step)
                 assert slope[0] < 0.0
                 assert slope[0] == pytest.approx(numeric, rel=1e-7)
+
+
+@pytest.mark.parametrize("func", [profile_loglik, lambda_hats, u_stat, v_stat])
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_shape_must_be_finite(fiber, func, alpha) -> None:
+    """The profile, the rate maximizers and the power sums U and V refuse a
+    shape that is not finite with a ValueError instead of returning nan."""
+    with pytest.raises(ValueError, match="alpha must be"):
+        func(fiber, alpha)
 
 
 def test_root_finder_meets_brentq_within_15_sweeps() -> None:

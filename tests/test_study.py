@@ -407,7 +407,7 @@ def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatc
             core = real.from_jpc(sample, prior)
             if key == slow:
                 limit = core.branch.local(np.array([1e150]))[1][0]
-                core.branch.parts[0].c1 += limit + 1e-13
+                core.branch.c1 += limit + 1e-13
             return core
 
     modes = []
