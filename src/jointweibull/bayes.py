@@ -61,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, ImproperPosteriorError
+from .errors import DegenerateWeightsError, ImproperPosteriorError, _check_count, _check_level, _check_real
 from .gof import CompleteSample, _ks_rows
 from .jpc import JpcSample, simulate_jpc_batch
 from .mle import IntervalEstimate
@@ -69,7 +69,6 @@ from .rng import (
     BetaGammaHyper,
     PowerSum,
     RngStream,
-    _check_hyper,
     _ConcaveTerm,
     _locate_modes,
     _max_shift,
@@ -89,7 +88,7 @@ class ShapeHyper:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            _check_hyper(name, getattr(self, name))
+            _check_real(name, getattr(self, name), positive=False)
 
 
 @dataclass(frozen=True)
@@ -312,8 +311,7 @@ class _PosteriorCore:
         return l1, l2, ln_g
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
-        if n < 1:
-            raise ValueError("n_draws must be positive")
+        _check_count("n_draws", n, 1)
         alpha, sums, counts = _sample_marginal(self.branch, n, rng, self.mode)
         l1, l2, ln_g = self._rates(sums, rng)
         if not np.any(ln_g > -math.inf):
@@ -402,7 +400,7 @@ def weibull_posterior_complete(
     one concave term and no importance correction at all.
     """
     for name, v in (("bg_a", bg_a), ("bg_b", bg_b)):
-        _check_hyper(name, v)
+        _check_real(name, v, positive=False)
     prior = PriorSpec(BetaGammaHyper(bg_a, bg_b, 0.0, 0.0), shape)
     post = _PosteriorCore.from_complete((data,), prior).draw(n_draws, rng)
     return post.alpha, post.lambda1
@@ -426,8 +424,7 @@ def weighted_hpd(values, normalized, level: float) -> IntervalEstimate:
     leftmost.  When no window qualifies (a single draw, or one atom heavier
     than ``level``) the interval degenerates to the heaviest draw.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    _check_level(level)
     values = np.asarray(values, dtype=float)
     v = np.asarray(normalized, dtype=float)
     order = np.argsort(values, kind="stable")
@@ -491,8 +488,7 @@ def posterior_predictive_pvalue(
     """
     if rng is None:
         raise ValueError("an explicit RngStream is required")
-    if n_rep < 1:
-        raise ValueError("n_rep must be positive")
+    _check_count("n_rep", n_rep, 1)
     if isinstance(data, CompleteSample):
         if posterior is None:
             post = _PosteriorCore.from_complete((data,), prior).draw(n_rep, rng)

@@ -37,6 +37,8 @@ from .errors import (
     NonIntegrableTargetError,
     SampleFileError,
     UnstableBootstrapError,
+    _check_count,
+    _check_level,
 )
 from .gof import (
     CompleteSample,
@@ -50,7 +52,7 @@ from .io import parse_complete_file, parse_jpc_file, serialize_jpc_sample
 from .jpc import CensoringScheme, JointParams, JpcSample, shift_sample, simulate_jpc
 from .mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
 from .rng import BetaGammaHyper, RngStream
-from .study import StudyConfig, run_interval_study, run_point_study
+from .study import _COMPONENTS, StudyConfig, run_interval_study, run_point_study
 
 SEED_ENV_VAR = "JOINTWEIBULL_SEED"
 
@@ -154,14 +156,9 @@ def _cmd_bayes(args) -> int:
     post = draw_posterior(sample, prior, args.n_draws, RngStream(_seed(args)))
     out = sys.stdout
     names = ("alpha", "lambda1", "lambda2")
-    extractors = (
-        lambda a, l1, l2: a,
-        lambda a, l1, l2: l1,
-        lambda a, l1, l2: l2,
-    )
-    for name, h in zip(names, extractors):
+    for name, h in zip(names, _COMPONENTS):
         _emit(out, name, bayes_estimate(post, h))
-    for name, h in zip(names, extractors):
+    for name, h in zip(names, _COMPONENTS):
         ci = hpd_interval(post, h, args.level)
         _emit(out, f"hpd_{name}", ci.lower, ci.upper)
     _emit(out, "hpd_level", args.level)
@@ -177,10 +174,7 @@ def _cmd_analyze(args) -> int:
     data = []
     for path in (args.data1, args.data2):
         data.append(CompleteSample.from_raw(parse_complete_file(path), shift=args.shift))
-    shape_prior = ShapeHyper(args.a, args.b)
-    prior = PriorSpec(
-        bg=BetaGammaHyper(args.a0, args.b0, args.a1, args.a2), shape=shape_prior
-    )
+    prior = _prior_from_args(args)
     for tag, ds, offset in (("data1", data[0], 10), ("data2", data[1], 20)):
         fit = fit_weibull_complete(ds)
         d = ks_distance(ds, fit.alpha, fit.lam)
@@ -190,7 +184,7 @@ def _cmd_analyze(args) -> int:
         _emit(out, f"{tag}_ks_pvalue", ks_pvalue(d, ds.n))
         stream = RngStream(seed, offset)
         alphas, lams = weibull_posterior_complete(
-            ds, args.a0, args.b0, shape_prior, args.n_draws, stream
+            ds, args.a0, args.b0, prior.shape, args.n_draws, stream
         )
         _emit(out, f"{tag}_bayes_alpha", float(alphas.mean()))
         _emit(out, f"{tag}_bayes_lambda", float(lams.mean()))
@@ -224,9 +218,8 @@ def _cmd_analyze(args) -> int:
             "common_bayes_* values are unreliable",
             file=sys.stderr,
         )
-    _emit(out, "common_bayes_alpha", bayes_estimate(post, lambda a, l1, l2: a))
-    _emit(out, "common_bayes_lambda1", bayes_estimate(post, lambda a, l1, l2: l1))
-    _emit(out, "common_bayes_lambda2", bayes_estimate(post, lambda a, l1, l2: l2))
+    for name, h in zip(("alpha", "lambda1", "lambda2"), _COMPONENTS):
+        _emit(out, f"common_bayes_{name}", bayes_estimate(post, h))
     pred_stream = RngStream(seed, 31)
     for tag, ds, lam_draws in (
         ("data1", data[0], post.lambda1),
@@ -308,16 +301,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _usage(check, value):
+    """``value`` once ``check(value)`` passes; a refusal is a usage error."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _level(text: str) -> float:
-    if not 0.0 < float(text) < 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, not {text}")
-    return float(text)
+    return _usage(_check_level, float(text))
 
 
 def _count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text}")
-    return int(text)
+    return _usage(lambda v: _check_count("count", v, 1), int(text))
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-rep", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=None)
     _add_prior_flags(p)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, ordered=False)
 
     p = sub.add_parser("study", help="run a Monte Carlo study from a JSON config")
     p.add_argument("config")

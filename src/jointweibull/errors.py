@@ -5,9 +5,41 @@ callers can tell "no MLE exists for this sample" apart from "the posterior
 does not integrate" and from plain input-file problems.  A Monte Carlo
 study skips and counts a replication in which any method raises an
 ``EstimationError``.
+
+Scalar inputs follow one rule per kind of number, each a helper here that
+raises ``ValueError`` naming the argument: a count (:func:`_check_count`)
+is an integer in ``[low, 2^64)``; a real (:func:`_check_real`) is finite
+and > 0, or >= 0 where zero is allowed; a level (:func:`_check_level`) is
+a real strictly inside (0, 1).  A bool is none of these, a float is no
+count and a string is no number.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+
+def _check_count(name: str, v, low: int = 0, high=2**64) -> None:
+    """Refuse a count that is not an integer in [low, high), a float or a
+    bool among them."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or not low <= v < high:
+        bounds = f"[{low}, {'2^64' if high == 2**64 else high})"
+        raise ValueError(f"{name} must be an integer in {bounds}, not {v!r}")
+
+
+def _check_real(name: str, v, positive: bool = True) -> None:
+    """Refuse a value that is not a finite real > 0, or >= 0 where
+    ``positive`` is false; a bool is refused."""
+    real = not isinstance(v, bool) and isinstance(v, Real) and math.isfinite(v)
+    if not (real and (v > 0.0 if positive else v >= 0.0)):
+        raise ValueError(f"{name} must be a finite real {'>' if positive else '>='} 0, not {v!r}")
+
+
+def _check_level(level) -> None:
+    """Refuse a level that is not a real strictly inside (0, 1)."""
+    if isinstance(level, bool) or not isinstance(level, Real) or not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie strictly between 0 and 1, not {level!r}")
 
 
 class EstimationError(Exception):

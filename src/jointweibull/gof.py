@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _check_count, _check_real
 from .mle import _NO_SHAPE, _fit_rows
 from .rng import PowerSum, RngStream
 
@@ -28,11 +28,12 @@ class CompleteSample:
     shift: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(self.values)
+        for j, v in enumerate(values):
+            _check_real(f"values[{j}]", v)
+        object.__setattr__(self, "values", tuple(map(float, values)))
         if not self.values:
             raise ValueError("sample must be non-empty")
-        if any(not (math.isfinite(v) and v > 0.0) for v in self.values):
-            raise ValueError("all values must be positive finite reals")
 
     @classmethod
     def from_raw(cls, raw, shift: float = 0.0) -> "CompleteSample":
@@ -146,8 +147,8 @@ def _ks_rows(log_t, delta, alpha, lam1, lam2) -> np.ndarray:
 
 def ks_distance(data: CompleteSample, alpha: float, lam: float) -> float:
     """Sup distance between the empirical CDF and a Weibull CDF."""
-    if not (alpha > 0.0 and lam > 0.0):
-        raise ValueError("alpha and lambda must be positive")
+    _check_real("alpha", alpha)
+    _check_real("lam", lam)
     a, lam = np.array([alpha]), np.array([lam])
     return float(_ks_rows(np.log(data.sorted), np.ones(data.n), a, lam, lam)[0])
 
@@ -173,10 +174,11 @@ def ks_pvalue(
     row without a maximizer raises :class:`ConvergenceError`), and take
     every row's distance in one pass.
     """
-    if not 0.0 <= distance <= 1.0:
-        raise ValueError("a KS distance lies in [0, 1]")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_real("distance", distance, positive=False)
+    if distance > 1.0:
+        raise ValueError(f"distance must lie in [0, 1], not {distance!r}")
+    _check_count("n", n, 1)
+    _check_count("n_mc", n_mc)
     if n_mc > 0:
         if rng is None:
             raise ValueError("a Monte Carlo p-value needs an explicit RngStream")

@@ -21,18 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
+from .errors import _check_count, _check_real
 from .rng import PowerSum, RngStream
-
-
-def _check_count(name: str, v, low: int = 0) -> None:
-    """Refuse a count that is not an integer in [low, 2^64), a float or a
-    bool among them."""
-    if isinstance(v, bool) or not isinstance(v, Integral) or not low <= v < 2**64:
-        raise ValueError(f"{name} must be an integer in [{low}, 2^64), not {v!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,7 @@ class JpcObservation:
     s: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise ValueError("failure time must be a positive finite real")
+        _check_real("t", self.t)
         _check_count("delta", self.delta)
         if self.delta > 1:
             raise ValueError("delta must be 0 or 1")
@@ -91,9 +83,7 @@ class JointParams:
 
     def __post_init__(self):
         for name in ("alpha", "lambda1", "lambda2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a positive finite real")
+            _check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -192,20 +182,16 @@ def log_weights(R, delta, s) -> tuple[np.ndarray, np.ndarray]:
         return np.log(s + delta), np.log(np.asarray(R) - s + 1 - delta)
 
 
-def _non_negative(alpha: float) -> float:
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be a finite real >= 0")
-    return float(alpha)
-
-
 def u_stat(sample: JpcSample, alpha: float) -> float:
     """Group-1 weighted power sum U(alpha); U(0) counts the group size m."""
-    return float(np.exp(log_u_stat(sample, _non_negative(alpha))))
+    _check_real("alpha", alpha, positive=False)
+    return float(np.exp(log_u_stat(sample, alpha)))
 
 
 def v_stat(sample: JpcSample, alpha: float) -> float:
     """Group-2 weighted power sum V(alpha); V(0) counts the group size n."""
-    return float(np.exp(log_v_stat(sample, _non_negative(alpha))))
+    _check_real("alpha", alpha, positive=False)
+    return float(np.exp(log_v_stat(sample, alpha)))
 
 
 def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:
@@ -223,10 +209,8 @@ def log_likelihood(sample: JpcSample, params: JointParams) -> float:
     k = sample.scheme.k
     a = params.alpha
     val = k * math.log(a) + (a - 1.0) * sample.sum_log_t
-    if k1 > 0:
-        val += k1 * math.log(params.lambda1)
-    if k2 > 0:
-        val += k2 * math.log(params.lambda2)
+    val += k1 * math.log(params.lambda1)
+    val += k2 * math.log(params.lambda2)
     val -= params.lambda1 * u_stat(sample, a)
     val -= params.lambda2 * v_stat(sample, a)
     return float(val)
@@ -277,8 +261,7 @@ def simulate_jpc_batch(
     redrawn at their own parameters; a row whose first hazard overflows,
     where every gap would be 0, raises ``ValueError`` before any draw.
     """
-    if size < 1:
-        raise ValueError("size must be positive")
+    _check_count("size", size, 1)
     alpha, lam1, lam2 = (np.broadcast_to(np.asarray(p, dtype=float), (size,)) for p in params)
     for name, v in (("alpha", alpha), ("lambda1", lam1), ("lambda2", lam2)):
         if not np.all(np.isfinite(v) & (v > 0.0)):

@@ -45,6 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError, NoMleError, UnstableBootstrapError
+from .errors import _check_count, _check_level, _check_real
 from .jpc import (
     CensoringScheme,
     JointParams,
@@ -84,8 +85,7 @@ class IntervalEstimate:
     level: float
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie strictly between 0 and 1")
+        _check_level(self.level)
         if not self.lower <= self.upper:
             raise ValueError("interval endpoints out of order")
 
@@ -123,8 +123,7 @@ def _require_both_groups(sample: JpcSample) -> None:
 def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
     """Closed-form rate maximizers k1/U(alpha), k2/V(alpha)."""
     _require_both_groups(sample)
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be a positive finite real")
+    _check_real("alpha", alpha)
     l1 = math.exp(math.log(sample.k1) - float(log_u_stat(sample, alpha)))
     l2 = math.exp(math.log(sample.k2) - float(log_v_stat(sample, alpha)))
     return l1, l2
@@ -133,8 +132,7 @@ def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
 def profile_loglik(sample: JpcSample, alpha: float) -> float:
     """Profiled shape criterion p(alpha) (rates maximized out, constants
     dropped)."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be a positive finite real")
+    _check_real("alpha", alpha)
     k = sample.scheme.k
     val = k * math.log(alpha) + (alpha - 1.0) * sample.sum_log_t
     val -= sample.k1 * float(log_u_stat(sample, alpha))
@@ -265,8 +263,7 @@ def asymptotic_ci(
     ``var(l_g) = l_g^2 (1/k_g + E_g^2 var(a))``, positive and finite for
     every shape in [1e-10, 1e10] (:func:`fisher_info` is the reference).
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    _check_level(level)
     a, l1, l2 = params.alpha, params.lambda1, params.lambda2
     free = zip(sample.power_sums, (sample.k1, sample.k2))
     groups = [_pooled(sample.scheme, sample.log_t)] if boundary else free
@@ -305,10 +302,8 @@ def bootstrap_ci(
     """
     if rng is None:
         raise ValueError("an explicit RngStream is required")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
-    if n_boot < 1:
-        raise ValueError("n_boot must be at least 1")
+    _check_level(level)
+    _check_count("n_boot", n_boot, 1)
     return _bootstrap(sample, _fit(sample, ordered).params, level, n_boot, ordered, rng)
 
 

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonIntegrableTargetError
+from .errors import NonIntegrableTargetError, _check_count, _check_real
 
 _MASK64 = (1 << 64) - 1
 
@@ -198,18 +197,14 @@ class RngStream:
     __slots__ = ("seed", "counter", "_gen")
 
     def __init__(self, seed: int, counter: int = 0):
-        seed = int(seed)
-        counter = int(counter)
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
-        counter &= _MASK64
-        self.seed = seed
-        self.counter = counter
-        key = np.array([seed, counter], dtype=np.uint64)
+        _check_count("seed", seed)
+        _check_count("counter", counter, -math.inf, math.inf)
+        self.seed, self.counter = int(seed), int(counter) & _MASK64
+        key = np.array([self.seed, self.counter], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, (self.counter + int(offset)) & _MASK64)
+        return RngStream(self.seed, self.counter + offset)
 
     # thin wrappers so all draws are auditable through one interface
 
@@ -264,13 +259,7 @@ class BetaGammaHyper:
 
     def __post_init__(self):
         for name in ("a0", "b0", "a1", "a2"):
-            _check_hyper(name, getattr(self, name))
-
-
-def _check_hyper(name: str, v) -> None:
-    """Refuse a hyperparameter that is not a finite real >= 0 (a bool too)."""
-    if isinstance(v, bool) or not isinstance(v, Real) or not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"{name} must be a finite real >= 0, not {v!r}")
+            _check_real(name, getattr(self, name), positive=False)
 
 
 def beta_gamma_mean(hyper: BetaGammaHyper) -> tuple[float, float]:
@@ -314,14 +303,11 @@ def log_beta_gamma_pdf(l1, l2, hyper: BetaGammaHyper):
     )
 
 
-def _positive(hyper: BetaGammaHyper) -> None:
-    if min(hyper.a0, hyper.b0, hyper.a1, hyper.a2) <= 0.0:
-        raise ValueError("sampling a beta-gamma law needs strictly positive hyperparameters")
-
-
 def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
-    """Draw rate pairs (l1, l2): total gamma(a0,b0) split by beta(a1,a2)."""
-    _positive(hyper)
+    """Draw rate pairs (l1, l2): total gamma(a0,b0) split by beta(a1,a2),
+    which needs every hyperparameter > 0."""
+    for name in ("a0", "b0", "a1", "a2"):
+        _check_real(name, getattr(hyper, name))
     lam = rng.gamma(hyper.a0, rate=hyper.b0, size=size)
     p = rng.beta(hyper.a1, hyper.a2, size=size)
     return p * lam, (1.0 - p) * lam

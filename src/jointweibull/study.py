@@ -22,10 +22,10 @@ import numpy as np
 
 from .bayes import PriorSpec, ShapeHyper, _PosteriorCore, bayes_estimate, draw_posterior
 from .bayes import hpd_interval, shape_modes
-from .errors import EstimationError, StudyFailedError
-from .jpc import CensoringScheme, JointParams, _check_count, sample_of_row, simulate_jpc_batch
+from .errors import EstimationError, StudyFailedError, _check_count, _check_level, _check_real
+from .jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
 from .mle import _bootstrap, _fit_design, asymptotic_ci
-from .rng import BetaGammaHyper, RngStream, _check_hyper, splitmix64
+from .rng import BetaGammaHyper, RngStream, splitmix64
 
 POINT_METHODS = (
     "mle",
@@ -83,9 +83,8 @@ class StudyConfig:
             raise ValueError(f"repeated methods: {list(self.methods)}")
         for name in ("replications", "n_posterior", "n_boot", "base_seed"):
             _check_count(name, getattr(self, name), 0 if name == "base_seed" else 1)
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie strictly between 0 and 1")
-        _check_hyper("shape_rate_flat", self.shape_rate_flat)
+        _check_level(self.level)
+        _check_real("shape_rate_flat", self.shape_rate_flat, positive=False)
 
     def prior_for(self, method: str) -> PriorSpec:
         ordered = method.startswith("bayes-ordered")

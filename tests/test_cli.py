@@ -413,6 +413,30 @@ def test_study_command_refuses_fractional_counts(tmp_path, capsys, monkeypatch) 
         assert captured.err.startswith("error:") and word in captured.err
 
 
+@pytest.mark.parametrize("key", ["alpha", "lambda2"])
+def test_study_command_refuses_a_bool_parameter(key, tmp_path, capsys, monkeypatch) -> None:
+    """A bool for a true Weibull parameter exits 4 naming the key, before
+    any replication runs and with nothing on stdout, rather than running
+    as the value 1."""
+    import jointweibull.cli as cli
+
+    def never(config):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_interval_study", never)
+    config = {
+        "m": 69, "n": 63, "k": 20, "R": [4] * 19 + [36],
+        "alpha": 4.3475, "lambda1": 0.045326, "lambda2": 0.045326,
+        "replications": 3, "methods": ["mle-ordered"], "kind": "interval", key: True,
+    }
+    p = tmp_path / "study.json"
+    p.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["study", str(p)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f"{key} must be" in captured.err
+
+
 def _console_script_command(name: str) -> list[str]:
     """The ``[project.scripts]`` entry ``name`` as a fresh interpreter runs
     it from an installer's wrapper: import the target, ``sys.exit(main())``."""
