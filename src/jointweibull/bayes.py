@@ -51,6 +51,12 @@ enters, so shape draws are exact up to floating point.
 A posterior core holds one group or two.  One complete sample is one
 group with a gamma(a0, b0) rate prior: G = s1 = a0 + n, so w = 1, c = 0,
 the rate is ``T/R1`` with no split, and g = 1.
+
+Cores draw as a stack, one row each (a lone draw is a stack of one): one
+tangent call builds every hull, and the proposals, the marginal at them,
+the rejection test and the rates are array steps over the rows.  Each row
+draws from its own stream exactly the variates, in the order and counts,
+that it would draw alone, so its draws are its lone draws byte for byte.
 """
 
 from __future__ import annotations
@@ -167,39 +173,168 @@ def _check_decay(branch: _ConcaveTerm) -> None:
         raise ImproperPosteriorError("shape marginal does not decay")
 
 
-def _sample_marginal(
-    branch: _ConcaveTerm, n: int, rng: RngStream, mode=None
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Exact shape draws from exp(s), s the concave ``branch``, by rejection
-    from its static tangent hull around ``mode`` (located here if not
-    given); the log power sums of the accepted shapes come back with the
-    draws, one column per shape, and the sampler's counts for
-    :class:`WeightedPosterior`.  The first batch is sized for 95%
-    acceptance, near what the hulls get (about 99% on the study presets),
-    and later ones for the acceptance seen so far; rejection from i.i.d.
-    proposals is exact whatever the batch sizes."""
-    envelope = build_static_envelope(branch.local, mode)
-    out = np.empty(n)
-    kept = np.empty((len(branch.groups), n))
-    have = proposed = accepted = guard = 0
-    rate = 0.95
-    while have < n:
-        guard += 1
-        if guard > 10000:
-            raise ImproperPosteriorError("shape sampler stalled; acceptance is vanishing")
-        chunk = int((n - have) / rate) + 8
-        q = envelope.sample(chunk, rng)
-        log_env = envelope.log_value(q)
-        log_f, sums = branch(q)
-        accept = np.log(np.clip(rng.uniform(chunk), 1e-300, None)) <= log_f - log_env
-        taken = np.flatnonzero(accept)[: n - have]
-        out[have : have + taken.size] = q[taken]
-        kept[:, have : have + taken.size] = sums[:, taken]
-        have += taken.size
-        proposed += chunk
-        accepted += int(accept.sum())
-        rate = max(0.05, accepted / proposed)
-    return out, kept, dict(proposed=proposed, accepted=accepted, tangents=envelope._bx.size)
+def _sample_marginal(cores, n: int, rngs) -> tuple:
+    """Exact shape draws, ``n`` per core (of samples with equal k), from
+    exp(s), s its shape marginal, by rejection from its tangent hull around
+    its mode (searched where not set), every hull from one tangent call.
+    Returns the draws, the log power sums of the kept shapes (one row per
+    group, then per core), the sampler counts and each core's error (None
+    for none).  Core ``i`` draws from ``rngs[i]`` alone, ``3c`` uniforms per
+    round of ``c`` proposals (segments, places, tests); the first round is
+    sized for 95% acceptance (the study presets get about 99%), later ones
+    for the acceptance seen, and rejection is exact whatever the sizes."""
+    shape_modes([c for c in cores if c.mode is None])
+    term = _stack(cores)
+    env = build_static_envelope(term.local, np.array([c.mode for c in cores]))
+    rows = len(cores)
+    out, kept = np.zeros((rows, n)), np.zeros((len(term.groups), rows, n))
+    have, proposed, accepted = (np.zeros(rows, dtype=np.int64) for _ in range(3))
+    rate, errors = np.full(rows, 0.95), list(env.errors)
+    live = np.flatnonzero([e is None for e in errors])
+    for _ in range(10000):
+        if not live.size:
+            break
+        need = n - have[live]
+        chunk = (need / rate[live]).astype(np.int64) + 8
+        u = np.full((3, live.size, chunk.max()), 0.5)
+        for i, r in enumerate(live):
+            u[:, i, : chunk[i]] = rngs[r].uniform(3 * chunk[i]).reshape(3, -1)
+        q, seg = env.sample(u[0], u[1], live)
+        log_f, sums = (term if live.size == rows else _stack([cores[r] for r in live]))(q)
+        accept = np.log(np.clip(u[2], 1e-300, None)) <= log_f - env.log_value(q, seg)
+        accept &= np.arange(q.shape[1]) < chunk[:, None]
+        rank = np.cumsum(accept, axis=1)
+        src = np.flatnonzero(accept & (rank <= need[:, None]))
+        dst = (live * n + have[live])[src // q.shape[1]] + rank.ravel()[src] - 1
+        out.ravel()[dst] = q.ravel()[src]
+        kept.reshape(len(kept), -1)[:, dst] = sums.reshape(len(sums), -1)[:, src]
+        have[live] += np.minimum(rank[:, -1], need)
+        proposed[live] += chunk
+        accepted[live] += rank[:, -1]
+        rate[live] = np.maximum(0.05, accepted[live] / proposed[live])
+        live = live[have[live] < n]
+    for r in live:
+        errors[r] = ImproperPosteriorError("shape sampler stalled; acceptance is vanishing")
+    return out, kept, dict(proposed=proposed, accepted=accepted, tangents=env.tangents), errors
+
+
+def _stack(cores) -> _ConcaveTerm:
+    """The shape marginals of ``cores`` (of samples with equal k) stacked,
+    one row per core and the coefficients as a column."""
+    terms = [c.branch for c in cores]
+    c0, c1, log_b0 = (np.array([[getattr(t, a)] for t in terms]) for a in ("c0", "c1", "log_b0"))
+    cols = zip(*(t.groups for t in terms))
+    groups = [(PowerSum.stack([g for g, _ in col]), np.array([[c2] for _, c2 in col])) for col in cols]
+    return _ConcaveTerm(c0, c1, groups, log_b0)
+
+
+def _rates(cores, sums: np.ndarray, rngs):
+    """Rates given the shapes' log power sums (one row per group, then per
+    core), and their log weights, one row per core, each drawn from its own
+    stream in ``rngs``: a gamma total first, then the split.  One group's
+    rate is its gamma(G) total over R_1.  Two groups split the total by a
+    beta(s1, s2) fraction of the rescaled rates, cut below x0 for an
+    ordered prior.  Where the cut keeps ``_CUT_FLOOR`` of the mass or more,
+    beta draws below x0 are kept over ``_CUT_ROUNDS`` rounds; the rest
+    invert ``I``.  Each rate is ``exp(ln fraction + ln total - ln R_g)``,
+    which never divides by an overflowed ``R_g``: a rate is 0 only where
+    its log is below -745 and infinite only where it is above 709.78."""
+    col = lambda v: np.array(v, dtype=float)[:, None]  # noqa: E731
+    ln_r = np.logaddexp(col([c.log_b0 for c in cores]), sums)
+    rows, size = sums.shape[1:]
+    total = np.array([rng.gamma(c.gamma_shape, size=size) for c, rng in zip(cores, rngs)])
+    with np.errstate(divide="ignore"):
+        ln_total = np.log(total)
+    ln_g = np.zeros((rows, size))
+    if len(ln_r) == 1:
+        lam = np.exp(ln_total - ln_r[0])
+        return lam, lam, ln_g
+    bgs, (s1, s2) = [c.prior.bg for c in cores], zip(*(c.group_shapes for c in cores))
+    ordered = np.flatnonzero([c.prior.ordered for c in cores])
+    ln_r1, ln_r2 = ln_r
+    ln_rho = ln_r2 - ln_r1
+    frac = np.empty((rows, size))
+    if ordered.size:
+        from scipy.special import betainc, betaincinv, expit
+
+        x0 = expit(-ln_rho[ordered])
+        cut = betainc(col(s1)[ordered], col(s2)[ordered], x0)
+        for i, r in enumerate(ordered):
+            left = np.flatnonzero(cut[i] >= _CUT_FLOOR)
+            for _ in range(_CUT_ROUNDS):
+                b = rngs[r].beta(s1[r], s2[r], size=left.size)
+                below = b < x0[i, left]
+                frac[r, left[below]] = b[below]
+                left = left[~below]
+            left = np.union1d(np.flatnonzero(cut[i] < _CUT_FLOOR), left)
+            u = 1.0 - rngs[r].uniform(left.size)
+            with np.errstate(divide="ignore"):
+                inv = betaincinv(s1[r], s2[r], u * cut[i, left])
+            # where the inverse underflows the cut is deep in the left tail,
+            # and there the cut beta tends to x0 * Beta(s1, 1)
+            frac[r, left] = np.where(inv > 0.0, inv, x0[i, left] * u ** (1.0 / s1[r]))
+        with np.errstate(divide="ignore"):
+            ln_g[ordered] += np.log(cut)
+        frac[ordered] = np.minimum(frac[ordered], np.nextafter(x0, 0.0))
+    for r in np.flatnonzero([not c.prior.ordered for c in cores]):
+        frac[r] = rngs[r].beta(s1[r], s2[r], size=size)
+    with np.errstate(divide="ignore"):
+        ln_frac, ln_rest = np.log(frac), np.log1p(-frac)
+    c, w = col([bg.a0 - bg.a1 - bg.a2 for bg in bgs]), col(s1) / (col(s1) + col(s2))
+    t = np.flatnonzero(c)
+    ln_g[t] += c[t] * np.logaddexp(ln_frac[t] + (1.0 - w[t]) * ln_rho[t], ln_rest[t] - w[t] * ln_rho[t])
+    l1 = np.exp(ln_frac + ln_total - ln_r1)
+    l2 = np.exp(ln_rest + ln_total - ln_r2)
+    l1[ordered] = np.minimum(l1[ordered], np.nextafter(l2[ordered], 0.0))
+    gaps = {r: abs(bgs[r].a2 - bgs[r].a1) for r in ordered if bgs[r].a1 != bgs[r].a2}
+    for gap in set(gaps.values()):  # a scalar power, as alone
+        t = [r for r, g in gaps.items() if g == gap]
+        ln_g[t] += np.log1p((l1[t] / l2[t]) ** gap) - math.log(2.0)
+    return l1, l2, ln_g
+
+
+class _DrawStack:
+    """``n`` posterior draws for each core of ``rngs`` (of samples with
+    equal k) from its stream there, made in array steps over a group of
+    about 2^14 draws when the first of the group is taken, so memory stays
+    flat however many cores join.  A row draws what it would alone."""
+
+    def __init__(self, n: int, rngs: dict):
+        _check_count("n_draws", n, 1)
+        self.n, self.rngs, self.made, self.rows = n, rngs, {}, {core: i for i, core in enumerate(rngs)}
+        for core in rngs:
+            core.stack = self
+
+    def take(self, core) -> WeightedPosterior:
+        """The draws of ``core``, or the error its row raised; the core
+        leaves the stack."""
+        if core not in self.made:
+            step, n = max(1, 2**14 // self.n), self.n
+            first = self.rows[core] // step * step
+            cores = list(self.rngs)[first : first + step]
+            rngs = [self.rngs[c] for c in cores]
+            alpha, sums, counts, made = _sample_marginal(cores, n, rngs)
+            l1, l2, ln_g = _rates(cores, sums, rngs)  # a failed row's are never read
+            dead = ~np.any(ln_g > -math.inf, axis=1)
+            ln_g[dead] = 0.0
+            normalized, _ = _max_shift(ln_g)
+            normalized /= normalized.sum(axis=1, keepdims=True)
+            low = 1.0 / np.sum(normalized**2, axis=1) < 0.01 * n
+            with np.errstate(over="ignore"):
+                weights = np.exp(ln_g)
+            for r in np.flatnonzero([e is None for e in made]):
+                if dead[r]:
+                    made[r] = DegenerateWeightsError("every importance weight underflowed to zero")
+                    continue
+                lam, kw = l1[r], {k: int(v[r]) for k, v in counts.items()}
+                made[r] = WeightedPosterior(
+                    alpha[r], lam, lam if l2 is l1 else l2[r], weights[r], normalized[r], bool(low[r]), **kw
+                )
+            self.made.update(zip(cores, made))
+        core.stack, made = None, self.made.pop(core)
+        if isinstance(made, Exception):
+            raise made
+        return made
 
 
 class _PosteriorCore:
@@ -209,11 +344,12 @@ class _PosteriorCore:
     count) pair, with the sum of the log failure times and the prior; a
     one-group core reads only a0, b0 and the shape prior.  It owns the
     shape marginal of the one rate proposal (see the module docstring) and
-    its properness checks, hands it to the envelope sampler
-    ``_sample_marginal`` with its ``mode`` (located there unless
-    :func:`shape_modes` has set it), and draws the rates with their
-    importance weights.
+    its properness checks, and draws as a row of a :class:`_DrawStack`,
+    around its ``mode`` (searched there unless :func:`shape_modes` has set
+    it).
     """
+
+    stack = None
 
     def __init__(self, groups, sum_log_t: float, prior: PriorSpec):
         self.prior = prior
@@ -250,86 +386,12 @@ class _PosteriorCore:
         groups = [(PowerSum(0.0, d.log_values), d.n) for d in samples]
         return cls(groups, sum(d.sum_log for d in samples), prior)
 
-    def _rates(self, sums: np.ndarray, rng: RngStream):
-        """Rates given the shapes' log power sums, one row per group, and
-        their log weights.  One group's rate is its gamma(G) total over R_1.
-        Two groups split the total by a beta(s1, s2) fraction of the
-        rescaled rates, cut below x0 for an ordered prior.  Where the cut
-        keeps ``_CUT_FLOOR`` of the mass or more, beta draws below x0 are
-        kept over ``_CUT_ROUNDS`` rounds; the rest invert ``I``.  Each rate
-        is ``exp(ln fraction + ln total - ln R_g)``, which never divides by
-        an overflowed ``R_g``: a rate is 0 only where its log is below -745
-        and infinite only where it is above 709.78."""
-        ln_r = np.logaddexp(self.log_b0, sums)
-        size = ln_r.shape[1]
-        total = rng.gamma(self.gamma_shape, size=size)
-        with np.errstate(divide="ignore"):
-            ln_total = np.log(total)
-        ln_g = np.zeros(size)
-        if len(ln_r) == 1:
-            lam = np.exp(ln_total - ln_r[0])
-            return lam, lam, ln_g
-        bg = self.prior.bg
-        s1, s2 = self.group_shapes
-        ln_r1, ln_r2 = ln_r
-        ln_rho = ln_r2 - ln_r1
-        if self.prior.ordered:
-            from scipy.special import betainc, betaincinv, expit
-
-            x0 = expit(-ln_rho)
-            cut = betainc(s1, s2, x0)
-            frac = np.empty(size)
-            left = np.flatnonzero(cut >= _CUT_FLOOR)
-            for _ in range(_CUT_ROUNDS):
-                b = rng.beta(s1, s2, size=left.size)
-                below = b < x0[left]
-                frac[left[below]] = b[below]
-                left = left[~below]
-            left = np.union1d(np.flatnonzero(cut < _CUT_FLOOR), left)
-            u = 1.0 - rng.uniform(left.size)
-            with np.errstate(divide="ignore"):
-                inv = betaincinv(s1, s2, u * cut[left])
-                ln_g += np.log(cut)
-            # where the inverse underflows the cut is deep in the left tail,
-            # and there the cut beta tends to x0 * Beta(s1, 1)
-            frac[left] = np.where(inv > 0.0, inv, x0[left] * u ** (1.0 / s1))
-            frac = np.minimum(frac, np.nextafter(x0, 0.0))
-        else:
-            frac = rng.beta(s1, s2, size=size)
-        with np.errstate(divide="ignore"):
-            ln_frac, ln_rest = np.log(frac), np.log1p(-frac)
-        c = bg.a0 - bg.a1 - bg.a2
-        if c != 0.0:
-            w = s1 / (s1 + s2)
-            ln_g += c * np.logaddexp(ln_frac + (1.0 - w) * ln_rho, ln_rest - w * ln_rho)
-        l1 = np.exp(ln_frac + ln_total - ln_r1)
-        l2 = np.exp(ln_rest + ln_total - ln_r2)
-        if self.prior.ordered:
-            l1 = np.minimum(l1, np.nextafter(l2, 0.0))
-            if bg.a1 != bg.a2:
-                ln_g += np.log1p((l1 / l2) ** abs(bg.a2 - bg.a1)) - math.log(2.0)
-        return l1, l2, ln_g
-
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
-        _check_count("n_draws", n, 1)
-        alpha, sums, counts = _sample_marginal(self.branch, n, rng, self.mode)
-        l1, l2, ln_g = self._rates(sums, rng)
-        if not np.any(ln_g > -math.inf):
-            raise DegenerateWeightsError("every importance weight underflowed to zero")
-        normalized, _ = _max_shift(ln_g)
-        normalized /= normalized.sum()
-        with np.errstate(over="ignore"):
-            weights = np.exp(ln_g)
-        post = WeightedPosterior(
-            alpha=alpha,
-            lambda1=l1,
-            lambda2=l2,
-            weights=weights,
-            normalized=normalized,
-            **counts,
-        )
-        post.low_ess = post.ess < 0.01 * n
-        return post
+        """``n`` draws from ``rng``: those of the :class:`_DrawStack` this
+        core joined with this ``n`` and stream, else of a stack of one."""
+        if self.stack is None or self.stack.n != n or self.stack.rngs[self] is not rng:
+            _DrawStack(n, {self: rng})
+        return self.stack.take(self)
 
 
 def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
@@ -349,13 +411,11 @@ def shape_modes(cores) -> None:
     """Set the ``mode`` of each core (of samples with equal k) from one
     lockstep search, one row per core: a row's mode is the one a lone
     search finds, ``inf`` where its marginal still rises at 1e10."""
-    terms = [c.branch for c in cores]
-    c0, c1, log_b0 = (np.array([getattr(t, a) for t in terms]) for a in ("c0", "c1", "log_b0"))
-    cols = zip(*(t.groups for t in terms))
-    groups = [(PowerSum.stack([g for g, _ in col]), np.array([c2 for _, c2 in col])) for col in cols]
-    stack = _ConcaveTerm(c0, c1, groups, log_b0)
-    for core, mode in zip(cores, _locate_modes(stack.deriv, len(cores))):
-        core.mode = mode
+    if cores:
+        deriv = _stack(cores).deriv  # one column of shapes
+        modes = _locate_modes(lambda x: [v[:, 0] for v in deriv(x[:, None])], len(cores))
+        for core, mode in zip(cores, modes):
+            core.mode = mode
 
 
 def draw_posterior(

@@ -75,9 +75,11 @@ def _seed(args) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise SampleFileError(f"{SEED_ENV_VAR} must be an integer") from exc
+            seed = int(env)
+            _check_count(SEED_ENV_VAR, seed)
+        except ValueError:
+            raise SampleFileError(f"{SEED_ENV_VAR} must be an integer in [0, 2^64), not {env!r}") from None
+        return seed
     return 0
 
 

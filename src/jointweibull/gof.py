@@ -37,6 +37,7 @@ class CompleteSample:
 
     @classmethod
     def from_raw(cls, raw, shift: float = 0.0) -> "CompleteSample":
+        _check_real("shift", shift, positive=False)
         return cls(values=tuple(float(v) - shift for v in raw), shift=shift)
 
     @property

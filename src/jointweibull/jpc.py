@@ -314,6 +314,7 @@ def _tau_scale_rows(scheme: CensoringScheme, alpha, lam1, lam2, rng: RngStream):
 def shift_sample(sample: JpcSample, shift: float) -> JpcSample:
     """Subtract a threshold from every failure time (new times must stay
     positive).  Useful when recorded values carry a known lower bound."""
+    _check_real("shift", shift, positive=False)
     if shift == 0.0:
         return sample
     obs = tuple(

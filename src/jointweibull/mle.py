@@ -154,7 +154,8 @@ def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.
     profile = _ConcaveTerm(sum(kg for _, kg in groups), -sum_log_t, groups)
     alpha, ok, sweeps = _solve_rows(profile.deriv, len(sum_log_t), start)
     with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
-        log_rates = np.stack([np.log(kg) - sums.log_sum(alpha) for sums, kg in groups])
+        ln_sums = (sums.moments(alpha)[2] if sums.top.ndim else sums.log_sum(alpha) for sums, _ in groups)
+        log_rates = np.stack([np.log(kg) - ln_sum for (_, kg), ln_sum in zip(groups, ln_sums)])
     return alpha, log_rates, ok, sweeps
 
 

@@ -13,7 +13,8 @@ each segment is normalized and sampled exactly by one closed form with no
 overflowing term; the posterior samplers use such hulls as static proposals
 for their shape draws.  A log-density is one vectorized callable
 (:data:`LogDensity`) that returns its value, slope and curvature together,
-and a hull is built in one step from the arrays of its tangents.  The
+and a hull, or a stack of hulls one per row, is built in one step from the
+arrays of its tangents.  The
 module also holds the package's one root finder, :func:`_solve_rows`, a
 lockstep safeguarded Newton search from a start the caller chooses, over
 rows of decreasing functions given with their slopes: it locates the mode
@@ -101,15 +102,19 @@ class PowerSum:
     def stack(cls, sums) -> "PowerSum":
         """One stack of 1-D groups of equal length, one row each."""
         out = cls.__new__(cls)
-        out.top, out.off, out.wgt = (np.stack([getattr(p, a) for p in sums]) for a in ("top", "off", "wgt"))
+        out.top, out.off, out.wgt = (np.array([getattr(p, a) for p in sums]) for a in ("top", "off", "wgt"))
         return out
 
     def log_sum(self, alpha):
-        """``ln S`` at ``alpha``: any shape of shapes for a 1-D group, one
-        shape per row for a stack."""
+        """``ln S`` at ``alpha``: any shape of shapes for a 1-D group; for a
+        stack, one shape or a row of shapes per row, summed over the times
+        for all of a row's shapes at once, so the last bits may differ from
+        those of :meth:`moments`."""
         a = np.asarray(alpha, dtype=float)
         if self.top.ndim:
-            return self.moments(a)[2]
+            e = np.einsum("bj,b...->bj...", self.off, a)
+            top = self.top.reshape(self.top.shape + (1,) * (a.ndim - 1))
+            return a * top + np.log(np.einsum("bj...,bj->b...", np.exp(e, out=e), self.wgt))
         return a * self.top + np.log(np.exp(np.multiply.outer(a, self._pos_off)) @ self._pos_wgt)
 
     def moments(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,14 +123,17 @@ class PowerSum:
         The sums are contractions over the weighted exponentials, and the
         variance is the weighted sum of squared deviations from the mean."""
         a = np.asarray(alpha, dtype=float)
-        w = a[..., None] * self.off
+        top, off, wgt = self.top, self.off, self.wgt
+        if top.ndim and a.ndim > 1:  # a row of shapes per row of a stack
+            top, off, wgt = top[:, None], off[:, None], wgt[:, None]
+        w = a[..., None] * off
         np.exp(w, out=w)
-        w *= self.wgt
+        w *= wgt
         tot = np.einsum("...j->...", w)
-        mean = np.einsum("...j,...j->...", w, self.off) / tot
-        dev = self.off - mean[..., None]
+        mean = np.einsum("...j,...j->...", w, off) / tot
+        dev = off - mean[..., None]
         var = np.einsum("...j,...j,...j->...", w, dev, dev) / tot
-        return self.top + mean, var, a * self.top + np.log(tot)
+        return top + mean, var, a * top + np.log(tot)
 
 
 class _ConcaveTerm:
@@ -134,7 +142,8 @@ class _ConcaveTerm:
     of (kernel of ``S_g``, ``c2_g``) pairs and ``log_b0`` (``-inf`` for no
     ``b0``): the profile log-likelihood of a fit (``c0 = k``, ``c1 = -sum ln
     t``, ``c2_g = k_g``, no ``b0``) and the shape marginal of a posterior
-    core.  In a stack each coefficient and shape hold one entry per row.
+    core.  In a stack each coefficient and shape hold one entry per row,
+    or a column of coefficients meets a row of shapes.
     With ``D = S/(b0 + S)`` and ``E``, ``Var`` the mean and variance of ``ln
     t`` under the weights of ``S``, the slope is ``c0/a - c1 - sum c2 D E``
     and the curvature ``-c0/a^2 - sum c2 D (Var + (1 - D) E^2)``; without
@@ -318,7 +327,8 @@ def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
 
 
 class PiecewiseExpEnvelope:
-    """Upper hull of a concave log-density built from tangent lines.
+    """Upper hull of a concave log-density built from tangent lines, or a
+    stack of them, one per row.
 
     Every tangent to a concave function dominates it, so the pointwise
     minimum of any collection of tangents is a valid envelope regardless of
@@ -336,71 +346,97 @@ class PiecewiseExpEnvelope:
     ``|a| d < 1e-12``, and a draw with uniform ``w`` lies
     ``-ln(1 - w (1 - exp(-|a| d))) / |a|``, or ``w d``, from that end.  Seen
     from there no term overflows and a rising segment needs no branch of its
-    own, so both forms are array expressions over all segments.
+    own, so both forms are array expressions over all segments.  Each hull
+    has a slot per tangent, the ``tangents`` it keeps first in abscissa
+    order and then masked ones of no mass.
     """
 
     def __init__(self, x, h, dh):
         """The hull on [0, inf) of the tangents with abscissae ``x``,
-        heights ``h`` and slopes ``dh``; a tangent with a non-finite entry
-        or a negative abscissa is left out."""
+        heights ``h`` and slopes ``dh``, one per row of 2-D arrays, which
+        record each row's error (None for none) in ``errors``, where a lone
+        hull raises it; a tangent with a non-finite entry or ``x < 0`` is
+        masked."""
         x, h, dh = (np.asarray(v, dtype=float) for v in (x, h, dh))
         usable = np.isfinite(x) & np.isfinite(h) & np.isfinite(dh) & (x >= 0.0)
-        order = np.argsort(x[usable])
-        x, h, dh = (v[usable][order] for v in (x, h, dh))
-        if x.size == 0:
-            raise NonIntegrableTargetError("no usable tangent points")
+        # orders along the last axis, as indices into the flattened arrays
+        base = np.arange(0, x.size, x.shape[-1]).reshape(x.shape[:-1] + (1,))
+        order = np.argsort(np.where(usable, x, math.inf), axis=-1, kind="stable") + base
+        ok, slope = np.take(usable, order), np.take(np.where(usable, dh, 0.0), order)
         # Concavity means slopes fall left to right; floating noise can give
         # tiny inversions or duplicates.  Each tangent dominates the target
         # alone, so any subset is a valid hull: keep a tangent only where its
         # slope is below every slope to its left.  The rightmost tangent and
         # the rightmost kept one must both fall, or the mass is infinite.
-        left = np.concatenate(([math.inf], np.minimum.accumulate(dh)[:-1]))
-        keep = dh < left - 1e-13 * (1.0 + np.abs(dh))
-        if max(dh[-1], dh[keep][-1]) >= 0.0:
-            raise NonIntegrableTargetError(
-                "rightmost tangent slope is non-negative; envelope has infinite mass"
-            )
-        x, h, dh = x[keep], h[keep], dh[keep]
-        # breakpoints: support edge, pairwise tangent intersections, +inf;
-        # a clipped breakpoint still yields a valid (if looser) hull
-        zi = (h[1:] - h[:-1] + x[:-1] * dh[:-1] - x[1:] * dh[1:]) / (dh[:-1] - dh[1:])
-        zi = np.minimum(np.maximum(zi, x[:-1]), x[1:])
-        z = np.concatenate(([0.0], np.maximum.accumulate(np.maximum(zi, 0.0)), [math.inf]))
-        # a draw steps from the segment's higher end by ln(1 - w _em) / a, or
-        # by w _span from the left end of a flat segment
-        d = np.diff(z)
-        rd = np.abs(dh) * d
-        self._flat, self._em = rd < 1e-12, -np.expm1(-rd)
-        up = (dh > 0.0) & ~self._flat
-        self._end, self._span = np.where(up, z[1:], z[:-1]), np.where(up, -d, d)
+        low = np.minimum.accumulate(np.where(ok, slope, math.inf), axis=-1)
+        edge = np.zeros_like(x[..., :1])
+        left = np.concatenate((edge + math.inf, low[..., :-1]), axis=-1)
+        keep = ok & (slope < left - 1e-13 * (1.0 + np.abs(slope)))
+        used, self.tangents = ok.sum(axis=-1), keep.sum(axis=-1)
+        order = np.take(order, np.argsort(~keep, axis=-1, kind="stable") + base)
+        keep = np.arange(x.shape[-1]) < self.tangents[..., None]
+        x, h, dh = (np.where(keep, np.take(v, order), 0.0) for v in (x, h, dh))
+        # flat indices of each row's rightmost usable and rightmost kept tangent
+        last = base[..., 0] - 1 + np.maximum([used, self.tangents], 1)
+        rise = np.maximum(np.take(slope, last[0]), np.take(dh, last[1])) >= 0.0
+        msg = np.where(rise, "rightmost tangent slope is non-negative; envelope has infinite mass", "")
+        msg = np.where(used == 0, "no usable tangent points", msg)
         with np.errstate(divide="ignore", invalid="ignore"):
+            # breakpoints: support edge, intersections of consecutive kept
+            # tangents, +inf; a clipped breakpoint still yields a valid (if
+            # looser) hull, and a masked slot starts and ends at +inf
+            zi = (h[..., 1:] - h[..., :-1] + x[..., :-1] * dh[..., :-1] - x[..., 1:] * dh[..., 1:]) / (
+                dh[..., :-1] - dh[..., 1:]
+            )
+            zi = np.where(keep[..., 1:], np.minimum(np.maximum(zi, x[..., :-1]), x[..., 1:]), math.inf)
+            z = np.maximum.accumulate(np.maximum(zi, 0.0), axis=-1)
+            z = np.concatenate((edge, z, edge + math.inf), axis=-1)
+            # a draw steps from the segment's higher end by ln(1 - w _em) / a,
+            # or by w _span from the left end of a flat segment
+            d = np.subtract(z[..., 1:], z[..., :-1], out=np.zeros_like(x), where=keep)
+            rd = np.abs(dh) * d
+            self._flat, self._em = rd < 1e-12, -np.expm1(-rd)
+            up = (dh > 0.0) & ~self._flat
+            self._end = np.where(keep, np.where(up, z[..., 1:], z[..., :-1]), 0.0)
+            self._span = np.where(up, -d, d)
             tail = np.where(self._flat, np.log(d), np.log(self._em / np.abs(dh)))
-        logmass = h + dh * (self._end - x) + tail
+            logmass = h + dh * (self._end - x) + tail
         self._bx, self._bh, self._bdh, self._bz = x, h, dh, z
-        if not np.any(logmass > -math.inf):
-            raise NonIntegrableTargetError("envelope mass underflowed to zero")
-        w, top = _max_shift(logmass)
-        self._log_total = float(top[0]) + math.log(w.sum())
-        self._cum = np.cumsum(w / w.sum())
+        dead = (msg == "") & ~np.any(logmass > -math.inf, axis=-1)
+        msg = np.where(dead, "envelope mass underflowed to zero", msg)
+        self.errors = [NonIntegrableTargetError(m) if m else None for m in np.atleast_1d(msg).tolist()]
+        if x.ndim == 1 and self.errors[0]:
+            raise self.errors[0]
+        w, top = _max_shift(np.where((msg != "")[..., None], 0.0, logmass))  # a failed row is never drawn
+        cum = np.cumsum(w, axis=-1)
+        self._log_total = top[..., 0] + np.log(cum[..., -1])
+        self._cum = cum / cum[..., -1:]
 
     def log_total_mass(self) -> float:
-        return self._log_total
+        return float(self._log_total)
 
-    def log_value(self, q) -> np.ndarray:
-        """Envelope height at ``q`` (vectorized)."""
+    def log_value(self, q, seg=None) -> np.ndarray:
+        """Envelope height at ``q``: on the segments ``seg`` that
+        :meth:`sample` drew, or, for a lone hull, on those holding ``q``."""
         q = np.asarray(q, dtype=float)
-        seg = np.clip(np.searchsorted(self._bz, q, side="right") - 1, 0, self._bx.size - 1)
-        return self._bh[seg] + self._bdh[seg] * (q - self._bx[seg])
+        if seg is None:
+            seg = np.clip(np.searchsorted(self._bz, q, side="right") - 1, 0, self.tangents - 1)
+        return np.take(self._bh, seg) + np.take(self._bdh, seg) * (q - np.take(self._bx, seg))
 
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        """Exact draws from the normalized envelope density."""
-        seg = np.searchsorted(self._cum, rng.uniform(n), side="left")
-        seg = np.clip(seg, 0, self._bx.size - 1)
-        w = np.clip(rng.uniform(n), 1e-16, 1.0 - 1e-16)
+    def sample(self, u, w, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Exact draws and their segments (flat indices for a stack) at
+        uniforms ``u``, which pick segments, and ``w``, which place the draws
+        in them; for a stack, row ``i`` draws from hull ``rows[i]``."""
+        if rows is None:
+            seg = np.searchsorted(self._cum, u)
+        else:
+            width = self._cum.shape[-1]
+            seg = np.array([np.searchsorted(self._cum[r], v) + r * width for r, v in zip(rows, u)])
+        w = np.clip(w, 1e-16, 1.0 - 1e-16)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.log1p(-w * self._em[seg]) / self._bdh[seg]
-        step = np.where(self._flat[seg], w * self._span[seg], step)
-        return np.clip(self._end[seg] + step, 0.0, None)
+            step = np.log1p(-w * np.take(self._em, seg)) / np.take(self._bdh, seg)
+        step = np.where(np.take(self._flat, seg), w * np.take(self._span, seg), step)
+        return np.clip(np.take(self._end, seg) + step, 0.0, None), seg
 
 
 # --------------------------------------------------------------------------
@@ -493,35 +529,41 @@ _STATIC_OFFSETS = (
     -8.0, -5.5, -4.0, -3.0, -2.2, -1.6, -1.1, -0.7, -0.35,
     0.0, 0.35, 0.7, 1.1, 1.6, 2.2, 3.0, 4.0, 5.5, 8.0,
 )
+_EDGE_OFFSETS = (0.0, 1.0, 3.0) + (math.nan,) * (len(_STATIC_OFFSETS) - 3)
 
 
 def build_static_envelope(local: LogDensity, mode=None) -> PiecewiseExpEnvelope:
-    """A ready-to-sample hull with curvature-scaled tangent placement.
+    """A ready-to-sample hull with curvature-scaled tangent placement, or a
+    stack of them for a stacked ``local`` and one ``mode`` per row.
 
     The ``mode`` of ``local`` is located here unless the caller has it from
     a stacked search (:func:`_locate_modes`).  An interior mode gets
-    tangents at ``_STATIC_OFFSETS`` multiples of 1/sqrt(-curvature) at the
-    mode around it; a mode at the support edge (1e-8) gets three, spaced
-    by the inverse of the slope there.  The last tangent thus sits 8 scales
-    past the mode or 3/|slope| past the edge, where a strictly concave
-    target slopes down; a target that does not leaves the hull's rightmost
-    slope non-negative, which the hull refuses, as it refuses a mode of
-    ``inf``.  All tangents come from one array call of ``local``.
+    tangents at the positive ones of ``_STATIC_OFFSETS`` multiples of
+    1/sqrt(-curvature) at the mode around it; a mode at the support edge
+    (1e-8) gets three, spaced by the inverse of the slope there.  The last
+    tangent thus sits 8 scales past the mode or 3/|slope| past the edge,
+    where a strictly concave target slopes down; a target that does not
+    leaves the hull's rightmost slope non-negative, which the hull refuses,
+    as it refuses a mode of ``inf``.  All tangents come from one array call
+    of ``local``.  A lone hull raises its error; a stack records each row's.
     """
     if mode is None:
         (mode,) = _locate_modes(local)
-    if mode == math.inf:
-        raise NonIntegrableTargetError("log-density still increasing at 1e10")
-    _, d, f2 = (float(v[0]) for v in local(np.array([mode])))
-    if mode <= 1e-8:
-        if not math.isfinite(d):
-            raise ValueError("log-density derivative not finite at the support edge")
-        scale = 1.0 / max(abs(d), 1e-8)
-        pts = mode + np.array([0.0, 1.0, 3.0]) * scale
-    else:
-        sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
-        pts = mode + np.array(_STATIC_OFFSETS) * sigma
-        pts = pts[pts > 0.0]
-    pts = np.maximum(pts, 1e-12)
-    h, dh, _ = local(pts)
-    return PiecewiseExpEnvelope(pts, h, dh)
+    lone, mode = np.ndim(mode) == 0, np.atleast_1d(np.asarray(mode, dtype=float))
+    rising, edge = mode == math.inf, mode <= 1e-8
+    # a rising row reads local at 1, where every search starts, and gets no tangents
+    _, d, f2 = (v[:, 0] for v in local(np.where(rising, 1.0, mode)[:, None]))
+    errors = {i: ValueError("log-density derivative not finite at the support edge")
+              for i in np.flatnonzero(edge & ~np.isfinite(d))}
+    for i in np.flatnonzero(rising):
+        errors[i] = NonIntegrableTargetError("log-density still increasing at 1e10")
+    if lone and errors:
+        raise errors[0]
+    scale = np.where(edge, 1.0 / np.maximum(np.abs(d), 1e-8), 1.0 / np.sqrt(np.maximum(-f2, 1e-12)))
+    pts = mode[:, None] + np.where(edge[:, None], _EDGE_OFFSETS, _STATIC_OFFSETS) * scale[:, None]
+    pts = np.where((pts > 0.0) & ~rising[:, None], np.maximum(pts, 1e-12), math.nan)
+    pts = pts[0] if lone else pts
+    env = PiecewiseExpEnvelope(pts, *local(np.where(np.isfinite(pts), pts, 1.0))[:2])
+    for i, exc in errors.items():
+        env.errors[i] = exc
+    return env

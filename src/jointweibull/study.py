@@ -2,9 +2,10 @@
 and average length / coverage of interval methods.
 
 Chunk ``c`` of ``_CHUNK`` replications is simulated in one batch from
-``(base_seed, splitmix64(c*_CHUNK + 1))``, fitted in one stack and
-mode-searched in one search; replication ``i`` draws each method from
-``(base_seed, splitmix64(i+1) + method offset)``, offsets from 1.  Whole
+``(base_seed, splitmix64(c*_CHUNK + 1))``, fitted in one stack,
+mode-searched in one search and drawn in one posterior stack; replication
+``i`` draws each method from ``(base_seed, splitmix64(i+1) + method
+offset)``, offsets from 1.  Whole
 chunks are simulated, so replication ``i`` depends only on ``(base_seed,
 i)``.  Replications in which one group never fails are skipped and counted,
 as is each one where a method fails (a fit without a shape or any
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bayes import PriorSpec, ShapeHyper, _PosteriorCore, bayes_estimate, draw_posterior
+from .bayes import PriorSpec, ShapeHyper, _DrawStack, _PosteriorCore, bayes_estimate, draw_posterior
 from .bayes import hpd_interval, shape_modes
 from .errors import EstimationError, StudyFailedError, _check_count, _check_level, _check_real
 from .jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
@@ -42,7 +43,9 @@ PARAMETERS = ("alpha", "lambda1", "lambda2")
 # run never perturbs the draws of the remaining ones.
 _METHOD_OFFSET = {name: 1 + i for i, name in enumerate(INTERVAL_METHODS)}
 
-# a 200-replication six-method point study runs as fast at 8, 16, 32 or 64
+# the chunk is also the posterior stack, drawn in row groups of about 2^14
+# draws; a 200-replication six-method point study takes 0.51-0.60 s (min of
+# 5, 2 shared cores) and peaks at 62-63 MB RSS at 8, 16, 32 or 64
 _CHUNK = 16
 
 
@@ -150,17 +153,17 @@ def _scheme_label(scheme: CensoringScheme) -> str:
 _COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 
 
-def _evaluate(config: StudyConfig, sample, rep_stream: RngStream, method: str, prep, point: bool):
+def _evaluate(config: StudyConfig, sample, stream: RngStream, method: str, prep, point: bool):
     """A method's estimates (with ``point`` False, its intervals) of the
     parameters and its low-ESS flag, from what the chunk made ready for it:
     a fit's parameters and boundary flag (the bootstrap's is the free fit),
-    or a posterior core with its mode."""
+    or a posterior core with its mode, registered on the chunk's draw stack
+    with ``stream``, the method's own."""
     if method.startswith("mle"):
         params, boundary = prep
         if point:
             return astuple(params), False
         return asymptotic_ci(sample, params, boundary, config.level), False
-    stream = rep_stream.substream(_METHOD_OFFSET[method])
     if method == "bootstrap":
         res = _bootstrap(sample, prep[0], config.level, config.n_boot, False, stream)
         return (res.alpha, res.lambda1, res.lambda2), False
@@ -198,13 +201,16 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
             prep[j].update((m, _PosteriorCore.from_jpc(samples[j], config.prior_for(m))) for m in bayes)
         except EstimationError:
             del prep[j]
+    streams = {(j, m): RngStream(config.base_seed, splitmix64(first + j + 1) + _METHOD_OFFSET[m])
+               for j in prep for m in methods if not m.startswith("mle")}
     if bayes and prep:
         shape_modes([prep[j][m] for j in prep for m in bayes])
+        _DrawStack(config.n_posterior, {prep[j][m]: streams[j, m] for j in prep for m in bayes})
     out = [None] * len(samples)
     for j, ready in prep.items():
-        rep = RngStream(config.base_seed, splitmix64(first + j + 1))
         try:
-            out[j] = {m: _evaluate(config, samples[j], rep, m, ready.get(m), point) for m in methods}
+            out[j] = {m: _evaluate(config, samples[j], streams.get((j, m)), m, ready.get(m), point)
+                      for m in methods}
         except EstimationError:
             pass
     return out

@@ -12,7 +12,9 @@ from scipy.special import betainc, betaincinv, digamma, expit, polygamma
 from jointweibull.bayes import (
     _CUT_FLOOR,
     PriorSpec,
+    _DrawStack,
     _PosteriorCore,
+    _rates,
     _resample_indices,
     _sample_marginal,
     ShapeHyper,
@@ -132,7 +134,8 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
     calls, and the hull built from array calls has the tangent points,
     heights and slopes of one built point by point: on the fiber sample and
     20 reference-design samples, for the four study presets, each with its
-    one sampled branch."""
+    one sampled branch.  The hulls are compared on the tangents they keep,
+    which come first in both."""
     scheme = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
     truth = JointParams(1.0, 0.5, 1.0)
     config = StudyConfig(scheme, truth, 1, POINT_METHODS)
@@ -152,9 +155,10 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
             np.testing.assert_allclose(slope, [d for _, d in pointwise], rtol=1e-13)
             got = build_static_envelope(br.local)
             want = static_envelope_pointwise(br.local)
-            np.testing.assert_allclose(got._bx, want._bx, rtol=1e-13)
-            np.testing.assert_allclose(got._bh, want._bh, rtol=1e-13)
-            np.testing.assert_allclose(got._bdh, want._bdh, rtol=1e-13)
+            assert got.tangents == want.tangents
+            for attr in ("_bx", "_bh", "_bdh"):
+                kept = getattr(want, attr)[: want.tangents]
+                np.testing.assert_allclose(getattr(got, attr)[: got.tangents], kept, rtol=1e-13)
             hulls += 1
     # one hull per preset and sample: 4 presets x 21 samples
     assert hulls >= 84
@@ -190,6 +194,40 @@ def test_stacked_mode_search_matches_lone_searches(fiber) -> None:
         want = build_static_envelope(branch.local)
         for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
             np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_stacked_draws_match_lone_draws(fiber) -> None:
+    """The 84 preset cores of the fiber sample and 20 reference-design
+    samples drawn as one stack, each from its own stream, give every core
+    its lone draws byte for byte: shapes, rates, weights, normalized
+    weights, sampler counts and the low-ESS flag.  A rigged row, whose mode
+    is set to inf as if its marginal still rose at 1e10, raises its lone
+    error from its own draw, and the other rows are unchanged."""
+    samples, priors = _preset_samples(fiber)
+    n, rigged = 1000, 37
+    pairs = [(sample, prior) for sample in samples for prior in priors]
+    lone = [draw_posterior(sample, prior, n, RngStream(643, i)) for i, (sample, prior) in enumerate(pairs)]
+    cores = [_PosteriorCore.from_jpc(sample, prior) for sample, prior in pairs]
+    shape_modes(cores)
+    cores[rigged].mode = math.inf
+    alone = _PosteriorCore.from_jpc(*pairs[rigged])
+    alone.mode = math.inf
+    with pytest.raises(NonIntegrableTargetError) as want:
+        alone.draw(n, RngStream(643, rigged))
+    rngs = [RngStream(643, i) for i in range(len(cores))]
+    _DrawStack(n, dict(zip(cores, rngs)))
+    for i, (core, rng, post) in enumerate(zip(cores, rngs, lone)):
+        if i == rigged:
+            with pytest.raises(NonIntegrableTargetError) as got:
+                core.draw(n, rng)
+            assert str(got.value) == str(want.value)
+            continue
+        got = core.draw(n, rng)
+        for attr in ("alpha", "lambda1", "lambda2", "weights", "normalized"):
+            assert getattr(got, attr).tobytes() == getattr(post, attr).tobytes(), (i, attr)
+        for attr in ("proposed", "accepted", "tangents", "low_ess"):
+            assert getattr(got, attr) == getattr(post, attr), (i, attr)
+        assert core.stack is None
 
 
 def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> None:
@@ -454,7 +492,7 @@ def test_ordered_rate_fraction_follows_the_cut_beta(fiber) -> None:
     x0 = expit(-log_sums[1])
     cut = betainc(s1, s2, x0)
     rng = _CountingStream(650, 0)
-    l1, l2, _ = core._rates(log_sums, rng)
+    (l1,), (l2,), _ = _rates([core], log_sums[:, None], [rng])
     assert np.all(l1 < l2)
     frac = l1 / (l1 + l2 * np.exp(log_sums[1]))
     assert np.all(frac < x0)
@@ -478,8 +516,8 @@ def test_ordered_fiber_draws_take_the_inversion_path(fiber) -> None:
             core = _PosteriorCore.from_jpc(sample, prior)
             s1, s2 = core.group_shapes
             rng = RngStream(651, 0)
-            _, sums, _ = _sample_marginal(core.branch, n, rng)
-            ln_r1, ln_r2 = np.logaddexp(core.log_b0, sums)
+            _, sums, *_ = _sample_marginal([core], n, [rng])
+            ln_r1, ln_r2 = np.logaddexp(core.log_b0, sums[:, 0])
             total = rng.gamma(core.gamma_shape, size=n)
             x0 = expit(ln_r1 - ln_r2)
             cut = betainc(s1, s2, x0)
@@ -777,7 +815,7 @@ def test_rates_at_large_shapes_come_from_their_logs(improper_jpc) -> None:
             post = draw_posterior(improper_jpc, prior, n, RngStream(611, 0))
         rng = RngStream(611, 0)
         core = _PosteriorCore.from_jpc(improper_jpc, prior)
-        alpha, (ln_u, ln_v), _ = _sample_marginal(core.branch, n, rng)
+        (alpha,), ((ln_u,), (ln_v,)), *_ = _sample_marginal([core], n, [rng])
         assert alpha.tobytes() == post.alpha.tobytes()
         assert np.mean(alpha) == pytest.approx(mean, rel=0.1)
         ln_total, frac = np.log(rng.gamma(2.0, size=n)), rng.beta(1.0, 1.0, size=n)

@@ -115,6 +115,13 @@ def test_seed_env_var(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
     assert main(args) == 4
     capsys.readouterr()
+    # every value that is no seed exits 4 with one line naming the variable
+    for bad in ("x", "-1", str(2**64), "1.5"):
+        monkeypatch.setenv(SEED_ENV_VAR, bad)
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {SEED_ENV_VAR} must be an integer in [0, 2^64), not {bad!r}"]
 
 
 def test_bayes_command(fiber_file, capsys) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from jointweibull.bayes import draw_posterior, posterior_predictive_pvalue
 from jointweibull.gof import CompleteSample, ks_distance, ks_pvalue
-from jointweibull.jpc import JointParams, JpcObservation, simulate_jpc_batch, u_stat
+from jointweibull.jpc import JointParams, JpcObservation, shift_sample, simulate_jpc_batch, u_stat
 from jointweibull.mle import IntervalEstimate, bootstrap_ci, lambda_hats, profile_loglik
 from jointweibull.rng import BetaGammaHyper, RngStream, sample_beta_gamma
 
@@ -65,6 +65,16 @@ def test_bad_scalar_is_refused_by_name(case, fiber, ds1, ip_prior) -> None:
     name, call = _CASES[case]
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must "):
         call(fiber, ds1, ip_prior)
+
+
+@pytest.mark.parametrize("shift", [True, math.nan, math.inf, -0.5])
+def test_shift_is_a_finite_real_at_least_zero(shift, fiber) -> None:
+    """A threshold shift of a joint or a complete sample is a finite real >=
+    0: a bool is not taken as 1, and NaN, inf and negative values are
+    refused by name."""
+    for call in (lambda: shift_sample(fiber, shift), lambda: CompleteSample.from_raw([2.0, 3.0], shift)):
+        with pytest.raises(ValueError, match=r"^shift must "):
+            call()
 
 
 def test_valid_scalars_of_every_kind_are_accepted(fiber) -> None:

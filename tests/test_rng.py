@@ -222,9 +222,15 @@ def test_envelope_mass_bounds_target_mass() -> None:
     assert env.log_total_mass() < true_log_mass + 0.5
 
 
+def _hull_draws(env, n, rng):
+    """``n`` draws from a lone hull: uniforms that pick the segments, then
+    uniforms that place the draws in them."""
+    return env.sample(rng.uniform(n), rng.uniform(n))[0]
+
+
 def test_single_tangent_envelope_samples_exponential() -> None:
     env = PiecewiseExpEnvelope([1.0], [0.0], [-2.0])
-    draws = env.sample(4000, RngStream(32, 0))
+    draws = _hull_draws(env, 4000, RngStream(32, 0))
     res = stats.kstest(draws, stats.expon(scale=0.5).cdf)
     assert res.pvalue > 1e-3
 
@@ -251,7 +257,7 @@ def test_hull_draws_follow_its_piecewise_exponential_law() -> None:
 
     total = mass_below([math.inf])[0]
     assert env.log_total_mass() == pytest.approx(math.log(total), rel=1e-12)
-    draws = env.sample(20_000, RngStream(36, 0))
+    draws = _hull_draws(env, 20_000, RngStream(36, 0))
     assert np.all(np.isfinite(draws) & (draws >= 0.0))
     assert stats.kstest(draws, lambda q: mass_below(q) / total).pvalue > 1e-3
 
@@ -266,7 +272,7 @@ def test_flat_hull_segment_is_measured_from_its_left_end() -> None:
     h = -50.0 * (x - 3.0) ** 2
     envs = [PiecewiseExpEnvelope(x, h, [200.0, a, -200.0]) for a in (1e-16, -1e-16)]
     assert list(envs[0]._bz) == list(envs[1]._bz) == [0.0, 2.0, 4.0, math.inf]
-    draws = [env.sample(5000, RngStream(39, 0)) for env in envs]
+    draws = [_hull_draws(env, 5000, RngStream(39, 0)) for env in envs]
     np.testing.assert_array_equal(draws[0], draws[1])
     assert np.count_nonzero((draws[0] > 2.0) & (draws[0] < 4.0)) > 4000
 
@@ -296,8 +302,8 @@ def test_adaptive_sampler_boundary_mode() -> None:
     assert list(_locate_modes(target)) == [1e-8]
     env = build_static_envelope(target)
     rng = RngStream(35, 0)
-    q = env.sample(30_000, rng)
-    accept = np.log(rng.uniform(q.size)) <= target(q)[0] - env.log_value(q)
+    q, seg = env.sample(rng.uniform(30_000), rng.uniform(30_000))
+    accept = np.log(rng.uniform(q.size)) <= target(q)[0] - env.log_value(q, seg)
     draws = q[accept]
     assert draws.size > 10_000
     res = stats.kstest(draws, stats.expon.cdf)
@@ -311,9 +317,9 @@ def test_sampler_refuses_growing_log_density() -> None:
 
 def test_array_built_hull_keeps_only_usable_tangents() -> None:
     """The hull keeps the finite tangents at or above its support edge 0, in
-    abscissa order, and refuses tangent sets that leave no usable tangent
-    or whose rightmost slope, before or after the concavity clean-up, is
-    not negative."""
+    abscissa order and ahead of its masked slots, which add no mass, and
+    refuses tangent sets that leave no usable tangent or whose rightmost
+    slope, before or after the concavity clean-up, is not negative."""
     x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     h, dh, _ = _gamma_target(3.0, 2.0)(np.maximum(x, 1e-12))
     want = PiecewiseExpEnvelope(x, h, dh)
@@ -322,8 +328,11 @@ def test_array_built_hull_keeps_only_usable_tangents() -> None:
         [h[4], -1.0, h[2], math.inf, h[1], h[3], h[0], 0.0, 0.0],
         [dh[4], 5.0, dh[2], -1.0, dh[1], dh[3], dh[0], -math.inf, -1.0],
     )
+    assert got.tangents == want.tangents == 5
     for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
-        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+        kept = getattr(want, attr)
+        np.testing.assert_array_equal(getattr(got, attr)[: kept.size], kept)
+    np.testing.assert_array_equal(got._cum[5:], 1.0)
     assert got.log_total_mass() == want.log_total_mass()
     with pytest.raises(NonIntegrableTargetError, match="rightmost"):
         PiecewiseExpEnvelope([1.0, 2.0], [0.0, -1.0], [-1.0, 0.0])
