@@ -219,13 +219,13 @@ def _sample_marginal(cores, n: int, rngs) -> tuple:
 
 
 def _stack(cores) -> _ConcaveTerm:
-    """The shape marginals of ``cores`` (of samples with equal k) stacked,
-    one row per core and the coefficients as a column."""
+    """The shape marginals of ``cores`` (of samples with equal k) stacked:
+    their kernels' rows gathered, the coefficients as a column."""
     terms = [c.branch for c in cores]
     c0, c1, log_b0 = (np.array([[getattr(t, a)] for t in terms]) for a in ("c0", "c1", "log_b0"))
-    cols = zip(*(t.groups for t in terms))
-    groups = [(PowerSum.stack([g for g, _ in col]), np.array([[c2] for _, c2 in col])) for col in cols]
-    return _ConcaveTerm(c0, c1, groups, log_b0)
+    sums = (PowerSum.gather([(c.sums[g], c.row) for c in cores]) for g in range(len(cores[0].sums)))
+    c2 = (np.array([[c2] for _, c2 in col]) for col in zip(*(t.groups for t in terms)))
+    return _ConcaveTerm(c0, c1, list(zip(sums, c2)), log_b0)
 
 
 def _rates(cores, sums: np.ndarray, rngs):
@@ -266,7 +266,7 @@ def _rates(cores, sums: np.ndarray, rngs):
                 below = b < x0[i, left]
                 frac[r, left[below]] = b[below]
                 left = left[~below]
-            left = np.union1d(np.flatnonzero(cut[i] < _CUT_FLOOR), left)
+            left = _merge(cut[i] < _CUT_FLOOR, left)
             u = 1.0 - rngs[r].uniform(left.size)
             with np.errstate(divide="ignore"):
                 inv = betaincinv(s1[r], s2[r], u * cut[i, left])
@@ -291,6 +291,11 @@ def _rates(cores, sums: np.ndarray, rngs):
         t = [r for r, g in gaps.items() if g == gap]
         ln_g[t] += np.log1p((l1[t] / l2[t]) ** gap) - math.log(2.0)
     return l1, l2, ln_g
+
+
+def _merge(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.union1d(np.flatnonzero(mask), idx)``, with no sort."""
+    return np.flatnonzero(mask | (np.bincount(idx, minlength=mask.size) > 0))
 
 
 class _DrawStack:
@@ -340,21 +345,21 @@ class _DrawStack:
 class _PosteriorCore:
     """Shared machinery behind every posterior in this module.
 
-    A core holds one group or two, each a (power-sum kernel, failure
-    count) pair, with the sum of the log failure times and the prior; a
-    one-group core reads only a0, b0 and the shape prior.  It owns the
-    shape marginal of the one rate proposal (see the module docstring) and
-    its properness checks, and draws as a row of a :class:`_DrawStack`,
-    around its ``mode`` (searched there unless :func:`shape_modes` has set
-    it).
+    A core holds one group or two, row ``row`` of each (kernel stack,
+    counts) pair of ``groups``, with the sum of the log failure times and
+    the prior; a one-group core reads only a0, b0 and the shape prior.  It
+    owns the shape marginal of the one rate proposal (see the module
+    docstring) and its properness checks, and draws as a row of a
+    :class:`_DrawStack`, around its ``mode`` (searched there unless
+    :func:`shape_modes` has set it).
     """
 
     stack = None
 
-    def __init__(self, groups, sum_log_t: float, prior: PriorSpec):
+    def __init__(self, groups, row: int, sum_log_t: float, prior: PriorSpec):
         self.prior = prior
         self.mode = None
-        counts = [n for _, n in groups]
+        self.sums, self.row, counts = [g for g, _ in groups], row, [float(n[row]) for _, n in groups]
         k = sum(counts)
         bg = prior.bg
         self.gamma_shape = bg.a0 + k
@@ -372,19 +377,19 @@ class _PosteriorCore:
         # (G w, G (1 - w)) = (s1, s2) G / (s1 + s2), exactly (s1, s2) when c = 0
         scale = self.gamma_shape / sum(self.group_shapes)
         self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
-        c2 = [(u, scale * s) for (u, _), s in zip(groups, self.group_shapes)]
+        c2 = [(g.take(row), scale * s) for g, s in zip(self.sums, self.group_shapes)]
         self.branch = _ConcaveTerm(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, c2, self.log_b0)
         _check_decay(self.branch)
 
     @classmethod
     def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":
-        return cls(list(zip(sample.power_sums, (sample.k1, sample.k2))), sample.sum_log_t, prior)
+        return cls(sample.groups, 0, sample.sum_log_t, prior)
 
     @classmethod
     def from_complete(cls, samples, prior: PriorSpec) -> "_PosteriorCore":
         """The core of one complete sample, or of two sharing one shape."""
-        groups = [(PowerSum(0.0, d.log_values), d.n) for d in samples]
-        return cls(groups, sum(d.sum_log for d in samples), prior)
+        groups = [(PowerSum(1.0, d.log_values[None]), [d.n]) for d in samples]
+        return cls(groups, 0, sum(d.sum_log for d in samples), prior)
 
     def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
         """``n`` draws from ``rng``: those of the :class:`_DrawStack` this

@@ -100,7 +100,7 @@ def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     ``log_x``: a one-group ``mle._fit_rows`` stack, every value a failure of
     weight 1.  Returns ``(alpha, lam, sweeps)``; a row without a shape
     maximizer raises."""
-    groups = [(PowerSum(0.0, log_x), log_x.shape[1])]
+    groups = [(PowerSum(1.0, log_x), log_x.shape[1])]
     alpha, log_rates, ok, sweeps = _fit_rows(groups, log_x.sum(axis=1))
     if not ok.all():
         raise ConvergenceError(_NO_SHAPE)
@@ -117,7 +117,7 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     for d in (data1, data2):
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values in each sample")
-    groups = [(PowerSum(0.0, d.log_values), d.n) for d in (data1, data2)]
+    groups = [(PowerSum(1.0, d.log_values), d.n) for d in (data1, data2)]
     alpha, log_rates, ok, sweeps = _fit_rows(groups, np.array([data1.sum_log + data2.sum_log]))
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)

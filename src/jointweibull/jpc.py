@@ -148,18 +148,14 @@ class JpcSample:
         return np.asarray(self.scheme.R) - self.s
 
     @cached_property
-    def coef1(self) -> np.ndarray:
-        """Weight of t_j^a inside U: withdrawals plus a group-1 failure."""
-        return (self.s + self.delta).astype(float)
-
-    @cached_property
-    def coef2(self) -> np.ndarray:
-        return (self.w + 1 - self.delta).astype(float)
+    def groups(self) -> list[tuple[PowerSum, np.ndarray]]:
+        """The sample as a stack of one row (:func:`_groups`), set up once."""
+        return _groups(self.scheme, self.log_t[None], self.delta[None], self.s[None])
 
     @cached_property
     def power_sums(self) -> tuple[PowerSum, PowerSum]:
-        """The kernels of ln U and ln V, set up once per sample."""
-        return tuple(PowerSum(c, self.log_t) for c in log_weights(self.scheme.R, self.delta, self.s))
+        """The kernels of ln U and ln V, the row of :attr:`groups`."""
+        return tuple(g.take(0) for g, _ in self.groups)
 
     @cached_property
     def k1(self) -> int:
@@ -174,12 +170,11 @@ class JpcSample:
         return float(self.log_t.sum())
 
 
-def log_weights(R, delta, s) -> tuple[np.ndarray, np.ndarray]:
-    """ln of the weights of t_j^a inside U and V, ``s_j + delta_j`` and
-    ``R_j - s_j + 1 - delta_j`` (``-inf`` where a weight is zero), for one
-    outcome or for outcomes stacked in rows."""
-    with np.errstate(divide="ignore"):
-        return np.log(s + delta), np.log(np.asarray(R) - s + 1 - delta)
+def _groups(scheme: CensoringScheme, log_t, delta, s) -> list[tuple[PowerSum, np.ndarray]]:
+    """The groups of outcomes stacked in rows: the kernel of ln U (weights ``s
+    + delta``) with k1 and that of ln V (``R - s + 1 - delta``) with k2."""
+    k1, coef2 = delta.sum(axis=1, dtype=float), np.asarray(scheme.R) - s + 1 - delta
+    return [(PowerSum(s + delta, log_t), k1), (PowerSum(coef2, log_t), scheme.k - k1)]
 
 
 def u_stat(sample: JpcSample, alpha: float) -> float:
@@ -223,17 +218,18 @@ def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -
 
 
 def sample_of_row(scheme: CensoringScheme, log_t, delta, s) -> JpcSample:
-    """One row of :func:`simulate_jpc_batch` as a sample with times ``t =
-    exp(log t)``.  Raises ``ValueError`` where these are not strictly
-    increasing positive finite doubles."""
+    """One row of :func:`simulate_jpc_batch` as a sample, times by :func:`_times`."""
+    obs = (JpcObservation(float(tj), int(dj), int(sj)) for tj, dj, sj in zip(_times(log_t), delta, s))
+    return JpcSample(scheme=scheme, obs=obs)
+
+
+def _times(log_t) -> np.ndarray:
+    """``exp(log t)`` of outcomes; ``ValueError`` unless rows of strictly increasing finite doubles > 0."""
     with np.errstate(over="ignore"):
         t = np.exp(log_t)
-    if not (np.isfinite(t[-1]) and np.all(np.diff(t, prepend=0.0) > 0.0)):
+    if not (np.all(np.isfinite(t[..., -1])) and np.all(np.diff(t, axis=-1, prepend=0.0) > 0.0)):
         raise ValueError("failure times overflow, underflow to zero or collide as doubles at these parameters")
-    obs = tuple(
-        JpcObservation(t=float(tj), delta=int(dj), s=int(sj)) for tj, dj, sj in zip(t, delta, s)
-    )
-    return JpcSample(scheme=scheme, obs=obs)
+    return t
 
 
 def simulate_jpc_batch(

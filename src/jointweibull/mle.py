@@ -29,8 +29,8 @@ row's free shape.  A single fit is a stack of one, started at 1.  The
 bootstrap refits all its resamples, drawn by the batched tau = t^alpha
 simulator (``jpc.simulate_jpc_batch``), in one stack started at the
 fitted shape, where a reference-design stack needs 7 sweeps rather than 9
-from 1: a 500-resample percentile interval takes 4-5 ms on a
-reference-design sample and 5.5-7 ms on the bundled fiber sample (timeit
+from 1: a 500-resample percentile interval takes 4.5-5.1 ms on a
+reference-design sample and 6.3-7.8 ms on the bundled fiber sample (timeit
 minimum, Python 3.11 and numpy 2.4 on one core of a shared 2-core
 machine).  ``gof``'s complete-sample fits, the Monte Carlo KS refits among
 them, are one-group stacks.
@@ -50,10 +50,10 @@ from .jpc import (
     CensoringScheme,
     JointParams,
     JpcSample,
+    _groups,
     log_likelihood,
     log_u_stat,
     log_v_stat,
-    log_weights,
     simulate_jpc_batch,
 )
 from .rng import _MAX_SWEEPS, PowerSum, RngStream, _ConcaveTerm, _solve_rows
@@ -162,20 +162,16 @@ def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.
 def _pooled(scheme: CensoringScheme, log_t) -> tuple[PowerSum, int]:
     """The common-rate model's one group: the kernel of ``U + V``, whose
     weights of ``t_j^a`` are ``R_j + 1``, and its failure count ``k``."""
-    return PowerSum(np.log(np.asarray(scheme.R, dtype=float) + 1.0), log_t), scheme.k
+    return PowerSum(np.asarray(scheme.R, dtype=float) + 1.0, log_t), scheme.k
 
 
-def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool, start=1.0) -> list[tuple]:
+def _fit_design(scheme: CensoringScheme, groups, lnt, ordered: bool, start=1.0) -> list[tuple]:
     """:func:`_fit_rows` on stacked outcomes of one design, one per row of
-    ``lnt``, ``delta`` and ``s``, the free search started at ``start``.
-    Returns the free fit and, with ``ordered``, the ordered fit after it,
-    each ``(alpha, rates, boundary, ok, sweeps)``: the ordered fit's
-    ``boundary`` rows broke l1 <= l2 in the free fit and are refitted with
-    the common rate, each from its free shape; ``sweeps`` lists the sweep
-    count of each search."""
-    k1 = delta.sum(axis=1, dtype=float)
-    logc1, logc2 = log_weights(scheme.R, delta, s)
-    groups = [(PowerSum(logc1, lnt), k1), (PowerSum(logc2, lnt), scheme.k - k1)]
+    ``lnt``, with their two ``groups`` (``jpc._groups``), the free search
+    started at ``start``.  Returns the free fit and, with ``ordered``, the
+    ordered fit after it, each ``(alpha, rates, boundary, ok, sweeps)``: the
+    ordered fit refits its ``boundary`` rows, which broke l1 <= l2, with the
+    common rate from their free shapes; ``sweeps`` lists each search's count."""
     alpha, log_rates, ok, sweeps = _fit_rows(groups, lnt.sum(axis=1), start)
     sweeps = [sweeps]
     fits = [(alpha, np.exp(log_rates), np.zeros_like(ok), ok, sweeps)]
@@ -195,8 +191,8 @@ def _fit_design(scheme: CensoringScheme, lnt, delta, s, ordered: bool, start=1.0
 def _fit(sample: JpcSample, ordered: bool) -> MleFit:
     """Fit of one sample as a stack of one."""
     _require_both_groups(sample)
-    rows = (x[None, :] for x in (sample.log_t, sample.delta, sample.s))
-    alpha, rates, boundary, ok, sweeps = _fit_design(sample.scheme, *rows, ordered)[-1]
+    fits = _fit_design(sample.scheme, sample.groups, sample.log_t[None, :], ordered)
+    alpha, rates, boundary, ok, sweeps = fits[-1]
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
     params = JointParams(float(alpha[0]), float(rates[0, 0]), float(rates[1, 0]))
@@ -227,8 +223,7 @@ def fisher_info(sample: JpcSample, params: JointParams) -> InfoMatrix:
     t = sample.t
     lnt = sample.log_t
     ta = t**params.alpha
-    c1 = sample.coef1
-    c2 = sample.coef2
+    c1, c2 = (sums.wgt for sums in sample.power_sums)
     k = sample.scheme.k
     a11 = k / params.alpha**2
     a11 += params.lambda1 * float((c1 * ta * lnt**2).sum())
@@ -305,28 +300,34 @@ def bootstrap_ci(
         raise ValueError("an explicit RngStream is required")
     _check_level(level)
     _check_count("n_boot", n_boot, 1)
-    return _bootstrap(sample, _fit(sample, ordered).params, level, n_boot, ordered, rng)
+    return _bootstrap(sample.scheme, _fit(sample, ordered).params, level, n_boot, ordered, rng)
 
 
 def _bootstrap(
-    sample: JpcSample, params: JointParams, level: float, n_boot: int, ordered: bool, rng: RngStream
+    scheme: CensoringScheme, params: JointParams, level: float, n_boot: int, ordered: bool, rng: RngStream
 ) -> BootstrapResult:
-    """:func:`bootstrap_ci` given the fit ``params`` of ``sample``, as a
-    study has it from its stacked fit."""
-    scheme = sample.scheme
+    """:func:`bootstrap_ci` given the fit ``params`` of a sample of design
+    ``scheme``, as a study has it from its stacked fit."""
     lnt, delta, s = simulate_jpc_batch(scheme, astuple(params), rng, n_boot)
     k1 = delta.sum(axis=1)
     both = (k1 > 0) & (k1 < scheme.k)
     skipped = n_boot - int(both.sum())
     if skipped > n_boot // 2:
         raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples had all failures in one group")
-    rows = (lnt[both], delta[both], s[both])
-    alpha, rates, _, ok, _ = _fit_design(scheme, *rows, ordered, start=params.alpha)[-1]
+    lnt = lnt[both]
+    groups = _groups(scheme, lnt, delta[both], s[both])
+    alpha, rates, _, ok, _ = _fit_design(scheme, groups, lnt, ordered, start=params.alpha)[-1]
     skipped += int((~ok).sum())
     if skipped > n_boot // 2:
         raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples failed to produce a fit")
-    out = []
-    for est in (alpha, *rates):
-        lo, hi = np.quantile(est[ok], [0.5 * (1.0 - level), 0.5 * (1.0 + level)])
-        out.append(IntervalEstimate(float(lo), float(hi), level))
-    return BootstrapResult(*out, skipped)
+    ends = _percentiles(np.vstack((alpha, rates))[:, ok], level)
+    return BootstrapResult(*(IntervalEstimate(float(lo), float(hi), level) for lo, hi in ends), skipped)
+
+
+def _percentiles(est: np.ndarray, level: float) -> np.ndarray:
+    """Each row's ``(1 -+ level)/2`` quantiles, np.quantile's bit for bit."""
+    est = np.sort(est, axis=1)
+    pos = (est.shape[1] - 1) * np.array([0.5 * (1.0 - level), 0.5 * (1.0 + level)])
+    i = np.floor(pos).astype(np.intp)
+    t, a, b = pos - i, est[:, i], est[:, np.minimum(i + 1, est.shape[1] - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)

@@ -77,33 +77,41 @@ def log_sum_exp(x):
 
 
 class PowerSum:
-    """``ln S(a)``, ``S(a) = sum_j c_j t_j^a``, for shapes ``a >= 0``: of one
-    group (1-D ``log_c``, ``log_t``) or of stacked groups, one per row.
+    """``ln S(a)``, ``S(a) = sum_j c_j t_j^a``, for shapes ``a >= 0``, of one
+    group (1-D ``log_t``) or of groups stacked in rows; ``c >= 0`` broadcasts.
 
     Set up once: ``top`` = L, the largest ``ln t_j`` of weight ``c_j > 0``,
-    the offsets ``ln t_j - L <= 0`` and the weights, so ``ln S(a) = a L +
-    ln sum_j c_j exp(a (ln t_j - L))``: no term overflows and the top
-    column adds its ``c`` (>= 1 for the package's counts), so no call takes
-    a max or mends a shift.  A zero-weight column holds offset 0 and weight
-    0.  A 1-D group's values are one matrix-vector product over its positive
-    columns; moments use every column, so a lone group is a stack's row.
+    the offsets ``ln t_j - L <= 0`` and the weights ``c``, so ``ln S(a) = a L
+    + ln sum_j c_j exp(a (ln t_j - L))``: no term overflows and the top column
+    adds its ``c`` (>= 1 for the package's counts), so no call takes a max or
+    mends a shift.  A zero-weight column holds offset 0 and weight 0.  A 1-D
+    group's values are one matrix-vector product over its positive columns;
+    moments use every column, so a lone group is a stack's row (:meth:`take`).
     """
 
-    def __init__(self, log_c, log_t):
+    def __init__(self, c, log_t):
         log_t = np.asarray(log_t, dtype=float)
-        pos = np.broadcast_to(np.asarray(log_c) > -math.inf, log_t.shape)
+        self.wgt = np.broadcast_to(np.asarray(c, dtype=float), log_t.shape)
+        pos = self.wgt > 0.0
         self.top = np.where(pos, log_t, -math.inf).max(axis=-1)
         self.off = np.where(pos, log_t - self.top[..., None], 0.0)
-        self.wgt = np.where(pos, np.exp(log_c), 0.0)
-        if log_t.ndim == 1:
-            self._pos_off, self._pos_wgt = self.off[pos], self.wgt[pos]
 
-    @classmethod
-    def stack(cls, sums) -> "PowerSum":
-        """One stack of 1-D groups of equal length, one row each."""
-        out = cls.__new__(cls)
-        out.top, out.off, out.wgt = (np.array([getattr(p, a) for p in sums]) for a in ("top", "off", "wgt"))
+    def take(self, rows) -> "PowerSum":
+        """Row ``rows`` (an int) as a 1-D group, or rows (a list) as a stack."""
+        out = PowerSum.__new__(PowerSum)
+        out.top, out.off, out.wgt = self.top[rows], self.off[rows], self.wgt[rows]
         return out
+
+    @staticmethod
+    def gather(picks) -> "PowerSum":
+        """The stack of the rows that ``picks`` names, (stack, row) pairs."""
+        stacks = list({id(p): p for p, _ in picks}.values())
+        if len(stacks) == 1:
+            return stacks[0].take([r for _, r in picks])
+        at = dict(zip(map(id, stacks), np.cumsum([0] + [len(p.top) for p in stacks]).tolist()))
+        out = PowerSum.__new__(PowerSum)
+        out.top, out.off, out.wgt = (np.concatenate(v) for v in zip(*((p.top, p.off, p.wgt) for p in stacks)))
+        return out.take([at[id(p)] + r for p, r in picks])
 
     def log_sum(self, alpha):
         """``ln S`` at ``alpha``: any shape of shapes for a 1-D group; for a
@@ -115,7 +123,8 @@ class PowerSum:
             e = np.einsum("bj,b...->bj...", self.off, a)
             top = self.top.reshape(self.top.shape + (1,) * (a.ndim - 1))
             return a * top + np.log(np.einsum("bj...,bj->b...", np.exp(e, out=e), self.wgt))
-        return a * self.top + np.log(np.exp(np.multiply.outer(a, self._pos_off)) @ self._pos_wgt)
+        pos = self.wgt > 0.0
+        return a * self.top + np.log(np.exp(np.multiply.outer(a, self.off[pos])) @ self.wgt[pos])
 
     def moments(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean and variance of ``ln t`` under the weights ``c t^a``, and

@@ -2,13 +2,13 @@
 and average length / coverage of interval methods.
 
 Chunk ``c`` of ``_CHUNK`` replications is simulated in one batch from
-``(base_seed, splitmix64(c*_CHUNK + 1))``, fitted in one stack,
-mode-searched in one search and drawn in one posterior stack; replication
-``i`` draws each method from ``(base_seed, splitmix64(i+1) + method
-offset)``, offsets from 1.  Whole
-chunks are simulated, so replication ``i`` depends only on ``(base_seed,
-i)``.  Replications in which one group never fails are skipped and counted,
-as is each one where a method fails (a fit without a shape or any
+``(base_seed, splitmix64(c*_CHUNK + 1))``; its two power-sum kernels, built
+once over its rows, serve one stacked fit, one mode search and one
+posterior stack.  Replication ``i`` draws each method from ``(base_seed,
+splitmix64(i+1) + method offset)``, offsets from 1.  Whole chunks are
+simulated, so replication ``i`` depends only on ``(base_seed, i)``.
+Replications in which one group never fails are skipped and counted, as is
+each one where a method fails (a fit without a shape or any
 ``EstimationError``).  A posterior whose effective sample size falls below
 one percent of its draws is counted per method as ``low_ess`` and kept.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from .bayes import PriorSpec, ShapeHyper, _DrawStack, _PosteriorCore, bayes_estimate, draw_posterior
 from .bayes import hpd_interval, shape_modes
 from .errors import EstimationError, StudyFailedError, _check_count, _check_level, _check_real
-from .jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
+from .jpc import CensoringScheme, JointParams, _groups, _times, sample_of_row, simulate_jpc_batch
 from .mle import _bootstrap, _fit_design, asymptotic_ci
 from .rng import BetaGammaHyper, RngStream, splitmix64
 
@@ -158,14 +158,14 @@ def _evaluate(config: StudyConfig, sample, stream: RngStream, method: str, prep,
     parameters and its low-ESS flag, from what the chunk made ready for it:
     a fit's parameters and boundary flag (the bootstrap's is the free fit),
     or a posterior core with its mode, registered on the chunk's draw stack
-    with ``stream``, the method's own."""
+    with ``stream``, the method's own; ``sample`` is None unless it is read."""
     if method.startswith("mle"):
         params, boundary = prep
         if point:
             return astuple(params), False
         return asymptotic_ci(sample, params, boundary, config.level), False
     if method == "bootstrap":
-        res = _bootstrap(sample, prep[0], config.level, config.n_boot, False, stream)
+        res = _bootstrap(config.scheme, prep[0], config.level, config.n_boot, False, stream)
         return (res.alpha, res.lambda1, res.lambda2), False
     post = draw_posterior(sample, prep.prior, config.n_posterior, stream, core=prep)
     if point:
@@ -175,19 +175,21 @@ def _evaluate(config: StudyConfig, sample, stream: RngStream, method: str, prep,
 
 def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> list:
     """Per replication of the chunk from ``first``, a dict from method to
-    what :func:`_evaluate` returns, or None where it is skipped.  The
-    ordered fit refits only the free fit's rows that break l1 <= l2, and the
-    bootstrap resamples from the free fit."""
+    what :func:`_evaluate` returns, or None where it is skipped.  Its kernels
+    are built once from ln of its times as doubles, so each row is its
+    sample's; the ordered fit refits the free fit's rows that break l1 <= l2."""
     scheme = config.scheme
     stream = RngStream(config.base_seed, splitmix64(first + 1))
     rows = simulate_jpc_batch(scheme, astuple(config.truth), stream, _CHUNK)
-    samples = [sample_of_row(scheme, *row) for row in zip(*(x[: config.replications - first] for x in rows))]
-    prep = {j: {} for j, x in enumerate(samples) if x.k1 and x.k2}
+    lnt, delta, s = (x[: config.replications - first] for x in rows)
+    log_t = np.log(_times(lnt))
+    groups, k1 = _groups(scheme, log_t, delta, s), delta.sum(axis=1)
+    prep = {j: {} for j in np.flatnonzero((k1 > 0) & (k1 < scheme.k)).tolist()}
     live = list(prep)
     fitted = [m for m in methods if m.startswith("mle") or m == "bootstrap"]
     if fitted and live:
-        stack = (np.stack([getattr(samples[j], a) for j in live]) for a in ("log_t", "delta", "s"))
-        fits = _fit_design(scheme, *stack, "mle-ordered" in fitted)
+        live_groups = [(g.take(live), n[live]) for g, n in groups]
+        fits = _fit_design(scheme, live_groups, log_t[live], "mle-ordered" in fitted)
         for m in fitted:
             alpha, rates, boundary, ok, _ = fits[m == "mle-ordered"]
             for i, j in enumerate(live):
@@ -198,7 +200,7 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
     bayes = [m for m in methods if m.startswith("bayes")]
     for j in list(prep):
         try:
-            prep[j].update((m, _PosteriorCore.from_jpc(samples[j], config.prior_for(m))) for m in bayes)
+            prep[j].update((m, _PosteriorCore(groups, j, log_t[j].sum(), config.prior_for(m))) for m in bayes)
         except EstimationError:
             del prep[j]
     streams = {(j, m): RngStream(config.base_seed, splitmix64(first + j + 1) + _METHOD_OFFSET[m])
@@ -206,10 +208,12 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
     if bayes and prep:
         shape_modes([prep[j][m] for j in prep for m in bayes])
         _DrawStack(config.n_posterior, {prep[j][m]: streams[j, m] for j in prep for m in bayes})
-    out = [None] * len(samples)
+    asymptotic = not point and any(m.startswith("mle") for m in methods)  # the one reader of a sample
+    out = [None] * len(log_t)
     for j, ready in prep.items():
+        sample = sample_of_row(scheme, lnt[j], delta[j], s[j]) if asymptotic else None
         try:
-            out[j] = {m: _evaluate(config, samples[j], streams.get((j, m)), m, ready.get(m), point)
+            out[j] = {m: _evaluate(config, sample, streams.get((j, m)), m, ready.get(m), point)
                       for m in methods}
         except EstimationError:
             pass

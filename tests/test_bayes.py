@@ -14,6 +14,7 @@ from jointweibull.bayes import (
     PriorSpec,
     _DrawStack,
     _PosteriorCore,
+    _merge,
     _rates,
     _resample_indices,
     _sample_marginal,
@@ -615,7 +616,7 @@ def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
         data = strengths(445.0)
         alphas, lams = weibull_posterior_complete(data, 0.0, 0.0, pinned, 4_000, RngStream(613, 0))
         log_t = np.log(data.sorted)
-        ln_sum = PowerSum(0.0, log_t).log_sum(alphas)
+        ln_sum = PowerSum(1.0, log_t).log_sum(alphas)
         assert ln_sum.min() > 709.8 and alphas.max() * log_t[-1] < 709.7
         assert np.all(np.isfinite(lams) & (lams > 0.0))
         ln_g = np.log(lams) + ln_sum
@@ -1002,3 +1003,20 @@ def test_predictive_pvalue_complete_sample_takes_given_draws(ds1, flat_rate4) ->
         ds1, flat_rate4, n_rep=n_rep, rng=rng, posterior=(alphas, lams, np.full(n_rep, 1.0 / n_rep))
     )
     assert given == posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(631, 0))
+
+
+def test_merge_is_union1d_bit_for_bit() -> None:
+    """The ordered cut's merge of the rows it inverts, where the cut is
+    deep and those that rejection left, equals np.union1d of the two sorted
+    index arrays bit for bit, in values and dtype: disjoint and overlapping
+    indices, empty either side, and all of them."""
+    gen = np.random.default_rng(94)
+    for size in (0, 1, 2, 9, 1000):
+        for p in (0.0, 0.3, 1.0):
+            mask = gen.uniform(size=size) < p
+            for q in (0.0, 0.5, 1.0):
+                idx = np.flatnonzero(gen.uniform(size=size) < q)
+                for rest in (idx, idx[~mask[idx]]):
+                    want = np.union1d(np.flatnonzero(mask), rest)
+                    got = _merge(mask, rest)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -435,18 +435,19 @@ _SHAPES = (1e-10, 1e-3, 1.0, 50.0, 1e6)
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
+    """The oracle's ln c: ln of positive weights, -inf for zero ones."""
     return np.where(w > 0, np.log(np.maximum(w, 1)), -np.inf)
 
 
 def _power_sum_groups() -> list[tuple[np.ndarray, np.ndarray]]:
-    """(ln c, ln t) of one-group cases: integer weights with zero-weight
+    """(c, ln t) of one-group cases: integer weights with zero-weight
     columns above the top log time of positive weight, and a group whose
     only positive column (weight 3) sits below two zero-weight ones."""
     log_t = np.linspace(-1.5, 1.5, 12)
     wide = np.array([2, 0, 1, 4, 0, 3, 1, 0, 2, 0, 0, 0], dtype=float)
     lone = np.zeros(12)
     lone[8] = 3.0
-    return [(_log_weights(wide), log_t), (_log_weights(lone), log_t)]
+    return [(wide, log_t), (lone, log_t)]
 
 
 def _check_moments(sums: PowerSum, log_s, alpha: np.ndarray) -> None:
@@ -476,9 +477,10 @@ def test_power_sum_matches_max_shift_log_sum_exp() -> None:
     alpha = np.array(_SHAPES)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for log_c, log_t in _power_sum_groups():
-            sums = PowerSum(log_c, log_t)
-            assert sums.top == log_t[log_c > -np.inf].max()
+        for c, log_t in _power_sum_groups():
+            sums = PowerSum(c, log_t)
+            assert sums.top == log_t[c > 0].max()
+            log_c = _log_weights(c)
             oracle = lambda a: log_sum_exp(log_c + np.asarray(a)[..., None] * log_t)
             np.testing.assert_allclose(sums.log_sum(alpha), oracle(alpha), rtol=1e-14, atol=0.0)
             assert sums.log_sum(2.0).shape == () and sums.log_sum(alpha[None]).shape == (1, 5)
@@ -488,11 +490,10 @@ def test_power_sum_matches_max_shift_log_sum_exp() -> None:
         log_t = np.sort(gen.normal(0.0, 1.0, (rows, 10)), axis=1) + gen.uniform(-2.5, 1.5, (rows, 1))
         weights = gen.integers(0, 4, (rows, 10)).astype(float)
         weights[np.arange(rows), gen.integers(0, 10, rows)] = 2.0
-        log_c = _log_weights(weights)
-        stacks = [(PowerSum(log_c, log_t), log_c), (PowerSum(0.0, log_t), 0.0)]
-        for sums, c in stacks:
+        stacks = [(PowerSum(weights, log_t), _log_weights(weights)), (PowerSum(1.0, log_t), 0.0)]
+        for sums, log_c in stacks:
             assert np.ptp(sums.top) > 3.0
-            oracle = lambda a: log_sum_exp(c + a[:, None] * log_t)
+            oracle = lambda a: log_sum_exp(log_c + a[:, None] * log_t)
             for a in _SHAPES:
                 shape = np.full(rows, a)
                 np.testing.assert_allclose(sums.log_sum(shape), oracle(shape), rtol=1e-14, atol=0.0)
@@ -500,5 +501,45 @@ def test_power_sum_matches_max_shift_log_sum_exp() -> None:
             shape = np.array(_SHAPES * (rows // 5))
             stacked = sums.moments(shape)
             for i in range(rows):
-                lone = PowerSum(np.broadcast_to(c, log_t.shape)[i], log_t[i]).moments(shape[i])
+                lone = PowerSum(np.broadcast_to(sums.wgt, log_t.shape)[i], log_t[i]).moments(shape[i])
                 assert [x[i] for x in stacked] == [x for x in lone]
+
+
+def test_power_sums_from_counts_match_log_sum_exp_row_by_row() -> None:
+    """Stacked kernels of integer counts against the log-sum-exp of ln c +
+    a ln t, 1e-14 relative, at shapes 1e-10 to 1e6: zero-weight columns
+    anywhere, and rows whose group runs out before the last epoch, so
+    their top is an earlier column than the row's last one and the
+    columns after it hold offset 0 and weight 0.  Rows taken from a stack
+    and rows gathered from two stacks are the stacks' rows byte for
+    byte."""
+    gen = np.random.default_rng(48)
+    rows, k = 30, 20
+    log_t = np.sort(gen.normal(0.0, 1.5, (rows, k)), axis=1)
+    counts = gen.integers(0, 3, (rows, k))
+    counts[:, 0] = 1
+    ends = gen.integers(1, k - 1, rows)
+    counts[np.arange(k) >= ends[:, None]] = 0  # row i's group runs out after epoch ends[i]
+    sums = PowerSum(counts, log_t)
+    last = np.array([np.flatnonzero(c)[-1] for c in counts])
+    assert np.all(last < k - 1)
+    assert sums.top.tolist() == log_t[np.arange(rows), last].tolist()
+    after = np.arange(k) > last[:, None]
+    assert np.all(sums.off[after] == 0.0) and np.all(sums.wgt[after] == 0.0)
+    assert sums.wgt.tolist() == counts.tolist()
+    log_c = _log_weights(counts.astype(float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a in _SHAPES:
+            shape = np.full(rows, a)
+            want = log_sum_exp(log_c + shape[:, None] * log_t)
+            np.testing.assert_allclose(sums.log_sum(shape), want, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(sums.moments(shape)[2], want, rtol=1e-14, atol=0.0)
+    other = PowerSum(1.0, log_t[:4])
+    picks = [(sums, 7), (other, 2), (sums, 0), (sums, 7), (other, 0)]
+    gathered = PowerSum.gather(picks)
+    for i, (stack, r) in enumerate(picks):
+        row = stack.take(r)
+        for name in ("top", "off", "wgt"):
+            assert getattr(gathered, name)[i].tobytes() == getattr(row, name).tobytes()
+            assert getattr(row, name).tobytes() == getattr(stack, name)[r].tobytes()

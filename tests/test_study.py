@@ -365,15 +365,16 @@ def test_stacked_study_fits_are_the_lone_fits(monkeypatch) -> None:
 
 def test_study_bootstrap_is_bootstrap_ci_of_each_sample(monkeypatch) -> None:
     """An interval study hands each sample's free fit from its chunk's stack
-    to the bootstrap instead of fitting the sample again; every
-    replication's bootstrap intervals still equal, byte for byte, those of
-    bootstrap_ci on that sample with the replication's bootstrap substream."""
+    to the bootstrap instead of fitting the sample again, and that fit is
+    fit_mle's; every replication's bootstrap intervals still equal, byte
+    for byte, those of bootstrap_ci on that sample with the replication's
+    bootstrap substream."""
     seen = {}
     real = study._bootstrap
 
-    def recorded(sample, *args):
-        seen[sample.log_t.tobytes()] = real(sample, *args)
-        return seen[sample.log_t.tobytes()]
+    def recorded(scheme, params, *args):
+        seen[params] = real(scheme, params, *args)
+        return seen[params]
 
     monkeypatch.setattr(study, "_bootstrap", recorded)
     config = _config(replications=20, methods=("mle", "bootstrap"), n_boot=120, base_seed=5)
@@ -383,7 +384,7 @@ def test_study_bootstrap_is_bootstrap_ci_of_each_sample(monkeypatch) -> None:
     for i, sample in live:
         stream = RngStream(config.base_seed, splitmix64(i + 1)).substream(_METHOD_OFFSET["bootstrap"])
         alone = bootstrap_ci(sample, level=config.level, n_boot=config.n_boot, rng=stream)
-        assert seen[sample.log_t.tobytes()] == alone
+        assert seen[fit_mle(sample).params] == alone
 
 
 def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatch) -> None:
@@ -395,20 +396,17 @@ def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatc
     config = _config(replications=20, methods=("mle", "bayes-nip"), n_posterior=200)
     samples = _replay_samples(config)
     assert all(x.k1 and x.k2 for x in samples[16:])
-    improper, slow = samples[18].log_t.tobytes(), samples[19].log_t.tobytes()
+    improper, slow = samples[18].sum_log_t, samples[19].sum_log_t
     real = study._PosteriorCore
 
     class Rigged(real):
-        @classmethod
-        def from_jpc(cls, sample, prior):
-            key = sample.log_t.tobytes()
-            if key == improper:
+        def __init__(self, groups, row, sum_log_t, prior):
+            if sum_log_t == improper:
                 raise ImproperPosteriorError("refused")
-            core = real.from_jpc(sample, prior)
-            if key == slow:
-                limit = core.branch.local(np.array([1e150]))[1][0]
-                core.branch.c1 += limit + 1e-13
-            return core
+            super().__init__(groups, row, sum_log_t, prior)
+            if sum_log_t == slow:
+                limit = self.branch.local(np.array([1e150]))[1][0]
+                self.branch.c1 += limit + 1e-13
 
     modes = []
     real_modes = study.shape_modes
@@ -426,3 +424,42 @@ def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatc
     for row, ref in zip(report.rows, shorter.rows, strict=True):
         assert row.skipped == ref.skipped + 2
         assert dataclasses.replace(row, skipped=ref.skipped) == ref
+
+
+def test_chunk_kernels_are_the_power_sums_of_its_samples(monkeypatch) -> None:
+    """A chunk builds its two power-sum kernels once, over its rows; row j
+    of each is, in top, offsets and weights byte for byte, the kernel of
+    sample_of_row's sample of that row, and its counts are the sample's
+    k1 and k2 (over two chunks, the second cut short).  At shape 4.3475
+    most simulated log times are not ln of their own exp, so the kernels
+    must be built from ln of the times as doubles, as a sample holds them."""
+    built = []
+    real = study._groups
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(study, "_groups", recorded)
+    config = _config(truth=JointParams(4.3475, 0.045326, 0.045326), replications=21, methods=("bayes-nip",))
+    run_point_study(dataclasses.replace(config, n_posterior=50))
+    samples = _replay_samples(config)
+    raw = simulate_jpc_batch(config.scheme, dataclasses.astuple(config.truth), RngStream(0, splitmix64(1)), 16)[0]
+    assert sum(not np.array_equal(x.log_t, lt) for x, lt in zip(samples, raw)) > 10
+    assert [len(g[0][1]) for g in built] == [16, 5]
+    rows = [(groups, j) for groups in built for j in range(len(groups[0][1]))]
+    for sample, (groups, j) in zip(samples, rows, strict=True):
+        for (stack, counts), sums, k in zip(groups, sample.power_sums, (sample.k1, sample.k2)):
+            row = stack.take(j)
+            assert counts[j] == k
+            for name in ("top", "off", "wgt"):
+                assert getattr(row, name).tobytes() == getattr(sums, name).tobytes()
+
+
+def test_point_study_refuses_times_that_overflow_or_collide() -> None:
+    """At shape 0.002 the simulated log times are far past exp's range:
+    a point study raises the ValueError a lone sample would, from one check
+    over its chunk."""
+    config = _config(truth=JointParams(0.002, 0.5, 1.0), methods=("mle", "bayes-nip"), replications=20)
+    with pytest.raises(ValueError, match="failure times overflow, underflow to zero or collide as doubles"):
+        run_point_study(config)
