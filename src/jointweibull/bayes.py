@@ -126,7 +126,8 @@ class WeightedPosterior:
     with a0 = a1 + a2 (the flat ordered prior among them).  The other
     priors carry the factor h(B)^c of the module docstring, which lies
     between rho^(-c w) and rho^(c (1 - w)) for rho = (b0 + V)/(b0 + U).
-    ``normalized`` always sums to one.
+    ``normalized`` always sums to one.  ``log_lambda1`` and ``log_lambda2``
+    are the rates' logs as drawn (logs of the rates when not given).
     ``low_ess`` is set when the effective sample size 1/sum(normalized^2)
     falls below one percent of the number of draws.  ``proposed``, ``accepted``
     and ``tangents`` count the shapes drawn from the hull, those that rejection
@@ -142,8 +143,13 @@ class WeightedPosterior:
     proposed: int = 0
     accepted: int = 0
     tangents: int = 0
+    log_lambda1: Optional[np.ndarray] = None
+    log_lambda2: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        with np.errstate(divide="ignore"):  # a rate of 0 has log -inf
+            self.log_lambda1 = np.log(self.lambda1) if self.log_lambda1 is None else self.log_lambda1
+            self.log_lambda2 = np.log(self.lambda2) if self.log_lambda2 is None else self.log_lambda2
         sizes = {
             np.asarray(a).shape
             for a in (self.alpha, self.lambda1, self.lambda2, self.weights, self.normalized)
@@ -229,16 +235,16 @@ def _stack(cores) -> _ConcaveTerm:
 
 
 def _rates(cores, sums: np.ndarray, rngs):
-    """Rates given the shapes' log power sums (one row per group, then per
-    core), and their log weights, one row per core, each drawn from its own
-    stream in ``rngs``: a gamma total first, then the split.  One group's
-    rate is its gamma(G) total over R_1.  Two groups split the total by a
-    beta(s1, s2) fraction of the rescaled rates, cut below x0 for an
-    ordered prior.  Where the cut keeps ``_CUT_FLOOR`` of the mass or more,
-    beta draws below x0 are kept over ``_CUT_ROUNDS`` rounds; the rest
+    """Rates, their logs and their log weights given the shapes' log power
+    sums (one row per group, then per core), one row per core, each drawn
+    from its own stream in ``rngs``: a gamma total first, then the split.
+    One group's rate is its gamma(G) total over R_1; two groups split the
+    total by a beta(s1, s2) fraction of the rescaled rates, cut below x0 for
+    an ordered prior.  Where the cut keeps ``_CUT_FLOOR`` of the mass or
+    more, beta draws below x0 are kept over ``_CUT_ROUNDS`` rounds; the rest
     invert ``I``.  Each rate is ``exp(ln fraction + ln total - ln R_g)``,
     which never divides by an overflowed ``R_g``: a rate is 0 only where
-    its log is below -745 and infinite only where it is above 709.78."""
+    its log, also returned, is below -745 and infinite only above 709.78."""
     col = lambda v: np.array(v, dtype=float)[:, None]  # noqa: E731
     ln_r = np.logaddexp(col([c.log_b0 for c in cores]), sums)
     rows, size = sums.shape[1:]
@@ -247,8 +253,8 @@ def _rates(cores, sums: np.ndarray, rngs):
         ln_total = np.log(total)
     ln_g = np.zeros((rows, size))
     if len(ln_r) == 1:
-        lam = np.exp(ln_total - ln_r[0])
-        return lam, lam, ln_g
+        lam = np.exp(ln_l := ln_total - ln_r[0])
+        return lam, lam, ln_l, ln_l, ln_g
     bgs, (s1, s2) = [c.prior.bg for c in cores], zip(*(c.group_shapes for c in cores))
     ordered = np.flatnonzero([c.prior.ordered for c in cores])
     ln_r1, ln_r2 = ln_r
@@ -283,14 +289,14 @@ def _rates(cores, sums: np.ndarray, rngs):
     c, w = col([bg.a0 - bg.a1 - bg.a2 for bg in bgs]), col(s1) / (col(s1) + col(s2))
     t = np.flatnonzero(c)
     ln_g[t] += c[t] * np.logaddexp(ln_frac[t] + (1.0 - w[t]) * ln_rho[t], ln_rest[t] - w[t] * ln_rho[t])
-    l1 = np.exp(ln_frac + ln_total - ln_r1)
-    l2 = np.exp(ln_rest + ln_total - ln_r2)
+    ln_l1, ln_l2 = ln_frac + ln_total - ln_r1, ln_rest + ln_total - ln_r2
+    l1, l2 = np.exp(ln_l1), np.exp(ln_l2)
     l1[ordered] = np.minimum(l1[ordered], np.nextafter(l2[ordered], 0.0))
     gaps = {r: abs(bgs[r].a2 - bgs[r].a1) for r in ordered if bgs[r].a1 != bgs[r].a2}
     for gap in set(gaps.values()):  # a scalar power, as alone
         t = [r for r, g in gaps.items() if g == gap]
         ln_g[t] += np.log1p((l1[t] / l2[t]) ** gap) - math.log(2.0)
-    return l1, l2, ln_g
+    return l1, l2, ln_l1, ln_l2, ln_g
 
 
 def _merge(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -319,7 +325,7 @@ class _DrawStack:
             cores = list(self.rngs)[first : first + step]
             rngs = [self.rngs[c] for c in cores]
             alpha, sums, counts, made = _sample_marginal(cores, n, rngs)
-            l1, l2, ln_g = _rates(cores, sums, rngs)  # a failed row's are never read
+            l1, l2, ln_l1, ln_l2, ln_g = _rates(cores, sums, rngs)  # a failed row's are never read
             dead = ~np.any(ln_g > -math.inf, axis=1)
             ln_g[dead] = 0.0
             normalized, _ = _max_shift(ln_g)
@@ -333,7 +339,8 @@ class _DrawStack:
                     continue
                 lam, kw = l1[r], {k: int(v[r]) for k, v in counts.items()}
                 made[r] = WeightedPosterior(
-                    alpha[r], lam, lam if l2 is l1 else l2[r], weights[r], normalized[r], bool(low[r]), **kw
+                    alpha[r], lam, lam if l2 is l1 else l2[r], weights[r], normalized[r], bool(low[r]), **kw,
+                    log_lambda1=ln_l1[r], log_lambda2=ln_l2[r],
                 )
             self.made.update(zip(cores, made))
         core.stack, made = None, self.made.pop(core)
@@ -429,7 +436,8 @@ def draw_posterior(
     """Importance-weighted posterior draws for a censoring outcome.
 
     ``core``, the ``_PosteriorCore`` of ``sample`` and ``prior`` (its mode
-    maybe set by :func:`shape_modes`), is built here when not given.
+    maybe set by :func:`shape_modes`), is built here when not given; given,
+    it is all that is read of ``sample``, which may then be None.
 
     Raises :class:`ImproperPosteriorError` when either the rate update or
     the shape marginal fails its integrability check, which happens for
@@ -536,14 +544,14 @@ def posterior_predictive_pvalue(
     draws (unless given), resampling indices, replicates.
 
     The discrepancy is the largest group-wise KS distance of the times
-    against the drawn laws (``gof._ks_rows``).  ``data`` may be a
-    :class:`CompleteSample`, one group whose replicates are sorted uniforms
-    under their own law whatever the draw (its posterior reads only a0, b0
-    and the shape prior from ``prior``: a gamma(a0, b0) rate prior, whatever
-    a1, a2 and the order flag say), or a :class:`JpcSample`, whose
-    failure times form two groups and whose replicates come from one
-    :func:`simulate_jpc_batch` call with per-row parameters.  Both run as
-    array steps over all draws and replicates.
+    against the drawn laws (``gof._ks_rows``, from the draws' log rates).
+    ``data`` may be a :class:`CompleteSample`, one group whose replicates'
+    CDF values under their own law are sorted uniforms whatever the draw,
+    so each is taken as a sorted row u of ``(n_rep, n)`` uniforms, at
+    distance max(i/n - u_(i), u_(i) - (i - 1)/n) (its posterior reads only
+    a0, b0 and the shape prior from ``prior``), or a :class:`JpcSample`,
+    whose failure times form two groups and whose replicates come from one
+    :func:`simulate_jpc_batch` call with per-row parameters.
 
     ``posterior`` supplies draws the caller already has instead of drawing
     them from ``prior``: for a :class:`JpcSample` a :class:`WeightedPosterior`
@@ -555,33 +563,29 @@ def posterior_predictive_pvalue(
         raise ValueError("an explicit RngStream is required")
     _check_count("n_rep", n_rep, 1)
     if isinstance(data, CompleteSample):
-        if posterior is None:
-            post = _PosteriorCore.from_complete((data,), prior).draw(n_rep, rng)
-            posterior = (post.alpha, post.lambda1, post.normalized)
-        a, l1, norm = (np.asarray(v) for v in posterior)
-        l2 = l1
+        if posterior is not None:  # the triple as draws weighted by ``normalized``; logs of its rates
+            posterior = WeightedPosterior(*(np.asarray(posterior[i]) for i in (0, 1, 1, 2, 2)))
+        post = posterior or _PosteriorCore.from_complete((data,), prior).draw(n_rep, rng)
         log_t, delta = np.log(data.sorted), np.ones(data.n)
 
-        def replicate(*_):
-            e = np.sort(-np.log1p(-rng.uniform((n_rep, data.n))), axis=1)
-            unit = np.ones(n_rep)
-            return np.log(e), delta, unit, unit, unit
+        def replicate(_):
+            u, rank = np.sort(rng.uniform((n_rep, data.n)), axis=1), np.arange(1, data.n + 1)
+            return np.maximum((rank / data.n - u).max(axis=1), (u - (rank - 1) / data.n).max(axis=1))
 
     elif isinstance(data, JpcSample):
         post = posterior or draw_posterior(data, prior, n_rep, rng)
-        a, l1, l2, norm = post.alpha, post.lambda1, post.lambda2, post.normalized
         log_t, delta = data.log_t, data.delta
 
-        def replicate(a, l1, l2):
-            return (*simulate_jpc_batch(data.scheme, (a, l1, l2), rng, n_rep)[:2], a, l1, l2)
+        def replicate(idx):
+            par = (post.alpha[idx], post.lambda1[idx], post.lambda2[idx])
+            rep = simulate_jpc_batch(data.scheme, par, rng, n_rep)
+            return _ks_rows(*rep[:2], par[0], post.log_lambda1[idx], post.log_lambda2[idx])
 
     else:
         raise TypeError("data must be a CompleteSample or a JpcSample")
-    d_obs = _ks_rows(log_t, delta, a, l1, l2)
-    idx = _resample_indices(norm, n_rep, rng)
-    a, l1, l2 = a[idx], l1[idx], l2[idx]
-    d_rep = _ks_rows(*replicate(a, l1, l2))
-    return float(np.mean(d_rep >= d_obs[idx])), float((norm * d_obs).sum())
+    d_obs = _ks_rows(log_t, delta, post.alpha, post.log_lambda1, post.log_lambda2)
+    idx = _resample_indices(post.normalized, n_rep, rng)
+    return float(np.mean(replicate(idx) >= d_obs[idx])), float((post.normalized * d_obs).sum())
 
 
 def _resample_indices(normalized: np.ndarray, n: int, rng: RngStream) -> np.ndarray:

@@ -95,13 +95,22 @@ def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
     return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), sweeps)
 
 
+def _log_moment_start(*log_x) -> np.ndarray:
+    """Each row's shape start pi/(sqrt 6 s), s the pooled within-sample sd
+    of its log values in ``log_x`` (one array per sample), clipped to
+    [1e-10, 1e10]: ln X of a Weibull variable is Gumbel, sd pi/(alpha sqrt 6)."""
+    ss = sum(((x - x.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1) for x in log_x)
+    with np.errstate(divide="ignore"):
+        return np.clip(math.pi / np.sqrt(6.0 * ss / sum(x.shape[-1] for x in log_x)), 1e-10, 1e10)
+
+
 def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Shape/rate MLEs of stacked complete samples, one per row of
     ``log_x``: a one-group ``mle._fit_rows`` stack, every value a failure of
-    weight 1.  Returns ``(alpha, lam, sweeps)``; a row without a shape
-    maximizer raises."""
+    weight 1, each search started at its row's log-moment shape.  Returns
+    ``(alpha, lam, sweeps)``; a row without a shape maximizer raises."""
     groups = [(PowerSum(1.0, log_x), log_x.shape[1])]
-    alpha, log_rates, ok, sweeps = _fit_rows(groups, log_x.sum(axis=1))
+    alpha, log_rates, ok, sweeps = _fit_rows(groups, log_x.sum(axis=1), _log_moment_start(log_x))
     if not ok.all():
         raise ConvergenceError(_NO_SHAPE)
     return alpha, np.exp(log_rates[0]), sweeps
@@ -110,15 +119,16 @@ def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShapeFit:
     """Joint MLE of two complete samples sharing one shape parameter.
 
-    This is the joint experiment with no withdrawals: every value of sample
-    1 is a group-1 failure and every value of sample 2 a group-2 one, so it
-    is fitted as that one-row ``mle._fit_rows`` stack, one kernel per sample.
+    This is the joint experiment with no withdrawals, every value of sample 1
+    a group-1 failure and of sample 2 a group-2 one: a one-row ``mle._fit_rows``
+    stack, one kernel per sample, started at the pooled log-moment shape.
     """
     for d in (data1, data2):
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values in each sample")
     groups = [(PowerSum(1.0, d.log_values), d.n) for d in (data1, data2)]
-    alpha, log_rates, ok, sweeps = _fit_rows(groups, np.array([data1.sum_log + data2.sum_log]))
+    start = _log_moment_start(data1.log_values, data2.log_values)
+    alpha, log_rates, ok, sweeps = _fit_rows(groups, np.array([data1.sum_log + data2.sum_log]), start)
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
     alpha = float(alpha[0])
@@ -127,22 +137,23 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps)
 
 
-def _ks_rows(log_t, delta, alpha, lam1, lam2) -> np.ndarray:
+def _ks_rows(log_t, delta, alpha, log_lam1, log_lam2) -> np.ndarray:
     """Largest group-wise KS distance of each row's times against that row's
-    Weibull laws: shape ``alpha``, rate ``lam1`` for group 1 (``delta`` 1)
-    and ``lam2`` for group 2.  ``log_t`` is ``(rows, k)``, or one ``(k,)``
-    sample shared by all rows, increasing along each row; ``delta`` is
-    ``(k,)`` or ``(rows, k)``.  A time of rank r among the n_g of its group
-    is compared with r/n_g and (r - 1)/n_g, so a complete sample is one
-    group (``delta`` all 1) and a group without times adds nothing."""
+    Weibull laws: shape ``alpha``, log rate ``log_lam1`` for group 1
+    (``delta`` 1) and ``log_lam2`` for group 2, each hazard exp(alpha ln t
+    + ln lambda), so rates below exp's range count.  ``log_t`` is ``(rows,
+    k)``, or one ``(k,)`` sample shared by all rows, increasing along each
+    row; ``delta`` is ``(k,)`` or ``(rows, k)``.  A time of rank r among the
+    n_g of its group is compared with r/n_g and (r - 1)/n_g, so a complete
+    sample is one group (``delta`` all 1) and a group without times adds nothing."""
     in1 = delta == 1
     r1, r2 = np.cumsum(in1, axis=-1), np.cumsum(~in1, axis=-1)
     rank = np.where(in1, r1, r2)
     n_g = np.where(in1, r1[..., -1:], r2[..., -1:])
     g = alpha[:, None] * log_t
+    g += np.where(in1, log_lam1[:, None], log_lam2[:, None])
     np.exp(g, out=g)
-    g *= np.where(in1, -lam1[:, None], -lam2[:, None])
-    np.expm1(g, out=g)  # minus the CDF at every time
+    np.expm1(np.negative(g, out=g), out=g)  # minus the CDF at every time
     return np.maximum((rank / n_g + g).max(axis=-1), -(g + (rank - 1) / n_g).min(axis=-1))
 
 
@@ -150,8 +161,8 @@ def ks_distance(data: CompleteSample, alpha: float, lam: float) -> float:
     """Sup distance between the empirical CDF and a Weibull CDF."""
     _check_real("alpha", alpha)
     _check_real("lam", lam)
-    a, lam = np.array([alpha]), np.array([lam])
-    return float(_ks_rows(np.log(data.sorted), np.ones(data.n), a, lam, lam)[0])
+    a, log_lam = np.array([alpha]), np.log([lam])
+    return float(_ks_rows(np.log(data.sorted), np.ones(data.n), a, log_lam, log_lam)[0])
 
 
 def ks_pvalue(
@@ -186,11 +197,8 @@ def ks_pvalue(
         if estimated and n < 2:
             raise ValueError("need at least two values to refit a shape")
         log_x = np.log(np.sort(rng.exponential((n_mc, n)), axis=1))
-        if estimated:
-            alpha, lam, _ = _fit_complete_rows(log_x)
-        else:
-            alpha = lam = np.ones(n_mc)
-        d = _ks_rows(log_x, np.ones(n), alpha, lam, lam)
+        alpha, lam, _ = _fit_complete_rows(log_x) if estimated else (np.ones(n_mc), np.ones(n_mc), 0)
+        d = _ks_rows(log_x, np.ones(n), alpha, np.log(lam), np.log(lam))
         return int(np.count_nonzero(d >= distance)) / n_mc
     return _kolmogorov_sf(math.sqrt(n) * distance)
 

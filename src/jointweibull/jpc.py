@@ -281,9 +281,11 @@ def simulate_jpc_batch(
 
 
 def _tau_scale_rows(scheme: CensoringScheme, alpha, lam1, lam2, rng: RngStream):
+    """One pass of :func:`simulate_jpc_batch`: draws made ``(size, k)`` and
+    walked as contiguous epoch rows of their transposes, outputs ``(size, k)``."""
     size, k = alpha.size, scheme.k
-    gap = rng.exponential((size, k))
-    pick = rng.uniform((size, k))
+    gap = rng.exponential((size, k)).T.copy()
+    pick = rng.uniform((size, k)).T.copy()
     delta = np.zeros((size, k), dtype=np.int64)
     s = np.zeros((size, k), dtype=np.int64)
     a1 = np.full(size, scheme.m, dtype=np.int64)
@@ -291,20 +293,20 @@ def _tau_scale_rows(scheme: CensoringScheme, alpha, lam1, lam2, rng: RngStream):
     for j, r_j in enumerate(scheme.R):
         h1 = a1 * lam1
         h2 = a2 * lam2
-        gap[:, j] /= h1 + h2
+        gap[j] /= h1 + h2
         # U*(h1 + h2) < h1, arranged so an empty group can never be picked
-        d = pick[:, j] * h2 < (1.0 - pick[:, j]) * h1
+        d = pick[j] * h2 < (1.0 - pick[j]) * h1
         delta[:, j] = d
         a1 -= d
         a2 -= ~d
         if r_j:
-            sj = rng.hypergeometric(a1, a2, r_j)
-            s[:, j] = sj
+            s[:, j] = sj = rng.hypergeometric(a1, a2, r_j)
             a1 -= sj
             a2 -= r_j - sj
     with np.errstate(divide="ignore"):  # a zero first gap gives -inf: redrawn
-        log_t = np.log(np.cumsum(gap, axis=1)) / alpha[:, None]
-    return log_t, delta, s
+        np.log(np.cumsum(gap, axis=0, out=gap), out=gap)
+    gap /= alpha
+    return np.ascontiguousarray(gap.T), delta, s
 
 
 def shift_sample(sample: JpcSample, shift: float) -> JpcSample:

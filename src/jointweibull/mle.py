@@ -260,11 +260,17 @@ def asymptotic_ci(
     every shape in [1e-10, 1e10] (:func:`fisher_info` is the reference).
     """
     _check_level(level)
-    a, l1, l2 = params.alpha, params.lambda1, params.lambda2
     free = zip(sample.power_sums, (sample.k1, sample.k2))
-    groups = [_pooled(sample.scheme, sample.log_t)] if boundary else free
+    return _asymptotic(sample.scheme, free, sample.log_t, params, boundary, level)
+
+
+def _asymptotic(scheme: CensoringScheme, free, log_t, params: JointParams, boundary: bool, level: float):
+    """:func:`asymptotic_ci` of a stack's row: its two (kernel, failure count)
+    pairs ``free`` and its log times, read only on a ``boundary`` fit."""
+    a, l1, l2 = params.alpha, params.lambda1, params.lambda2
+    groups = [_pooled(scheme, log_t)] if boundary else free
     moments = [(kg, *sums.moments(a)[:2]) for sums, kg in groups]
-    var_a = 1.0 / (sample.scheme.k / a**2 + sum(kg * v for kg, _, v in moments))
+    var_a = 1.0 / (scheme.k / a**2 + sum(kg * v for kg, _, v in moments))
     rel = [math.sqrt(1.0 / kg + m * m * var_a) for kg, m, _ in moments]
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = (z * math.sqrt(var_a), z * l1 * rel[0], z * l2 * rel[-1])

@@ -24,8 +24,8 @@ import numpy as np
 from .bayes import PriorSpec, ShapeHyper, _DrawStack, _PosteriorCore, bayes_estimate, draw_posterior
 from .bayes import hpd_interval, shape_modes
 from .errors import EstimationError, StudyFailedError, _check_count, _check_level, _check_real
-from .jpc import CensoringScheme, JointParams, _groups, _times, sample_of_row, simulate_jpc_batch
-from .mle import _bootstrap, _fit_design, asymptotic_ci
+from .jpc import CensoringScheme, JointParams, _groups, _times, simulate_jpc_batch
+from .mle import _asymptotic, _bootstrap, _fit_design
 from .rng import BetaGammaHyper, RngStream, splitmix64
 
 POINT_METHODS = (
@@ -153,21 +153,21 @@ def _scheme_label(scheme: CensoringScheme) -> str:
 _COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 
 
-def _evaluate(config: StudyConfig, sample, stream: RngStream, method: str, prep, point: bool):
+def _evaluate(config: StudyConfig, row, stream: RngStream, method: str, prep, point: bool):
     """A method's estimates (with ``point`` False, its intervals) of the
     parameters and its low-ESS flag, from what the chunk made ready for it:
     a fit's parameters and boundary flag (the bootstrap's is the free fit),
     or a posterior core with its mode, registered on the chunk's draw stack
-    with ``stream``, the method's own; ``sample`` is None unless it is read."""
+    with ``stream``, the method's own; ``row`` (its kernels' rows, log times) is None unless read."""
     if method.startswith("mle"):
         params, boundary = prep
         if point:
             return astuple(params), False
-        return asymptotic_ci(sample, params, boundary, config.level), False
+        return _asymptotic(config.scheme, *row, params, boundary, config.level), False
     if method == "bootstrap":
         res = _bootstrap(config.scheme, prep[0], config.level, config.n_boot, False, stream)
         return (res.alpha, res.lambda1, res.lambda2), False
-    post = draw_posterior(sample, prep.prior, config.n_posterior, stream, core=prep)
+    post = draw_posterior(None, prep.prior, config.n_posterior, stream, core=prep)
     if point:
         return tuple(bayes_estimate(post, h) for h in _COMPONENTS), post.low_ess
     return tuple(hpd_interval(post, h, config.level) for h in _COMPONENTS), post.low_ess
@@ -208,13 +208,12 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
     if bayes and prep:
         shape_modes([prep[j][m] for j in prep for m in bayes])
         _DrawStack(config.n_posterior, {prep[j][m]: streams[j, m] for j in prep for m in bayes})
-    asymptotic = not point and any(m.startswith("mle") for m in methods)  # the one reader of a sample
+    asymptotic = not point and any(m.startswith("mle") for m in methods)  # the one reader of a row
     out = [None] * len(log_t)
     for j, ready in prep.items():
-        sample = sample_of_row(scheme, lnt[j], delta[j], s[j]) if asymptotic else None
+        row = ([(g.take(j), n[j]) for g, n in groups], log_t[j]) if asymptotic else None
         try:
-            out[j] = {m: _evaluate(config, sample, streams.get((j, m)), m, ready.get(m), point)
-                      for m in methods}
+            out[j] = {m: _evaluate(config, row, streams.get((j, m)), m, ready.get(m), point) for m in methods}
         except EstimationError:
             pass
     return out

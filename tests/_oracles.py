@@ -169,6 +169,36 @@ def simulate_jpc_walk(scheme: CensoringScheme, params: JointParams, rng: RngStre
     return JpcSample(scheme=scheme, obs=tuple(obs))
 
 
+def tau_scale_rows_row_major(scheme: CensoringScheme, alpha, lam1, lam2, rng: RngStream):
+    """The tau-scale walk of ``jpc._tau_scale_rows`` as a row-major loop:
+    the gaps and picks stay ``(size, k)`` and epoch j steps through their
+    strided column j.  The same draws in the same order, so the same
+    outputs byte for byte."""
+    size, k = alpha.size, scheme.k
+    gap = rng.exponential((size, k))
+    pick = rng.uniform((size, k))
+    delta = np.zeros((size, k), dtype=np.int64)
+    s = np.zeros((size, k), dtype=np.int64)
+    a1 = np.full(size, scheme.m, dtype=np.int64)
+    a2 = np.full(size, scheme.n, dtype=np.int64)
+    for j, r_j in enumerate(scheme.R):
+        h1 = a1 * lam1
+        h2 = a2 * lam2
+        gap[:, j] /= h1 + h2
+        d = pick[:, j] * h2 < (1.0 - pick[:, j]) * h1
+        delta[:, j] = d
+        a1 -= d
+        a2 -= ~d
+        if r_j:
+            sj = rng.hypergeometric(a1, a2, r_j)
+            s[:, j] = sj
+            a1 -= sj
+            a2 -= r_j - sj
+    with np.errstate(divide="ignore"):
+        log_t = np.log(np.cumsum(gap, axis=1)) / alpha[:, None]
+    return log_t, delta, s
+
+
 def _jpc_posterior_grid(sample, bg, shape, ordered, alpha_hi, n_alpha, n_p):
     """Unnormalized posterior on a dense alpha grid.
 

@@ -493,7 +493,7 @@ def test_ordered_rate_fraction_follows_the_cut_beta(fiber) -> None:
     x0 = expit(-log_sums[1])
     cut = betainc(s1, s2, x0)
     rng = _CountingStream(650, 0)
-    (l1,), (l2,), _ = _rates([core], log_sums[:, None], [rng])
+    (l1,), (l2,), *_ = _rates([core], log_sums[:, None], [rng])
     assert np.all(l1 < l2)
     frac = l1 / (l1 + l2 * np.exp(log_sums[1]))
     assert np.all(frac < x0)
@@ -941,13 +941,13 @@ def test_jpc_discrepancy_rows_match_scalar_oracle(fiber, flat_rate4) -> None:
     sample whose failures all come from group 1."""
     post = draw_posterior(fiber, flat_rate4, 1000, RngStream(626, 0))
     a, l1, l2 = post.alpha, post.lambda1, post.lambda2
-    rows = _ks_rows(fiber.log_t, fiber.delta, a, l1, l2)
+    rows = _ks_rows(fiber.log_t, fiber.delta, a, post.log_lambda1, post.log_lambda2)
     want = [jpc_discrepancy_oracle(fiber, JointParams(*p)) for p in zip(a, l1, l2)]
     assert np.max(np.abs(rows - want)) <= 1e-12
     n = 300
     a, l1, l2 = a[:n], l1[:n], l2[:n]
     log_t, delta, s = simulate_jpc_batch(fiber.scheme, (a, l1, l2), RngStream(627, 0), n)
-    rows = _ks_rows(log_t, delta, a, l1, l2)
+    rows = _ks_rows(log_t, delta, a, np.log(l1), np.log(l2))
     for i in range(n):
         rep = _replayed(fiber.scheme, log_t[i], delta[i], s[i])
         assert abs(rows[i] - jpc_discrepancy_oracle(rep, JointParams(a[i], l1[i], l2[i]))) <= 1e-12
@@ -955,7 +955,7 @@ def test_jpc_discrepancy_rows_match_scalar_oracle(fiber, flat_rate4) -> None:
         CensoringScheme(2, 2, 2, (0, 2)), (JpcObservation(1.0, 1, 0), JpcObservation(2.0, 1, 0))
     )
     par = JointParams(1.3, 0.6, 0.9)
-    got = _ks_rows(one_group.log_t, one_group.delta, *(np.array([v]) for v in (1.3, 0.6, 0.9)))
+    got = _ks_rows(one_group.log_t, one_group.delta, np.array([1.3]), np.log([0.6]), np.log([0.9]))
     assert abs(got[0] - jpc_discrepancy_oracle(one_group, par)) <= 1e-12
 
 
@@ -976,8 +976,8 @@ def test_predictive_pvalue_joint_sample_batch_matches_scalar_loop(fiber, flat_ra
     idx = _resample_indices(post.normalized, n_rep, rng)
     a, l1, l2 = post.alpha[idx], post.lambda1[idx], post.lambda2[idx]
     log_t, delta, _ = simulate_jpc_batch(fiber.scheme, (a, l1, l2), rng, n_rep)
-    d_batch = _ks_rows(log_t, delta, a, l1, l2)
-    d_obs_rows = _ks_rows(fiber.log_t, fiber.delta, post.alpha, post.lambda1, post.lambda2)
+    d_batch = _ks_rows(log_t, delta, a, post.log_lambda1[idx], post.log_lambda2[idx])
+    d_obs_rows = _ks_rows(fiber.log_t, fiber.delta, post.alpha, post.log_lambda1, post.log_lambda2)
     assert p == float(np.mean(d_batch >= d_obs_rows[idx]))
     loop_rng = RngStream(630, 0)
     d_loop = np.array(
@@ -1003,6 +1003,51 @@ def test_predictive_pvalue_complete_sample_takes_given_draws(ds1, flat_rate4) ->
         ds1, flat_rate4, n_rep=n_rep, rng=rng, posterior=(alphas, lams, np.full(n_rep, 1.0 / n_rep))
     )
     assert given == posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(631, 0))
+
+
+def test_complete_sample_replicates_are_sorted_uniforms(ds1, flat_rate4) -> None:
+    """A complete sample's check replays as posterior draws, resampling
+    indices, then one (n_rep, n) array of uniforms: its p-value counts the
+    replicates whose distance, written longhand from each sorted row u as
+    the largest of i/n - u_(i) and u_(i) - (i - 1)/n, is at least the
+    observed one at the same draw.  Those distances are within 2 ulp of the
+    uniforms' scale, 2 ulp of a double in [0.5, 1), of the inversion round
+    trip (standard exponentials -log1p(-u), sorted, their logs through
+    _ks_rows at unit shape and rate)."""
+    n_rep, n = 700, ds1.n
+    p, mean_d = posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(632, 0))
+    rng = RngStream(632, 0)
+    post = _PosteriorCore.from_complete((ds1,), flat_rate4).draw(n_rep, rng)
+    d_obs = _ks_rows(np.log(ds1.sorted), np.ones(n), post.alpha, post.log_lambda1, post.log_lambda1)
+    idx = _resample_indices(post.normalized, n_rep, rng)
+    raw = rng.uniform((n_rep, n))
+    d_rep = np.array(
+        [max(max((i + 1) / n - v, v - i / n) for i, v in enumerate(row)) for row in np.sort(raw, axis=1).tolist()]
+    )
+    assert p == float(np.mean(d_rep >= d_obs[idx]))
+    assert mean_d == float((post.normalized * d_obs).sum())
+    unit, zero = np.ones(n_rep), np.zeros(n_rep)
+    inverted = _ks_rows(np.log(np.sort(-np.log1p(-raw), axis=1)), np.ones(n), unit, zero, zero)
+    assert np.max(np.abs(d_rep - inverted)) <= 2.0 * np.spacing(0.5)
+
+
+def test_predictive_check_reads_rates_below_the_range_of_exp() -> None:
+    """30 strengths 20000 (-ln(1 - u))^(1/116) under a flat prior with shape
+    rate 0 draw shapes near 118 and rates near e^-1150, which underflow to
+    0: the check forms each hazard from the drawn log rate, so p and the
+    expected KS distance are finite, with no RuntimeWarning, and they are
+    those of the same strengths divided by 20000 (the discrepancy and this
+    prior are scale-free)."""
+    x = 20000.0 * (-np.log1p(-(np.arange(30) + 0.5) / 30)) ** (1.0 / 116.0)
+    got = []
+    for scale in (1.0, 20000.0):
+        data = CompleteSample(tuple(x / scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got.append(posterior_predictive_pvalue(data, PriorSpec.flat(), 1000, RngStream(633, 0)))
+    (p, expected), (p_scaled, expected_scaled) = got
+    assert 0.0 <= p <= 1.0 and 0.0 < expected < 1.0
+    assert p == p_scaled and expected == pytest.approx(expected_scaled, rel=1e-9)
 
 
 def test_merge_is_union1d_bit_for_bit() -> None:

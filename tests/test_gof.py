@@ -130,7 +130,7 @@ def test_ks_rows_on_complete_samples_match_scipy(ds1, ds2) -> None:
         fit = fit_weibull_complete(ds)
         alpha = fit.alpha * np.exp(0.4 * (rng.uniform(200) - 0.5))
         lam = fit.lam * np.exp(rng.uniform(200) - 0.5)
-        rows = _ks_rows(np.log(ds.sorted), np.ones(ds.n), alpha, lam, lam)
+        rows = _ks_rows(np.log(ds.sorted), np.ones(ds.n), alpha, np.log(lam), np.log(lam))
         want = [
             stats.kstest(ds.array, lambda x, a=a, l=l: -np.expm1(-l * np.asarray(x) ** a)).statistic
             for a, l in zip(alpha, lam)
@@ -188,12 +188,13 @@ def test_ks_pvalue_monte_carlo_counts_match_the_direct_formula(ds1, ds2) -> None
     """With refits, the Monte Carlo p-value counts exactly the null
     distances at least the observed one, each written out directly as the
     largest of i/n - F_i and F_i - (i - 1)/n over a row's sorted refitted
-    CDF values F; observed distances on the null's own values test ties."""
+    CDF values F, each from its hazard exp(alpha ln x + ln lambda);
+    observed distances on the null's own values test ties."""
     for ds, seed in ((ds1, 77), (ds2, 78)):
         n = ds.n
         log_x = np.log(np.sort(RngStream(seed, 0).exponential((200, n)), axis=1))
         alpha, lam, _ = _fit_complete_rows(log_x)
-        f = -np.expm1(-lam[:, None] * np.exp(alpha[:, None] * log_x))
+        f = -np.expm1(-np.exp(alpha[:, None] * log_x + np.log(lam)[:, None]))
         null = np.maximum((np.arange(1, n + 1) / n - f).max(axis=1), (f - np.arange(n) / n).max(axis=1))
         fit = fit_weibull_complete(ds)
         for d in [ks_distance(ds, fit.alpha, fit.lam), *null[:10]]:

@@ -26,9 +26,16 @@ from jointweibull.jpc import (
     u_stat,
     v_stat,
 )
+from jointweibull import jpc
 from jointweibull.rng import RngStream
 
-from _oracles import jpc_epoch_moments_oracle, random_jpc_sample, simulate_jpc_walk, swap_groups
+from _oracles import (
+    jpc_epoch_moments_oracle,
+    random_jpc_sample,
+    simulate_jpc_walk,
+    swap_groups,
+    tau_scale_rows_row_major,
+)
 
 
 def test_scheme_validation() -> None:
@@ -385,6 +392,30 @@ def test_batch_simulator_scalar_and_array_parameters_agree_bytewise() -> None:
     rows = simulate_jpc_batch(_REF_SCHEME, arrays, RngStream(67, 0), size)
     for x, y in zip(scalar, rows):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_batch_simulator_walks_epochs_as_the_row_major_loop(monkeypatch) -> None:
+    """The simulator walks each epoch as a contiguous row of its transposed
+    draws; its outputs, and those of ``simulate_jpc_batch``, equal byte for
+    byte and C-contiguous those of the row-major loop over strided columns,
+    on the fiber and the reference design, with scalar and per-row
+    parameters."""
+    fiber = CensoringScheme(69, 63, 20, (4,) * 19 + (36,))
+    gen = np.random.default_rng(68)
+    for scheme, truth in ((fiber, (4.3475, 0.045326, 0.045326)), (_REF_SCHEME, astuple(_REF_TRUTH))):
+        for size in (1, 7, 300):
+            per_row = tuple(v * np.exp(gen.uniform(-0.3, 0.3, size)) for v in truth)
+            for params in (truth, per_row):
+                rows = tuple(np.broadcast_to(np.asarray(p, dtype=float), (size,)) for p in params)
+                got = jpc._tau_scale_rows(scheme, *rows, RngStream(69, size))
+                want = tau_scale_rows_row_major(scheme, *rows, RngStream(69, size))
+                batch = simulate_jpc_batch(scheme, params, RngStream(70, size), size)
+                with monkeypatch.context() as patched:
+                    patched.setattr(jpc, "_tau_scale_rows", tau_scale_rows_row_major)
+                    batch_want = simulate_jpc_batch(scheme, params, RngStream(70, size), size)
+                for x, y in zip(got + batch, want + batch_want):
+                    assert x.shape == (size, scheme.k) and x.flags.c_contiguous
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def _former_break_ties(values) -> np.ndarray:

@@ -12,7 +12,7 @@ from jointweibull.bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_poste
 from jointweibull import study
 from jointweibull.errors import ImproperPosteriorError, NonIntegrableTargetError, StudyFailedError
 from jointweibull.jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
-from jointweibull.mle import bootstrap_ci, fit_mle, fit_mle_ordered
+from jointweibull.mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
 from jointweibull.rng import BetaGammaHyper, RngStream, beta_gamma_mean, splitmix64
 from jointweibull.study import (
     _METHOD_OFFSET,
@@ -308,22 +308,26 @@ def test_an_estimation_error_skips_its_replication(monkeypatch) -> None:
 def _record_replications(monkeypatch) -> dict:
     """Patch the study's per-replication calls to record, per sample (keyed
     by its log times, in the order the study first reaches it), each
-    asymptotic interval's fit and each posterior's draws."""
+    asymptotic interval's fit with the intervals, and each posterior's draws,
+    which the method then reads."""
     seen: dict = {}
-    real_ci, real_draw = study.asymptotic_ci, study.draw_posterior
+    real_ci, real_evaluate = study._asymptotic, study._evaluate
 
-    def ci(sample, params, boundary, level):
-        seen.setdefault(sample.log_t.tobytes(), []).append(("ci", params, boundary))
-        return real_ci(sample, params, boundary, level)
+    def ci(scheme, free, log_t, params, boundary, level):
+        intervals = real_ci(scheme, free, log_t, params, boundary, level)
+        seen.setdefault(log_t.tobytes(), []).append(("ci", params, boundary, intervals))
+        return intervals
 
-    def draw(sample, prior, n_draws, rng, core=None):
-        post = real_draw(sample, prior, n_draws, rng, core=core)
-        record = ("post", prior, post.alpha.tobytes(), post.lambda1.tobytes(), post.normalized.tobytes())
-        seen.setdefault(sample.log_t.tobytes(), []).append(record)
-        return post
+    def evaluate(config, row, stream, method, prep, point):
+        if method.startswith("bayes"):
+            post = prep.draw(config.n_posterior, stream)
+            record = ("post", prep.prior, post.alpha.tobytes(), post.lambda1.tobytes(), post.normalized.tobytes())
+            seen.setdefault(row[1].tobytes(), []).append(record)
+            prep.draw = lambda *_: post
+        return real_evaluate(config, row, stream, method, prep, point)
 
-    monkeypatch.setattr(study, "asymptotic_ci", ci)
-    monkeypatch.setattr(study, "draw_posterior", draw)
+    monkeypatch.setattr(study, "_asymptotic", ci)
+    monkeypatch.setattr(study, "_evaluate", evaluate)
     return seen
 
 
@@ -348,8 +352,9 @@ def test_first_replications_of_a_longer_study_are_the_shorter_study(monkeypatch)
 def test_stacked_study_fits_are_the_lone_fits(monkeypatch) -> None:
     """Each chunk fits its samples in one free stack and refits only the
     rows that break lambda1 <= lambda2 with one common rate; every sample's
-    intervals still come from exactly the fit_mle and fit_mle_ordered fits
-    of that sample alone, byte for byte, boundary fits among them."""
+    intervals, read from its rows of the chunk's kernels, are still
+    asymptotic_ci's at exactly the fit_mle and fit_mle_ordered fits of that
+    sample alone, byte for byte, boundary fits among them."""
     seen = _record_replications(monkeypatch)
     config = _config(replications=48, methods=("mle", "mle-ordered"))
     run_interval_study(config)
@@ -357,7 +362,10 @@ def test_stacked_study_fits_are_the_lone_fits(monkeypatch) -> None:
     boundary = 0
     for key, records in seen.items():
         free, ordered = fit_mle(samples[key]), fit_mle_ordered(samples[key])
-        want = Counter([("ci", free.params, False), ("ci", ordered.params, ordered.boundary)])
+        want = Counter(
+            ("ci", fit.params, fit.boundary, asymptotic_ci(samples[key], fit.params, fit.boundary, config.level))
+            for fit in (free, ordered)
+        )
         assert Counter(records) == want
         boundary += ordered.boundary
     assert len(seen) >= 45 and boundary >= 1
