@@ -19,11 +19,8 @@ from .bayes import (
     WeightedPosterior,
     bayes_estimate,
     draw_posterior,
-    draw_posterior_two_complete,
     hpd_interval,
-    log_marginal_shape,
     posterior_predictive_pvalue,
-    weibull_posterior_complete,
     weighted_hpd,
 )
 from .gof import (
@@ -47,18 +44,14 @@ from .jpc import (
 )
 from .mle import (
     BootstrapResult,
-    InfoMatrix,
     IntervalEstimate,
     MleFit,
     asymptotic_ci,
     bootstrap_ci,
-    fisher_info,
     fit_mle,
     fit_mle_ordered,
-    lambda_hats,
-    profile_loglik,
 )
-from .rng import BetaGammaHyper, RngStream, sample_beta_gamma
+from .rng import BetaGammaHyper, RngStream
 from .study import (
     McReport,
     McRow,

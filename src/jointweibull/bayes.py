@@ -389,12 +389,14 @@ class _PosteriorCore:
         _check_decay(self.branch)
 
     @classmethod
-    def from_jpc(cls, sample: JpcSample, prior: PriorSpec) -> "_PosteriorCore":
-        return cls(sample.groups, 0, sample.sum_log_t, prior)
-
-    @classmethod
-    def from_complete(cls, samples, prior: PriorSpec) -> "_PosteriorCore":
-        """The core of one complete sample, or of two sharing one shape."""
+    def of(cls, sample, prior: PriorSpec) -> "_PosteriorCore":
+        """The core of a ``sample`` that :func:`draw_posterior` takes; any
+        other input raises :class:`TypeError`."""
+        if isinstance(sample, JpcSample):
+            return cls(sample.groups, 0, sample.sum_log_t, prior)
+        samples = sample if isinstance(sample, tuple) and len(sample) == 2 else (sample,)
+        if not all(isinstance(d, CompleteSample) for d in samples):
+            raise TypeError("sample must be a JpcSample, a CompleteSample or a pair of CompleteSamples")
         groups = [(PowerSum(1.0, d.log_values[None]), [d.n]) for d in samples]
         return cls(groups, 0, sum(d.sum_log for d in samples), prior)
 
@@ -404,19 +406,6 @@ class _PosteriorCore:
         if self.stack is None or self.stack.n != n or self.stack.rngs[self] is not rng:
             _DrawStack(n, {self: rng})
         return self.stack.take(self)
-
-
-def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
-    """Unnormalized log of the proposal's shape marginal ``s(a)``, the
-    density the shape draws come from; vectorized over ``alpha``.
-
-    For every prior this is the one concave branch of the module docstring.
-    For an unordered prior with ``a0 = a1 + a2`` it is the posterior's own
-    shape marginal; for the others the importance weights carry the
-    difference.
-    """
-    core = _PosteriorCore.from_jpc(sample, prior)
-    return core.branch(np.asarray(alpha, dtype=float))[0]
 
 
 def shape_modes(cores) -> None:
@@ -430,10 +419,14 @@ def shape_modes(cores) -> None:
             core.mode = mode
 
 
-def draw_posterior(
-    sample: JpcSample, prior: PriorSpec, n_draws: int, rng: RngStream, core=None
-) -> WeightedPosterior:
-    """Importance-weighted posterior draws for a censoring outcome.
+def draw_posterior(sample, prior: PriorSpec, n_draws: int, rng: RngStream, core=None) -> WeightedPosterior:
+    """Importance-weighted posterior draws for a :class:`JpcSample`, one
+    :class:`CompleteSample`, or a pair (a 2-tuple) of complete samples
+    sharing one shape; any other ``sample`` raises :class:`TypeError`.
+
+    A complete sample is one group whose rate prior is gamma(a0, b0): its
+    draws are exact, with unit weights and one rate array (``lambda1`` is
+    ``lambda2``), and of ``prior`` it reads only a0, b0 and the shape prior.
 
     ``core``, the ``_PosteriorCore`` of ``sample`` and ``prior`` (its mode
     maybe set by :func:`shape_modes`), is built here when not given; given,
@@ -443,40 +436,8 @@ def draw_posterior(
     the shape marginal fails its integrability check, which happens for
     flat priors when one group never fails.
     """
-    core = core or _PosteriorCore.from_jpc(sample, prior)
+    core = core or _PosteriorCore.of(sample, prior)
     return core.draw(n_draws, rng)
-
-
-def draw_posterior_two_complete(
-    data1: CompleteSample,
-    data2: CompleteSample,
-    prior: PriorSpec,
-    n_draws: int,
-    rng: RngStream,
-) -> WeightedPosterior:
-    """Posterior draws for two complete samples sharing one shape."""
-    return _PosteriorCore.from_complete((data1, data2), prior).draw(n_draws, rng)
-
-
-def weibull_posterior_complete(
-    data: CompleteSample,
-    bg_a: float,
-    bg_b: float,
-    shape: ShapeHyper,
-    n_draws: int,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (unit-weight) posterior draws for one complete Weibull sample.
-
-    The rate prior is gamma(bg_a, bg_b); zeros give the flat limit.  The
-    draws come from a one-group ``_PosteriorCore``: one power sum, hence
-    one concave term and no importance correction at all.
-    """
-    for name, v in (("bg_a", bg_a), ("bg_b", bg_b)):
-        _check_real(name, v, positive=False)
-    prior = PriorSpec(BetaGammaHyper(bg_a, bg_b, 0.0, 0.0), shape)
-    post = _PosteriorCore.from_complete((data,), prior).draw(n_draws, rng)
-    return post.alpha, post.lambda1
 
 
 def bayes_estimate(post: WeightedPosterior, h: Callable) -> float:
@@ -565,7 +526,6 @@ def posterior_predictive_pvalue(
     if isinstance(data, CompleteSample):
         if posterior is not None:  # the triple as draws weighted by ``normalized``; logs of its rates
             posterior = WeightedPosterior(*(np.asarray(posterior[i]) for i in (0, 1, 1, 2, 2)))
-        post = posterior or _PosteriorCore.from_complete((data,), prior).draw(n_rep, rng)
         log_t, delta = np.log(data.sorted), np.ones(data.n)
 
         def replicate(_):
@@ -573,7 +533,6 @@ def posterior_predictive_pvalue(
             return np.maximum((rank / data.n - u).max(axis=1), (u - (rank - 1) / data.n).max(axis=1))
 
     elif isinstance(data, JpcSample):
-        post = posterior or draw_posterior(data, prior, n_rep, rng)
         log_t, delta = data.log_t, data.delta
 
         def replicate(idx):
@@ -583,6 +542,7 @@ def posterior_predictive_pvalue(
 
     else:
         raise TypeError("data must be a CompleteSample or a JpcSample")
+    post = posterior or draw_posterior(data, prior, n_rep, rng)
     d_obs = _ks_rows(log_t, delta, post.alpha, post.log_lambda1, post.log_lambda2)
     idx = _resample_indices(post.normalized, n_rep, rng)
     return float(np.mean(replicate(idx) >= d_obs[idx])), float((post.normalized * d_obs).sum())

@@ -17,17 +17,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bayes import (
     PriorSpec,
     ShapeHyper,
     bayes_estimate,
     draw_posterior,
-    draw_posterior_two_complete,
     hpd_interval,
     posterior_predictive_pvalue,
-    weibull_posterior_complete,
 )
 from .errors import (
     ConvergenceError,
@@ -184,18 +180,15 @@ def _cmd_analyze(args) -> int:
         _emit(out, f"{tag}_lambda", fit.lam)
         _emit(out, f"{tag}_ks", d)
         _emit(out, f"{tag}_ks_pvalue", ks_pvalue(d, ds.n))
-        stream = RngStream(seed, offset)
-        alphas, lams = weibull_posterior_complete(
-            ds, args.a0, args.b0, prior.shape, args.n_draws, stream
-        )
-        _emit(out, f"{tag}_bayes_alpha", float(alphas.mean()))
-        _emit(out, f"{tag}_bayes_lambda", float(lams.mean()))
+        post = draw_posterior(ds, prior, args.n_draws, RngStream(seed, offset))
+        _emit(out, f"{tag}_bayes_alpha", float(post.alpha.mean()))
+        _emit(out, f"{tag}_bayes_lambda", float(post.lambda1.mean()))
         p_b, exp_ks = posterior_predictive_pvalue(
             ds,
             prior,
             n_rep=args.n_rep,
             rng=RngStream(seed, offset + 1),
-            posterior=(alphas, lams, np.full(args.n_draws, 1.0 / args.n_draws)),
+            posterior=(post.alpha, post.lambda1, post.normalized),
         )
         _emit(out, f"{tag}_bayes_expected_ks", exp_ks)
         _emit(out, f"{tag}_bayes_predictive_p", p_b)
@@ -210,9 +203,7 @@ def _cmd_analyze(args) -> int:
         d = ks_distance(ds, common.alpha, lam)
         _emit(out, f"common_{tag}_ks", d)
         _emit(out, f"common_{tag}_ks_pvalue", ks_pvalue(d, ds.n))
-    post = draw_posterior_two_complete(
-        data[0], data[1], prior, args.n_draws, RngStream(seed, 30)
-    )
+    post = draw_posterior((data[0], data[1]), prior, args.n_draws, RngStream(seed, 30))
     if post.low_ess:
         print(
             "warning: common-shape importance weights are degenerate "

@@ -126,7 +126,7 @@ def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShap
     for d in (data1, data2):
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values in each sample")
-    groups = [(PowerSum(1.0, d.log_values), d.n) for d in (data1, data2)]
+    groups = [(PowerSum(1.0, d.log_values[None]), d.n) for d in (data1, data2)]
     start = _log_moment_start(data1.log_values, data2.log_values)
     alpha, log_rates, ok, sweeps = _fit_rows(groups, np.array([data1.sum_log + data2.sum_log]), start)
     if not ok[0]:

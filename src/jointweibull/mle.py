@@ -45,15 +45,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError, NoMleError, UnstableBootstrapError
-from .errors import _check_count, _check_level, _check_real
+from .errors import _check_count, _check_level
 from .jpc import (
     CensoringScheme,
     JointParams,
     JpcSample,
     _groups,
     log_likelihood,
-    log_u_stat,
-    log_v_stat,
     simulate_jpc_batch,
 )
 from .rng import _MAX_SWEEPS, PowerSum, RngStream, _ConcaveTerm, _solve_rows
@@ -97,19 +95,6 @@ class IntervalEstimate:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class InfoMatrix:
-    """Observed information in the order (alpha, lambda1, lambda2)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (3, 3):
-            raise ValueError("information matrix must be 3x3")
-        object.__setattr__(self, "entries", e)
-
-
 _NO_SHAPE = "profile derivative keeps its sign; no shape maximizer in [1e-10, 1e10]"
 
 
@@ -118,26 +103,6 @@ def _require_both_groups(sample: JpcSample) -> None:
         raise NoMleError(
             "all observed failures come from one group; the other rate has no MLE"
         )
-
-
-def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
-    """Closed-form rate maximizers k1/U(alpha), k2/V(alpha)."""
-    _require_both_groups(sample)
-    _check_real("alpha", alpha)
-    l1 = math.exp(math.log(sample.k1) - float(log_u_stat(sample, alpha)))
-    l2 = math.exp(math.log(sample.k2) - float(log_v_stat(sample, alpha)))
-    return l1, l2
-
-
-def profile_loglik(sample: JpcSample, alpha: float) -> float:
-    """Profiled shape criterion p(alpha) (rates maximized out, constants
-    dropped)."""
-    _check_real("alpha", alpha)
-    k = sample.scheme.k
-    val = k * math.log(alpha) + (alpha - 1.0) * sample.sum_log_t
-    val -= sample.k1 * float(log_u_stat(sample, alpha))
-    val -= sample.k2 * float(log_v_stat(sample, alpha))
-    return float(val)
 
 
 def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -154,8 +119,7 @@ def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.
     profile = _ConcaveTerm(sum(kg for _, kg in groups), -sum_log_t, groups)
     alpha, ok, sweeps = _solve_rows(profile.deriv, len(sum_log_t), start)
     with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
-        ln_sums = (sums.moments(alpha)[2] if sums.top.ndim else sums.log_sum(alpha) for sums, _ in groups)
-        log_rates = np.stack([np.log(kg) - ln_sum for (_, kg), ln_sum in zip(groups, ln_sums)])
+        log_rates = np.stack([np.log(kg) - sums.moments(alpha)[2] for sums, kg in groups])
     return alpha, log_rates, ok, sweeps
 
 
@@ -213,35 +177,6 @@ def fit_mle_ordered(sample: JpcSample) -> MleFit:
     return _fit(sample, ordered=True)
 
 
-def fisher_info(sample: JpcSample, params: JointParams) -> InfoMatrix:
-    """Observed information at ``params``.
-
-    The rate/rate block is diagonal (the cross derivative vanishes), the
-    shape/rate entries are the ln-t-weighted power sums, and the shape
-    entry adds the curvature of the power sums to k/alpha^2.
-    """
-    t = sample.t
-    lnt = sample.log_t
-    ta = t**params.alpha
-    c1, c2 = (sums.wgt for sums in sample.power_sums)
-    k = sample.scheme.k
-    a11 = k / params.alpha**2
-    a11 += params.lambda1 * float((c1 * ta * lnt**2).sum())
-    a11 += params.lambda2 * float((c2 * ta * lnt**2).sum())
-    a12 = float((c1 * ta * lnt).sum())
-    a13 = float((c2 * ta * lnt).sum())
-    a22 = sample.k1 / params.lambda1**2
-    a33 = sample.k2 / params.lambda2**2
-    entries = np.array(
-        [
-            [a11, a12, a13],
-            [a12, a22, 0.0],
-            [a13, 0.0, a33],
-        ]
-    )
-    return InfoMatrix(entries=entries)
-
-
 def asymptotic_ci(
     sample: JpcSample, params: JointParams, boundary: bool = False, level: float = 0.9
 ) -> tuple[IntervalEstimate, IntervalEstimate, IntervalEstimate]:
@@ -257,7 +192,8 @@ def asymptotic_ci(
     information by the Schur complement of its rate block gives ``var(a) =
     1/(k/a^2 + sum k_g Var_g)``, the inverse curvature of the profile, and
     ``var(l_g) = l_g^2 (1/k_g + E_g^2 var(a))``, positive and finite for
-    every shape in [1e-10, 1e10] (:func:`fisher_info` is the reference).
+    every shape in [1e-10, 1e10] (``fisher_info`` in ``tests/_oracles.py``
+    is the reference).
     """
     _check_level(level)
     free = zip(sample.power_sums, (sample.k1, sample.k2))

@@ -25,8 +25,8 @@ two derivatives in ``a``, and the one concave term built on it,
 :class:`_ConcaveTerm`: ``c0 ln a - c1 a - sum_g c2_g ln(b0 + S_g(a))``,
 which is both the profile log-likelihood of every maximum likelihood fit
 and the shape marginal of every posterior.  The max-shift :func:`_max_shift`
-serves the importance weights and the hulls; :func:`log_sum_exp` is only
-the tests' oracle for :class:`PowerSum`.
+serves the importance weights and the hulls; the tests build their
+log-sum-exp oracle for :class:`PowerSum` on it.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ def _max_shift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wgt = x - top
     np.exp(wgt, out=wgt)
     return wgt, top
-
-
-def log_sum_exp(x):
-    """``ln(sum(exp(x)))`` along the last axis, shifted by the maximum so that
-    no term overflows; an all ``-inf`` row gives ``-inf``."""
-    wgt, top = _max_shift(np.asarray(x, dtype=float))
-    with np.errstate(divide="ignore"):
-        return np.log(wgt.sum(axis=-1)) + top[..., 0]
 
 
 class PowerSum:
@@ -278,57 +270,6 @@ class BetaGammaHyper:
     def __post_init__(self):
         for name in ("a0", "b0", "a1", "a2"):
             _check_real(name, getattr(self, name), positive=False)
-
-
-def beta_gamma_mean(hyper: BetaGammaHyper) -> tuple[float, float]:
-    """Component means a0*ai / (b0*(a1+a2)) of the beta-gamma law."""
-    s = hyper.a1 + hyper.a2
-    base = hyper.a0 / (hyper.b0 * s)
-    return base * hyper.a1, base * hyper.a2
-
-
-def beta_gamma_variance(hyper: BetaGammaHyper) -> tuple[float, float]:
-    """Component variances of the beta-gamma law.
-
-    With m_i the component mean, the variance is
-    ``m_i/b0 * ((ai+1)(a0+1)/(a1+a2+1) - a0*ai/(a1+a2))``.
-    """
-    s = hyper.a1 + hyper.a2
-    out = []
-    for ai in (hyper.a1, hyper.a2):
-        mi = hyper.a0 * ai / (hyper.b0 * s)
-        bracket = (ai + 1.0) * (hyper.a0 + 1.0) / (s + 1.0) - hyper.a0 * ai / s
-        out.append(mi / hyper.b0 * bracket)
-    return out[0], out[1]
-
-
-def log_beta_gamma_pdf(l1, l2, hyper: BetaGammaHyper):
-    """Log-density of the (unordered) beta-gamma law at ``(l1, l2)``."""
-    from scipy.special import betaln, gammaln
-
-    a0, b0, a1, a2 = hyper.a0, hyper.b0, hyper.a1, hyper.a2
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-    tot = l1 + l2
-    return (
-        a0 * math.log(b0)
-        - gammaln(a0)
-        - betaln(a1, a2)
-        + (a1 - 1.0) * np.log(l1)
-        + (a2 - 1.0) * np.log(l2)
-        + (a0 - a1 - a2) * np.log(tot)
-        - b0 * tot
-    )
-
-
-def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
-    """Draw rate pairs (l1, l2): total gamma(a0,b0) split by beta(a1,a2),
-    which needs every hyperparameter > 0."""
-    for name in ("a0", "b0", "a1", "a2"):
-        _check_real(name, getattr(hyper, name))
-    lam = rng.gamma(hyper.a0, rate=hyper.b0, size=size)
-    p = rng.beta(hyper.a1, hyper.a2, size=size)
-    return p * lam, (1.0 - p) * lam
 
 
 # --------------------------------------------------------------------------

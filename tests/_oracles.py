@@ -3,15 +3,22 @@
 Everything here recomputes target quantities from first principles —
 direct summation, dense-grid quadrature, finite differences, a unit-by-unit
 walk of the censoring experiment — without touching the estimator code
-paths under test.
+paths under test.  The last section holds the closed forms the package
+runs nowhere itself (observed information, closed-form rates, the profile,
+beta-gamma moments and draws, a max-shifted log-sum-exp) and a reader of
+a posterior core's shape marginal; the tests check them against finite
+differences, quadrature, scipy and one another.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
+from jointweibull.bayes import PriorSpec, _PosteriorCore
+from jointweibull.errors import _check_real
 from jointweibull.jpc import (
     CensoringScheme,
     JointParams,
@@ -21,7 +28,8 @@ from jointweibull.jpc import (
     log_v_stat,
     simulate_jpc,
 )
-from jointweibull.rng import RngStream
+from jointweibull.mle import _require_both_groups
+from jointweibull.rng import BetaGammaHyper, RngStream, _max_shift
 
 
 def swap_groups(sample: JpcSample) -> JpcSample:
@@ -448,3 +456,139 @@ def static_envelope_pointwise(local):
         if math.isfinite(h):
             tangents.append((p, h, dh))
     return PiecewiseExpEnvelope(*zip(*tangents))
+
+
+# --------------------------------------------------------------------------
+# closed forms the package does not run
+
+
+def log_sum_exp(x):
+    """``ln(sum(exp(x)))`` along the last axis, shifted by the maximum so that
+    no term overflows; an all ``-inf`` row gives ``-inf``."""
+    wgt, top = _max_shift(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore"):
+        return np.log(wgt.sum(axis=-1)) + top[..., 0]
+
+
+def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
+    """Closed-form rate maximizers k1/U(alpha), k2/V(alpha)."""
+    _require_both_groups(sample)
+    _check_real("alpha", alpha)
+    l1 = math.exp(math.log(sample.k1) - float(log_u_stat(sample, alpha)))
+    l2 = math.exp(math.log(sample.k2) - float(log_v_stat(sample, alpha)))
+    return l1, l2
+
+
+def profile_loglik(sample: JpcSample, alpha: float) -> float:
+    """Profiled shape criterion p(alpha) (rates maximized out, constants
+    dropped)."""
+    _check_real("alpha", alpha)
+    k = sample.scheme.k
+    val = k * math.log(alpha) + (alpha - 1.0) * sample.sum_log_t
+    val -= sample.k1 * float(log_u_stat(sample, alpha))
+    val -= sample.k2 * float(log_v_stat(sample, alpha))
+    return float(val)
+
+
+@dataclass(frozen=True)
+class InfoMatrix:
+    """Observed information in the order (alpha, lambda1, lambda2)."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        e = np.asarray(self.entries, dtype=float)
+        if e.shape != (3, 3):
+            raise ValueError("information matrix must be 3x3")
+        object.__setattr__(self, "entries", e)
+
+
+def fisher_info(sample: JpcSample, params: JointParams) -> InfoMatrix:
+    """Observed information at ``params``.
+
+    The rate/rate block is diagonal (the cross derivative vanishes), the
+    shape/rate entries are the ln-t-weighted power sums, and the shape
+    entry adds the curvature of the power sums to k/alpha^2.
+    """
+    t = sample.t
+    lnt = sample.log_t
+    ta = t**params.alpha
+    c1, c2 = (sums.wgt for sums in sample.power_sums)
+    k = sample.scheme.k
+    a11 = k / params.alpha**2
+    a11 += params.lambda1 * float((c1 * ta * lnt**2).sum())
+    a11 += params.lambda2 * float((c2 * ta * lnt**2).sum())
+    a12 = float((c1 * ta * lnt).sum())
+    a13 = float((c2 * ta * lnt).sum())
+    a22 = sample.k1 / params.lambda1**2
+    a33 = sample.k2 / params.lambda2**2
+    entries = np.array(
+        [
+            [a11, a12, a13],
+            [a12, a22, 0.0],
+            [a13, 0.0, a33],
+        ]
+    )
+    return InfoMatrix(entries=entries)
+
+
+def beta_gamma_mean(hyper: BetaGammaHyper) -> tuple[float, float]:
+    """Component means a0*ai / (b0*(a1+a2)) of the beta-gamma law."""
+    s = hyper.a1 + hyper.a2
+    base = hyper.a0 / (hyper.b0 * s)
+    return base * hyper.a1, base * hyper.a2
+
+
+def beta_gamma_variance(hyper: BetaGammaHyper) -> tuple[float, float]:
+    """Component variances of the beta-gamma law.
+
+    With m_i the component mean, the variance is
+    ``m_i/b0 * ((ai+1)(a0+1)/(a1+a2+1) - a0*ai/(a1+a2))``.
+    """
+    s = hyper.a1 + hyper.a2
+    out = []
+    for ai in (hyper.a1, hyper.a2):
+        mi = hyper.a0 * ai / (hyper.b0 * s)
+        bracket = (ai + 1.0) * (hyper.a0 + 1.0) / (s + 1.0) - hyper.a0 * ai / s
+        out.append(mi / hyper.b0 * bracket)
+    return out[0], out[1]
+
+
+def log_beta_gamma_pdf(l1, l2, hyper: BetaGammaHyper):
+    """Log-density of the (unordered) beta-gamma law at ``(l1, l2)``."""
+    a0, b0, a1, a2 = hyper.a0, hyper.b0, hyper.a1, hyper.a2
+    l1 = np.asarray(l1, dtype=float)
+    l2 = np.asarray(l2, dtype=float)
+    tot = l1 + l2
+    return (
+        a0 * math.log(b0)
+        - special.gammaln(a0)
+        - special.betaln(a1, a2)
+        + (a1 - 1.0) * np.log(l1)
+        + (a2 - 1.0) * np.log(l2)
+        + (a0 - a1 - a2) * np.log(tot)
+        - b0 * tot
+    )
+
+
+def sample_beta_gamma(hyper: BetaGammaHyper, rng: RngStream, size=None):
+    """Draw rate pairs (l1, l2): total gamma(a0,b0) split by beta(a1,a2),
+    which needs every hyperparameter > 0."""
+    for name in ("a0", "b0", "a1", "a2"):
+        _check_real(name, getattr(hyper, name))
+    lam = rng.gamma(hyper.a0, rate=hyper.b0, size=size)
+    p = rng.beta(hyper.a1, hyper.a2, size=size)
+    return p * lam, (1.0 - p) * lam
+
+
+def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
+    """Unnormalized log of the proposal's shape marginal ``s(a)``, the
+    density the shape draws come from; vectorized over ``alpha``.
+
+    For every prior this is the one concave branch of the ``bayes`` module
+    docstring.  For an unordered prior with ``a0 = a1 + a2`` it is the
+    posterior's own shape marginal; for the others the importance weights
+    carry the difference.
+    """
+    core = _PosteriorCore.of(sample, prior)
+    return core.branch(np.asarray(alpha, dtype=float))[0]

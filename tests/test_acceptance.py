@@ -14,12 +14,19 @@ import time
 import numpy as np
 
 from _oracles import (
+    beta_gamma_mean,
+    beta_gamma_variance,
     fd_hessian,
+    fisher_info,
     gamma_hpd,
     jpc_alpha_hpd_oracle,
     jpc_posterior_oracle,
     jpc_posterior_oracle_3d,
+    lambda_hats,
+    log_marginal_shape,
+    profile_loglik,
     random_jpc_sample,
+    sample_beta_gamma,
     swap_groups,
 )
 from jointweibull.bayes import (
@@ -28,7 +35,6 @@ from jointweibull.bayes import (
     bayes_estimate,
     draw_posterior,
     hpd_interval,
-    log_marginal_shape,
     weighted_hpd,
 )
 from jointweibull.gof import (
@@ -47,14 +53,8 @@ from jointweibull.jpc import (
     u_stat,
     v_stat,
 )
-from jointweibull.mle import fisher_info, fit_mle, lambda_hats, profile_loglik
-from jointweibull.rng import (
-    BetaGammaHyper,
-    RngStream,
-    beta_gamma_mean,
-    beta_gamma_variance,
-    sample_beta_gamma,
-)
+from jointweibull.mle import fit_mle
+from jointweibull.rng import BetaGammaHyper, RngStream
 from jointweibull.study import StudyConfig, run_interval_study, run_point_study
 
 _MEAN_A = lambda a, l1, l2: a  # noqa: E731

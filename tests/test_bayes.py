@@ -22,12 +22,9 @@ from jointweibull.bayes import (
     WeightedPosterior,
     bayes_estimate,
     draw_posterior,
-    draw_posterior_two_complete,
     hpd_interval,
-    log_marginal_shape,
     posterior_predictive_pvalue,
     shape_modes,
-    weibull_posterior_complete,
     weighted_hpd,
 )
 from jointweibull.datasets import fiber_jpc_sample
@@ -49,7 +46,7 @@ from jointweibull.jpc import (
     simulate_jpc,
     simulate_jpc_batch,
 )
-from jointweibull.mle import fit_mle, profile_loglik
+from jointweibull.mle import fit_mle
 from jointweibull.rng import (
     BetaGammaHyper,
     PowerSum,
@@ -66,6 +63,8 @@ from _oracles import (
     jpc_posterior_oracle,
     jpc_discrepancy_oracle,
     jpc_posterior_oracle_3d,
+    log_marginal_shape,
+    profile_loglik,
     sample_weibull,
     simulate_jpc_walk,
     static_envelope_pointwise,
@@ -146,7 +145,7 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
     for sample in samples:
         for method in ("bayes-ip", "bayes-nip", "bayes-ordered-ip", "bayes-ordered-nip"):
             try:
-                core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
+                core = _PosteriorCore.of(sample, config.prior_for(method))
             except ImproperPosteriorError:
                 continue
             br = core.branch
@@ -184,7 +183,7 @@ def test_stacked_mode_search_matches_lone_searches(fiber) -> None:
     pair, gives each core the mode of its own one-row search byte for byte,
     so the hulls built from the stack are the lone hulls."""
     samples, priors = _preset_samples(fiber)
-    cores = [_PosteriorCore.from_jpc(sample, prior) for sample in samples for prior in priors]
+    cores = [_PosteriorCore.of(sample, prior) for sample in samples for prior in priors]
     assert len(cores) == 84
     shape_modes(cores)
     for core in cores:
@@ -208,10 +207,10 @@ def test_stacked_draws_match_lone_draws(fiber) -> None:
     n, rigged = 1000, 37
     pairs = [(sample, prior) for sample in samples for prior in priors]
     lone = [draw_posterior(sample, prior, n, RngStream(643, i)) for i, (sample, prior) in enumerate(pairs)]
-    cores = [_PosteriorCore.from_jpc(sample, prior) for sample, prior in pairs]
+    cores = [_PosteriorCore.of(sample, prior) for sample, prior in pairs]
     shape_modes(cores)
     cores[rigged].mode = math.inf
-    alone = _PosteriorCore.from_jpc(*pairs[rigged])
+    alone = _PosteriorCore.of(*pairs[rigged])
     alone.mode = math.inf
     with pytest.raises(NonIntegrableTargetError) as want:
         alone.draw(n, RngStream(643, rigged))
@@ -247,13 +246,13 @@ def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> N
         with pytest.raises(ImproperPosteriorError) as alone:
             draw_posterior(sample, bad, 100, RngStream(640, 0))
         with pytest.raises(ImproperPosteriorError) as chunk:
-            _PosteriorCore.from_jpc(sample, bad)
+            _PosteriorCore.of(sample, bad)
         assert type(chunk.value) is type(alone.value)
         assert str(chunk.value) == str(alone.value)
     other = JpcSample(improper_jpc.scheme, (JpcObservation(1.5, 0, 0), JpcObservation(4.0, 1, 0)))
     slow = PriorSpec.flat(shape_rate=1e-11)
     pairs = [(improper_jpc, ip_prior), (improper_jpc, slow), (other, ip_prior), (other, slow)]
-    cores = [_PosteriorCore.from_jpc(sample, prior) for sample, prior in pairs]
+    cores = [_PosteriorCore.of(sample, prior) for sample, prior in pairs]
     shape_modes(cores)
     for (sample, prior), core in zip(pairs, cores):
         if prior is ip_prior:
@@ -277,13 +276,13 @@ def test_decay_is_read_from_the_slope_limit() -> None:
         CensoringScheme(1, 1, 2, (0, 0)), (JpcObservation(1.0, 1, 0), JpcObservation(1.0 + 1e-9, 0, 0))
     )
     b = 5e-9
-    core = _PosteriorCore.from_jpc(sample, PriorSpec.flat(shape_rate=b))
+    core = _PosteriorCore.of(sample, PriorSpec.flat(shape_rate=b))
     assert core.branch.local(1e8)[1] > 0.0
     post = draw_posterior(sample, PriorSpec.flat(shape_rate=b), 4000, RngStream(642, 0))
     assert np.all(post.weights == 1.0)
     assert stats.kstest(post.alpha, stats.gamma(2.0, scale=1.0 / b).cdf).pvalue > 1e-3
     with pytest.raises(ImproperPosteriorError):
-        _PosteriorCore.from_jpc(sample, PriorSpec.flat())
+        _PosteriorCore.of(sample, PriorSpec.flat())
 
 
 def test_sampler_proposes_few_more_shapes_than_it_keeps(fiber) -> None:
@@ -320,7 +319,7 @@ def test_flat_rate_marginal_is_the_profile_likelihood(fiber) -> None:
         got = log_marginal_shape(sample, prior, grid) - sample.sum_log_t
         want = [profile_loglik(sample, a) for a in grid]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    cores = [_PosteriorCore.from_jpc(sample, prior) for sample in samples]
+    cores = [_PosteriorCore.of(sample, prior) for sample in samples]
     shape_modes(cores)
     want = [fit_mle(sample).params.alpha for sample in samples]
     np.testing.assert_allclose([core.mode for core in cores], want, rtol=1e-12, atol=0.0)
@@ -342,7 +341,7 @@ def test_branch_curvature_matches_central_differences(fiber) -> None:
     for sample in samples:
         for method in ("bayes-ip", "bayes-nip", "bayes-ordered-ip", "bayes-ordered-nip"):
             try:
-                core = _PosteriorCore.from_jpc(sample, config.prior_for(method))
+                core = _PosteriorCore.of(sample, config.prior_for(method))
             except ImproperPosteriorError:
                 continue
             branch = core.branch
@@ -484,7 +483,7 @@ def test_ordered_rate_fraction_follows_the_cut_beta(fiber) -> None:
     (0, x0): I_B/I_x0 passes a KS test against U(0, 1).  Rows below the
     floor take the inversion, the others beta draws, and the uniforms left
     over count the rows that rejection handed to the inversion."""
-    core = _PosteriorCore.from_jpc(fiber, PriorSpec.flat(shape_rate=4.0, ordered=True))
+    core = _PosteriorCore.of(fiber, PriorSpec.flat(shape_rate=4.0, ordered=True))
     s1, s2 = core.group_shapes
     n = 6000
     x0 = betaincinv(s1, s2, np.linspace(0.05, 0.95, n))
@@ -514,7 +513,7 @@ def test_ordered_fiber_draws_take_the_inversion_path(fiber) -> None:
     for sample in (fiber_jpc_sample(), fiber):
         for prior in (PriorSpec.flat(shape_rate=4.0, ordered=True), ip):
             post = draw_posterior(sample, prior, n, RngStream(651, 0))
-            core = _PosteriorCore.from_jpc(sample, prior)
+            core = _PosteriorCore.of(sample, prior)
             s1, s2 = core.group_shapes
             rng = RngStream(651, 0)
             _, sums, *_ = _sample_marginal([core], n, [rng])
@@ -572,22 +571,23 @@ def test_joint_sample_posterior_agrees_with_quadrature(fiber, flat_rate4) -> Non
     assert hpd.lower < oracle[0] < hpd.upper
 
 
+def _gamma_rates(a0: float, b0: float, shape: ShapeHyper) -> PriorSpec:
+    """A complete sample's prior: gamma(a0, b0) on its rate."""
+    return PriorSpec(BetaGammaHyper(a0, b0, 0.0, 0.0), shape)
+
+
 def test_complete_sample_posterior_matches_quadrature(ds1) -> None:
-    alphas, lams = weibull_posterior_complete(
-        ds1, 0.0, 0.0, ShapeHyper(0.0, 4.0), 30_000, RngStream(610, 0)
-    )
+    post = draw_posterior(ds1, _gamma_rates(0.0, 0.0, ShapeHyper(0.0, 4.0)), 30_000, RngStream(610, 0))
     oa, ol = complete_posterior_oracle(ds1, 0.0, 0.0, 0.0, 4.0)
-    assert alphas.mean() == pytest.approx(oa, rel=0.02)
-    assert lams.mean() == pytest.approx(ol, rel=0.02)
+    assert post.alpha.mean() == pytest.approx(oa, rel=0.02)
+    assert post.lambda1.mean() == pytest.approx(ol, rel=0.02)
 
 
 def test_complete_sample_posterior_proper_prior(ds2) -> None:
-    alphas, lams = weibull_posterior_complete(
-        ds2, 2.0, 3.0, ShapeHyper(3.0, 1.0), 30_000, RngStream(611, 0)
-    )
+    post = draw_posterior(ds2, _gamma_rates(2.0, 3.0, ShapeHyper(3.0, 1.0)), 30_000, RngStream(611, 0))
     oa, ol = complete_posterior_oracle(ds2, 2.0, 3.0, 3.0, 1.0)
-    assert alphas.mean() == pytest.approx(oa, rel=0.02)
-    assert lams.mean() == pytest.approx(ol, rel=0.02)
+    assert post.alpha.mean() == pytest.approx(oa, rel=0.02)
+    assert post.lambda1.mean() == pytest.approx(ol, rel=0.02)
 
 
 def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
@@ -608,21 +608,20 @@ def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
     pinned = ShapeHyper(116.0 * 290_000.0, 290_000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        alphas, lams = weibull_posterior_complete(
-            strengths(20_000.0), 0.0, 0.0, ShapeHyper(0.0, 0.0), 2_000, RngStream(612, 0)
-        )
+        post = draw_posterior(strengths(20_000.0), PriorSpec.flat(), 2_000, RngStream(612, 0))
+        alphas, lams = post.alpha, post.lambda1
         assert np.all(np.isfinite(lams) & (lams >= 0.0))
         assert np.median(alphas) > 100.0
         data = strengths(445.0)
-        alphas, lams = weibull_posterior_complete(data, 0.0, 0.0, pinned, 4_000, RngStream(613, 0))
+        post = draw_posterior(data, _gamma_rates(0.0, 0.0, pinned), 4_000, RngStream(613, 0))
+        alphas, lams = post.alpha, post.lambda1
         log_t = np.log(data.sorted)
         ln_sum = PowerSum(1.0, log_t).log_sum(alphas)
         assert ln_sum.min() > 709.8 and alphas.max() * log_t[-1] < 709.7
         assert np.all(np.isfinite(lams) & (lams > 0.0))
         ln_g = np.log(lams) + ln_sum
         assert abs(ln_g.mean() - digamma(30.0)) < 4.0 * math.sqrt(polygamma(1, 30.0) / ln_g.size)
-        prior = PriorSpec(BetaGammaHyper(0.0, 0.0, 0.0, 0.0), pinned)
-        p, expected = posterior_predictive_pvalue(data, prior, n_rep=500, rng=RngStream(614, 0))
+        p, expected = posterior_predictive_pvalue(data, _gamma_rates(0.0, 0.0, pinned), n_rep=500, rng=RngStream(614, 0))
     assert 0.0 < p <= 1.0 and 0.0 < expected < 1.0
 
 
@@ -631,10 +630,12 @@ def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
     [("bg_b", 0.0, -1.0), ("bg_a", math.nan, 0.0), ("bg_b", 0.0, math.inf), ("bg_a", True, 0.0)],
 )
 def test_complete_posterior_refuses_bad_rate_hyperparameters(ds1, name, bg_a, bg_b) -> None:
-    """A negative, nan, infinite or boolean rate hyperparameter is refused
-    by name, not run as the flat prior or failed later in the sampler."""
-    with pytest.raises(ValueError, match=f"^{name} must be a finite real >= 0"):
-        weibull_posterior_complete(ds1, bg_a, bg_b, ShapeHyper(0.0, 4.0), 100, RngStream(615, 0))
+    """A negative, nan, infinite or boolean rate hyperparameter of a
+    complete sample's gamma(a0, b0) rate prior (``bg_a``, ``bg_b``) is
+    refused by name, not run as the flat prior or failed later in the
+    sampler."""
+    with pytest.raises(ValueError, match=f"^{dict(bg_a='a0', bg_b='b0')[name]} must be a finite real >= 0"):
+        draw_posterior(ds1, _gamma_rates(bg_a, bg_b, ShapeHyper(0.0, 4.0)), 100, RngStream(615, 0))
 
 
 def test_complete_sample_core_reads_only_the_gamma_rate_prior(ds1) -> None:
@@ -643,7 +644,7 @@ def test_complete_sample_core_reads_only_the_gamma_rate_prior(ds1) -> None:
     gives the same result whatever the prior's a1, a2 and order flag."""
     shape = ShapeHyper(2.0, 1.0)
     split = PriorSpec(BetaGammaHyper(3.0, 1.0, 2.0, 4.0), shape, ordered=True)
-    post = _PosteriorCore.from_complete((ds1,), split).draw(1000, RngStream(616, 0))
+    post = _PosteriorCore.of(ds1, split).draw(1000, RngStream(616, 0))
     assert np.all(post.weights == 1.0)
     assert post.lambda1 is post.lambda2
     gamma_only = PriorSpec(BetaGammaHyper(3.0, 1.0, 0.0, 0.0), shape)
@@ -670,7 +671,7 @@ def test_two_complete_shared_shape_matches_quadrature() -> None:
     )
     prior = PriorSpec(BetaGammaHyper(3.0, 1.0, 2.0, 4.0), ShapeHyper(2.0, 1.0))
     oracle = jpc_posterior_oracle(equiv, prior.bg, prior.shape)
-    post = draw_posterior_two_complete(d1, d2, prior, 40_000, RngStream(613, 0))
+    post = draw_posterior((d1, d2), prior, 40_000, RngStream(613, 0))
     assert post.ess > 2000
     got = _means(post)
     for g, o in zip(got, oracle):
@@ -684,7 +685,7 @@ def test_two_complete_flat_rates_are_exact_on_the_strength_data(ds1, ds2, flat_r
     The means agree with quadrature of the equivalent no-withdrawal joint
     sample, whose 4 tied times ``break_ties`` moves apart."""
     n = 20_000
-    post = draw_posterior_two_complete(ds1, ds2, flat_rate4, n, RngStream(614, 0))
+    post = draw_posterior((ds1, ds2), flat_rate4, n, RngStream(614, 0))
     assert np.all(post.weights == 1.0)
     assert post.ess == pytest.approx(n, rel=1e-12)
     merged = np.concatenate([ds1.array, ds2.array])
@@ -815,7 +816,7 @@ def test_rates_at_large_shapes_come_from_their_logs(improper_jpc) -> None:
             warnings.simplefilter("error", RuntimeWarning)
             post = draw_posterior(improper_jpc, prior, n, RngStream(611, 0))
         rng = RngStream(611, 0)
-        core = _PosteriorCore.from_jpc(improper_jpc, prior)
+        core = _PosteriorCore.of(improper_jpc, prior)
         (alpha,), ((ln_u,), (ln_v,)), *_ = _sample_marginal([core], n, [rng])
         assert alpha.tobytes() == post.alpha.tobytes()
         assert np.mean(alpha) == pytest.approx(mean, rel=0.1)
@@ -871,11 +872,38 @@ def test_draw_count_validation(fiber, ds1, ds2, flat_rate4) -> None:
     with pytest.raises(ValueError):
         draw_posterior(fiber, flat_rate4, 0, RngStream(620, 0))
     with pytest.raises(ValueError):
-        draw_posterior_two_complete(ds1, ds2, flat_rate4, 0, RngStream(620, 0))
+        draw_posterior((ds1, ds2), flat_rate4, 0, RngStream(620, 0))
     with pytest.raises(ValueError):
-        weibull_posterior_complete(
-            CompleteSample(values=(1.0, 2.0)), 0.0, 0.0, ShapeHyper(0.0, 1.0), 0, RngStream(62, 0)
-        )
+        draw_posterior(CompleteSample(values=(1.0, 2.0)), PriorSpec.flat(1.0), 0, RngStream(62, 0))
+
+
+def test_draw_posterior_takes_a_complete_sample(ds2) -> None:
+    """One complete sample draws exactly from its gamma(a0, b0) rate law,
+    the one the quadrature tests check: unit weights, ``normalized`` exactly
+    1/n, one rate array, and the bytes of the gamma-only prior whatever a1
+    and a2 are."""
+    shape = ShapeHyper(3.0, 1.0)
+    n = 3_000
+    post = draw_posterior(ds2, PriorSpec(BetaGammaHyper(2.0, 3.0, 1.5, 4.0), shape), n, RngStream(621, 0))
+    assert np.all(post.weights == 1.0) and post.lambda1 is post.lambda2
+    assert post.normalized.tobytes() == np.full(n, 1.0 / n).tobytes()
+    alone = draw_posterior(ds2, _gamma_rates(2.0, 3.0, shape), n, RngStream(621, 0))
+    assert post.alpha.tobytes() == alone.alpha.tobytes()
+    assert post.lambda1.tobytes() == alone.lambda1.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["list-of-floats", "complete-and-joint", "three-complete"])
+def test_draw_posterior_refuses_other_samples_by_type(fiber, ds1, ds2, flat_rate4, kind) -> None:
+    """Anything but a joint sample, a complete sample or a pair (a 2-tuple)
+    of complete samples raises TypeError, not an AttributeError from deep
+    inside the core."""
+    sample = {
+        "list-of-floats": list(ds1.values),
+        "complete-and-joint": (ds1, fiber),
+        "three-complete": (ds1, ds2, ds1),
+    }[kind]
+    with pytest.raises(TypeError, match="JpcSample, a CompleteSample or a pair of CompleteSamples"):
+        draw_posterior(sample, flat_rate4, 100, RngStream(623, 0))
 
 
 def test_error_hierarchy() -> None:
@@ -996,11 +1024,9 @@ def test_predictive_pvalue_complete_sample_takes_given_draws(ds1, flat_rate4) ->
     draws the function makes itself from the same stream."""
     n_rep = 600
     rng = RngStream(631, 0)
-    alphas, lams = weibull_posterior_complete(
-        ds1, flat_rate4.bg.a0, flat_rate4.bg.b0, flat_rate4.shape, n_rep, rng
-    )
+    post = draw_posterior(ds1, flat_rate4, n_rep, rng)
     given = posterior_predictive_pvalue(
-        ds1, flat_rate4, n_rep=n_rep, rng=rng, posterior=(alphas, lams, np.full(n_rep, 1.0 / n_rep))
+        ds1, flat_rate4, n_rep=n_rep, rng=rng, posterior=(post.alpha, post.lambda1, np.full(n_rep, 1.0 / n_rep))
     )
     assert given == posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(631, 0))
 
@@ -1017,7 +1043,7 @@ def test_complete_sample_replicates_are_sorted_uniforms(ds1, flat_rate4) -> None
     n_rep, n = 700, ds1.n
     p, mean_d = posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(632, 0))
     rng = RngStream(632, 0)
-    post = _PosteriorCore.from_complete((ds1,), flat_rate4).draw(n_rep, rng)
+    post = _PosteriorCore.of(ds1, flat_rate4).draw(n_rep, rng)
     d_obs = _ks_rows(np.log(ds1.sorted), np.ones(n), post.alpha, post.log_lambda1, post.log_lambda1)
     idx = _resample_indices(post.normalized, n_rep, rng)
     raw = rng.uniform((n_rep, n))

@@ -14,8 +14,10 @@ import pytest
 from jointweibull.bayes import draw_posterior, posterior_predictive_pvalue
 from jointweibull.gof import CompleteSample, ks_distance, ks_pvalue
 from jointweibull.jpc import JointParams, JpcObservation, shift_sample, simulate_jpc_batch, u_stat
-from jointweibull.mle import IntervalEstimate, bootstrap_ci, lambda_hats, profile_loglik
-from jointweibull.rng import BetaGammaHyper, RngStream, sample_beta_gamma
+from jointweibull.mle import IntervalEstimate, bootstrap_ci
+from jointweibull.rng import BetaGammaHyper, RngStream
+
+from _oracles import lambda_hats, profile_loglik, sample_beta_gamma
 
 _RNG = RngStream(24, 0)
 

@@ -28,19 +28,15 @@ from jointweibull.mle import (
     BootstrapResult,
     IntervalEstimate,
     _fit_design,
-    _fit_rows,
     _percentiles,
     asymptotic_ci,
     bootstrap_ci,
-    fisher_info,
     fit_mle,
     fit_mle_ordered,
-    lambda_hats,
-    profile_loglik,
 )
 from jointweibull.rng import PowerSum, RngStream, _ConcaveTerm
 
-from _oracles import fd_hessian, random_jpc_sample, swap_groups
+from _oracles import fd_hessian, fisher_info, lambda_hats, profile_loglik, random_jpc_sample, swap_groups
 
 
 def _profile_grid(sample: JpcSample, grid: np.ndarray) -> np.ndarray:

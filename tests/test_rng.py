@@ -15,18 +15,22 @@ from jointweibull.rng import (
     PiecewiseExpEnvelope,
     PowerSum,
     RngStream,
-    beta_gamma_mean,
-    beta_gamma_variance,
     _locate_modes,
     _solve_rows,
     build_static_envelope,
-    log_beta_gamma_pdf,
-    log_sum_exp,
-    sample_beta_gamma,
     splitmix64,
 )
 
-from _oracles import sample_hypergeometric, sample_weibull, weibull_inverse_cdf
+from _oracles import (
+    beta_gamma_mean,
+    beta_gamma_variance,
+    log_beta_gamma_pdf,
+    log_sum_exp,
+    sample_beta_gamma,
+    sample_hypergeometric,
+    sample_weibull,
+    weibull_inverse_cdf,
+)
 
 
 def test_equal_addresses_replay() -> None:

@@ -13,7 +13,7 @@ from jointweibull import study
 from jointweibull.errors import ImproperPosteriorError, NonIntegrableTargetError, StudyFailedError
 from jointweibull.jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
 from jointweibull.mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
-from jointweibull.rng import BetaGammaHyper, RngStream, beta_gamma_mean, splitmix64
+from jointweibull.rng import BetaGammaHyper, RngStream, splitmix64
 from jointweibull.study import (
     _METHOD_OFFSET,
     INTERVAL_METHODS,
@@ -25,6 +25,8 @@ from jointweibull.study import (
     run_interval_study,
     run_point_study,
 )
+
+from _oracles import beta_gamma_mean
 
 _SCHEME = CensoringScheme(20, 22, 20, (7,) + (0,) * 18 + (15,))
 _TRUTH = JointParams(1.0, 0.5, 1.0)
