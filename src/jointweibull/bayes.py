@@ -127,7 +127,7 @@ class WeightedPosterior:
     priors carry the factor h(B)^c of the module docstring, which lies
     between rho^(-c w) and rho^(c (1 - w)) for rho = (b0 + V)/(b0 + U).
     ``normalized`` always sums to one.  ``log_lambda1`` and ``log_lambda2``
-    are the rates' logs as drawn (logs of the rates when not given).
+    are the rates' logs as drawn, exact where a rate underflows to 0.
     ``low_ess`` is set when the effective sample size 1/sum(normalized^2)
     falls below one percent of the number of draws.  ``proposed``, ``accepted``
     and ``tangents`` count the shapes drawn from the hull, those that rejection
@@ -137,24 +137,18 @@ class WeightedPosterior:
     alpha: np.ndarray
     lambda1: np.ndarray
     lambda2: np.ndarray
+    log_lambda1: np.ndarray
+    log_lambda2: np.ndarray
     weights: np.ndarray
     normalized: np.ndarray
     low_ess: bool = False
     proposed: int = 0
     accepted: int = 0
     tangents: int = 0
-    log_lambda1: Optional[np.ndarray] = None
-    log_lambda2: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        with np.errstate(divide="ignore"):  # a rate of 0 has log -inf
-            self.log_lambda1 = np.log(self.lambda1) if self.log_lambda1 is None else self.log_lambda1
-            self.log_lambda2 = np.log(self.lambda2) if self.log_lambda2 is None else self.log_lambda2
-        sizes = {
-            np.asarray(a).shape
-            for a in (self.alpha, self.lambda1, self.lambda2, self.weights, self.normalized)
-        }
-        if len(sizes) != 1:
+        arrays = (self.alpha, self.lambda1, self.lambda2, self.log_lambda1, self.log_lambda2, self.weights)
+        if len({np.asarray(a).shape for a in arrays + (self.normalized,)}) != 1:
             raise ValueError("all draw arrays must share one shape")
         if np.any(self.normalized < 0.0) or abs(float(self.normalized.sum()) - 1.0) > 1e-9:
             raise ValueError("normalized weights must be a probability vector")
@@ -339,8 +333,8 @@ class _DrawStack:
                     continue
                 lam, kw = l1[r], {k: int(v[r]) for k, v in counts.items()}
                 made[r] = WeightedPosterior(
-                    alpha[r], lam, lam if l2 is l1 else l2[r], weights[r], normalized[r], bool(low[r]), **kw,
-                    log_lambda1=ln_l1[r], log_lambda2=ln_l2[r],
+                    alpha[r], lam, lam if l2 is l1 else l2[r], ln_l1[r], ln_l2[r], weights[r], normalized[r],
+                    bool(low[r]), **kw,
                 )
             self.made.update(zip(cores, made))
         core.stack, made = None, self.made.pop(core)
@@ -514,18 +508,18 @@ def posterior_predictive_pvalue(
     whose failure times form two groups and whose replicates come from one
     :func:`simulate_jpc_batch` call with per-row parameters.
 
-    ``posterior`` supplies draws the caller already has instead of drawing
-    them from ``prior``: for a :class:`JpcSample` a :class:`WeightedPosterior`
-    of that sample, for a :class:`CompleteSample` a triple
-    ``(alpha, lam, normalized)`` of shape draws, rate draws and normalized
-    weights (for instance one group's margin of a common-shape posterior).
+    ``posterior``, a :class:`WeightedPosterior` of ``data``, supplies draws
+    the caller already has instead of drawing them from ``prior``; a
+    complete sample's rates are its ``lambda1`` and ``log_lambda1`` (for
+    one group's margin of a common-shape posterior, ``dataclasses.replace``
+    puts that group's rates there).
     """
     if rng is None:
         raise ValueError("an explicit RngStream is required")
     _check_count("n_rep", n_rep, 1)
+    if posterior is not None and not isinstance(posterior, WeightedPosterior):
+        raise TypeError("posterior must be a WeightedPosterior")
     if isinstance(data, CompleteSample):
-        if posterior is not None:  # the triple as draws weighted by ``normalized``; logs of its rates
-            posterior = WeightedPosterior(*(np.asarray(posterior[i]) for i in (0, 1, 1, 2, 2)))
         log_t, delta = np.log(data.sorted), np.ones(data.n)
 
         def replicate(_):

@@ -183,13 +183,7 @@ def _cmd_analyze(args) -> int:
         post = draw_posterior(ds, prior, args.n_draws, RngStream(seed, offset))
         _emit(out, f"{tag}_bayes_alpha", float(post.alpha.mean()))
         _emit(out, f"{tag}_bayes_lambda", float(post.lambda1.mean()))
-        p_b, exp_ks = posterior_predictive_pvalue(
-            ds,
-            prior,
-            n_rep=args.n_rep,
-            rng=RngStream(seed, offset + 1),
-            posterior=(post.alpha, post.lambda1, post.normalized),
-        )
+        p_b, exp_ks = posterior_predictive_pvalue(ds, prior, args.n_rep, RngStream(seed, offset + 1), post)
         _emit(out, f"{tag}_bayes_expected_ks", exp_ks)
         _emit(out, f"{tag}_bayes_predictive_p", p_b)
     common = fit_common_shape(data[0], data[1])
@@ -214,17 +208,9 @@ def _cmd_analyze(args) -> int:
     for name, h in zip(("alpha", "lambda1", "lambda2"), _COMPONENTS):
         _emit(out, f"common_bayes_{name}", bayes_estimate(post, h))
     pred_stream = RngStream(seed, 31)
-    for tag, ds, lam_draws in (
-        ("data1", data[0], post.lambda1),
-        ("data2", data[1], post.lambda2),
-    ):
-        p_b, exp_ks = posterior_predictive_pvalue(
-            ds,
-            prior,
-            n_rep=post.n_draws,
-            rng=pred_stream,
-            posterior=(post.alpha, lam_draws, post.normalized),
-        )
+    margin2 = dataclasses.replace(post, lambda1=post.lambda2, log_lambda1=post.log_lambda2)
+    for tag, ds, margin in (("data1", data[0], post), ("data2", data[1], margin2)):
+        p_b, exp_ks = posterior_predictive_pvalue(ds, prior, post.n_draws, pred_stream, margin)
         _emit(out, f"common_bayes_{tag}_expected_ks", exp_ks)
         _emit(out, f"common_bayes_{tag}_predictive_p", p_b)
     return 0

@@ -78,23 +78,6 @@ class CommonShapeFit:
     iterations: int
 
 
-def _complete_loglik(data: CompleteSample, alpha: float, lam: float) -> float:
-    """Log-likelihood at shape ``alpha`` and that shape's fitted rate ``lam``
-    = n / sum x^alpha, where the rate term lam * sum x^alpha is n."""
-    n = data.n
-    return n * (math.log(alpha) + math.log(lam) - 1.0) + (alpha - 1.0) * data.sum_log
-
-
-def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
-    """Shape/rate MLE of a complete sample: :func:`_fit_complete_rows` on a
-    stack of one."""
-    if data.n < 2 or data.sorted[0] == data.sorted[-1]:
-        raise ValueError("need at least two distinct values to fit a shape")
-    alpha, lam, sweeps = _fit_complete_rows(data.log_values[None, :])
-    alpha, lam = float(alpha[0]), float(lam[0])
-    return WeibullFit(alpha, lam, _complete_loglik(data, alpha, lam), sweeps)
-
-
 def _log_moment_start(*log_x) -> np.ndarray:
     """Each row's shape start pi/(sqrt 6 s), s the pooled within-sample sd
     of its log values in ``log_x`` (one array per sample), clipped to
@@ -104,37 +87,45 @@ def _log_moment_start(*log_x) -> np.ndarray:
         return np.clip(math.pi / np.sqrt(6.0 * ss / sum(x.shape[-1] for x in log_x)), 1e-10, 1e10)
 
 
-def _fit_complete_rows(log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Shape/rate MLEs of stacked complete samples, one per row of
-    ``log_x``: a one-group ``mle._fit_rows`` stack, every value a failure of
-    weight 1, each search started at its row's log-moment shape.  Returns
-    ``(alpha, lam, sweeps)``; a row without a shape maximizer raises."""
-    groups = [(PowerSum(1.0, log_x), log_x.shape[1])]
-    alpha, log_rates, ok, sweeps = _fit_rows(groups, log_x.sum(axis=1), _log_moment_start(log_x))
+def _fit_complete_rows(*log_x) -> tuple[np.ndarray, np.ndarray, int]:
+    """Shape and log rate MLEs of stacked complete samples, one fit per
+    row, from one ``(rows, n)`` array of log values per sample in ``log_x``
+    (one sample, or two sharing the shape).  This is the joint experiment
+    with no withdrawals, every value of a sample a failure of its group: a
+    ``mle._fit_rows`` stack, one kernel per sample, each search started at
+    its row's pooled log-moment shape.  Returns ``(alpha, log_rates,
+    sweeps)``, one row of log rates per sample; a row without a shape
+    maximizer raises."""
+    groups = [(PowerSum(1.0, x), x.shape[1]) for x in log_x]
+    alpha, log_rates, ok, sweeps = _fit_rows(groups, sum(x.sum(axis=1) for x in log_x), _log_moment_start(*log_x))
     if not ok.all():
         raise ConvergenceError(_NO_SHAPE)
-    return alpha, np.exp(log_rates[0]), sweeps
+    return alpha, log_rates, sweeps
+
+
+def _fit_samples(*samples: CompleteSample) -> tuple:
+    """``(alpha, *rates, loglik, sweeps)`` of complete ``samples`` sharing
+    one shape: :func:`_fit_complete_rows` on a stack of one, the
+    log-likelihood formed from the fitted log rates, where each sample's
+    rate term lam * sum x^alpha is its n, so a rate below exp's range counts."""
+    for d in samples:
+        if d.n < 2 or d.sorted[0] == d.sorted[-1]:
+            raise ValueError("need at least two distinct values to fit a shape")
+    alpha, log_rates, sweeps = _fit_complete_rows(*(d.log_values[None] for d in samples))
+    alpha, log_rates = float(alpha[0]), log_rates[:, 0]
+    terms = zip(samples, log_rates.tolist())
+    loglik = sum(d.n * (math.log(alpha) + lr - 1.0) + (alpha - 1.0) * d.sum_log for d, lr in terms)
+    return (alpha, *np.exp(log_rates).tolist(), loglik, sweeps)
+
+
+def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
+    """Shape/rate MLE of a complete sample."""
+    return WeibullFit(*_fit_samples(data))
 
 
 def fit_common_shape(data1: CompleteSample, data2: CompleteSample) -> CommonShapeFit:
-    """Joint MLE of two complete samples sharing one shape parameter.
-
-    This is the joint experiment with no withdrawals, every value of sample 1
-    a group-1 failure and of sample 2 a group-2 one: a one-row ``mle._fit_rows``
-    stack, one kernel per sample, started at the pooled log-moment shape.
-    """
-    for d in (data1, data2):
-        if d.n < 2 or d.sorted[0] == d.sorted[-1]:
-            raise ValueError("need at least two distinct values in each sample")
-    groups = [(PowerSum(1.0, d.log_values[None]), d.n) for d in (data1, data2)]
-    start = _log_moment_start(data1.log_values, data2.log_values)
-    alpha, log_rates, ok, sweeps = _fit_rows(groups, np.array([data1.sum_log + data2.sum_log]), start)
-    if not ok[0]:
-        raise ConvergenceError(_NO_SHAPE)
-    alpha = float(alpha[0])
-    lam1, lam2 = np.exp(log_rates[:, 0]).tolist()
-    loglik = _complete_loglik(data1, alpha, lam1) + _complete_loglik(data2, alpha, lam2)
-    return CommonShapeFit(alpha, lam1, lam2, loglik, sweeps)
+    """Joint MLE of two complete samples sharing one shape parameter."""
+    return CommonShapeFit(*_fit_samples(data1, data2))
 
 
 def _ks_rows(log_t, delta, alpha, log_lam1, log_lam2) -> np.ndarray:
@@ -197,8 +188,8 @@ def ks_pvalue(
         if estimated and n < 2:
             raise ValueError("need at least two values to refit a shape")
         log_x = np.log(np.sort(rng.exponential((n_mc, n)), axis=1))
-        alpha, lam, _ = _fit_complete_rows(log_x) if estimated else (np.ones(n_mc), np.ones(n_mc), 0)
-        d = _ks_rows(log_x, np.ones(n), alpha, np.log(lam), np.log(lam))
+        alpha, log_rates, _ = _fit_complete_rows(log_x) if estimated else (np.ones(n_mc), np.zeros((1, n_mc)), 0)
+        d = _ks_rows(log_x, np.ones(n), alpha, log_rates[0], log_rates[0])
         return int(np.count_nonzero(d >= distance)) / n_mc
     return _kolmogorov_sf(math.sqrt(n) * distance)
 

@@ -13,9 +13,9 @@ each segment is normalized and sampled exactly by one closed form with no
 overflowing term; the posterior samplers use such hulls as static proposals
 for their shape draws.  A log-density is one vectorized callable
 (:data:`LogDensity`) that returns its value, slope and curvature together,
-and a hull, or a stack of hulls one per row, is built in one step from the
-arrays of its tangents.  The
-module also holds the package's one root finder, :func:`_solve_rows`, a
+and hulls come only as stacks, one hull per row (a lone hull is a stack of
+one), built in one step from the arrays of their tangents.  The module also
+holds the package's one root finder, :func:`_solve_rows`, a
 lockstep safeguarded Newton search from a start the caller chooses, over
 rows of decreasing functions given with their slopes: it locates the mode
 that seeds each hull, and the maximum likelihood fits elsewhere solve
@@ -277,8 +277,8 @@ class BetaGammaHyper:
 
 
 class PiecewiseExpEnvelope:
-    """Upper hull of a concave log-density built from tangent lines, or a
-    stack of them, one per row.
+    """A stack of upper hulls of concave log-densities built from tangent
+    lines, one hull per row.
 
     Every tangent to a concave function dominates it, so the pointwise
     minimum of any collection of tangents is a valid envelope regardless of
@@ -302,15 +302,14 @@ class PiecewiseExpEnvelope:
     """
 
     def __init__(self, x, h, dh):
-        """The hull on [0, inf) of the tangents with abscissae ``x``,
-        heights ``h`` and slopes ``dh``, one per row of 2-D arrays, which
-        record each row's error (None for none) in ``errors``, where a lone
-        hull raises it; a tangent with a non-finite entry or ``x < 0`` is
-        masked."""
+        """The hulls on [0, inf) of the tangents with abscissae ``x``,
+        heights ``h`` and slopes ``dh``, one hull per row of these 2-D
+        arrays, each row's error (None for none) recorded in ``errors``; a
+        tangent with a non-finite entry or ``x < 0`` is masked."""
         x, h, dh = (np.asarray(v, dtype=float) for v in (x, h, dh))
         usable = np.isfinite(x) & np.isfinite(h) & np.isfinite(dh) & (x >= 0.0)
         # orders along the last axis, as indices into the flattened arrays
-        base = np.arange(0, x.size, x.shape[-1]).reshape(x.shape[:-1] + (1,))
+        base = np.arange(0, x.size, x.shape[-1])[:, None]
         order = np.argsort(np.where(usable, x, math.inf), axis=-1, kind="stable") + base
         ok, slope = np.take(usable, order), np.take(np.where(usable, dh, 0.0), order)
         # Concavity means slopes fall left to right; floating noise can give
@@ -354,34 +353,23 @@ class PiecewiseExpEnvelope:
         self._bx, self._bh, self._bdh, self._bz = x, h, dh, z
         dead = (msg == "") & ~np.any(logmass > -math.inf, axis=-1)
         msg = np.where(dead, "envelope mass underflowed to zero", msg)
-        self.errors = [NonIntegrableTargetError(m) if m else None for m in np.atleast_1d(msg).tolist()]
-        if x.ndim == 1 and self.errors[0]:
-            raise self.errors[0]
+        self.errors = [NonIntegrableTargetError(m) if m else None for m in msg.tolist()]
         w, top = _max_shift(np.where((msg != "")[..., None], 0.0, logmass))  # a failed row is never drawn
         cum = np.cumsum(w, axis=-1)
         self._log_total = top[..., 0] + np.log(cum[..., -1])
         self._cum = cum / cum[..., -1:]
 
-    def log_total_mass(self) -> float:
-        return float(self._log_total)
-
-    def log_value(self, q, seg=None) -> np.ndarray:
-        """Envelope height at ``q``: on the segments ``seg`` that
-        :meth:`sample` drew, or, for a lone hull, on those holding ``q``."""
-        q = np.asarray(q, dtype=float)
-        if seg is None:
-            seg = np.clip(np.searchsorted(self._bz, q, side="right") - 1, 0, self.tangents - 1)
+    def log_value(self, q, seg) -> np.ndarray:
+        """Envelope height at ``q`` on the segments ``seg`` (flat indices)
+        that :meth:`sample` drew."""
         return np.take(self._bh, seg) + np.take(self._bdh, seg) * (q - np.take(self._bx, seg))
 
-    def sample(self, u, w, rows=None) -> tuple[np.ndarray, np.ndarray]:
-        """Exact draws and their segments (flat indices for a stack) at
-        uniforms ``u``, which pick segments, and ``w``, which place the draws
-        in them; for a stack, row ``i`` draws from hull ``rows[i]``."""
-        if rows is None:
-            seg = np.searchsorted(self._cum, u)
-        else:
-            width = self._cum.shape[-1]
-            seg = np.array([np.searchsorted(self._cum[r], v) + r * width for r, v in zip(rows, u)])
+    def sample(self, u, w, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Exact draws and their segments (flat indices) at uniforms ``u``,
+        which pick segments, and ``w``, which place the draws in them: row
+        ``i`` of ``u`` and ``w`` draws from hull ``rows[i]``."""
+        width = self._cum.shape[-1]
+        seg = np.array([np.searchsorted(self._cum[r], v) + r * width for r, v in zip(rows, u)])
         w = np.clip(w, 1e-16, 1.0 - 1e-16)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.log1p(-w * np.take(self._em, seg)) / np.take(self._bdh, seg)
@@ -460,10 +448,10 @@ def _solve_rows(
     return root, ok, sweeps
 
 
-def _locate_modes(local: LogDensity, n_rows: int = 1) -> np.ndarray:
+def _locate_modes(local: LogDensity, n_rows: int) -> np.ndarray:
     """Modes of ``n_rows`` concave log-densities on [0, inf), given as one
     callable that takes one abscissa per row, from one :func:`_solve_rows`
-    search; a lone density is one row.
+    search.
 
     The mode is the root of the log-density's slope.  A slope still
     positive at 1e10 means the density never turns down: that row's mode is
@@ -482,12 +470,11 @@ _STATIC_OFFSETS = (
 _EDGE_OFFSETS = (0.0, 1.0, 3.0) + (math.nan,) * (len(_STATIC_OFFSETS) - 3)
 
 
-def build_static_envelope(local: LogDensity, mode=None) -> PiecewiseExpEnvelope:
-    """A ready-to-sample hull with curvature-scaled tangent placement, or a
-    stack of them for a stacked ``local`` and one ``mode`` per row.
-
-    The ``mode`` of ``local`` is located here unless the caller has it from
-    a stacked search (:func:`_locate_modes`).  An interior mode gets
+def build_static_envelope(local: LogDensity, mode) -> PiecewiseExpEnvelope:
+    """A ready-to-sample stack of hulls with curvature-scaled tangent
+    placement, one per row of a stacked ``local`` around that row's entry
+    of ``mode``, found by a stacked search (:func:`_locate_modes`); a lone
+    density is a stack of one.  An interior mode gets
     tangents at the positive ones of ``_STATIC_OFFSETS`` multiples of
     1/sqrt(-curvature) at the mode around it; a mode at the support edge
     (1e-8) gets three, spaced by the inverse of the slope there.  The last
@@ -495,11 +482,9 @@ def build_static_envelope(local: LogDensity, mode=None) -> PiecewiseExpEnvelope:
     where a strictly concave target slopes down; a target that does not
     leaves the hull's rightmost slope non-negative, which the hull refuses,
     as it refuses a mode of ``inf``.  All tangents come from one array call
-    of ``local``.  A lone hull raises its error; a stack records each row's.
+    of ``local``.  The stack records each row's error in ``errors``.
     """
-    if mode is None:
-        (mode,) = _locate_modes(local)
-    lone, mode = np.ndim(mode) == 0, np.atleast_1d(np.asarray(mode, dtype=float))
+    mode = np.asarray(mode, dtype=float)
     rising, edge = mode == math.inf, mode <= 1e-8
     # a rising row reads local at 1, where every search starts, and gets no tangents
     _, d, f2 = (v[:, 0] for v in local(np.where(rising, 1.0, mode)[:, None]))
@@ -507,12 +492,9 @@ def build_static_envelope(local: LogDensity, mode=None) -> PiecewiseExpEnvelope:
               for i in np.flatnonzero(edge & ~np.isfinite(d))}
     for i in np.flatnonzero(rising):
         errors[i] = NonIntegrableTargetError("log-density still increasing at 1e10")
-    if lone and errors:
-        raise errors[0]
     scale = np.where(edge, 1.0 / np.maximum(np.abs(d), 1e-8), 1.0 / np.sqrt(np.maximum(-f2, 1e-12)))
     pts = mode[:, None] + np.where(edge[:, None], _EDGE_OFFSETS, _STATIC_OFFSETS) * scale[:, None]
     pts = np.where((pts > 0.0) & ~rising[:, None], np.maximum(pts, 1e-12), math.nan)
-    pts = pts[0] if lone else pts
     env = PiecewiseExpEnvelope(pts, *local(np.where(np.isfinite(pts), pts, 1.0))[:2])
     for i, exc in errors.items():
         env.errors[i] = exc

@@ -435,12 +435,12 @@ def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
 
 
 def static_envelope_pointwise(local):
-    """The tangent hull of ``rng.build_static_envelope`` built point by point:
-    every height and slope comes from its own scalar call of the
-    ``(value, slope, curvature)`` callable ``local``."""
+    """The tangent hull of ``rng.build_static_envelope`` built point by point,
+    as a stack of one: every height and slope comes from its own scalar call
+    of the ``(value, slope, curvature)`` callable ``local``."""
     from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_modes
 
-    (mode,) = _locate_modes(local)
+    (mode,) = _locate_modes(local, 1)
     if mode <= 1e-8:
         d = float(local(mode)[1])
         scale = 1.0 / max(abs(d), 1e-8)
@@ -455,7 +455,7 @@ def static_envelope_pointwise(local):
         h, dh, _ = (float(v) for v in local(p))
         if math.isfinite(h):
             tangents.append((p, h, dh))
-    return PiecewiseExpEnvelope(*zip(*tangents))
+    return PiecewiseExpEnvelope(*([v] for v in zip(*tangents)))
 
 
 # --------------------------------------------------------------------------

@@ -153,12 +153,12 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
             value, slope, _ = br.local(grid)
             np.testing.assert_allclose(value, [v for v, _ in pointwise], rtol=1e-13)
             np.testing.assert_allclose(slope, [d for _, d in pointwise], rtol=1e-13)
-            got = build_static_envelope(br.local)
+            got = build_static_envelope(br.local, _locate_modes(br.local, 1))
             want = static_envelope_pointwise(br.local)
-            assert got.tangents == want.tangents
+            assert got.tangents[0] == want.tangents[0]
             for attr in ("_bx", "_bh", "_bdh"):
-                kept = getattr(want, attr)[: want.tangents]
-                np.testing.assert_allclose(getattr(got, attr)[: got.tangents], kept, rtol=1e-13)
+                kept = getattr(want, attr)[0, : want.tangents[0]]
+                np.testing.assert_allclose(getattr(got, attr)[0, : got.tangents[0]], kept, rtol=1e-13)
             hulls += 1
     # one hull per preset and sample: 4 presets x 21 samples
     assert hulls >= 84
@@ -188,10 +188,10 @@ def test_stacked_mode_search_matches_lone_searches(fiber) -> None:
     shape_modes(cores)
     for core in cores:
         branch = core.branch
-        (lone,) = _locate_modes(branch.local)
-        assert lone.tobytes() == core.mode.tobytes()
-        got = build_static_envelope(branch.local, core.mode)
-        want = build_static_envelope(branch.local)
+        lone = _locate_modes(branch.local, 1)
+        assert lone[0].tobytes() == core.mode.tobytes()
+        got = build_static_envelope(branch.local, [core.mode])
+        want = build_static_envelope(branch.local, lone)
         for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
             np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
@@ -256,7 +256,7 @@ def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> N
     shape_modes(cores)
     for (sample, prior), core in zip(pairs, cores):
         if prior is ip_prior:
-            assert core.mode.tobytes() == _locate_modes(core.branch.local).tobytes()
+            assert core.mode.tobytes() == _locate_modes(core.branch.local, 1)[0].tobytes()
             continue
         assert core.mode == math.inf
         with pytest.raises(NonIntegrableTargetError) as alone:
@@ -768,6 +768,8 @@ def test_bayes_estimate_weighted_mean() -> None:
         alpha=np.array([1.0, 2.0]),
         lambda1=np.array([0.5, 0.25]),
         lambda2=np.array([4.0, 8.0]),
+        log_lambda1=np.log([0.5, 0.25]),
+        log_lambda2=np.log([4.0, 8.0]),
         weights=np.array([1.0, 4.0]),
         normalized=np.array([0.2, 0.8]),
     )
@@ -784,14 +786,23 @@ def test_posterior_container_validation() -> None:
             alpha=np.ones(3),
             lambda1=np.ones(2),
             lambda2=np.ones(3),
+            log_lambda1=np.zeros(3),
+            log_lambda2=np.zeros(3),
             weights=np.ones(3),
             normalized=np.full(3, 1 / 3),
         )
+    for short in ("log_lambda1", "log_lambda2"):
+        arrays = {"log_lambda1": np.zeros(3), "log_lambda2": np.zeros(3), short: np.zeros(2)}
+        arrays.update(alpha=np.ones(3), lambda1=np.ones(3), lambda2=np.ones(3), weights=np.ones(3))
+        with pytest.raises(ValueError, match="one shape"):
+            WeightedPosterior(**arrays, normalized=np.full(3, 1 / 3))
     with pytest.raises(ValueError):
         WeightedPosterior(
             alpha=np.ones(2),
             lambda1=np.ones(2),
             lambda2=np.ones(2),
+            log_lambda1=np.zeros(2),
+            log_lambda2=np.zeros(2),
             weights=np.ones(2),
             normalized=np.array([0.9, 0.3]),
         )
@@ -1020,15 +1031,26 @@ def test_predictive_pvalue_joint_sample_batch_matches_scalar_loop(fiber, flat_ra
 
 
 def test_predictive_pvalue_complete_sample_takes_given_draws(ds1, flat_rate4) -> None:
-    """Draws passed in as ``(alpha, lam, normalized)`` give the same check as
-    draws the function makes itself from the same stream."""
+    """Draws passed in as a :class:`WeightedPosterior` give the same check as
+    draws the function makes itself from the same stream, on the strengths
+    and under the flat prior on 30 strengths 20000 (-ln(1 - u))^(1/116),
+    whose drawn rates nearly all underflow to 0: the check reads their
+    drawn log rates, not the logs of the rates, which would put every such
+    draw at distance 1 and the p-value at 0.  Any other ``posterior``, such
+    as a ``(alpha, lam, normalized)`` triple, is refused by type."""
+    u = (np.arange(30) + 0.5) / 30
+    big = CompleteSample(values=tuple(20000.0 * (-np.log1p(-u)) ** (1.0 / 116.0)))
     n_rep = 600
-    rng = RngStream(631, 0)
-    post = draw_posterior(ds1, flat_rate4, n_rep, rng)
-    given = posterior_predictive_pvalue(
-        ds1, flat_rate4, n_rep=n_rep, rng=rng, posterior=(post.alpha, post.lambda1, np.full(n_rep, 1.0 / n_rep))
-    )
-    assert given == posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(631, 0))
+    for data, prior in ((ds1, flat_rate4), (big, PriorSpec.flat())):
+        rng = RngStream(631, 0)
+        post = draw_posterior(data, prior, n_rep, rng)
+        given = posterior_predictive_pvalue(data, prior, n_rep=n_rep, rng=rng, posterior=post)
+        assert given == posterior_predictive_pvalue(data, prior, n_rep=n_rep, rng=RngStream(631, 0))
+    assert np.mean(post.lambda1 == 0.0) > 0.9
+    assert given[0] > 0.5 and given[1] < 0.2
+    triple = (post.alpha, post.lambda1, post.normalized)
+    with pytest.raises(TypeError, match="posterior"):
+        posterior_predictive_pvalue(big, PriorSpec.flat(), n_rep=n_rep, rng=RngStream(631, 1), posterior=triple)
 
 
 def test_complete_sample_replicates_are_sorted_uniforms(ds1, flat_rate4) -> None:

@@ -193,8 +193,8 @@ def test_ks_pvalue_monte_carlo_counts_match_the_direct_formula(ds1, ds2) -> None
     for ds, seed in ((ds1, 77), (ds2, 78)):
         n = ds.n
         log_x = np.log(np.sort(RngStream(seed, 0).exponential((200, n)), axis=1))
-        alpha, lam, _ = _fit_complete_rows(log_x)
-        f = -np.expm1(-np.exp(alpha[:, None] * log_x + np.log(lam)[:, None]))
+        alpha, log_rates, _ = _fit_complete_rows(log_x)
+        f = -np.expm1(-np.exp(alpha[:, None] * log_x + log_rates[0][:, None]))
         null = np.maximum((np.arange(1, n + 1) / n - f).max(axis=1), (f - np.arange(n) / n).max(axis=1))
         fit = fit_weibull_complete(ds)
         for d in [ks_distance(ds, fit.alpha, fit.lam), *null[:10]]:
@@ -233,7 +233,8 @@ def test_batched_complete_refits_match_scalar_fits() -> None:
     rng = RngStream(74, 0)
     for n, alpha, lam in ((5, 0.4, 3.0), (12, 1.0, 1.0), (69, 3.8, 0.09), (40, 9.0, 1e-4)):
         x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(150, n))).reshape(150, n), axis=1)
-        got_alpha, got_lam, _ = _fit_complete_rows(np.log(x))
+        got_alpha, log_rates, _ = _fit_complete_rows(np.log(x))
+        got_lam = np.exp(log_rates[0])
         for row, a, l in zip(x, got_alpha, got_lam):
             want_alpha, want_lam = _longhand_complete_fit(row)
             assert a == pytest.approx(want_alpha, rel=1e-8)
@@ -247,7 +248,8 @@ def test_stacked_complete_rows_fit_as_they_fit_alone() -> None:
     for n, alpha, lam in ((5, 0.4, 3.0), (30, 2.0, 1.0), (69, 3.8, 0.09)):
         x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(200, n))).reshape(200, n), axis=1)
         datas = [CompleteSample(values=tuple(row)) for row in x]
-        got_alpha, got_lam, _ = _fit_complete_rows(np.stack([d.log_values for d in datas]))
+        got_alpha, log_rates, _ = _fit_complete_rows(np.stack([d.log_values for d in datas]))
+        got_lam = np.exp(log_rates[0])
         fits = [fit_weibull_complete(d) for d in datas]
         assert list(got_alpha) == [f.alpha for f in fits]
         assert list(got_lam) == [f.lam for f in fits]
@@ -273,6 +275,36 @@ def test_lr_test_equal_shapes_is_null() -> None:
     x = np.atleast_1d(sample_weibull(2.0, 1.0, rng, size=40))
     d = CompleteSample(values=tuple(x))
     stat, p = lr_test_common_shape(d, d)
+    assert stat == pytest.approx(0.0, abs=1e-8)
+    assert p > 0.999
+
+
+def test_complete_fits_at_an_underflowing_rate() -> None:
+    """On 30 strengths 20000 (-ln(1 - u))^(1/116), u = (i + 0.5)/30, the
+    fitted rate underflows to 0, and the fits form their log-likelihoods
+    from the fitted log rates: finite, and each sample's term equal to the
+    longhand n (ln a + ln n - ln sum x^a - 1) + (a - 1) sum ln x, with
+    ln sum x^a by logsumexp.  The same strengths scaled by 0.9 share their
+    shape, so the equal-shape statistic is about 0."""
+    u = (np.arange(30) + 0.5) / 30
+    x = 20000.0 * (-np.log1p(-u)) ** (1.0 / 116.0)
+    d, scaled = CompleteSample(values=tuple(x)), CompleteSample(values=tuple(0.9 * x))
+
+    def loglik(a, samples):
+        return sum(
+            s.n * (math.log(a) + math.log(s.n) - special.logsumexp(a * s.log_values) - 1.0) + (a - 1.0) * s.sum_log
+            for s in samples
+        )
+
+    fit = fit_weibull_complete(d)
+    assert fit.alpha == pytest.approx(118.687, rel=1e-5)
+    assert fit.lam == 0.0
+    assert fit.loglik == pytest.approx(-201.02, abs=5e-3)
+    assert fit.loglik == pytest.approx(loglik(fit.alpha, [d]), rel=1e-12)
+    common = fit_common_shape(d, scaled)
+    assert math.isfinite(common.loglik)
+    assert common.loglik == pytest.approx(loglik(common.alpha, [d, scaled]), rel=1e-12)
+    stat, p = lr_test_common_shape(d, scaled)
     assert stat == pytest.approx(0.0, abs=1e-8)
     assert p > 0.999
 

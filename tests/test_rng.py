@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -205,6 +206,18 @@ def _linear_target(slope: float):
     return local
 
 
+def _hull(local):
+    """The static hull of one log-density, a stack of one around its mode."""
+    return build_static_envelope(local, _locate_modes(local, 1))
+
+
+def _refused(env, match: str = "") -> bool:
+    """Whether the hull of a stack of one recorded a
+    :class:`NonIntegrableTargetError` whose message matches ``match``."""
+    err = env.errors[0]
+    return isinstance(err, NonIntegrableTargetError) and re.search(match, str(err)) is not None
+
+
 def test_static_envelope_dominates_target() -> None:
     """Tangent hulls of concave log-densities must sit above them everywhere."""
     rng = RngStream(31, 0)
@@ -212,28 +225,29 @@ def test_static_envelope_dominates_target() -> None:
     for _ in range(30):
         shape = 1.0 + 4.0 * rng.uniform()
         rate = 0.2 + 3.0 * rng.uniform()
-        env = build_static_envelope(_gamma_target(shape, rate))
+        env = _hull(_gamma_target(shape, rate))
         target_log = (shape - 1.0) * np.log(grid) - rate * grid
-        assert np.all(env.log_value(grid) >= target_log - 1e-9)
+        seg = np.clip(np.searchsorted(env._bz[0], grid, side="right") - 1, 0, env.tangents[0] - 1)
+        assert np.all(env.log_value(grid, seg) >= target_log - 1e-9)
 
 
 def test_envelope_mass_bounds_target_mass() -> None:
     shape, rate = 3.0, 2.0
-    env = build_static_envelope(_gamma_target(shape, rate))
+    env = _hull(_gamma_target(shape, rate))
     # unnormalized target mass: Gamma(shape) / rate**shape
     true_log_mass = math.lgamma(shape) - shape * math.log(rate)
-    assert env.log_total_mass() >= true_log_mass
-    assert env.log_total_mass() < true_log_mass + 0.5
+    assert env._log_total[0] >= true_log_mass
+    assert env._log_total[0] < true_log_mass + 0.5
 
 
 def _hull_draws(env, n, rng):
-    """``n`` draws from a lone hull: uniforms that pick the segments, then
-    uniforms that place the draws in them."""
-    return env.sample(rng.uniform(n), rng.uniform(n))[0]
+    """``n`` draws from a stack of one hull: uniforms that pick the
+    segments, then uniforms that place the draws in them."""
+    return env.sample(rng.uniform(n)[None], rng.uniform(n)[None], [0])[0][0]
 
 
 def test_single_tangent_envelope_samples_exponential() -> None:
-    env = PiecewiseExpEnvelope([1.0], [0.0], [-2.0])
+    env = PiecewiseExpEnvelope([[1.0]], [[0.0]], [[-2.0]])
     draws = _hull_draws(env, 4000, RngStream(32, 0))
     res = stats.kstest(draws, stats.expon(scale=0.5).cdf)
     assert res.pvalue > 1e-3
@@ -247,8 +261,8 @@ def test_hull_draws_follow_its_piecewise_exponential_law() -> None:
     # tangents to -(q - 3)^2 / 2 meet at the midpoints of their abscissae
     x = np.array([0.5, 1.5, 2.5, 3.0 - 1e-13, 4.0, 5.0])
     h, a = -0.5 * (x - 3.0) ** 2, 3.0 - x
-    env = PiecewiseExpEnvelope(x, h, a)
-    np.testing.assert_array_equal(env._bx, x)
+    env = PiecewiseExpEnvelope(x[None], h[None], a[None])
+    np.testing.assert_array_equal(env._bx[0], x)
     z = np.concatenate(([0.0], 0.5 * (x[:-1] + x[1:]), [math.inf]))
     assert np.all(a[:3] > 0.0) and 0.0 < a[3] * (z[4] - z[3]) < 1e-12 and np.all(a[4:] < 0.0)
 
@@ -260,7 +274,7 @@ def test_hull_draws_follow_its_piecewise_exponential_law() -> None:
         return seg.sum(axis=1)
 
     total = mass_below([math.inf])[0]
-    assert env.log_total_mass() == pytest.approx(math.log(total), rel=1e-12)
+    assert env._log_total[0] == pytest.approx(math.log(total), rel=1e-12)
     draws = _hull_draws(env, 20_000, RngStream(36, 0))
     assert np.all(np.isfinite(draws) & (draws >= 0.0))
     assert stats.kstest(draws, lambda q: mass_below(q) / total).pvalue > 1e-3
@@ -274,8 +288,8 @@ def test_flat_hull_segment_is_measured_from_its_left_end() -> None:
     draws land in the flat segment between them."""
     x = np.array([1.0, 3.0, 5.0])
     h = -50.0 * (x - 3.0) ** 2
-    envs = [PiecewiseExpEnvelope(x, h, [200.0, a, -200.0]) for a in (1e-16, -1e-16)]
-    assert list(envs[0]._bz) == list(envs[1]._bz) == [0.0, 2.0, 4.0, math.inf]
+    envs = [PiecewiseExpEnvelope(x[None], h[None], [[200.0, a, -200.0]]) for a in (1e-16, -1e-16)]
+    assert list(envs[0]._bz[0]) == list(envs[1]._bz[0]) == [0.0, 2.0, 4.0, math.inf]
     draws = [_hull_draws(env, 5000, RngStream(39, 0)) for env in envs]
     np.testing.assert_array_equal(draws[0], draws[1])
     assert np.count_nonzero((draws[0] > 2.0) & (draws[0] < 4.0)) > 4000
@@ -290,7 +304,7 @@ def test_locate_mode_matches_the_analytic_gamma_mode() -> None:
     rates = 10.0 ** (4.0 * rng.uniform(30) - 2.0)
     alone = []
     for shape, rate in zip(shapes, rates):
-        (mode,) = _locate_modes(_gamma_target(shape, rate))
+        (mode,) = _locate_modes(_gamma_target(shape, rate), 1)
         assert mode == pytest.approx((shape - 1.0) / rate, rel=1e-9)
         alone.append(mode)
     assert min(alone) > 1e-8
@@ -303,10 +317,10 @@ def test_adaptive_sampler_boundary_mode() -> None:
     puts the mode at the edge; the static hull built there samples the law
     exactly under rejection."""
     target = _linear_target(-1.0)
-    assert list(_locate_modes(target)) == [1e-8]
-    env = build_static_envelope(target)
+    assert list(_locate_modes(target, 1)) == [1e-8]
+    env = _hull(target)
     rng = RngStream(35, 0)
-    q, seg = env.sample(rng.uniform(30_000), rng.uniform(30_000))
+    q, seg = env.sample(rng.uniform(30_000)[None], rng.uniform(30_000)[None], [0])
     accept = np.log(rng.uniform(q.size)) <= target(q)[0] - env.log_value(q, seg)
     draws = q[accept]
     assert draws.size > 10_000
@@ -315,8 +329,7 @@ def test_adaptive_sampler_boundary_mode() -> None:
 
 
 def test_sampler_refuses_growing_log_density() -> None:
-    with pytest.raises(NonIntegrableTargetError):
-        build_static_envelope(_linear_target(1.0))
+    assert _refused(_hull(_linear_target(1.0)))
 
 
 def test_array_built_hull_keeps_only_usable_tangents() -> None:
@@ -326,24 +339,21 @@ def test_array_built_hull_keeps_only_usable_tangents() -> None:
     slope, before or after the concavity clean-up, is not negative."""
     x = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     h, dh, _ = _gamma_target(3.0, 2.0)(np.maximum(x, 1e-12))
-    want = PiecewiseExpEnvelope(x, h, dh)
+    want = PiecewiseExpEnvelope(x[None], h[None], dh[None])
     got = PiecewiseExpEnvelope(
-        [4.0, -0.1, 1.0, 3.0, 0.5, 2.0, 0.0, 5.0, math.nan],
-        [h[4], -1.0, h[2], math.inf, h[1], h[3], h[0], 0.0, 0.0],
-        [dh[4], 5.0, dh[2], -1.0, dh[1], dh[3], dh[0], -math.inf, -1.0],
+        [[4.0, -0.1, 1.0, 3.0, 0.5, 2.0, 0.0, 5.0, math.nan]],
+        [[h[4], -1.0, h[2], math.inf, h[1], h[3], h[0], 0.0, 0.0]],
+        [[dh[4], 5.0, dh[2], -1.0, dh[1], dh[3], dh[0], -math.inf, -1.0]],
     )
-    assert got.tangents == want.tangents == 5
+    assert got.tangents[0] == want.tangents[0] == 5
     for attr in ("_bx", "_bh", "_bdh", "_bz", "_cum"):
-        kept = getattr(want, attr)
-        np.testing.assert_array_equal(getattr(got, attr)[: kept.size], kept)
-    np.testing.assert_array_equal(got._cum[5:], 1.0)
-    assert got.log_total_mass() == want.log_total_mass()
-    with pytest.raises(NonIntegrableTargetError, match="rightmost"):
-        PiecewiseExpEnvelope([1.0, 2.0], [0.0, -1.0], [-1.0, 0.0])
-    with pytest.raises(NonIntegrableTargetError, match="rightmost"):
-        PiecewiseExpEnvelope([1.0, 2.0], [0.0, 0.0], [1e-14, -1e-14])
-    with pytest.raises(NonIntegrableTargetError, match="no usable"):
-        PiecewiseExpEnvelope([-0.5, 2.0], [0.0, math.nan], [-1.0, -1.0])
+        kept = getattr(want, attr)[0]
+        np.testing.assert_array_equal(getattr(got, attr)[0, : kept.size], kept)
+    np.testing.assert_array_equal(got._cum[0, 5:], 1.0)
+    assert got._log_total[0] == want._log_total[0]
+    assert _refused(PiecewiseExpEnvelope([[1.0, 2.0]], [[0.0, -1.0]], [[-1.0, 0.0]]), "rightmost")
+    assert _refused(PiecewiseExpEnvelope([[1.0, 2.0]], [[0.0, 0.0]], [[1e-14, -1e-14]]), "rightmost")
+    assert _refused(PiecewiseExpEnvelope([[-0.5, 2.0]], [[0.0, math.nan]], [[-1.0, -1.0]]), "no usable")
 
 
 def test_root_finder_flags_rows_it_never_brackets() -> None:
