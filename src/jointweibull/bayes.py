@@ -53,10 +53,11 @@ group with a gamma(a0, b0) rate prior: G = s1 = a0 + n, so w = 1, c = 0,
 the rate is ``T/R1`` with no split, and g = 1.
 
 Cores draw as a stack, one row each (a lone draw is a stack of one): one
-tangent call builds every hull, and the proposals, the marginal at them,
-the rejection test and the rates are array steps over the rows.  Each row
-draws from its own stream exactly the variates, in the order and counts,
-that it would draw alone, so its draws are its lone draws byte for byte.
+mode search and one tangent call build every hull, and the proposals, the
+marginal at them, the rejection test and the rates are array steps over
+the rows.  Each row draws from its own stream exactly the variates, in the
+order and counts, that it would draw alone, so its draws are its lone
+draws byte for byte.
 """
 
 from __future__ import annotations
@@ -176,14 +177,13 @@ def _check_decay(branch: _ConcaveTerm) -> None:
 def _sample_marginal(cores, n: int, rngs) -> tuple:
     """Exact shape draws, ``n`` per core (of samples with equal k), from
     exp(s), s its shape marginal, by rejection from its tangent hull around
-    its mode (searched where not set), every hull from one tangent call.
+    its mode (:func:`shape_modes`), every hull from one tangent call.
     Returns the draws, the log power sums of the kept shapes (one row per
     group, then per core), the sampler counts and each core's error (None
     for none).  Core ``i`` draws from ``rngs[i]`` alone, ``3c`` uniforms per
     round of ``c`` proposals (segments, places, tests); the first round is
     sized for 95% acceptance (the study presets get about 99%), later ones
     for the acceptance seen, and rejection is exact whatever the sizes."""
-    shape_modes([c for c in cores if c.mode is None])
     term = _stack(cores)
     env = build_static_envelope(term.local, np.array([c.mode for c in cores]))
     rows = len(cores)
@@ -300,13 +300,16 @@ def _merge(mask: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 class _DrawStack:
     """``n`` posterior draws for each core of ``rngs`` (of samples with
-    equal k) from its stream there, made in array steps over a group of
-    about 2^14 draws when the first of the group is taken, so memory stays
-    flat however many cores join.  A row draws what it would alone."""
+    equal k) from its stream there.  The stack sets every core's mode by
+    one :func:`shape_modes` search when it is built; the draws are made in
+    array steps over a group of about 2^14 draws when the first of the
+    group is taken, so memory stays flat however many cores join.  A row
+    draws what it would alone."""
 
     def __init__(self, n: int, rngs: dict):
         _check_count("n_draws", n, 1)
         self.n, self.rngs, self.made, self.rows = n, rngs, {}, {core: i for i, core in enumerate(rngs)}
+        shape_modes(list(rngs))
         for core in rngs:
             core.stack = self
 
@@ -351,8 +354,9 @@ class _PosteriorCore:
     the prior; a one-group core reads only a0, b0 and the shape prior.  It
     owns the shape marginal of the one rate proposal (see the module
     docstring) and its properness checks, and draws as a row of a
-    :class:`_DrawStack`, around its ``mode`` (searched there unless
-    :func:`shape_modes` has set it).
+    :class:`_DrawStack`, around the ``mode`` that the stack's search sets.
+    A study builds its cores on a chunk's kernels and passes each to
+    :func:`draw_posterior` as its sample.
     """
 
     stack = None
@@ -384,8 +388,13 @@ class _PosteriorCore:
 
     @classmethod
     def of(cls, sample, prior: PriorSpec) -> "_PosteriorCore":
-        """The core of a ``sample`` that :func:`draw_posterior` takes; any
-        other input raises :class:`TypeError`."""
+        """The core of a ``sample`` that :func:`draw_posterior` takes: a
+        core of ``prior`` is returned as is, one of another prior raises
+        :class:`ValueError` and any other input :class:`TypeError`."""
+        if isinstance(sample, _PosteriorCore):
+            if sample.prior != prior:
+                raise ValueError("prior must be the prior of the core passed as the sample")
+            return sample
         if isinstance(sample, JpcSample):
             return cls(sample.groups, 0, sample.sum_log_t, prior)
         samples = sample if isinstance(sample, tuple) and len(sample) == 2 else (sample,)
@@ -393,13 +402,6 @@ class _PosteriorCore:
             raise TypeError("sample must be a JpcSample, a CompleteSample or a pair of CompleteSamples")
         groups = [(PowerSum(1.0, d.log_values[None]), [d.n]) for d in samples]
         return cls(groups, 0, sum(d.sum_log for d in samples), prior)
-
-    def draw(self, n: int, rng: RngStream) -> WeightedPosterior:
-        """``n`` draws from ``rng``: those of the :class:`_DrawStack` this
-        core joined with this ``n`` and stream, else of a stack of one."""
-        if self.stack is None or self.stack.n != n or self.stack.rngs[self] is not rng:
-            _DrawStack(n, {self: rng})
-        return self.stack.take(self)
 
 
 def shape_modes(cores) -> None:
@@ -413,7 +415,7 @@ def shape_modes(cores) -> None:
             core.mode = mode
 
 
-def draw_posterior(sample, prior: PriorSpec, n_draws: int, rng: RngStream, core=None) -> WeightedPosterior:
+def draw_posterior(sample, prior: PriorSpec, n_draws: int, rng: RngStream) -> WeightedPosterior:
     """Importance-weighted posterior draws for a :class:`JpcSample`, one
     :class:`CompleteSample`, or a pair (a 2-tuple) of complete samples
     sharing one shape; any other ``sample`` raises :class:`TypeError`.
@@ -422,16 +424,19 @@ def draw_posterior(sample, prior: PriorSpec, n_draws: int, rng: RngStream, core=
     draws are exact, with unit weights and one rate array (``lambda1`` is
     ``lambda2``), and of ``prior`` it reads only a0, b0 and the shape prior.
 
-    ``core``, the ``_PosteriorCore`` of ``sample`` and ``prior`` (its mode
-    maybe set by :func:`shape_modes`), is built here when not given; given,
-    it is all that is read of ``sample``, which may then be None.
+    ``sample`` may also be a ``_PosteriorCore`` of ``prior``, as a study
+    chunk builds them (a core of another prior raises :class:`ValueError`):
+    its draws are those of the :class:`_DrawStack` it joined with
+    ``n_draws`` and ``rng``, else those of a stack of one.
 
     Raises :class:`ImproperPosteriorError` when either the rate update or
     the shape marginal fails its integrability check, which happens for
     flat priors when one group never fails.
     """
-    core = core or _PosteriorCore.of(sample, prior)
-    return core.draw(n_draws, rng)
+    core = _PosteriorCore.of(sample, prior)
+    if core.stack is None or core.stack.n != n_draws or core.stack.rngs[core] is not rng:
+        _DrawStack(n_draws, {core: rng})
+    return core.stack.take(core)
 
 
 def bayes_estimate(post: WeightedPosterior, h: Callable) -> float:

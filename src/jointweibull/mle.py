@@ -37,7 +37,6 @@ them, are one-group stacks.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 from statistics import NormalDist
 from typing import NamedTuple, Optional
@@ -185,32 +184,37 @@ def asymptotic_ci(
     ``lambda1`` and ``lambda2``); ``params`` and ``boundary`` are those of a
     fit by :func:`fit_mle` or :func:`fit_mle_ordered`.  Group g (free:
     weights ``c1``, ``c2``, counts ``k1``, ``k2``; common rate: weights ``R
-    + 1``, count ``k``) adds ``k_g
-    ln l_g - l_g S_g(a)``, ``S_g = sum c_g t^a``, to the log-likelihood.  At
-    the fit ``l_g = k_g/S_g``, so with ``E_g``, ``Var_g`` the mean and
-    variance of ``ln t`` under the weights ``c_g t^a``, inverting the
-    information by the Schur complement of its rate block gives ``var(a) =
-    1/(k/a^2 + sum k_g Var_g)``, the inverse curvature of the profile, and
-    ``var(l_g) = l_g^2 (1/k_g + E_g^2 var(a))``, positive and finite for
-    every shape in [1e-10, 1e10] (``fisher_info`` in ``tests/_oracles.py``
-    is the reference).
+    + 1``, count ``k``) adds ``k_g ln l_g - l_g S_g(a)``, ``S_g = sum c_g
+    t^a``, to the log-likelihood.  At the fit ``l_g = k_g/S_g``, so with
+    ``E_g``, ``Var_g`` the mean and variance of ``ln t`` under the weights
+    ``c_g t^a``, inverting the information by the Schur complement of its
+    rate block gives ``var(a) = 1/(k/a^2 + sum k_g Var_g)``, the inverse
+    curvature of the profile, and ``var(l_g) = l_g^2 (1/k_g + E_g^2
+    var(a))``, positive and finite for every shape in [1e-10, 1e10]
+    (``fisher_info`` in ``tests/_oracles.py`` is the reference).  The
+    sample is a stack of one of :func:`_asymptotic`, which a study calls
+    once per chunk and maximum likelihood method.
     """
     _check_level(level)
-    free = zip(sample.power_sums, (sample.k1, sample.k2))
-    return _asymptotic(sample.scheme, free, sample.log_t, params, boundary, level)
+    fit, at_boundary = np.array(astuple(params))[:, None], np.array([bool(boundary)])
+    ends = _asymptotic(sample.scheme, sample.groups, sample.log_t[None], fit, at_boundary, level)
+    return tuple(IntervalEstimate(float(lo), float(hi), level) for lo, hi in ends[..., 0])
 
 
-def _asymptotic(scheme: CensoringScheme, free, log_t, params: JointParams, boundary: bool, level: float):
-    """:func:`asymptotic_ci` of a stack's row: its two (kernel, failure count)
-    pairs ``free`` and its log times, read only on a ``boundary`` fit."""
-    a, l1, l2 = params.alpha, params.lambda1, params.lambda2
-    groups = [_pooled(scheme, log_t)] if boundary else free
-    moments = [(kg, *sums.moments(a)[:2]) for sums, kg in groups]
-    var_a = 1.0 / (scheme.k / a**2 + sum(kg * v for kg, _, v in moments))
-    rel = [math.sqrt(1.0 / kg + m * m * var_a) for kg, m, _ in moments]
+def _asymptotic(scheme: CensoringScheme, groups, log_t, fits, boundary, level: float) -> np.ndarray:
+    """:func:`asymptotic_ci` of a stack's rows, as ``(3, 2, rows)`` interval
+    ends: its (kernel, counts) ``groups``, the rows' log times (read only on
+    ``boundary`` rows) and their fitted ``(alpha, lambda1, lambda2)``."""
+    var_a, rel = np.empty_like(fits[0]), np.empty((2, len(boundary)))
+    for rows, pooled in ((~boundary, False), (boundary, True)):
+        if rows.any():
+            grp = [_pooled(scheme, log_t[rows])] if pooled else [(g.take(rows), n[rows]) for g, n in groups]
+            moments = [(kg, *sums.moments(fits[0, rows])[:2]) for sums, kg in grp]
+            var_a[rows] = 1.0 / (scheme.k / fits[0, rows] ** 2 + sum(kg * v for kg, _, v in moments))
+            rel[:, rows] = [np.sqrt(1.0 / kg + m * m * var_a[rows]) for kg, m, _ in (moments[0], moments[-1])]
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    half = (z * math.sqrt(var_a), z * l1 * rel[0], z * l2 * rel[-1])
-    return tuple(IntervalEstimate(e - h, e + h, level) for e, h in zip((a, l1, l2), half))
+    half = np.vstack((z * np.sqrt(var_a), z * fits[1:] * rel))
+    return np.stack((fits - half, fits + half), axis=1)
 
 
 class BootstrapResult(NamedTuple):

@@ -3,8 +3,9 @@ and average length / coverage of interval methods.
 
 Chunk ``c`` of ``_CHUNK`` replications is simulated in one batch from
 ``(base_seed, splitmix64(c*_CHUNK + 1))``; its two power-sum kernels, built
-once over its rows, serve one stacked fit, one mode search and one
-posterior stack.  Replication ``i`` draws each method from ``(base_seed,
+once over its rows, serve one stacked fit, one stacked asymptotic-interval
+step per maximum likelihood method and one posterior stack, which runs the
+one mode search.  Replication ``i`` draws each method from ``(base_seed,
 splitmix64(i+1) + method offset)``, offsets from 1.  Whole chunks are
 simulated, so replication ``i`` depends only on ``(base_seed, i)``.
 Replications in which one group never fails are skipped and counted, as is
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, field
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from .bayes import PriorSpec, ShapeHyper, _DrawStack, _PosteriorCore, bayes_estimate, draw_posterior
-from .bayes import hpd_interval, shape_modes
+from .bayes import hpd_interval
 from .errors import EstimationError, StudyFailedError, _check_count, _check_level, _check_real
 from .jpc import CensoringScheme, JointParams, _groups, _times, simulate_jpc_batch
 from .mle import _asymptotic, _bootstrap, _fit_design
@@ -139,124 +141,101 @@ class McReport:
 
 
 def _scheme_label(scheme: CensoringScheme) -> str:
-    parts = []
-    i = 0
-    while i < len(scheme.R):
-        j = i
-        while j < len(scheme.R) and scheme.R[j] == scheme.R[i]:
-            j += 1
-        parts.append(str(scheme.R[i]) if j - i == 1 else f"{scheme.R[i]}x{j - i}")
-        i = j
-    return f"m={scheme.m} n={scheme.n} k={scheme.k} R={' '.join(parts)}"
+    runs = ((r, len(list(same))) for r, same in groupby(scheme.R))
+    parts = " ".join(str(r) if count == 1 else f"{r}x{count}" for r, count in runs)
+    return f"m={scheme.m} n={scheme.n} k={scheme.k} R={parts}"
 
 
 _COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 
 
-def _evaluate(config: StudyConfig, row, stream: RngStream, method: str, prep, point: bool):
-    """A method's estimates (with ``point`` False, its intervals) of the
-    parameters and its low-ESS flag, from what the chunk made ready for it:
-    a fit's parameters and boundary flag (the bootstrap's is the free fit),
-    or a posterior core with its mode, registered on the chunk's draw stack
-    with ``stream``, the method's own; ``row`` (its kernels' rows, log times) is None unless read."""
-    if method.startswith("mle"):
-        params, boundary = prep
-        if point:
-            return astuple(params), False
-        return _asymptotic(config.scheme, *row, params, boundary, config.level), False
-    if method == "bootstrap":
-        res = _bootstrap(config.scheme, prep[0], config.level, config.n_boot, False, stream)
-        return (res.alpha, res.lambda1, res.lambda2), False
-    post = draw_posterior(None, prep.prior, config.n_posterior, stream, core=prep)
-    if point:
-        return tuple(bayes_estimate(post, h) for h in _COMPONENTS), post.low_ess
-    return tuple(hpd_interval(post, h, config.level) for h in _COMPONENTS), post.low_ess
-
-
-def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> list:
-    """Per replication of the chunk from ``first``, a dict from method to
-    what :func:`_evaluate` returns, or None where it is skipped.  Its kernels
-    are built once from ln of its times as doubles, so each row is its
-    sample's; the ordered fit refits the free fit's rows that break l1 <= l2."""
+def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> tuple[np.ndarray, dict, dict]:
+    """The chunk of replications from ``first`` as ``(used, est, low)``: a
+    mask of those used and, per method, its estimates ``(3, rows)`` (with
+    ``point`` False, its interval ends ``(3, 2, rows)``) and low-ESS flags,
+    read only where used.  Its kernels are built once from ln of its times
+    as doubles, so each row is its sample's.  One stacked fit serves the
+    fitted methods (the ordered fit refits the free fit's rows that break
+    l1 <= l2), one :func:`_asymptotic` call per maximum likelihood method
+    gives its intervals, and the Bayes cores draw as one stack."""
     scheme = config.scheme
     stream = RngStream(config.base_seed, splitmix64(first + 1))
     rows = simulate_jpc_batch(scheme, astuple(config.truth), stream, _CHUNK)
     lnt, delta, s = (x[: config.replications - first] for x in rows)
     log_t = np.log(_times(lnt))
     groups, k1 = _groups(scheme, log_t, delta, s), delta.sum(axis=1)
-    prep = {j: {} for j in np.flatnonzero((k1 > 0) & (k1 < scheme.k)).tolist()}
-    live = list(prep)
+    used = (k1 > 0) & (k1 < scheme.k)
+    est = {m: np.full(((3,) if point else (3, 2)) + used.shape, np.nan) for m in methods}
+    low = {m: np.zeros_like(used) for m in methods}
     fitted = [m for m in methods if m.startswith("mle") or m == "bootstrap"]
-    if fitted and live:
+    if fitted and used.any():
+        live = np.flatnonzero(used)
         live_groups = [(g.take(live), n[live]) for g, n in groups]
         fits = _fit_design(scheme, live_groups, log_t[live], "mle-ordered" in fitted)
         for m in fitted:
             alpha, rates, boundary, ok, _ = fits[m == "mle-ordered"]
-            for i, j in enumerate(live):
-                if not ok[i]:  # no shape maximizer
-                    prep.pop(j, None)
-                elif j in prep:
-                    prep[j][m] = JointParams(*map(float, (alpha[i], *rates[:, i]))), bool(boundary[i])
-    bayes = [m for m in methods if m.startswith("bayes")]
-    for j in list(prep):
+            at, fit = live[ok], np.vstack((alpha, rates))[:, ok]
+            used[live[~ok]] = False  # no shape maximizer
+            if m == "bootstrap":
+                free = {j: JointParams(*params) for j, params in zip(at.tolist(), fit.T.tolist())}
+            elif point:
+                est[m][:, at] = fit
+            else:
+                kernels = [(g.take(at), n[at]) for g, n in groups]
+                est[m][..., at] = _asymptotic(scheme, kernels, log_t[at], fit, boundary[ok], config.level)
+    bayes, cores = [m for m in methods if m.startswith("bayes")], {}
+    for j in np.flatnonzero(used).tolist():
         try:
-            prep[j].update((m, _PosteriorCore(groups, j, log_t[j].sum(), config.prior_for(m))) for m in bayes)
+            cores.update({(j, m): _PosteriorCore(groups, j, log_t[j].sum(), config.prior_for(m)) for m in bayes})
         except EstimationError:
-            del prep[j]
+            used[j] = False
     streams = {(j, m): RngStream(config.base_seed, splitmix64(first + j + 1) + _METHOD_OFFSET[m])
-               for j in prep for m in methods if not m.startswith("mle")}
-    if bayes and prep:
-        shape_modes([prep[j][m] for j in prep for m in bayes])
-        _DrawStack(config.n_posterior, {prep[j][m]: streams[j, m] for j in prep for m in bayes})
-    asymptotic = not point and any(m.startswith("mle") for m in methods)  # the one reader of a row
-    out = [None] * len(log_t)
-    for j, ready in prep.items():
-        row = ([(g.take(j), n[j]) for g, n in groups], log_t[j]) if asymptotic else None
+               for j in np.flatnonzero(used).tolist() for m in methods if not m.startswith("mle")}
+    _DrawStack(config.n_posterior, {cores[key]: rng for key, rng in streams.items() if key[1] in bayes})
+    for j in np.flatnonzero(used).tolist():
         try:
-            out[j] = {m: _evaluate(config, row, streams.get((j, m)), m, ready.get(m), point) for m in methods}
+            for m in methods:
+                if m == "bootstrap":
+                    res = _bootstrap(scheme, free[j], config.level, config.n_boot, False, streams[j, m])
+                    est[m][..., j] = [(iv.lower, iv.upper) for iv in res[:3]]
+                elif m in bayes:
+                    post = draw_posterior(cores[j, m], cores[j, m].prior, config.n_posterior, streams[j, m])
+                    if point:
+                        est[m][:, j] = [bayes_estimate(post, h) for h in _COMPONENTS]
+                    else:
+                        intervals = [hpd_interval(post, h, config.level) for h in _COMPONENTS]
+                        est[m][..., j] = [(iv.lower, iv.upper) for iv in intervals]
+                    low[m][j] = post.low_ess
         except EstimationError:
-            pass
-    return out
+            used[j] = False
+    return used, est, low
 
 
 def _replicate(config: StudyConfig, point: bool) -> McReport:
-    """The replication loop of both studies: point estimates per method,
-    accumulated as estimate and squared error into AE and MSE, or (with
-    ``point`` False) intervals per method, accumulated as width and coverage
-    into AL and CP.  Low-ESS posteriors are counted per method, not skipped.
-    """
+    """The replication loop of both studies over chunks (:func:`_chunk`):
+    each method's estimates, as mean estimate and squared error into AE and
+    MSE, or (with ``point`` False) its intervals, as mean width and coverage
+    into AL and CP, each cell added in replication order (one chunk's
+    arrays at a time).  Low-ESS posteriors are counted per method, not skipped."""
     methods = [m for m in config.methods if not (point and m == "bootstrap")]
-    sums = {(p, m): [0.0, 0.0] for p in PARAMETERS for m in methods}
-    truth = (config.truth.alpha, config.truth.lambda1, config.truth.lambda2)
-    low_ess = dict.fromkeys(methods, 0)
-    used = 0
-    skipped = 0
-    starts = range(0, config.replications, _CHUNK)
-    for results in (res for start in starts for res in _chunk(config, methods, point, start)):
-        if results is None:
-            skipped += 1
-            continue
-        used += 1
-        for m, (triple, low) in results.items():
-            low_ess[m] += low
-            for p, res, tv in zip(PARAMETERS, triple, truth):
-                cell = sums[(p, m)]
-                if point:
-                    cell[0] += res
-                    cell[1] += (res - tv) ** 2
-                else:
-                    cell[0] += res.width
-                    cell[1] += 1 if res.contains(tv) else 0
+    tv, used = np.array(astuple(config.truth))[:, None], 0
+    sums, low = {m: np.zeros((2, 3, 1)) for m in methods}, dict.fromkeys(methods, 0)
+    for start in range(0, config.replications, _CHUNK):
+        mask, est, flags = _chunk(config, methods, point, start)
+        used += int(mask.sum())
+        for m in methods:
+            v, low[m] = est[m][..., mask], low[m] + int(flags[m][mask].sum())
+            terms = (v, (v - tv) ** 2) if point else (v[:, 1] - v[:, 0], (v[:, 0] <= tv) & (tv <= v[:, 1]))
+            sums[m] = np.cumsum(np.concatenate((sums[m], terms), axis=-1), axis=-1)[..., -1:]
     if used == 0:
         raise StudyFailedError(f"all {config.replications} replications were skipped")
-    label = _scheme_label(config.scheme)
-    report = McReport()
-    for p in PARAMETERS:
-        for m in methods:
-            first, second = (v / used for v in sums[(p, m)])
-            cells = (first, second, None, None) if point else (None, None, first, second)
-            report.rows.append(McRow(label, p, m, *cells, skipped, low_ess[m]))
-    return report
+    label, rows = _scheme_label(config.scheme), []
+    for m in methods:
+        first, second = (sums[m][..., 0] / used).tolist()
+        for p, a, b in zip(PARAMETERS, first, second):
+            cells = (a, b, None, None) if point else (None, None, a, b)
+            rows.append(McRow(label, p, m, *cells, config.replications - used, low[m]))
+    return McReport(sorted(rows, key=lambda row: PARAMETERS.index(row.parameter)))
 
 
 def run_point_study(config: StudyConfig) -> McReport:

@@ -201,33 +201,55 @@ def test_stacked_draws_match_lone_draws(fiber) -> None:
     samples drawn as one stack, each from its own stream, give every core
     its lone draws byte for byte: shapes, rates, weights, normalized
     weights, sampler counts and the low-ESS flag.  A rigged row, whose mode
-    is set to inf as if its marginal still rose at 1e10, raises its lone
-    error from its own draw, and the other rows are unchanged."""
+    is set to inf after the stack's search, as if its marginal still rose
+    at 1e10, raises its lone error from its own draw (the stack draws
+    lazily), and the other rows are unchanged."""
     samples, priors = _preset_samples(fiber)
     n, rigged = 1000, 37
     pairs = [(sample, prior) for sample in samples for prior in priors]
     lone = [draw_posterior(sample, prior, n, RngStream(643, i)) for i, (sample, prior) in enumerate(pairs)]
     cores = [_PosteriorCore.of(sample, prior) for sample, prior in pairs]
-    shape_modes(cores)
-    cores[rigged].mode = math.inf
-    alone = _PosteriorCore.of(*pairs[rigged])
+    alone, alone_rng = _PosteriorCore.of(*pairs[rigged]), RngStream(643, rigged)
+    _DrawStack(n, {alone: alone_rng})
     alone.mode = math.inf
     with pytest.raises(NonIntegrableTargetError) as want:
-        alone.draw(n, RngStream(643, rigged))
+        draw_posterior(alone, alone.prior, n, alone_rng)
     rngs = [RngStream(643, i) for i in range(len(cores))]
     _DrawStack(n, dict(zip(cores, rngs)))
+    cores[rigged].mode = math.inf
     for i, (core, rng, post) in enumerate(zip(cores, rngs, lone)):
         if i == rigged:
             with pytest.raises(NonIntegrableTargetError) as got:
-                core.draw(n, rng)
+                draw_posterior(core, core.prior, n, rng)
             assert str(got.value) == str(want.value)
             continue
-        got = core.draw(n, rng)
+        got = draw_posterior(core, core.prior, n, rng)
         for attr in ("alpha", "lambda1", "lambda2", "weights", "normalized"):
             assert getattr(got, attr).tobytes() == getattr(post, attr).tobytes(), (i, attr)
         for attr in ("proposed", "accepted", "tangents", "low_ess"):
             assert getattr(got, attr) == getattr(post, attr), (i, attr)
         assert core.stack is None
+
+
+def test_a_core_of_the_prior_is_its_own_sample(fiber) -> None:
+    """draw_posterior takes a core as its sample with the core's prior: a
+    core registered on a stack with that n and stream gets that stack's row
+    (the stack draws its group at the first take), byte for byte the lone
+    draw.  A core passed with another prior is refused by name."""
+    samples, priors = _preset_samples(fiber)
+    n = 500
+    cores = [_PosteriorCore.of(samples[1], prior) for prior in priors]
+    rngs = [RngStream(644, i) for i in range(len(cores))]
+    stack = _DrawStack(n, dict(zip(cores, rngs)))
+    for i, (core, rng, prior) in enumerate(zip(cores, rngs, priors)):
+        lone = draw_posterior(samples[1], prior, n, RngStream(644, i))
+        assert core.stack is stack
+        got = draw_posterior(core, core.prior, n, rng)
+        assert set(stack.made) == set(cores[i + 1 :]) and core.stack is None
+        for attr in ("alpha", "lambda1", "lambda2", "weights", "normalized"):
+            assert getattr(got, attr).tobytes() == getattr(lone, attr).tobytes(), (i, attr)
+    with pytest.raises(ValueError, match="^prior"):
+        draw_posterior(cores[0], priors[1], n, rngs[0])
 
 
 def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> None:
@@ -262,7 +284,7 @@ def test_improper_preset_in_a_stack_raises_as_alone(improper_jpc, ip_prior) -> N
         with pytest.raises(NonIntegrableTargetError) as alone:
             draw_posterior(sample, prior, 100, RngStream(640, 0))
         with pytest.raises(NonIntegrableTargetError) as stacked:
-            draw_posterior(sample, prior, 100, RngStream(640, 0), core=core)
+            draw_posterior(core, prior, 100, RngStream(640, 0))
         assert str(stacked.value) == str(alone.value)
 
 
@@ -516,6 +538,7 @@ def test_ordered_fiber_draws_take_the_inversion_path(fiber) -> None:
             core = _PosteriorCore.of(sample, prior)
             s1, s2 = core.group_shapes
             rng = RngStream(651, 0)
+            shape_modes([core])
             _, sums, *_ = _sample_marginal([core], n, [rng])
             ln_r1, ln_r2 = np.logaddexp(core.log_b0, sums[:, 0])
             total = rng.gamma(core.gamma_shape, size=n)
@@ -644,7 +667,7 @@ def test_complete_sample_core_reads_only_the_gamma_rate_prior(ds1) -> None:
     gives the same result whatever the prior's a1, a2 and order flag."""
     shape = ShapeHyper(2.0, 1.0)
     split = PriorSpec(BetaGammaHyper(3.0, 1.0, 2.0, 4.0), shape, ordered=True)
-    post = _PosteriorCore.of(ds1, split).draw(1000, RngStream(616, 0))
+    post = draw_posterior(ds1, split, 1000, RngStream(616, 0))
     assert np.all(post.weights == 1.0)
     assert post.lambda1 is post.lambda2
     gamma_only = PriorSpec(BetaGammaHyper(3.0, 1.0, 0.0, 0.0), shape)
@@ -828,6 +851,7 @@ def test_rates_at_large_shapes_come_from_their_logs(improper_jpc) -> None:
             post = draw_posterior(improper_jpc, prior, n, RngStream(611, 0))
         rng = RngStream(611, 0)
         core = _PosteriorCore.of(improper_jpc, prior)
+        shape_modes([core])
         (alpha,), ((ln_u,), (ln_v,)), *_ = _sample_marginal([core], n, [rng])
         assert alpha.tobytes() == post.alpha.tobytes()
         assert np.mean(alpha) == pytest.approx(mean, rel=0.1)
@@ -1065,7 +1089,7 @@ def test_complete_sample_replicates_are_sorted_uniforms(ds1, flat_rate4) -> None
     n_rep, n = 700, ds1.n
     p, mean_d = posterior_predictive_pvalue(ds1, flat_rate4, n_rep=n_rep, rng=RngStream(632, 0))
     rng = RngStream(632, 0)
-    post = _PosteriorCore.of(ds1, flat_rate4).draw(n_rep, rng)
+    post = draw_posterior(ds1, flat_rate4, n_rep, rng)
     d_obs = _ks_rows(np.log(ds1.sorted), np.ones(n), post.alpha, post.log_lambda1, post.log_lambda1)
     idx = _resample_indices(post.normalized, n_rep, rng)
     raw = rng.uniform((n_rep, n))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jointweibull.bayes import PriorSpec, ShapeHyper, bayes_estimate, draw_posterior
-from jointweibull import study
+from jointweibull import bayes, study
 from jointweibull.errors import ImproperPosteriorError, NonIntegrableTargetError, StudyFailedError
 from jointweibull.jpc import CensoringScheme, JointParams, sample_of_row, simulate_jpc_batch
 from jointweibull.mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
@@ -257,6 +257,16 @@ def test_report_csv_round_trip() -> None:
         report.cell("alpha", "bootstrap")
 
 
+def test_scheme_labels_run_length_encode_the_withdrawals() -> None:
+    """A report's scheme label names m, n and k and writes each run of equal
+    withdrawals as ``RxC`` (a lone one as ``R``)."""
+    assert study._scheme_label(_SCHEME) == "m=20 n=22 k=20 R=7 0x18 15"
+    assert study._scheme_label(CensoringScheme(69, 63, 20, (4,) * 19 + (36,))) == "m=69 n=63 k=20 R=4x19 36"
+    assert study._scheme_label(CensoringScheme(3, 1, 3, (0, 1, 0))) == "m=3 n=1 k=3 R=0 1 0"
+    report = run_point_study(_config(replications=3))
+    assert {row.scheme for row in report.rows} == {"m=20 n=22 k=20 R=7 0x18 15"}
+
+
 def test_method_tuples_are_fixed() -> None:
     assert set(POINT_METHODS) < set(INTERVAL_METHODS)
     assert "bootstrap" in INTERVAL_METHODS and "bootstrap" not in POINT_METHODS
@@ -307,29 +317,35 @@ def test_an_estimation_error_skips_its_replication(monkeypatch) -> None:
         assert dataclasses.replace(row, skipped=ref.skipped) == ref
 
 
+def _kernel_key(kernels, row: int) -> bytes:
+    """A sample's key: the top and offsets of row ``row`` of its kernels."""
+    return b"".join(g.top[row].tobytes() + g.off[row].tobytes() for g in kernels)
+
+
 def _record_replications(monkeypatch) -> dict:
-    """Patch the study's per-replication calls to record, per sample (keyed
-    by its log times, in the order the study first reaches it), each
-    asymptotic interval's fit with the intervals, and each posterior's draws,
-    which the method then reads."""
+    """Patch the study's stacked interval step and its posterior calls to
+    record, per sample (keyed by its rows of the kernels, in the order the
+    study first reaches it), each row's fit with its asymptotic interval
+    ends, and each posterior's draws."""
     seen: dict = {}
-    real_ci, real_evaluate = study._asymptotic, study._evaluate
+    real_ci, real_draw = study._asymptotic, study.draw_posterior
 
-    def ci(scheme, free, log_t, params, boundary, level):
-        intervals = real_ci(scheme, free, log_t, params, boundary, level)
-        seen.setdefault(log_t.tobytes(), []).append(("ci", params, boundary, intervals))
-        return intervals
+    def ci(scheme, groups, log_t, fits, boundary, level):
+        ends = real_ci(scheme, groups, log_t, fits, boundary, level)
+        for i in range(len(boundary)):
+            intervals = tuple(map(tuple, ends[..., i].tolist()))
+            record = ("ci", JointParams(*fits[:, i].tolist()), bool(boundary[i]), intervals)
+            seen.setdefault(_kernel_key([g for g, _ in groups], i), []).append(record)
+        return ends
 
-    def evaluate(config, row, stream, method, prep, point):
-        if method.startswith("bayes"):
-            post = prep.draw(config.n_posterior, stream)
-            record = ("post", prep.prior, post.alpha.tobytes(), post.lambda1.tobytes(), post.normalized.tobytes())
-            seen.setdefault(row[1].tobytes(), []).append(record)
-            prep.draw = lambda *_: post
-        return real_evaluate(config, row, stream, method, prep, point)
+    def draw(core, prior, n, rng):
+        post = real_draw(core, prior, n, rng)
+        record = ("post", prior, post.alpha.tobytes(), post.lambda1.tobytes(), post.normalized.tobytes())
+        seen.setdefault(_kernel_key(core.sums, core.row), []).append(record)
+        return post
 
     monkeypatch.setattr(study, "_asymptotic", ci)
-    monkeypatch.setattr(study, "_evaluate", evaluate)
+    monkeypatch.setattr(study, "draw_posterior", draw)
     return seen
 
 
@@ -356,17 +372,19 @@ def test_stacked_study_fits_are_the_lone_fits(monkeypatch) -> None:
     rows that break lambda1 <= lambda2 with one common rate; every sample's
     intervals, read from its rows of the chunk's kernels, are still
     asymptotic_ci's at exactly the fit_mle and fit_mle_ordered fits of that
-    sample alone, byte for byte, boundary fits among them."""
+    sample alone, byte for byte, boundary fits among them: each row of the
+    stacked interval step holds asymptotic_ci's (lower, upper) pairs."""
     seen = _record_replications(monkeypatch)
     config = _config(replications=48, methods=("mle", "mle-ordered"))
     run_interval_study(config)
-    samples = {x.log_t.tobytes(): x for x in _replay_samples(config)}
+    samples = {_kernel_key([g for g, _ in x.groups], 0): x for x in _replay_samples(config)}
     boundary = 0
     for key, records in seen.items():
         free, ordered = fit_mle(samples[key]), fit_mle_ordered(samples[key])
         want = Counter(
-            ("ci", fit.params, fit.boundary, asymptotic_ci(samples[key], fit.params, fit.boundary, config.level))
+            ("ci", fit.params, fit.boundary, tuple((iv.lower, iv.upper) for iv in intervals))
             for fit in (free, ordered)
+            for intervals in [asymptotic_ci(samples[key], fit.params, fit.boundary, config.level)]
         )
         assert Counter(records) == want
         boundary += ordered.boundary
@@ -419,14 +437,14 @@ def test_an_improper_or_non_integrable_row_skips_only_its_replication(monkeypatc
                 self.branch.c1 += limit + 1e-13
 
     modes = []
-    real_modes = study.shape_modes
+    real_modes = bayes.shape_modes
 
     def recorded(cores):
         real_modes(cores)
         modes.extend(core.mode for core in cores)
 
     monkeypatch.setattr(study, "_PosteriorCore", Rigged)
-    monkeypatch.setattr(study, "shape_modes", recorded)
+    monkeypatch.setattr(bayes, "shape_modes", recorded)
     shorter = run_point_study(dataclasses.replace(config, replications=18))
     modes.clear()
     report = run_point_study(config)
