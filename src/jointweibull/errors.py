@@ -36,6 +36,14 @@ def _check_real(name: str, v, positive: bool = True) -> None:
         raise ValueError(f"{name} must be a finite real {'>' if positive else '>='} 0, not {v!r}")
 
 
+def _check_shift(shift, smallest) -> None:
+    """Refuse a threshold shift that is not a finite real >= 0 below
+    ``smallest``, the least time it is subtracted from."""
+    _check_real("shift", shift, positive=False)
+    if shift and shift >= smallest:
+        raise ValueError(f"shift must be below the smallest time, {float(smallest)!r}, not {shift!r}")
+
+
 def _check_level(level) -> None:
     """Refuse a level that is not a real strictly inside (0, 1)."""
     if isinstance(level, bool) or not isinstance(level, Real) or not 0.0 < level < 1.0:

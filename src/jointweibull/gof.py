@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, _check_count, _check_real
+from .errors import ConvergenceError, _check_count, _check_real, _check_shift
 from .mle import _NO_SHAPE, _fit_rows
 from .rng import PowerSum, RngStream
 
@@ -37,8 +37,9 @@ class CompleteSample:
 
     @classmethod
     def from_raw(cls, raw, shift: float = 0.0) -> "CompleteSample":
-        _check_real("shift", shift, positive=False)
-        return cls(values=tuple(float(v) - shift for v in raw), shift=shift)
+        values = tuple(map(float, raw))
+        _check_shift(shift, min(values, default=math.inf))
+        return cls(values=tuple(v - shift for v in values), shift=shift)
 
     @property
     def n(self) -> int:

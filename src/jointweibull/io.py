@@ -20,7 +20,7 @@ import math
 from typing import Sequence
 
 from .errors import SampleFileError
-from .jpc import CensoringScheme, JpcObservation, JpcSample, break_ties
+from .jpc import CensoringScheme, JpcSample, break_ties
 
 
 def _positive_real(tok: str, lineno: int) -> float:
@@ -78,12 +78,7 @@ def parse_jpc_lines(lines: Sequence[str]) -> JpcSample:
             raise SampleFileError(f"line {lineno}: malformed observation") from exc
     times = break_ties(times)
     try:
-        scheme = CensoringScheme(m=m, n=n, k=k, R=r)
-        obs = tuple(
-            JpcObservation(t=float(t), delta=d, s=s)
-            for t, d, s in zip(times, deltas, splits)
-        )
-        return JpcSample(scheme=scheme, obs=obs)
+        return JpcSample(CensoringScheme(m=m, n=n, k=k, R=r), zip(times, deltas, splits))
     except ValueError as exc:
         raise SampleFileError(f"inconsistent sample: {exc}") from exc
 
@@ -99,8 +94,7 @@ def parse_jpc_file(path: str) -> JpcSample:
 def serialize_jpc_sample(sample: JpcSample) -> str:
     sch = sample.scheme
     lines = [f"{sch.m} {sch.n} {sch.k}", "R: " + " ".join(str(r) for r in sch.R)]
-    for o in sample.obs:
-        lines.append(f"{o.t:.12g} {o.delta} {o.s}")
+    lines += [f"{t:.12g} {d} {s}" for t, d, s in zip(sample.t, sample.delta, sample.s)]
     return "\n".join(lines) + "\n"
 
 

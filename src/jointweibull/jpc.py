@@ -3,10 +3,11 @@ type-II censoring.
 
 Two groups of sizes ``m`` and ``n`` are put on test together.  At each of
 ``k`` observed failure times a prescribed number ``R_j`` of surviving units
-is withdrawn, ``s_j`` of them from group 1.  A sample therefore consists of
-the ordered failure times, indicators of which group failed, and the
-withdrawal splits.  Both groups share the Weibull shape ``alpha``; the
-scale structure enters only through the two weighted power sums
+is withdrawn, ``s_j`` of them from group 1.  A sample (:class:`JpcSample`)
+is therefore three checked, read-only arrays: the ordered failure times,
+indicators of which group failed, and the withdrawal splits.  Both groups
+share the Weibull shape ``alpha``; the scale structure enters only through
+the two weighted power sums
 
     U(a) = sum_j s_j t_j^a + sum_{group-1 failures} t_j^a
     V(a) = sum_j w_j t_j^a + sum_{group-2 failures} t_j^a
@@ -21,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from .errors import _check_count, _check_real
+from .errors import _check_count, _check_real, _check_shift
 from .rng import PowerSum, RngStream
 
 
@@ -48,6 +50,8 @@ class CensoringScheme:
         for name, v, low in named + [(f"R[{j}]", r, 0) for j, r in enumerate(counts)]:
             _check_count(name, v, low)
         object.__setattr__(self, "R", tuple(map(int, counts)))
+        if self.m + self.n >= 2**63:
+            raise ValueError("m + n must be below 2^63, so every count and sum is exact in int64")
         if self.k > self.m + self.n:
             raise ValueError("k must lie in [1, m+n]")
         if len(self.R) != self.k:
@@ -59,7 +63,8 @@ class CensoringScheme:
 @dataclass(frozen=True)
 class JpcObservation:
     """One failure epoch: time, group indicator (1 = group 1), and the
-    number of group-1 units among the withdrawals at that epoch."""
+    number of group-1 units among the withdrawals at that epoch; a
+    ``(t, delta, s)`` row of a :class:`JpcSample`."""
 
     t: float
     delta: int
@@ -71,6 +76,9 @@ class JpcObservation:
         if self.delta > 1:
             raise ValueError("delta must be 0 or 1")
         _check_count("s", self.s)
+
+    def __iter__(self):
+        return iter((self.t, self.delta, self.s))
 
 
 @dataclass(frozen=True)
@@ -86,66 +94,57 @@ class JointParams:
             _check_real(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class JpcSample:
-    """An observed censoring outcome, validated against its scheme.
+    """An observed censoring outcome: the read-only arrays ``t``, ``log_t``,
+    ``delta`` and ``s`` (int64), checked against the scheme.
 
-    Construction replays the experiment's accounting: times strictly
-    increase, every withdrawal is covered by the survivors present at that
-    epoch, and both groups are exactly exhausted by the end.
+    ``obs`` is k ``(t, delta, s)`` rows, such as :class:`JpcObservation`
+    objects or ``zip(t, delta, s)`` of arrays; only the arrays are kept.  One
+    vectorized rule replays the experiment's accounting: times are finite,
+    > 0 and strictly increase, ``delta`` is 0 or 1, each failure comes from a
+    group with a survivor, and each split has ``0 <= s <= R`` and is covered
+    by the survivors left after the failure.  These and ``sum(R) + k == m +
+    n`` exhaust both groups.  The first epoch that breaks a rule is named,
+    with the first rule it breaks in that order.  Samples compare by identity.
     """
 
     scheme: CensoringScheme
-    obs: tuple[JpcObservation, ...]
+    t: np.ndarray
+    log_t: np.ndarray
+    delta: np.ndarray
+    s: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "obs", tuple(self.obs))
-        sch = self.scheme
-        if len(self.obs) != sch.k:
+    def __init__(self, scheme: CensoringScheme, obs: Iterable):
+        object.__setattr__(self, "scheme", scheme)
+        rows = tuple(obs)
+        if len(rows) != scheme.k:
             raise ValueError("number of observations must equal k")
-        alive1, alive2 = sch.m, sch.n
-        prev = 0.0
-        for j, o in enumerate(self.obs):
-            if o.t <= prev:
-                raise ValueError(f"failure times must strictly increase (epoch {j + 1})")
-            prev = o.t
-            if o.delta == 1:
-                if alive1 < 1:
-                    raise ValueError(f"group 1 exhausted before epoch {j + 1}")
-                alive1 -= 1
-            else:
-                if alive2 < 1:
-                    raise ValueError(f"group 2 exhausted before epoch {j + 1}")
-                alive2 -= 1
-            w = sch.R[j] - o.s
-            if w < 0:
-                raise ValueError(f"withdrawal split exceeds R at epoch {j + 1}")
-            if o.s > alive1 or w > alive2:
-                raise ValueError(f"withdrawals exceed survivors at epoch {j + 1}")
-            alive1 -= o.s
-            alive2 -= w
-        if alive1 != 0 or alive2 != 0:
-            raise ValueError("scheme does not exhaust both groups")
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        return np.array([o.t for o in self.obs])
-
-    @cached_property
-    def log_t(self) -> np.ndarray:
-        return np.log(self.t)
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        return np.array([o.delta for o in self.obs])
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return np.array([o.s for o in self.obs])
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return np.asarray(self.scheme.R) - self.s
+        t, delta, s = (np.asarray(c) for c in zip(*rows, strict=True))
+        if t.dtype.kind not in "fiu" or delta.dtype.kind + s.dtype.kind != "ii":
+            raise ValueError("rows must hold a real t and integers delta and s below 2^63")
+        t, delta, s = t.astype(float), delta.astype(np.int64), s.astype(np.int64)
+        w = np.asarray(scheme.R) - s
+        # survivors after each failure; exact up to the first broken epoch,
+        # where m + n < 2^63 bounds every sum of the epochs before it
+        a1 = scheme.m - np.cumsum(delta + s) + s
+        a2 = scheme.n - np.cumsum(1 - delta + w) + w
+        rules = (
+            (~(np.isfinite(t) & (t > 0.0)), "failure times must be finite reals > 0 (epoch {})"),
+            (t <= np.concatenate(([0.0], t[:-1])), "failure times must strictly increase (epoch {})"),
+            ((delta != 0) & (delta != 1), "delta must be 0 or 1 (epoch {})"),
+            ((delta == 1) & (a1 < 0), "group 1 exhausted before epoch {}"),
+            ((delta == 0) & (a2 < 0), "group 2 exhausted before epoch {}"),
+            (s < 0, "s must be >= 0 (epoch {})"),
+            (w < 0, "withdrawal split exceeds R at epoch {}"),
+            ((s > a1) | (w > a2), "withdrawals exceed survivors at epoch {}"),
+        )
+        broken = np.argwhere(np.array([mask for mask, _ in rules]).T)  # (epoch, rule) pairs in that order
+        if broken.size:
+            raise ValueError(rules[broken[0, 1]][1].format(broken[0, 0] + 1))
+        for name, a in (("t", t), ("log_t", np.log(t)), ("delta", delta), ("s", s)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @cached_property
     def groups(self) -> list[tuple[PowerSum, np.ndarray]]:
@@ -219,8 +218,7 @@ def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -
 
 def sample_of_row(scheme: CensoringScheme, log_t, delta, s) -> JpcSample:
     """One row of :func:`simulate_jpc_batch` as a sample, times by :func:`_times`."""
-    obs = (JpcObservation(float(tj), int(dj), int(sj)) for tj, dj, sj in zip(_times(log_t), delta, s))
-    return JpcSample(scheme=scheme, obs=obs)
+    return JpcSample(scheme, zip(_times(log_t), delta, s))
 
 
 def _times(log_t) -> np.ndarray:
@@ -310,15 +308,12 @@ def _tau_scale_rows(scheme: CensoringScheme, alpha, lam1, lam2, rng: RngStream):
 
 
 def shift_sample(sample: JpcSample, shift: float) -> JpcSample:
-    """Subtract a threshold from every failure time (new times must stay
-    positive).  Useful when recorded values carry a known lower bound."""
-    _check_real("shift", shift, positive=False)
+    """Subtract a threshold, a finite real >= 0 below the smallest time, from
+    every failure time.  Useful when recorded values carry a known lower bound."""
+    _check_shift(shift, sample.t[0])
     if shift == 0.0:
         return sample
-    obs = tuple(
-        JpcObservation(t=o.t - shift, delta=o.delta, s=o.s) for o in sample.obs
-    )
-    return JpcSample(scheme=sample.scheme, obs=obs)
+    return JpcSample(sample.scheme, zip(sample.t - shift, sample.delta, sample.s))
 
 
 def break_ties(values) -> np.ndarray:

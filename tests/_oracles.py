@@ -2,8 +2,9 @@
 
 Everything here recomputes target quantities from first principles —
 direct summation, dense-grid quadrature, finite differences, a unit-by-unit
-walk of the censoring experiment — without touching the estimator code
-paths under test.  The last section holds the closed forms the package
+walk of the censoring experiment, the per-epoch accounting loop — without
+touching the estimator code paths under test; and readers of the bundled
+strength files that only the tests call.  The last section holds the closed forms the package
 runs nowhere itself (observed information, closed-form rates, the profile,
 beta-gamma moments and draws, a max-shifted log-sum-exp) and a reader of
 a posterior core's shape marginal; the tests check them against finite
@@ -13,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
 from jointweibull.bayes import PriorSpec, _PosteriorCore
 from jointweibull.errors import _check_real
+from jointweibull.io import parse_complete_lines
 from jointweibull.jpc import (
     CensoringScheme,
     JointParams,
@@ -42,6 +45,64 @@ def swap_groups(sample: JpcSample) -> JpcSample:
         for t, d, s, r in zip(sample.t, sample.delta, sample.s, sample.scheme.R)
     )
     return JpcSample(scheme, obs)
+
+
+def _bundled_values(name: str) -> tuple[float, ...]:
+    return parse_complete_lines(files("jointweibull.data").joinpath(name).read_text(encoding="utf-8").splitlines())
+
+
+def carbon_fiber_20mm() -> tuple[float, ...]:
+    """69 strengths (GPa) at 20 mm gauge length."""
+    return _bundled_values("fiber_strength_20mm.txt")
+
+
+def carbon_fiber_10mm() -> tuple[float, ...]:
+    """63 strengths (GPa) at 10 mm gauge length."""
+    return _bundled_values("fiber_strength_10mm.txt")
+
+
+def jpc_accounting_oracle(scheme: CensoringScheme, t, delta, s):
+    """The message with which ``JpcSample`` refuses these rows, or ``None``.
+
+    The per-epoch loop that replayed the experiment's accounting before
+    ``JpcSample`` checked its arrays with one vectorized rule, in exact
+    Python integers.  Each epoch checks its time (finite and > 0, then
+    strictly increasing), its indicator, the failing group's survivors, then
+    its split (``s >= 0``, ``s <= R``, covered by the survivors); the groups
+    must be exhausted at the end.
+    """
+    if len(t) != scheme.k:
+        return "number of observations must equal k"
+    alive1, alive2 = scheme.m, scheme.n
+    prev = 0.0
+    for j, (tj, dj, sj, rj) in enumerate(zip(map(float, t), map(int, delta), map(int, s), scheme.R), start=1):
+        if not (math.isfinite(tj) and tj > 0.0):
+            return f"failure times must be finite reals > 0 (epoch {j})"
+        if tj <= prev:
+            return f"failure times must strictly increase (epoch {j})"
+        prev = tj
+        if dj not in (0, 1):
+            return f"delta must be 0 or 1 (epoch {j})"
+        if dj == 1:
+            if alive1 < 1:
+                return f"group 1 exhausted before epoch {j}"
+            alive1 -= 1
+        else:
+            if alive2 < 1:
+                return f"group 2 exhausted before epoch {j}"
+            alive2 -= 1
+        if sj < 0:
+            return f"s must be >= 0 (epoch {j})"
+        w = rj - sj
+        if w < 0:
+            return f"withdrawal split exceeds R at epoch {j}"
+        if sj > alive1 or w > alive2:
+            return f"withdrawals exceed survivors at epoch {j}"
+        alive1 -= sj
+        alive2 -= w
+    if alive1 != 0 or alive2 != 0:
+        return "scheme does not exhaust both groups"
+    return None
 
 
 def jpc_epoch_moments_oracle(scheme: CensoringScheme, lambda1: float, lambda2: float):

@@ -5,15 +5,18 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
 import jointweibull
 from jointweibull.cli import SEED_ENV_VAR, main
-from jointweibull.datasets import carbon_fiber_10mm, carbon_fiber_20mm, fiber_jpc_sample
+from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.io import serialize_jpc_sample
 from jointweibull.study import StudyConfig
+
+from _oracles import carbon_fiber_10mm, carbon_fiber_20mm
 
 _PROJECT_ROOT = Path(__file__).resolve().parents[1]
 
@@ -199,6 +202,19 @@ def test_exit_code_parse_failure(tmp_path, capsys) -> None:
     # a value that --shift makes non-positive is an argument error
     assert main(["analyze", str(good), str(good), "--shift", "0.6"]) == 1
     capsys.readouterr()
+
+
+def test_shift_at_or_past_the_smallest_time_is_refused_by_name(fiber_file, capsys) -> None:
+    """A ``--shift`` at or past the smallest time of a joint sample or of a
+    strengths file exits 1 with one message naming the shift and that time."""
+    data = files("jointweibull.data")
+    strengths = [str(data / "fiber_strength_20mm.txt"), str(data / "fiber_strength_10mm.txt")]
+    for argv in (["fit", fiber_file], ["analyze", *strengths]):
+        for shift in ("5", "1.312"):
+            assert main(argv + ["--shift", shift]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: shift must be below the smallest time, 1.312, not {float(shift)!r}\n"
 
 
 def test_usage_errors_exit_one(capsys) -> None:

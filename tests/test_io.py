@@ -23,7 +23,6 @@ from jointweibull.io import (
 from jointweibull.jpc import (
     CensoringScheme,
     JointParams,
-    JpcObservation,
     JpcSample,
     simulate_jpc,
     u_stat,
@@ -70,10 +69,10 @@ def test_sample_accounting(sample, data) -> None:
     assert u_stat(sample, 0.0) == pytest.approx(sch.m, rel=1e-12)
     assert v_stat(sample, 0.0) == pytest.approx(sch.n, rel=1e-12)
     j = data.draw(st.integers(0, sch.k - 1))
-    obs = list(sample.obs)
-    obs[j] = JpcObservation(obs[j].t, obs[j].delta, obs[j].s + 1)
+    s = sample.s.copy()
+    s[j] += 1
     with pytest.raises(ValueError):
-        JpcSample(sch, tuple(obs))
+        JpcSample(sch, zip(sample.t, sample.delta, s))
 
 
 def test_parse_skips_comments_and_blanks() -> None:
@@ -133,8 +132,11 @@ def test_bundled_sample_leaves_cli_out() -> None:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     code = (
         "import json, sys\n"
-        "import jointweibull.datasets as d\n"
-        "d.fiber_jpc_sample(); d.carbon_fiber_20mm(); d.carbon_fiber_10mm()\n"
+        "from importlib.resources import files\n"
+        "import jointweibull.datasets as d, jointweibull.io as io\n"
+        "d.fiber_jpc_sample()\n"
+        "for name in ('fiber_strength_20mm.txt', 'fiber_strength_10mm.txt'):\n"
+        "    io.parse_complete_file(str(files('jointweibull.data') / name))\n"
         "print(json.dumps('jointweibull.cli' in sys.modules))\n"
     )
     res = subprocess.run(

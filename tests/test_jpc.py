@@ -30,6 +30,7 @@ from jointweibull import jpc
 from jointweibull.rng import RngStream
 
 from _oracles import (
+    jpc_accounting_oracle,
     jpc_epoch_moments_oracle,
     random_jpc_sample,
     simulate_jpc_walk,
@@ -112,6 +113,85 @@ def test_sample_accounting_rejects_impossible_histories() -> None:
         JpcSample(scheme, (JpcObservation(1.0, 1, 1),))
 
 
+_EPOCH_EDITS = st.one_of(
+    st.tuples(st.just("t"), st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("t*"), st.sampled_from([0.5, 0.999999, 1.000001, 2.0])),
+    st.tuples(st.just("t="), st.sampled_from([-1, 1])),
+    st.tuples(st.just("delta"), st.sampled_from([0, 1, -1, 2, 2**63 - 1, -(2**63)])),
+    st.tuples(st.just("s+"), st.sampled_from([-2, -1, 1, 2])),
+    st.tuples(st.just("s"), st.sampled_from([-1, 40, 2**63 - 1, -(2**63)])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([(20, 22, _REF_R), (69, 63, (4,) * 19 + (36,)), (5, 4, (1, 1, 2, 1))]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 19), _EPOCH_EDITS), min_size=1, max_size=3),
+)
+def test_accounting_rule_agrees_with_the_epoch_loop(design, seed, edits) -> None:
+    """On simulated samples with one to three times, indicators or splits
+    corrupted (set, scaled, copied from a neighbour or moved), the vectorized
+    rule accepts what the per-epoch loop accepts and refuses the rest with
+    the loop's message for the first broken epoch and rule, counts far past
+    any design included."""
+    m, n, R = design
+    scheme = CensoringScheme(m, n, len(R), R)
+    log_t, delta, s = (x[0].copy() for x in simulate_jpc_batch(scheme, (1.0, 0.5, 1.0), RngStream(seed), 1))
+    t = np.exp(log_t)
+    for j, (how, v) in edits:
+        j %= scheme.k
+        if how == "t*":
+            t[j] *= v
+        elif how == "t=":
+            t[j] = t[min(max(j + v, 0), scheme.k - 1)]
+        elif how == "s+":
+            s[j] += v
+        else:
+            {"t": t, "delta": delta, "s": s}[how][j] = v
+    expected = jpc_accounting_oracle(scheme, t, delta, s)
+    try:
+        JpcSample(scheme, zip(t, delta, s))
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_rows_must_hold_a_real_time_and_integer_counts(tiny_k2) -> None:
+    """Rows of the wrong width or kind are refused, not truncated: a float
+    or bool column of counts, a count past int64 and a ragged row."""
+    t, delta, s = tiny_k2.t, tiny_k2.delta, tiny_k2.s
+    for rows in (
+        zip(t, delta, s.astype(float)),
+        zip(t, delta.astype(bool), s),
+        [(1.0, 1, 2**63), (2.0, 0, 0)],
+        [(1.0, 1, 1), (2.0, 0)],
+        [(1.0, 1, 1, 0), (2.0, 0, 0, 0)],
+    ):
+        with pytest.raises(ValueError):
+            JpcSample(tiny_k2.scheme, rows)
+
+
+def test_sample_arrays_are_read_only(tiny_k2) -> None:
+    """A checked sample cannot be changed through its arrays."""
+    for name in ("t", "log_t", "delta", "s"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tiny_k2, name)[0] = 1
+
+
+def test_counts_stay_exact_up_to_the_int64_bound() -> None:
+    """A design with m + n >= 2^63, whose kernel weights would wrap in int64,
+    is refused naming the bound; one just below it keeps exact weights."""
+    with pytest.raises(ValueError, match=r"^m \+ n must be below 2\^63"):
+        JpcSample(CensoringScheme(2**63, 1, 1, (2**63,)), (JpcObservation(1.0, 1, 2**63 - 1),))
+    m = 2**63 - 2
+    sample = JpcSample(CensoringScheme(m, 1, 1, (m,)), (JpcObservation(1.0, 1, m - 1),))
+    assert [float(g.top) for g in sample.power_sums] == [0.0, 0.0]
+    assert u_stat(sample, 0.0) == pytest.approx(m, rel=1e-12)
+    assert v_stat(sample, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_power_sums_on_hand_sample(tiny_k2) -> None:
     """Two epochs, one failure per group: U(1)=2 and V(1)=4 by hand."""
     assert u_stat(tiny_k2, 1.0) == pytest.approx(2.0)
@@ -130,7 +210,7 @@ def test_power_sums_match_direct_formula(fiber, tiny_k4) -> None:
         t = sample.t
         for alpha in (0.3, 1.0, 2.7, 4.5):
             direct_u = float(np.sum((sample.s + sample.delta) * t**alpha))
-            direct_v = float(np.sum((sample.w + 1 - sample.delta) * t**alpha))
+            direct_v = float(np.sum((np.asarray(sample.scheme.R) - sample.s + 1 - sample.delta) * t**alpha))
             assert u_stat(sample, alpha) == pytest.approx(direct_u, rel=1e-12)
             assert v_stat(sample, alpha) == pytest.approx(direct_v, rel=1e-12)
 
@@ -148,7 +228,7 @@ def test_log_power_sums_vectorized(fiber) -> None:
 def test_derived_count_fields(fiber) -> None:
     assert fiber.k1 + fiber.k2 == fiber.scheme.k
     assert fiber.k1 == int(fiber.delta.sum())
-    assert np.array_equal(fiber.w, np.asarray(fiber.scheme.R) - fiber.s)
+    assert np.array_equal(fiber.log_t, np.log(fiber.t))
     assert fiber.sum_log_t == pytest.approx(float(np.log(fiber.t).sum()), rel=1e-12)
 
 
@@ -173,7 +253,7 @@ def test_loglik_matches_direct_formula() -> None:
             + sample.k2 * math.log(l2)
             + (a - 1.0) * float(np.log(sample.t).sum())
             - l1 * float(np.sum((sample.s + sample.delta) * sample.t**a))
-            - l2 * float(np.sum((sample.w + 1 - sample.delta) * sample.t**a))
+            - l2 * float(np.sum((np.asarray(sample.scheme.R) - sample.s + 1 - sample.delta) * sample.t**a))
         )
         val = log_likelihood(sample, JointParams(a, l1, l2))
         assert val == pytest.approx(direct, rel=1e-10)
@@ -217,8 +297,8 @@ def test_simulation_first_epoch_law() -> None:
     hits = 0
     for i in range(first.size):
         sample = simulate_jpc(scheme, params, rng)
-        first[i] = sample.obs[0].t
-        hits += sample.obs[0].delta
+        first[i] = sample.t[0]
+        hits += sample.delta[0]
     res = stats.kstest(first, stats.expon(scale=1.0 / rate).cdf)
     assert res.pvalue > 1e-3
     p = scheme.m * params.lambda1 / rate
@@ -228,11 +308,9 @@ def test_simulation_first_epoch_law() -> None:
 def test_simulation_is_deterministic() -> None:
     scheme = CensoringScheme(5, 4, 4, (1, 1, 2, 1))
     params = JointParams(1.5, 0.6, 1.1)
-    a = simulate_jpc(scheme, params, RngStream(7, 0))
-    b = simulate_jpc(scheme, params, RngStream(7, 0))
-    assert a == b
-    c = simulate_jpc(scheme, params, RngStream(8, 0))
-    assert a != c
+    a, b, c = (simulate_jpc(scheme, params, RngStream(seed, 0)) for seed in (7, 7, 8))
+    assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("t", "delta", "s"))
+    assert not all(np.array_equal(getattr(a, f), getattr(c, f)) for f in ("t", "delta", "s"))
 
 
 def test_simulation_is_a_one_row_batch() -> None:

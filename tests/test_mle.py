@@ -388,7 +388,7 @@ def _reference_samples(n: int, seed: int) -> list[JpcSample]:
 def _weights(sample: JpcSample) -> tuple[np.ndarray, np.ndarray]:
     """The weights of t_j^a inside U and V, written out: s_j + delta_j and
     w_j + 1 - delta_j."""
-    return sample.s + sample.delta, sample.w + 1 - sample.delta
+    return sample.s + sample.delta, np.asarray(sample.scheme.R) - sample.s + 1 - sample.delta
 
 
 def _stack(samples: list[JpcSample]) -> tuple:
