@@ -36,11 +36,8 @@ from .jpc import (
     JointParams,
     JpcObservation,
     JpcSample,
-    log_likelihood,
     shift_sample,
     simulate_jpc,
-    u_stat,
-    v_stat,
 )
 from .mle import (
     BootstrapResult,

@@ -165,11 +165,11 @@ class WeightedPosterior:
 
 def _check_decay(branch: _ConcaveTerm) -> None:
     """Refuse a concave shape marginal unless its slope's limit, ``-c1 -
-    sum c2 L`` with L the ``top`` of a group's kernel, its largest log time
-    of positive weight (0 if below 0 and b0 > 0), is negative beyond 1e-12
-    of its terms' size (rounding)."""
+    sum c2 L`` with L the ``top`` of a group's kernel row, its largest log
+    time of positive weight (0 if below 0 and b0 > 0), is negative beyond
+    1e-12 of its terms' size (rounding)."""
     floor = 0.0 if branch.log_b0 > -math.inf else -math.inf
-    terms = [branch.c1] + [c2 * max(float(g.top), floor) for g, c2 in branch.groups]
+    terms = [branch.c1] + [c2 * max(float(g.top[0]), floor) for g, c2 in branch.groups]
     if not -sum(terms) < -1e-12 * sum(map(abs, terms)):
         raise ImproperPosteriorError("shape marginal does not decay")
 
@@ -353,8 +353,8 @@ class _PosteriorCore:
     counts) pair of ``groups``, with the sum of the log failure times and
     the prior; a one-group core reads only a0, b0 and the shape prior.  It
     owns the shape marginal of the one rate proposal (see the module
-    docstring) and its properness checks, and draws as a row of a
-    :class:`_DrawStack`, around the ``mode`` that the stack's search sets.
+    docstring) as a stack of one and its properness checks, and draws as a
+    row of a :class:`_DrawStack`, around the ``mode`` that the stack's search sets.
     A study builds its cores on a chunk's kernels and passes each to
     :func:`draw_posterior` as its sample.
     """
@@ -382,7 +382,7 @@ class _PosteriorCore:
         # (G w, G (1 - w)) = (s1, s2) G / (s1 + s2), exactly (s1, s2) when c = 0
         scale = self.gamma_shape / sum(self.group_shapes)
         self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
-        c2 = [(g.take(row), scale * s) for g, s in zip(self.sums, self.group_shapes)]
+        c2 = [(g.take(slice(row, row + 1)), scale * s) for g, s in zip(self.sums, self.group_shapes)]
         self.branch = _ConcaveTerm(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, c2, self.log_b0)
         _check_decay(self.branch)
 

@@ -88,35 +88,33 @@ def _log_moment_start(*log_x) -> np.ndarray:
         return np.clip(math.pi / np.sqrt(6.0 * ss / sum(x.shape[-1] for x in log_x)), 1e-10, 1e10)
 
 
-def _fit_complete_rows(*log_x) -> tuple[np.ndarray, np.ndarray, int]:
+def _fit_complete_rows(*log_x) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Shape and log rate MLEs of stacked complete samples, one fit per
     row, from one ``(rows, n)`` array of log values per sample in ``log_x``
     (one sample, or two sharing the shape).  This is the joint experiment
     with no withdrawals, every value of a sample a failure of its group: a
     ``mle._fit_rows`` stack, one kernel per sample, each search started at
     its row's pooled log-moment shape.  Returns ``(alpha, log_rates,
-    sweeps)``, one row of log rates per sample; a row without a shape
-    maximizer raises."""
+    loglik, sweeps)``, one row of log rates per sample and the maximized
+    log-likelihoods; a row without a shape maximizer raises."""
     groups = [(PowerSum(1.0, x), x.shape[1]) for x in log_x]
-    alpha, log_rates, ok, sweeps = _fit_rows(groups, sum(x.sum(axis=1) for x in log_x), _log_moment_start(*log_x))
+    fit = _fit_rows(groups, sum(x.sum(axis=1) for x in log_x), _log_moment_start(*log_x))
+    alpha, log_rates, loglik, ok, sweeps = fit
     if not ok.all():
         raise ConvergenceError(_NO_SHAPE)
-    return alpha, log_rates, sweeps
+    return alpha, log_rates, loglik, sweeps
 
 
 def _fit_samples(*samples: CompleteSample) -> tuple:
     """``(alpha, *rates, loglik, sweeps)`` of complete ``samples`` sharing
-    one shape: :func:`_fit_complete_rows` on a stack of one, the
-    log-likelihood formed from the fitted log rates, where each sample's
-    rate term lam * sum x^alpha is its n, so a rate below exp's range counts."""
+    one shape: :func:`_fit_complete_rows` on a stack of one, whose
+    log-likelihood is formed from the fitted log rates, so a rate below
+    exp's range counts."""
     for d in samples:
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values to fit a shape")
-    alpha, log_rates, sweeps = _fit_complete_rows(*(d.log_values[None] for d in samples))
-    alpha, log_rates = float(alpha[0]), log_rates[:, 0]
-    terms = zip(samples, log_rates.tolist())
-    loglik = sum(d.n * (math.log(alpha) + lr - 1.0) + (alpha - 1.0) * d.sum_log for d, lr in terms)
-    return (alpha, *np.exp(log_rates).tolist(), loglik, sweeps)
+    alpha, log_rates, loglik, sweeps = _fit_complete_rows(*(d.log_values[None] for d in samples))
+    return (float(alpha[0]), *np.exp(log_rates[:, 0]).tolist(), float(loglik[0]), sweeps)
 
 
 def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
@@ -189,7 +187,7 @@ def ks_pvalue(
         if estimated and n < 2:
             raise ValueError("need at least two values to refit a shape")
         log_x = np.log(np.sort(rng.exponential((n_mc, n)), axis=1))
-        alpha, log_rates, _ = _fit_complete_rows(log_x) if estimated else (np.ones(n_mc), np.zeros((1, n_mc)), 0)
+        alpha, log_rates, *_ = _fit_complete_rows(log_x) if estimated else (np.ones(n_mc), np.zeros((1, n_mc)))
         d = _ks_rows(log_x, np.ones(n), alpha, log_rates[0], log_rates[0])
         return int(np.count_nonzero(d >= distance)) / n_mc
     return _kolmogorov_sf(math.sqrt(n) * distance)

@@ -99,14 +99,15 @@ class JpcSample:
     """An observed censoring outcome: the read-only arrays ``t``, ``log_t``,
     ``delta`` and ``s`` (int64), checked against the scheme.
 
-    ``obs`` is k ``(t, delta, s)`` rows, such as :class:`JpcObservation`
-    objects or ``zip(t, delta, s)`` of arrays; only the arrays are kept.  One
-    vectorized rule replays the experiment's accounting: times are finite,
-    > 0 and strictly increase, ``delta`` is 0 or 1, each failure comes from a
-    group with a survivor, and each split has ``0 <= s <= R`` and is covered
-    by the survivors left after the failure.  These and ``sum(R) + k == m +
-    n`` exhaust both groups.  The first epoch that breaks a rule is named,
-    with the first rule it breaks in that order.  Samples compare by identity.
+    ``obs`` is k ``(t, delta, s)`` rows with integer counts, a bool refused,
+    such as :class:`JpcObservation` objects or ``zip(t, delta, s)`` of
+    arrays; only the arrays are kept.  One vectorized rule replays the
+    experiment's accounting: times are finite, > 0 and strictly increase,
+    ``delta`` is 0 or 1, each failure comes from a group with a survivor,
+    and each split has ``0 <= s <= R`` and is covered by the survivors left
+    after the failure.  These and ``sum(R) + k == m + n`` exhaust both
+    groups.  The first epoch that breaks a rule is named, with the first
+    rule it breaks in that order.  Samples compare by identity.
     """
 
     scheme: CensoringScheme
@@ -120,8 +121,10 @@ class JpcSample:
         rows = tuple(obs)
         if len(rows) != scheme.k:
             raise ValueError("number of observations must equal k")
-        t, delta, s = (np.asarray(c) for c in zip(*rows, strict=True))
-        if t.dtype.kind not in "fiu" or delta.dtype.kind + s.dtype.kind != "ii":
+        t, delta, s = zip(*rows, strict=True)
+        mixed = any(isinstance(v, (bool, np.bool_)) for v in delta + s)  # np.asarray([True, 3]) is int64
+        t, delta, s = np.asarray(t), np.asarray(delta), np.asarray(s)
+        if mixed or t.dtype.kind not in "fiu" or delta.dtype.kind + s.dtype.kind != "ii":
             raise ValueError("rows must hold a real t and integers delta and s below 2^63")
         t, delta, s = t.astype(float), delta.astype(np.int64), s.astype(np.int64)
         w = np.asarray(scheme.R) - s
@@ -152,11 +155,6 @@ class JpcSample:
         return _groups(self.scheme, self.log_t[None], self.delta[None], self.s[None])
 
     @cached_property
-    def power_sums(self) -> tuple[PowerSum, PowerSum]:
-        """The kernels of ln U and ln V, the row of :attr:`groups`."""
-        return tuple(g.take(0) for g, _ in self.groups)
-
-    @cached_property
     def k1(self) -> int:
         return int(self.delta.sum())
 
@@ -174,40 +172,6 @@ def _groups(scheme: CensoringScheme, log_t, delta, s) -> list[tuple[PowerSum, np
     + delta``) with k1 and that of ln V (``R - s + 1 - delta``) with k2."""
     k1, coef2 = delta.sum(axis=1, dtype=float), np.asarray(scheme.R) - s + 1 - delta
     return [(PowerSum(s + delta, log_t), k1), (PowerSum(coef2, log_t), scheme.k - k1)]
-
-
-def u_stat(sample: JpcSample, alpha: float) -> float:
-    """Group-1 weighted power sum U(alpha); U(0) counts the group size m."""
-    _check_real("alpha", alpha, positive=False)
-    return float(np.exp(log_u_stat(sample, alpha)))
-
-
-def v_stat(sample: JpcSample, alpha: float) -> float:
-    """Group-2 weighted power sum V(alpha); V(0) counts the group size n."""
-    _check_real("alpha", alpha, positive=False)
-    return float(np.exp(log_v_stat(sample, alpha)))
-
-
-def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:
-    """ln U(alpha) for alpha >= 0, free of overflow; vectorized over alpha."""
-    return sample.power_sums[0].log_sum(alpha)
-
-
-def log_v_stat(sample: JpcSample, alpha) -> np.ndarray:
-    return sample.power_sums[1].log_sum(alpha)
-
-
-def log_likelihood(sample: JpcSample, params: JointParams) -> float:
-    """Joint log-likelihood of the censoring outcome at ``params``."""
-    k1, k2 = sample.k1, sample.k2
-    k = sample.scheme.k
-    a = params.alpha
-    val = k * math.log(a) + (a - 1.0) * sample.sum_log_t
-    val += k1 * math.log(params.lambda1)
-    val += k2 * math.log(params.lambda2)
-    val -= params.lambda1 * u_stat(sample, a)
-    val -= params.lambda2 * v_stat(sample, a)
-    return float(val)
 
 
 def simulate_jpc(scheme: CensoringScheme, params: JointParams, rng: RngStream) -> JpcSample:

@@ -22,18 +22,21 @@ prior and a gamma(1, 0) shape prior, plus ``sum ln t``.  Its slope and
 curvature go to the package's one root finder (``rng._solve_rows``), whose
 rows take safeguarded Newton steps in lockstep from a start, which also
 bracket them, until each step or bracket is within 1e-10 relative, so each
-row's shape is the one it would get alone from that start; each group's
-log rate is then read from its power-sum kernel.  Only
+row's shape is the one it would get alone from that start; each group's log
+rate is then read from its power-sum kernel, and the maximized
+log-likelihood ``k ln a + sum_g k_g ln l_g + (a - 1) sum ln t_j - k`` is
+formed from the log rates, exact at the returned shape, where each rate term
+``l_g S_g(a)`` is ``k_g``: no power sum is evaluated after the search.  Only
 :func:`_fit_design` knows the order; its common-rate refits start at each
 row's free shape.  A single fit is a stack of one, started at 1.  The
 bootstrap refits all its resamples, drawn by the batched tau = t^alpha
-simulator (``jpc.simulate_jpc_batch``), in one stack started at the
-fitted shape, where a reference-design stack needs 7 sweeps rather than 9
-from 1: a 500-resample percentile interval takes 4.5-5.1 ms on a
-reference-design sample and 6.3-7.8 ms on the bundled fiber sample (timeit
-minimum, Python 3.11 and numpy 2.4 on one core of a shared 2-core
-machine).  ``gof``'s complete-sample fits, the Monte Carlo KS refits among
-them, are one-group stacks.
+simulator (``jpc.simulate_jpc_batch``), in one stack started at the fitted
+shape, where a reference-design stack needs 7 sweeps rather than 9 from 1: a
+500-resample percentile interval takes 4.5-5.1 ms on a reference-design
+sample and 6.3-7.8 ms on the bundled fiber sample (timeit minimum, Python
+3.11 and numpy 2.4 on one core of a shared 2-core machine).  ``gof``'s
+complete-sample fits, the Monte Carlo KS refits among them, are one-group
+stacks.
 """
 from __future__ import annotations
 
@@ -50,7 +53,6 @@ from .jpc import (
     JointParams,
     JpcSample,
     _groups,
-    log_likelihood,
     simulate_jpc_batch,
 )
 from .rng import _MAX_SWEEPS, PowerSum, RngStream, _ConcaveTerm, _solve_rows
@@ -104,22 +106,27 @@ def _require_both_groups(sample: JpcSample) -> None:
         )
 
 
-def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _fit_rows(groups, sum_log_t, start=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Maximum likelihood fits of stacked samples, one per row: ``groups``
     lists (power-sum kernel, failure count) pairs, a count per row or one
     for all, and ``sum_log_t`` holds each row's sum of log times.  The
     shape searches start at ``start``.
 
-    Returns ``(alpha, log_rates, ok, sweeps)``: the profile-maximizing
-    shapes; the log rates ``ln(k_g / S_g(alpha))``, one row per group; the
-    rows that have a shape in [1e-10, 1e10] (the other rows' shapes and
-    rates mean nothing); and the sweep count.
+    Returns ``(alpha, log_rates, loglik, ok, sweeps)``: the
+    profile-maximizing shapes; the log rates ``lr_g = ln(k_g /
+    S_g(alpha))``, one row per group; the maximized log-likelihoods ``k ln
+    alpha + sum_g k_g lr_g + (alpha - 1) sum ln t - k``, exact as each
+    ``l_g S_g(alpha)`` is ``k_g`` there; the rows with a shape in [1e-10,
+    1e10] (the other rows' values mean nothing); and the sweep count.
     """
-    profile = _ConcaveTerm(sum(kg for _, kg in groups), -sum_log_t, groups)
+    k = sum(kg for _, kg in groups)
+    profile = _ConcaveTerm(k, -sum_log_t, groups)
     alpha, ok, sweeps = _solve_rows(profile.deriv, len(sum_log_t), start)
-    with np.errstate(invalid="ignore"):  # rows without a shape hold alpha = inf or 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without a shape hold alpha = inf or 0
         log_rates = np.stack([np.log(kg) - sums.moments(alpha)[2] for sums, kg in groups])
-    return alpha, log_rates, ok, sweeps
+        loglik = k * np.log(alpha) + sum(kg * lr for (_, kg), lr in zip(groups, log_rates))
+        loglik += (alpha - 1.0) * sum_log_t - k
+    return alpha, log_rates, loglik, ok, sweeps
 
 
 def _pooled(scheme: CensoringScheme, log_t) -> tuple[PowerSum, int]:
@@ -132,22 +139,22 @@ def _fit_design(scheme: CensoringScheme, groups, lnt, ordered: bool, start=1.0) 
     """:func:`_fit_rows` on stacked outcomes of one design, one per row of
     ``lnt``, with their two ``groups`` (``jpc._groups``), the free search
     started at ``start``.  Returns the free fit and, with ``ordered``, the
-    ordered fit after it, each ``(alpha, rates, boundary, ok, sweeps)``: the
+    ordered fit after it, each ``(alpha, rates, loglik, boundary, ok, sweeps)``: the
     ordered fit refits its ``boundary`` rows, which broke l1 <= l2, with the
     common rate from their free shapes; ``sweeps`` lists each search's count."""
-    alpha, log_rates, ok, sweeps = _fit_rows(groups, lnt.sum(axis=1), start)
+    alpha, log_rates, loglik, ok, sweeps = _fit_rows(groups, lnt.sum(axis=1), start)
     sweeps = [sweeps]
-    fits = [(alpha, np.exp(log_rates), np.zeros_like(ok), ok, sweeps)]
+    fits = [(alpha, np.exp(log_rates), loglik, np.zeros_like(ok), ok, sweeps)]
     if ordered:
         boundary = ok & (log_rates[0] >= log_rates[1])
-        alpha, log_rates, ok, sweeps = alpha.copy(), log_rates.copy(), ok.copy(), sweeps.copy()
+        alpha, log_rates, loglik, ok, sweeps = (x.copy() for x in (alpha, log_rates, loglik, ok, sweeps))
         if boundary.any():
             rows = lnt[boundary]
             fit = _fit_rows([_pooled(scheme, rows)], rows.sum(axis=1), alpha[boundary])
-            alpha[boundary], log_common, ok[boundary], more = fit
+            alpha[boundary], log_common, loglik[boundary], ok[boundary], more = fit
             log_rates[:, boundary] = log_common[0]
             sweeps.append(more)
-        fits.append((alpha, np.exp(log_rates), boundary, ok, sweeps))
+        fits.append((alpha, np.exp(log_rates), loglik, boundary, ok, sweeps))
     return fits
 
 
@@ -155,13 +162,12 @@ def _fit(sample: JpcSample, ordered: bool) -> MleFit:
     """Fit of one sample as a stack of one."""
     _require_both_groups(sample)
     fits = _fit_design(sample.scheme, sample.groups, sample.log_t[None, :], ordered)
-    alpha, rates, boundary, ok, sweeps = fits[-1]
+    alpha, rates, loglik, boundary, ok, sweeps = fits[-1]
     if not ok[0]:
         raise ConvergenceError(_NO_SHAPE)
     params = JointParams(float(alpha[0]), float(rates[0, 0]), float(rates[1, 0]))
-    loglik = log_likelihood(sample, params)
     converged = max(sweeps) < _MAX_SWEEPS
-    return MleFit(params, loglik, ordered, bool(boundary[0]), sum(sweeps), converged)
+    return MleFit(params, float(loglik[0]), ordered, bool(boundary[0]), sum(sweeps), converged)
 
 
 def fit_mle(sample: JpcSample) -> MleFit:
@@ -262,7 +268,7 @@ def _bootstrap(
         raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples had all failures in one group")
     lnt = lnt[both]
     groups = _groups(scheme, lnt, delta[both], s[both])
-    alpha, rates, _, ok, _ = _fit_design(scheme, groups, lnt, ordered, start=params.alpha)[-1]
+    alpha, rates, _, _, ok, _ = _fit_design(scheme, groups, lnt, ordered, start=params.alpha)[-1]
     skipped += int((~ok).sum())
     if skipped > n_boot // 2:
         raise UnstableBootstrapError(f"{skipped} of {n_boot} resamples failed to produce a fit")

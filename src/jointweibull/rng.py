@@ -21,7 +21,8 @@ rows of decreasing functions given with their slopes: it locates the mode
 that seeds each hull, and the maximum likelihood fits elsewhere solve
 their profile score equations with it.  Next to it sit the one power-sum
 kernel, :class:`PowerSum`: every ln(sum c t^a) in the package and its first
-two derivatives in ``a``, and the one concave term built on it,
+two derivatives in ``a``, one group per row of a stack (a lone group is a
+stack of one), and the one concave term built on it,
 :class:`_ConcaveTerm`: ``c0 ln a - c1 a - sum_g c2_g ln(b0 + S_g(a))``,
 which is both the profile log-likelihood of every maximum likelihood fit
 and the shape marginal of every posterior.  The max-shift :func:`_max_shift`
@@ -69,16 +70,15 @@ def _max_shift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PowerSum:
-    """``ln S(a)``, ``S(a) = sum_j c_j t_j^a``, for shapes ``a >= 0``, of one
-    group (1-D ``log_t``) or of groups stacked in rows; ``c >= 0`` broadcasts.
+    """``ln S(a)``, ``S(a) = sum_j c_j t_j^a``, for shapes ``a >= 0``, of
+    groups stacked in rows of ``log_t`` (a lone group is a stack of one);
+    ``c >= 0`` broadcasts.
 
     Set up once: ``top`` = L, the largest ``ln t_j`` of weight ``c_j > 0``,
     the offsets ``ln t_j - L <= 0`` and the weights ``c``, so ``ln S(a) = a L
     + ln sum_j c_j exp(a (ln t_j - L))``: no term overflows and the top column
     adds its ``c`` (>= 1 for the package's counts), so no call takes a max or
-    mends a shift.  A zero-weight column holds offset 0 and weight 0.  A 1-D
-    group's values are one matrix-vector product over its positive columns;
-    moments use every column, so a lone group is a stack's row (:meth:`take`).
+    mends a shift.  A zero-weight column holds offset 0 and weight 0.
     """
 
     def __init__(self, c, log_t):
@@ -89,7 +89,7 @@ class PowerSum:
         self.off = np.where(pos, log_t - self.top[..., None], 0.0)
 
     def take(self, rows) -> "PowerSum":
-        """Row ``rows`` (an int) as a 1-D group, or rows (a list) as a stack."""
+        """The stack of the rows that ``rows`` (a list, index array, mask or slice) names."""
         out = PowerSum.__new__(PowerSum)
         out.top, out.off, out.wgt = self.top[rows], self.off[rows], self.wgt[rows]
         return out
@@ -106,17 +106,13 @@ class PowerSum:
         return out.take([at[id(p)] + r for p, r in picks])
 
     def log_sum(self, alpha):
-        """``ln S`` at ``alpha``: any shape of shapes for a 1-D group; for a
-        stack, one shape or a row of shapes per row, summed over the times
-        for all of a row's shapes at once, so the last bits may differ from
-        those of :meth:`moments`."""
+        """``ln S`` at ``alpha``, one shape or a row of shapes per row,
+        summed over the times for all of a row's shapes at once, so the
+        last bits may differ from those of :meth:`moments`."""
         a = np.asarray(alpha, dtype=float)
-        if self.top.ndim:
-            e = np.einsum("bj,b...->bj...", self.off, a)
-            top = self.top.reshape(self.top.shape + (1,) * (a.ndim - 1))
-            return a * top + np.log(np.einsum("bj...,bj->b...", np.exp(e, out=e), self.wgt))
-        pos = self.wgt > 0.0
-        return a * self.top + np.log(np.exp(np.multiply.outer(a, self.off[pos])) @ self.wgt[pos])
+        e = np.einsum("bj,b...->bj...", self.off, a)
+        top = self.top.reshape(self.top.shape + (1,) * (a.ndim - 1))
+        return a * top + np.log(np.einsum("bj...,bj->b...", np.exp(e, out=e), self.wgt))
 
     def moments(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean and variance of ``ln t`` under the weights ``c t^a``, and
@@ -125,7 +121,7 @@ class PowerSum:
         variance is the weighted sum of squared deviations from the mean."""
         a = np.asarray(alpha, dtype=float)
         top, off, wgt = self.top, self.off, self.wgt
-        if top.ndim and a.ndim > 1:  # a row of shapes per row of a stack
+        if a.ndim > 1:  # a row of shapes per row
             top, off, wgt = top[:, None], off[:, None], wgt[:, None]
         w = a[..., None] * off
         np.exp(w, out=w)
@@ -143,8 +139,8 @@ class _ConcaveTerm:
     of (kernel of ``S_g``, ``c2_g``) pairs and ``log_b0`` (``-inf`` for no
     ``b0``): the profile log-likelihood of a fit (``c0 = k``, ``c1 = -sum ln
     t``, ``c2_g = k_g``, no ``b0``) and the shape marginal of a posterior
-    core.  In a stack each coefficient and shape hold one entry per row,
-    or a column of coefficients meets a row of shapes.
+    core.  Its kernels are stacks (one row for a lone term): each coefficient
+    and shape hold one entry per row, or a column meets a row of shapes.
     With ``D = S/(b0 + S)`` and ``E``, ``Var`` the mean and variance of ``ln
     t`` under the weights of ``S``, the slope is ``c0/a - c1 - sum c2 D E``
     and the curvature ``-c0/a^2 - sum c2 D (Var + (1 - D) E^2)``; without

@@ -173,7 +173,7 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
         live_groups = [(g.take(live), n[live]) for g, n in groups]
         fits = _fit_design(scheme, live_groups, log_t[live], "mle-ordered" in fitted)
         for m in fitted:
-            alpha, rates, boundary, ok, _ = fits[m == "mle-ordered"]
+            alpha, rates, _, boundary, ok, _ = fits[m == "mle-ordered"]
             at, fit = live[ok], np.vstack((alpha, rates))[:, ok]
             used[live[~ok]] = False  # no shape maximizer
             if m == "bootstrap":

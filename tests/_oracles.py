@@ -4,11 +4,13 @@ Everything here recomputes target quantities from first principles —
 direct summation, dense-grid quadrature, finite differences, a unit-by-unit
 walk of the censoring experiment, the per-epoch accounting loop — without
 touching the estimator code paths under test; and readers of the bundled
-strength files that only the tests call.  The last section holds the closed forms the package
-runs nowhere itself (observed information, closed-form rates, the profile,
-beta-gamma moments and draws, a max-shifted log-sum-exp) and a reader of
-a posterior core's shape marginal; the tests check them against finite
-differences, quadrature, scipy and one another.
+joint sample and strength files that only the tests call.  The last
+section holds the closed forms the package runs nowhere itself (observed
+information, closed-form rates, the profile, the power sums U and V on a
+sample's stack of one and the joint log-likelihood with both rate terms
+evaluated, beta-gamma moments and draws, a max-shifted log-sum-exp) and a
+reader of a posterior core's shape marginal; the tests check them against
+direct sums, finite differences, quadrature, scipy and one another.
 """
 from __future__ import annotations
 
@@ -21,16 +23,8 @@ from scipy import integrate, optimize, special, stats
 
 from jointweibull.bayes import PriorSpec, _PosteriorCore
 from jointweibull.errors import _check_real
-from jointweibull.io import parse_complete_lines
-from jointweibull.jpc import (
-    CensoringScheme,
-    JointParams,
-    JpcObservation,
-    JpcSample,
-    log_u_stat,
-    log_v_stat,
-    simulate_jpc,
-)
+from jointweibull.io import parse_complete_lines, parse_jpc_lines
+from jointweibull.jpc import CensoringScheme, JointParams, JpcObservation, JpcSample, simulate_jpc
 from jointweibull.mle import _require_both_groups
 from jointweibull.rng import BetaGammaHyper, RngStream, _max_shift
 
@@ -47,8 +41,17 @@ def swap_groups(sample: JpcSample) -> JpcSample:
     return JpcSample(scheme, obs)
 
 
+def _bundled_lines(name: str) -> list[str]:
+    return files("jointweibull.data").joinpath(name).read_text(encoding="utf-8").splitlines()
+
+
 def _bundled_values(name: str) -> tuple[float, ...]:
-    return parse_complete_lines(files("jointweibull.data").joinpath(name).read_text(encoding="utf-8").splitlines())
+    return parse_complete_lines(_bundled_lines(name))
+
+
+def fiber_jpc_sample() -> JpcSample:
+    """The bundled joint censoring outcome (k=20, withdrawals 4,...,4,36)."""
+    return parse_jpc_lines(_bundled_lines("fiber_jpc_sample.txt"))
 
 
 def carbon_fiber_20mm() -> tuple[float, ...]:
@@ -497,23 +500,26 @@ def jpc_discrepancy_oracle(sample: JpcSample, params) -> float:
 
 def static_envelope_pointwise(local):
     """The tangent hull of ``rng.build_static_envelope`` built point by point,
-    as a stack of one: every height and slope comes from its own scalar call
-    of the ``(value, slope, curvature)`` callable ``local``."""
+    as a stack of one: every height and slope comes from its own one-point
+    call of the ``(value, slope, curvature)`` callable ``local`` of one row."""
     from jointweibull.rng import _STATIC_OFFSETS, PiecewiseExpEnvelope, _locate_modes
+
+    def at(x: float) -> list[float]:
+        return [float(v[0]) for v in local(np.array([x]))]
 
     (mode,) = _locate_modes(local, 1)
     if mode <= 1e-8:
-        d = float(local(mode)[1])
+        d = at(mode)[1]
         scale = 1.0 / max(abs(d), 1e-8)
         pts = [mode + c * scale for c in (0.0, 1.0, 3.0)]
     else:
-        f2 = float(local(mode)[2])
+        f2 = at(mode)[2]
         sigma = 1.0 / math.sqrt(max(-f2, 1e-12))
         pts = [p for p in (mode + c * sigma for c in _STATIC_OFFSETS) if p > 0.0]
     tangents = []
     for p in pts:
         p = max(p, 1e-12)
-        h, dh, _ = (float(v) for v in local(p))
+        h, dh, _ = at(p)
         if math.isfinite(h):
             tangents.append((p, h, dh))
     return PiecewiseExpEnvelope(*([v] for v in zip(*tangents)))
@@ -529,6 +535,46 @@ def log_sum_exp(x):
     wgt, top = _max_shift(np.asarray(x, dtype=float))
     with np.errstate(divide="ignore"):
         return np.log(wgt.sum(axis=-1)) + top[..., 0]
+
+
+def _log_group_sum(sample: JpcSample, g: int, alpha) -> np.ndarray:
+    """ln of group ``g``'s power sum on the sample's stack of one, at
+    ``alpha`` (any shape of shapes >= 0)."""
+    return sample.groups[g][0].log_sum(np.asarray(alpha, dtype=float)[None])[0]
+
+
+def log_u_stat(sample: JpcSample, alpha) -> np.ndarray:
+    """ln U(alpha) for alpha >= 0, free of overflow; vectorized over alpha."""
+    return _log_group_sum(sample, 0, alpha)
+
+
+def log_v_stat(sample: JpcSample, alpha) -> np.ndarray:
+    """ln V(alpha) for alpha >= 0, free of overflow; vectorized over alpha."""
+    return _log_group_sum(sample, 1, alpha)
+
+
+def u_stat(sample: JpcSample, alpha: float) -> float:
+    """Group-1 weighted power sum U(alpha); U(0) counts the group size m."""
+    _check_real("alpha", alpha, positive=False)
+    return float(np.exp(log_u_stat(sample, alpha)))
+
+
+def v_stat(sample: JpcSample, alpha: float) -> float:
+    """Group-2 weighted power sum V(alpha); V(0) counts the group size n."""
+    _check_real("alpha", alpha, positive=False)
+    return float(np.exp(log_v_stat(sample, alpha)))
+
+
+def log_likelihood(sample: JpcSample, params: JointParams) -> float:
+    """Joint log-likelihood of the censoring outcome at ``params``, with
+    both rate terms ``lambda_g S_g(alpha)`` evaluated."""
+    a, l1, l2 = params.alpha, params.lambda1, params.lambda2
+    val = sample.scheme.k * math.log(a) + (a - 1.0) * sample.sum_log_t
+    val += sample.k1 * math.log(l1)
+    val += sample.k2 * math.log(l2)
+    val -= l1 * u_stat(sample, a)
+    val -= l2 * v_stat(sample, a)
+    return float(val)
 
 
 def lambda_hats(sample: JpcSample, alpha: float) -> tuple[float, float]:
@@ -574,7 +620,7 @@ def fisher_info(sample: JpcSample, params: JointParams) -> InfoMatrix:
     t = sample.t
     lnt = sample.log_t
     ta = t**params.alpha
-    c1, c2 = (sums.wgt for sums in sample.power_sums)
+    c1, c2 = (sums.wgt[0] for sums, _ in sample.groups)
     k = sample.scheme.k
     a11 = k / params.alpha**2
     a11 += params.lambda1 * float((c1 * ta * lnt**2).sum())
@@ -652,4 +698,4 @@ def log_marginal_shape(sample: JpcSample, prior: PriorSpec, alpha):
     carry the difference.
     """
     core = _PosteriorCore.of(sample, prior)
-    return core.branch(np.asarray(alpha, dtype=float))[0]
+    return core.branch(np.asarray(alpha, dtype=float)[None])[0][0]

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from jointweibull.bayes import PriorSpec, ShapeHyper
-from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.gof import CompleteSample
 from jointweibull.jpc import (
     CensoringScheme,
@@ -14,7 +13,7 @@ from jointweibull.jpc import (
 )
 from jointweibull.rng import BetaGammaHyper, RngStream
 
-from _oracles import carbon_fiber_10mm, carbon_fiber_20mm, simulate_jpc_walk
+from _oracles import carbon_fiber_10mm, carbon_fiber_20mm, fiber_jpc_sample, simulate_jpc_walk
 
 
 @pytest.fixture(scope="session")

@@ -23,11 +23,16 @@ from _oracles import (
     jpc_posterior_oracle,
     jpc_posterior_oracle_3d,
     lambda_hats,
+    log_likelihood,
     log_marginal_shape,
+    log_u_stat,
+    log_v_stat,
     profile_loglik,
     random_jpc_sample,
     sample_beta_gamma,
     swap_groups,
+    u_stat,
+    v_stat,
 )
 from jointweibull.bayes import (
     PriorSpec,
@@ -46,12 +51,7 @@ from jointweibull.gof import (
 from jointweibull.jpc import (
     CensoringScheme,
     JointParams,
-    log_likelihood,
-    log_u_stat,
-    log_v_stat,
     simulate_jpc,
-    u_stat,
-    v_stat,
 )
 from jointweibull.mle import fit_mle
 from jointweibull.rng import BetaGammaHyper, RngStream

@@ -27,7 +27,6 @@ from jointweibull.bayes import (
     shape_modes,
     weighted_hpd,
 )
-from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.errors import (
     DegenerateWeightsError,
     EstimationError,
@@ -41,8 +40,6 @@ from jointweibull.jpc import (
     JpcObservation,
     JpcSample,
     break_ties,
-    log_u_stat,
-    log_v_stat,
     simulate_jpc,
     simulate_jpc_batch,
 )
@@ -59,11 +56,14 @@ from jointweibull.study import POINT_METHODS, StudyConfig
 
 from _oracles import (
     complete_posterior_oracle,
+    fiber_jpc_sample,
     gamma_hpd,
     jpc_posterior_oracle,
     jpc_discrepancy_oracle,
     jpc_posterior_oracle_3d,
     log_marginal_shape,
+    log_u_stat,
+    log_v_stat,
     profile_loglik,
     sample_weibull,
     simulate_jpc_walk,
@@ -130,8 +130,8 @@ def test_shape_marginal_matches_handwritten_branches(fiber, flat_rate4, ip_prior
 
 
 def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
-    """Branch values and slopes on a point array equal per-point scalar
-    calls, and the hull built from array calls has the tangent points,
+    """Branch values and slopes on a row of points equal per-point calls
+    (the branch is a stack of one), and the hull built from array calls has the tangent points,
     heights and slopes of one built point by point: on the fiber sample and
     20 reference-design samples, for the four study presets, each with its
     one sampled branch.  The hulls are compared on the tangents they keep,
@@ -149,8 +149,8 @@ def test_array_tangents_build_the_pointwise_hull(fiber) -> None:
             except ImproperPosteriorError:
                 continue
             br = core.branch
-            pointwise = [br.local(float(a))[:2] for a in grid]
-            value, slope, _ = br.local(grid)
+            pointwise = [[x[0] for x in br.local(np.array([a]))[:2]] for a in grid]
+            value, slope, _ = (x[0] for x in br.local(grid[None]))
             np.testing.assert_allclose(value, [v for v, _ in pointwise], rtol=1e-13)
             np.testing.assert_allclose(slope, [d for _, d in pointwise], rtol=1e-13)
             got = build_static_envelope(br.local, _locate_modes(br.local, 1))
@@ -639,7 +639,7 @@ def test_complete_posterior_rates_at_overflowing_power_sums() -> None:
         post = draw_posterior(data, _gamma_rates(0.0, 0.0, pinned), 4_000, RngStream(613, 0))
         alphas, lams = post.alpha, post.lambda1
         log_t = np.log(data.sorted)
-        ln_sum = PowerSum(1.0, log_t).log_sum(alphas)
+        ln_sum = PowerSum(1.0, log_t[None]).log_sum(alphas[None])[0]
         assert ln_sum.min() > 709.8 and alphas.max() * log_t[-1] < 709.7
         assert np.all(np.isfinite(lams) & (lams > 0.0))
         ln_g = np.log(lams) + ln_sum

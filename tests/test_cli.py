@@ -12,11 +12,10 @@ import pytest
 
 import jointweibull
 from jointweibull.cli import SEED_ENV_VAR, main
-from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.io import serialize_jpc_sample
 from jointweibull.study import StudyConfig
 
-from _oracles import carbon_fiber_10mm, carbon_fiber_20mm
+from _oracles import carbon_fiber_10mm, carbon_fiber_20mm, fiber_jpc_sample
 
 _PROJECT_ROOT = Path(__file__).resolve().parents[1]
 

@@ -193,7 +193,7 @@ def test_ks_pvalue_monte_carlo_counts_match_the_direct_formula(ds1, ds2) -> None
     for ds, seed in ((ds1, 77), (ds2, 78)):
         n = ds.n
         log_x = np.log(np.sort(RngStream(seed, 0).exponential((200, n)), axis=1))
-        alpha, log_rates, _ = _fit_complete_rows(log_x)
+        alpha, log_rates, _, _ = _fit_complete_rows(log_x)
         f = -np.expm1(-np.exp(alpha[:, None] * log_x + log_rates[0][:, None]))
         null = np.maximum((np.arange(1, n + 1) / n - f).max(axis=1), (f - np.arange(n) / n).max(axis=1))
         fit = fit_weibull_complete(ds)
@@ -233,7 +233,7 @@ def test_batched_complete_refits_match_scalar_fits() -> None:
     rng = RngStream(74, 0)
     for n, alpha, lam in ((5, 0.4, 3.0), (12, 1.0, 1.0), (69, 3.8, 0.09), (40, 9.0, 1e-4)):
         x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(150, n))).reshape(150, n), axis=1)
-        got_alpha, log_rates, _ = _fit_complete_rows(np.log(x))
+        got_alpha, log_rates, _, _ = _fit_complete_rows(np.log(x))
         got_lam = np.exp(log_rates[0])
         for row, a, l in zip(x, got_alpha, got_lam):
             want_alpha, want_lam = _longhand_complete_fit(row)
@@ -248,7 +248,7 @@ def test_stacked_complete_rows_fit_as_they_fit_alone() -> None:
     for n, alpha, lam in ((5, 0.4, 3.0), (30, 2.0, 1.0), (69, 3.8, 0.09)):
         x = np.sort(np.atleast_1d(sample_weibull(alpha, lam, rng, size=(200, n))).reshape(200, n), axis=1)
         datas = [CompleteSample(values=tuple(row)) for row in x]
-        got_alpha, log_rates, _ = _fit_complete_rows(np.stack([d.log_values for d in datas]))
+        got_alpha, log_rates, _, _ = _fit_complete_rows(np.stack([d.log_values for d in datas]))
         got_lam = np.exp(log_rates[0])
         fits = [fit_weibull_complete(d) for d in datas]
         assert list(got_alpha) == [f.alpha for f in fits]

@@ -13,7 +13,7 @@ import pytest
 
 from jointweibull.bayes import draw_posterior, posterior_predictive_pvalue
 from jointweibull.gof import CompleteSample, ks_distance, ks_pvalue
-from jointweibull.jpc import JointParams, JpcObservation, shift_sample, simulate_jpc_batch, u_stat
+from jointweibull.jpc import JointParams, JpcObservation, shift_sample, simulate_jpc_batch
 from jointweibull.mle import IntervalEstimate, bootstrap_ci
 from jointweibull.rng import BetaGammaHyper, RngStream
 
@@ -51,7 +51,6 @@ _CASES = {
     "RngStream-float-counter": ("counter", lambda fib, ds, pr: RngStream(1, 1.5)),
     "RngStream-bool-counter": ("counter", lambda fib, ds, pr: RngStream(1, True)),
     "substream-float-offset": ("counter", lambda fib, ds, pr: RngStream(1).substream(1.5)),
-    "u_stat-bool": ("alpha", lambda fib, ds, pr: u_stat(fib, True)),
     "lambda_hats-bool": ("alpha", lambda fib, ds, pr: lambda_hats(fib, True)),
     "profile_loglik-bool": ("alpha", lambda fib, ds, pr: profile_loglik(fib, True)),
     "IntervalEstimate-str-level": ("level", lambda fib, ds, pr: IntervalEstimate(0.0, 1.0, "0.9")),
@@ -83,7 +82,7 @@ def test_valid_scalars_of_every_kind_are_accepted(fiber) -> None:
     """Integers pass as reals, numpy scalars of the right kind pass, zero
     passes where it is allowed, and a counter wraps modulo 2^64."""
     assert astuple(JointParams(1, np.float64(0.5), 1.0)) == (1, 0.5, 1.0)
-    assert u_stat(fiber, 0) == pytest.approx(fiber.scheme.m, rel=1e-14)
+    assert shift_sample(fiber, 0) is fiber
     assert RngStream(np.uint64(7), -1).counter == 2**64 - 1
     assert RngStream(7, 2**64 + 3).counter == 3
     assert ks_pvalue(0.0, np.int64(10)) == 1.0

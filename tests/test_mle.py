@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
 
-from jointweibull.datasets import fiber_jpc_sample
 from jointweibull.errors import NoMleError, UnstableBootstrapError
 from jointweibull.jpc import (
     CensoringScheme,
@@ -16,13 +15,8 @@ from jointweibull.jpc import (
     JpcObservation,
     JpcSample,
     _groups,
-    log_likelihood,
-    log_u_stat,
-    log_v_stat,
     sample_of_row,
     simulate_jpc_batch,
-    u_stat,
-    v_stat,
 )
 from jointweibull.mle import (
     BootstrapResult,
@@ -36,7 +30,20 @@ from jointweibull.mle import (
 )
 from jointweibull.rng import PowerSum, RngStream, _ConcaveTerm
 
-from _oracles import fd_hessian, fisher_info, lambda_hats, profile_loglik, random_jpc_sample, swap_groups
+from _oracles import (
+    fd_hessian,
+    fiber_jpc_sample,
+    fisher_info,
+    lambda_hats,
+    log_likelihood,
+    log_u_stat,
+    log_v_stat,
+    profile_loglik,
+    random_jpc_sample,
+    swap_groups,
+    u_stat,
+    v_stat,
+)
 
 
 def _profile_grid(sample: JpcSample, grid: np.ndarray) -> np.ndarray:
@@ -170,9 +177,19 @@ def test_ordered_fit_interior_case(fiber) -> None:
     assert fit.params.lambda2 == pytest.approx(free.params.lambda2, rel=1e-9)
 
 
-def test_ordered_fit_never_beats_unrestricted() -> None:
+def test_ordered_fit_never_beats_unrestricted(fiber) -> None:
+    """On 20 random samples, boundary fits among them, the ordered fit
+    respects the order and never beats the free fit, and every fit's
+    log-likelihood, formed from its log rates, is the oracle's joint
+    log-likelihood at its parameters to 1e-12 of max(1, |l|); so is that of
+    the bundled sample's free fit and boundary ordered fit."""
+
+    def check_loglik(sample: JpcSample, fit) -> None:
+        want = log_likelihood(sample, fit.params)
+        assert abs(fit.loglik - want) <= 1e-12 * max(1.0, abs(want))
+
     rng = RngStream(203, 0)
-    checked = 0
+    checked = boundary = 0
     while checked < 20:
         sample = random_jpc_sample(rng)
         if sample is None:
@@ -183,7 +200,14 @@ def test_ordered_fit_never_beats_unrestricted() -> None:
         assert restricted.loglik <= free.loglik + 1e-9
         if not restricted.boundary:
             assert restricted.params.alpha == pytest.approx(free.params.alpha, rel=1e-8)
+        check_loglik(sample, free)
+        check_loglik(sample, restricted)
+        boundary += restricted.boundary
         checked += 1
+    assert boundary > 0
+    assert fit_mle_ordered(fiber).boundary
+    check_loglik(fiber, fit_mle(fiber))
+    check_loglik(fiber, fit_mle_ordered(fiber))
 
 
 def test_information_matches_numeric_hessian(fiber) -> None:
@@ -353,20 +377,21 @@ def test_bootstrap_argument_validation(fiber) -> None:
 
 def test_stacked_rows_fit_as_they_fit_alone() -> None:
     """Every row of a bootstrap-like stack of reference-design samples gets,
-    byte for byte, the shape, the rates and the boundary flag that fit_mle
-    and fit_mle_ordered give the same sample alone: a scalar fit is a stack
-    of one, and the lockstep sweeps leave each row's bracket sequence to
-    that row, in the free search and in the common-rate refit alike.  Some
-    rows of the order-restricted stack are refitted."""
+    byte for byte, the shape, the rates, the log-likelihood and the boundary
+    flag that fit_mle and fit_mle_ordered give the same sample alone: a
+    scalar fit is a stack of one, and the lockstep sweeps leave each row's
+    bracket sequence to that row, in the free search and in the common-rate
+    refit alike.  Some rows of the order-restricted stack are refitted."""
     samples = _reference_samples(400, 81)
     assert len(samples) > 350
     for fit, ordered in ((fit_mle, False), (fit_mle_ordered, True)):
-        alpha, rates, boundary, ok, _ = _fit_outcomes(REFERENCE, *_design_rows(samples), ordered)[-1]
+        alpha, rates, loglik, boundary, ok, _ = _fit_outcomes(REFERENCE, *_design_rows(samples), ordered)[-1]
         assert ok.all()
         alone = [fit(x) for x in samples]
         assert list(alpha) == [f.params.alpha for f in alone]
         assert list(rates[0]) == [f.params.lambda1 for f in alone]
         assert list(rates[1]) == [f.params.lambda2 for f in alone]
+        assert list(loglik) == [f.loglik for f in alone]
         assert list(boundary) == [f.boundary for f in alone]
     assert 10 < boundary.sum() < len(samples) - 10
 
@@ -480,7 +505,7 @@ def test_root_finder_meets_brentq_within_15_sweeps() -> None:
     assert len(samples) > 350
     rows = _design_rows(samples)
     for ordered in (False, True):
-        roots, _, _, ok, sweeps = _fit_outcomes(REFERENCE, *rows, ordered)[-1]
+        roots, _, _, _, ok, sweeps = _fit_outcomes(REFERENCE, *rows, ordered)[-1]
         assert ok.all()
         assert len(sweeps) == 1 + ordered and max(sweeps) <= 15
         want = [_brentq_root(x, ordered) for x in samples]
@@ -511,7 +536,7 @@ def test_warm_started_searches_meet_brentq_from_any_start(fiber) -> None:
         for ordered in (False, True):
             want = [_brentq_root(x, ordered) for x in samples]
             for start in (1e-6, 1.0, own, 1e6):
-                alpha, _, _, ok, sweeps = _fit_outcomes(samples[0].scheme, *rows, ordered, start=start)[-1]
+                alpha, _, _, _, ok, sweeps = _fit_outcomes(samples[0].scheme, *rows, ordered, start=start)[-1]
                 assert ok.all() and max(sweeps) < 200
                 np.testing.assert_allclose(alpha, want, rtol=1e-10, atol=0.0)
 

@@ -482,23 +482,23 @@ def test_power_sum_matches_max_shift_log_sum_exp() -> None:
     """The power-sum kernel's ln S against the max-shift log-sum-exp of the
     raw logits ln c + a ln t to 1e-14 relative, and its moments of ln t
     against central differences of that ln S, at shapes 1e-10, 1e-3, 1, 50
-    and 1e6: on a group with zero-weight columns above its top log time, on
-    a group with one positive column, on stacked rows with different tops
+    and 1e6: on stacks of one, a group with zero-weight columns above its
+    top log time and a group with one positive column, on stacked rows with different tops
     and zero patterns, and on the scalar-coefficient stack of complete
     samples; with RuntimeWarning as an error throughout.  A stack's moments
-    are its rows' lone moments byte for byte."""
+    are those of its rows as stacks of one, byte for byte."""
     gen = np.random.default_rng(47)
     alpha = np.array(_SHAPES)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for c, log_t in _power_sum_groups():
-            sums = PowerSum(c, log_t)
-            assert sums.top == log_t[c > 0].max()
+            sums = PowerSum(c, log_t[None])
+            assert sums.top.tolist() == [log_t[c > 0].max()]
             log_c = _log_weights(c)
             oracle = lambda a: log_sum_exp(log_c + np.asarray(a)[..., None] * log_t)
-            np.testing.assert_allclose(sums.log_sum(alpha), oracle(alpha), rtol=1e-14, atol=0.0)
-            assert sums.log_sum(2.0).shape == () and sums.log_sum(alpha[None]).shape == (1, 5)
-            _check_moments(sums, oracle, alpha)
+            np.testing.assert_allclose(sums.log_sum(alpha[None]), oracle(alpha[None]), rtol=1e-14, atol=0.0)
+            assert sums.log_sum(np.array([2.0])).shape == (1,) and sums.log_sum(alpha[None]).shape == (1, 5)
+            _check_moments(sums, oracle, alpha[None])
         # stacked rows: tops from about -2 to 3, zero-weight columns anywhere
         rows = 40
         log_t = np.sort(gen.normal(0.0, 1.0, (rows, 10)), axis=1) + gen.uniform(-2.5, 1.5, (rows, 1))
@@ -515,8 +515,9 @@ def test_power_sum_matches_max_shift_log_sum_exp() -> None:
             shape = np.array(_SHAPES * (rows // 5))
             stacked = sums.moments(shape)
             for i in range(rows):
-                lone = PowerSum(np.broadcast_to(sums.wgt, log_t.shape)[i], log_t[i]).moments(shape[i])
-                assert [x[i] for x in stacked] == [x for x in lone]
+                one = slice(i, i + 1)
+                lone = PowerSum(np.broadcast_to(sums.wgt, log_t.shape)[one], log_t[one]).moments(shape[one])
+                assert [x[i] for x in stacked] == [x[0] for x in lone]
 
 
 def test_power_sums_from_counts_match_log_sum_exp_row_by_row() -> None:
@@ -553,7 +554,7 @@ def test_power_sums_from_counts_match_log_sum_exp_row_by_row() -> None:
     picks = [(sums, 7), (other, 2), (sums, 0), (sums, 7), (other, 0)]
     gathered = PowerSum.gather(picks)
     for i, (stack, r) in enumerate(picks):
-        row = stack.take(r)
+        row = stack.take([r])
         for name in ("top", "off", "wgt"):
-            assert getattr(gathered, name)[i].tobytes() == getattr(row, name).tobytes()
-            assert getattr(row, name).tobytes() == getattr(stack, name)[r].tobytes()
+            assert getattr(gathered, name)[i].tobytes() == getattr(row, name)[0].tobytes()
+            assert getattr(row, name)[0].tobytes() == getattr(stack, name)[r].tobytes()

@@ -477,8 +477,8 @@ def test_chunk_kernels_are_the_power_sums_of_its_samples(monkeypatch) -> None:
     assert [len(g[0][1]) for g in built] == [16, 5]
     rows = [(groups, j) for groups in built for j in range(len(groups[0][1]))]
     for sample, (groups, j) in zip(samples, rows, strict=True):
-        for (stack, counts), sums, k in zip(groups, sample.power_sums, (sample.k1, sample.k2)):
-            row = stack.take(j)
+        for (stack, counts), (sums, _), k in zip(groups, sample.groups, (sample.k1, sample.k2)):
+            row = stack.take([j])
             assert counts[j] == k
             for name in ("top", "off", "wgt"):
                 assert getattr(row, name).tobytes() == getattr(sums, name).tobytes()
