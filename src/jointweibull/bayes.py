@@ -178,7 +178,7 @@ def _sample_marginal(cores, n: int, rngs) -> tuple:
     """Exact shape draws, ``n`` per core (of samples with equal k), from
     exp(s), s its shape marginal, by rejection from its tangent hull around
     its mode (:func:`shape_modes`), every hull from one tangent call.
-    Returns the draws, the log power sums of the kept shapes (one row per
+    Returns the draws, ``ln(b0 + S_g)`` at the kept shapes (one row per
     group, then per core), the sampler counts and each core's error (None
     for none).  Core ``i`` draws from ``rngs[i]`` alone, ``3c`` uniforms per
     round of ``c`` proposals (segments, places, tests); the first round is
@@ -228,9 +228,10 @@ def _stack(cores) -> _ConcaveTerm:
     return _ConcaveTerm(c0, c1, list(zip(sums, c2)), log_b0)
 
 
-def _rates(cores, sums: np.ndarray, rngs):
-    """Rates, their logs and their log weights given the shapes' log power
-    sums (one row per group, then per core), one row per core, each drawn
+def _rates(cores, ln_r: np.ndarray, rngs):
+    """Rates, their logs and their log weights given ``ln R_g = ln(b0 +
+    S_g)`` at the shapes (one row per group, then per core) as
+    :func:`_sample_marginal` returns them, one row per core, each drawn
     from its own stream in ``rngs``: a gamma total first, then the split.
     One group's rate is its gamma(G) total over R_1; two groups split the
     total by a beta(s1, s2) fraction of the rescaled rates, cut below x0 for
@@ -240,8 +241,7 @@ def _rates(cores, sums: np.ndarray, rngs):
     which never divides by an overflowed ``R_g``: a rate is 0 only where
     its log, also returned, is below -745 and infinite only above 709.78."""
     col = lambda v: np.array(v, dtype=float)[:, None]  # noqa: E731
-    ln_r = np.logaddexp(col([c.log_b0 for c in cores]), sums)
-    rows, size = sums.shape[1:]
+    rows, size = ln_r.shape[1:]
     total = np.array([rng.gamma(c.gamma_shape, size=size) for c, rng in zip(cores, rngs)])
     with np.errstate(divide="ignore"):
         ln_total = np.log(total)
@@ -381,9 +381,9 @@ class _PosteriorCore:
             )
         # (G w, G (1 - w)) = (s1, s2) G / (s1 + s2), exactly (s1, s2) when c = 0
         scale = self.gamma_shape / sum(self.group_shapes)
-        self.log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
+        log_b0 = math.log(bg.b0) if bg.b0 > 0.0 else -math.inf
         c2 = [(g.take(slice(row, row + 1)), scale * s) for g, s in zip(self.sums, self.group_shapes)]
-        self.branch = _ConcaveTerm(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, c2, self.log_b0)
+        self.branch = _ConcaveTerm(k + prior.shape.a - 1.0, prior.shape.b - sum_log_t, c2, log_b0)
         _check_decay(self.branch)
 
     @classmethod
@@ -439,12 +439,13 @@ def draw_posterior(sample, prior: PriorSpec, n_draws: int, rng: RngStream) -> We
     return core.stack.take(core)
 
 
-def bayes_estimate(post: WeightedPosterior, h: Callable) -> float:
-    """Posterior mean of ``h(alpha, lambda1, lambda2)`` under the weights."""
+def bayes_estimate(post: WeightedPosterior, h: Callable) -> float | list[float]:
+    """Posterior mean of ``h(alpha, lambda1, lambda2)`` under the weights,
+    or one weighted sum per row (a list) of an ``h`` that stacks rows."""
     if post.normalized.sum() <= 0.0:
         raise DegenerateWeightsError("all importance weights are zero")
     vals = np.asarray(h(post.alpha, post.lambda1, post.lambda2), dtype=float)
-    return float((post.normalized * vals).sum())
+    return (post.normalized * vals).sum(axis=-1).tolist()
 
 
 def weighted_hpd(values, normalized, level: float) -> IntervalEstimate:

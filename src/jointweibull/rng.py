@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -105,14 +106,20 @@ class PowerSum:
         out.top, out.off, out.wgt = (np.concatenate(v) for v in zip(*((p.top, p.off, p.wgt) for p in stacks)))
         return out.take([at[id(p)] + r for p, r in picks])
 
-    def log_sum(self, alpha):
-        """``ln S`` at ``alpha``, one shape or a row of shapes per row,
-        summed over the times for all of a row's shapes at once, so the
-        last bits may differ from those of :meth:`moments`."""
+    def exps(self, a: np.ndarray) -> np.ndarray:
+        """``exp(a (ln t_j - L))`` at the shapes ``a``, ``(rows, times, shapes...)``."""
+        e = np.einsum("bj,b...->bj...", self.off, a if a.ndim else np.broadcast_to(a, self.top.shape))
+        return np.exp(e, out=e)
+
+    def log_sum(self, alpha, exps=None):
+        """``ln S`` at ``alpha``, any shape form :meth:`moments` takes, from
+        ``exps``, the :meth:`exps` there of this kernel or of one with its
+        offsets where it weighs, summed over the times for all of a row's
+        shapes at once, so the last bits may differ from :meth:`moments`."""
         a = np.asarray(alpha, dtype=float)
-        e = np.einsum("bj,b...->bj...", self.off, a)
+        e = self.exps(a) if exps is None else exps
         top = self.top.reshape(self.top.shape + (1,) * (a.ndim - 1))
-        return a * top + np.log(np.einsum("bj...,bj->b...", np.exp(e, out=e), self.wgt))
+        return a * top + np.log(np.einsum("bj...,bj->b...", e, self.wgt))
 
     def moments(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean and variance of ``ln t`` under the weights ``c t^a``, and
@@ -149,34 +156,61 @@ class _ConcaveTerm:
 
     def __init__(self, c0, c1, groups, log_b0=-math.inf):
         self.c0, self.c1, self.groups, self.log_b0 = c0, c1, list(groups), log_b0
-        self._damped = bool(np.any(np.asarray(log_b0) > -math.inf))
+        self._b0 = np.broadcast_to(np.ravel(log_b0), len(self.groups[0][0].top))
+        self._damped = np.flatnonzero(self._b0 > -math.inf)  # the rows with b0 > 0
 
     def __call__(self, alpha):
-        """``s(alpha)`` and the log power sums it reads, one row per group."""
-        sums = np.stack([g.log_sum(alpha) for g, _ in self.groups])
-        return self._value(alpha, sums), sums
+        """``s(alpha)`` and the ``ln(b0 + S_g)`` it reads, one row per group,
+        at one shape or a row of shapes per row, sharing exponentials as
+        :attr:`_shared` says; rows with no ``b0`` skip ``np.logaddexp``."""
+        a = np.asarray(alpha, dtype=float)
+        merged, own, rest = self._shared
+        e = None if merged is None else merged.exps(a)
+        with np.errstate(divide="ignore"):  # the rows of own read exponentials not theirs
+            sums = np.stack([g.log_sum(a, e) for g, _ in self.groups])
+        if len(own):
+            sums[1, own] = rest.log_sum(a[own])
+        at = self._damped
+        sums[:, at] = np.logaddexp(self._b0[at].reshape(at.shape + (1,) * (a.ndim - 1)), sums[:, at])
+        return self._value(a, sums), sums
+
+    @cached_property
+    def _shared(self):
+        """``(merged, own, rest)``: on rows where two kernels have one ``top``
+        and agree on every column both weigh, ``merged``, the first with the
+        second's offsets where only that one weighs, forms the exponentials
+        of both; ``rest``, the second on the other rows ``own``, its own."""
+        kernels = [g for g, _ in self.groups]
+        if len(kernels) != 2 or kernels[0].off.shape != kernels[1].off.shape:
+            return None, [], None
+        u, v = kernels
+        share = (u.top == v.top) & np.all((u.off == v.off) | (u.wgt == 0.0) | (v.wgt == 0.0), axis=-1)
+        merged, own = u.take(slice(None)), np.flatnonzero(~share)
+        merged.off = np.where(share[:, None] & (u.wgt == 0.0), v.off, u.off)
+        return (merged, own, v.take(own)) if share.any() else (None, [], None)
 
     def local(self, alpha):
         """Value, slope and curvature at ``alpha``: a :data:`LogDensity`."""
         moments = [g.moments(alpha) for g, _ in self.groups]
-        return (self._value(alpha, [m[2] for m in moments]), *self._derivs(alpha, moments))
+        logs = [np.logaddexp(self.log_b0, m[2]) if self._damped.size else m[2] for m in moments]
+        return (self._value(alpha, logs), *self._derivs(alpha, moments))
 
     def deriv(self, alpha):
         """Slope and curvature at ``alpha``, all a root search reads."""
         return self._derivs(alpha, [g.moments(alpha) for g, _ in self.groups])
 
-    def _value(self, alpha, sums):
+    def _value(self, alpha, logs):
         with np.errstate(divide="ignore"):
             val = self.c0 * np.log(alpha) if np.any(self.c0 != 0.0) else 0.0
         val = val - self.c1 * alpha
-        for (_, c2), ln_sum in zip(self.groups, sums):
-            val = val - c2 * (np.logaddexp(self.log_b0, ln_sum) if self._damped else ln_sum)
+        for (_, c2), log in zip(self.groups, logs):
+            val = val - c2 * log
         return val
 
     def _derivs(self, alpha, moments):
         slope, curv = self.c0 / alpha - self.c1, -self.c0 / alpha**2
         for (_, c2), (mean, var, ln_sum) in zip(self.groups, moments):
-            if self._damped:
+            if self._damped.size:
                 damp = np.exp(ln_sum - np.logaddexp(self.log_b0, ln_sum))
                 c2, var = c2 * damp, var + (1.0 - damp) * mean**2
             slope, curv = slope - c2 * mean, curv - c2 * var
@@ -236,14 +270,14 @@ class RngStream:
         never a valid conditional in this package and usually signals an
         improper posterior upstream.
         """
-        if np.any(np.asarray(shape) <= 0.0):
+        if (np.asarray(shape) <= 0.0).any():
             raise ValueError("gamma shape must be strictly positive")
-        if np.any(np.asarray(rate) <= 0.0):
+        if (np.asarray(rate) <= 0.0).any():
             raise ValueError("gamma rate must be strictly positive")
         return self._gen.gamma(shape, 1.0 / np.asarray(rate), size)
 
     def beta(self, a, b, size=None):
-        if np.any(np.asarray(a) <= 0.0) or np.any(np.asarray(b) <= 0.0):
+        if (np.asarray(a) <= 0.0).any() or (np.asarray(b) <= 0.0).any():
             raise ValueError("beta parameters must be strictly positive")
         return self._gen.beta(a, b, size)
 

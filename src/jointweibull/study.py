@@ -184,9 +184,10 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
                 kernels = [(g.take(at), n[at]) for g, n in groups]
                 est[m][..., at] = _asymptotic(scheme, kernels, log_t[at], fit, boundary[ok], config.level)
     bayes, cores = [m for m in methods if m.startswith("bayes")], {}
+    priors = {m: config.prior_for(m) for m in bayes}
     for j in np.flatnonzero(used).tolist():
         try:
-            cores.update({(j, m): _PosteriorCore(groups, j, log_t[j].sum(), config.prior_for(m)) for m in bayes})
+            cores.update({(j, m): _PosteriorCore(groups, j, log_t[j].sum(), priors[m]) for m in bayes})
         except EstimationError:
             used[j] = False
     streams = {(j, m): RngStream(config.base_seed, splitmix64(first + j + 1) + _METHOD_OFFSET[m])
@@ -201,7 +202,7 @@ def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> 
                 elif m in bayes:
                     post = draw_posterior(cores[j, m], cores[j, m].prior, config.n_posterior, streams[j, m])
                     if point:
-                        est[m][:, j] = [bayes_estimate(post, h) for h in _COMPONENTS]
+                        est[m][:, j] = bayes_estimate(post, lambda *draws: draws)
                     else:
                         intervals = [hpd_interval(post, h, config.level) for h in _COMPONENTS]
                         est[m][..., j] = [(iv.lower, iv.upper) for iv in intervals]

@@ -18,6 +18,7 @@ from jointweibull.bayes import (
     _rates,
     _resample_indices,
     _sample_marginal,
+    _stack,
     ShapeHyper,
     WeightedPosterior,
     bayes_estimate,
@@ -229,6 +230,47 @@ def test_stacked_draws_match_lone_draws(fiber) -> None:
         for attr in ("proposed", "accepted", "tangents", "low_ess"):
             assert getattr(got, attr) == getattr(post, attr), (i, attr)
         assert core.stack is None
+
+
+def test_groups_share_exponentials_only_on_rows_whose_kernels_agree() -> None:
+    """A stacked shape marginal forms one exponential per (row, shape,
+    column) for both groups on the rows where their kernels have one top
+    and the same offsets on every column both weigh, and the others form
+    their own.  Cases: one design, m=2 n=5 k=4 R=(0,0,0,3), with t=(1,2,3,4)
+    and delta (1,1,0,0), whose group 1 runs out early (top_U = ln 2, top_V =
+    ln 4), and delta (0,1,0,1), where both tops are ln 4 and each kernel
+    weighs columns the other does not; and two complete samples with one
+    largest value and other values apart, which must not share.  Under a
+    b0 = 0 and a b0 = 1 prior, stacked together, each row's ln(b0 + S_g) is
+    np.logaddexp(ln b0, its lone log_sum) byte for byte, and each core's
+    draws in a stack are its lone draws."""
+    scheme = CensoringScheme(2, 5, 4, (0, 0, 0, 3))
+    t = (1.0, 2.0, 3.0, 4.0)
+    jpc = [JpcSample(scheme, zip(t, delta, (0, 0, 0, 0))) for delta in ((1, 1, 0, 0), (0, 1, 0, 1))]
+    assert [[g.top[0] for g, _ in s.groups] for s in jpc] == [[math.log(2.0), math.log(4.0)], [math.log(4.0)] * 2]
+    pair = (CompleteSample((0.5, 1.0, 3.0)), CompleteSample((0.7, 2.0, 3.0)))
+    informative = PriorSpec(BetaGammaHyper(1.5, 1.0, 2.0, 4.0), ShapeHyper(2.0, 2.0))
+    n = 800
+    for samples, shared in ((jpc, (True, [0, 2])), ([pair], (False, []))):
+        pairs = [(sample, prior) for prior in (PriorSpec.flat(shape_rate=1.0), informative) for sample in samples]
+        cores = [_PosteriorCore.of(sample, prior) for sample, prior in pairs]
+        term = _stack(cores)
+        alpha = np.geomspace(0.05, 20.0, 7) * np.ones((len(cores), 1))
+        _, sums = term(alpha)
+        merged, own, _ = term._shared  # own: the rows of the flat and the informative core of delta (1,1,0,0)
+        assert (merged is not None, list(own)) == shared
+        for r, (core, (_, prior)) in enumerate(zip(cores, pairs)):
+            log_b0 = math.log(prior.bg.b0) if prior.bg.b0 > 0.0 else -math.inf
+            for g, (kernel, _) in enumerate(core.branch.groups):
+                lone = np.logaddexp(log_b0, kernel.log_sum(alpha[r : r + 1])[0])
+                assert sums[g, r].tobytes() == lone.tobytes(), (r, g)
+        lone = [draw_posterior(sample, prior, n, RngStream(652, i)) for i, (sample, prior) in enumerate(pairs)]
+        rngs = [RngStream(652, i) for i in range(len(cores))]
+        _DrawStack(n, dict(zip(cores, rngs)))
+        for i, (core, rng, post) in enumerate(zip(cores, rngs, lone)):
+            got = draw_posterior(core, core.prior, n, rng)
+            for attr in ("alpha", "lambda1", "lambda2", "weights", "normalized"):
+                assert getattr(got, attr).tobytes() == getattr(post, attr).tobytes(), (i, attr)
 
 
 def test_a_core_of_the_prior_is_its_own_sample(fiber) -> None:
@@ -540,7 +582,7 @@ def test_ordered_fiber_draws_take_the_inversion_path(fiber) -> None:
             rng = RngStream(651, 0)
             shape_modes([core])
             _, sums, *_ = _sample_marginal([core], n, [rng])
-            ln_r1, ln_r2 = np.logaddexp(core.log_b0, sums[:, 0])
+            ln_r1, ln_r2 = sums[:, 0]  # ln(b0 + U) and ln(b0 + V), as the sampler formed them
             total = rng.gamma(core.gamma_shape, size=n)
             x0 = expit(ln_r1 - ln_r2)
             cut = betainc(s1, s2, x0)

@@ -520,6 +520,29 @@ def test_power_sum_matches_max_shift_log_sum_exp() -> None:
                 assert [x[i] for x in stacked] == [x[0] for x in lone]
 
 
+_TWO_ROWS = [[1.0, 2.0, 3.0], [0.5, 1.5, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "times, alpha",
+    [
+        ([[1.0, 2.0, 3.0]], 2.0),
+        (_TWO_ROWS, 2.0),
+        (_TWO_ROWS, np.array([2.0, 0.7])),
+        (_TWO_ROWS, np.array([[0.5, 2.0, 7.0], [1e-3, 3.0, 40.0]])),
+    ],
+    ids=["one-row-one-shape", "one-shape-for-all-rows", "one-per-row", "a-row-per-row"],
+)
+def test_log_sum_takes_every_shape_form_moments_takes(times, alpha) -> None:
+    """``log_sum`` and ``moments`` take the same shape forms: one shape for
+    all rows (0-d), one per row, and a row of shapes per row; their ln S
+    agree to 1e-14 relative and in shape."""
+    sums = PowerSum(1.0, np.log(times))
+    got, want = sums.log_sum(alpha), sums.moments(alpha)[2]
+    assert got.shape == want.shape == (len(times),) + np.shape(alpha)[1:]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_power_sums_from_counts_match_log_sum_exp_row_by_row() -> None:
     """Stacked kernels of integer counts against the log-sum-exp of ln c +
     a ln t, 1e-14 relative, at shapes 1e-10 to 1e6: zero-weight columns
