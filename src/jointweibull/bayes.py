@@ -486,6 +486,9 @@ def hpd_interval(post: WeightedPosterior, h: Callable, level: float) -> Interval
     return weighted_hpd(vals, post.normalized, level)
 
 
+_COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
+
+
 def posterior_predictive_pvalue(
     data,
     prior: PriorSpec,

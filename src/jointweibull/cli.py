@@ -12,19 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .bayes import (
-    PriorSpec,
-    ShapeHyper,
-    bayes_estimate,
-    draw_posterior,
-    hpd_interval,
-    posterior_predictive_pvalue,
-)
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -36,19 +27,13 @@ from .errors import (
     _check_count,
     _check_level,
 )
-from .gof import (
-    CompleteSample,
-    fit_common_shape,
-    fit_weibull_complete,
-    ks_distance,
-    ks_pvalue,
-    lr_test_common_shape,
-)
 from .io import parse_complete_file, parse_jpc_file, serialize_jpc_sample
 from .jpc import CensoringScheme, JointParams, JpcSample, shift_sample, simulate_jpc
-from .mle import asymptotic_ci, bootstrap_ci, fit_mle, fit_mle_ordered
 from .rng import BetaGammaHyper, RngStream
-from .study import _COMPONENTS, StudyConfig, run_interval_study, run_point_study
+
+if TYPE_CHECKING:
+    from .bayes import PriorSpec
+    from .study import StudyConfig
 
 SEED_ENV_VAR = "JOINTWEIBULL_SEED"
 
@@ -105,6 +90,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .mle import asymptotic_ci, fit_mle, fit_mle_ordered
+
     sample = _load_jpc(args)
     fit = fit_mle_ordered(sample) if args.ordered else fit_mle(sample)
     out = sys.stdout
@@ -124,6 +111,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    from .mle import bootstrap_ci
+
     sample = _load_jpc(args)
     res = bootstrap_ci(
         sample,
@@ -141,6 +130,8 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _prior_from_args(args) -> PriorSpec:
+    from .bayes import PriorSpec, ShapeHyper
+
     return PriorSpec(
         bg=BetaGammaHyper(args.a0, args.b0, args.a1, args.a2),
         shape=ShapeHyper(args.a, args.b),
@@ -149,6 +140,8 @@ def _prior_from_args(args) -> PriorSpec:
 
 
 def _cmd_bayes(args) -> int:
+    from .bayes import _COMPONENTS, bayes_estimate, draw_posterior, hpd_interval
+
     sample = _load_jpc(args)
     prior = _prior_from_args(args)
     post = draw_posterior(sample, prior, args.n_draws, RngStream(_seed(args)))
@@ -167,6 +160,10 @@ def _cmd_bayes(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .bayes import _COMPONENTS, bayes_estimate, draw_posterior, posterior_predictive_pvalue
+    from .gof import CompleteSample, fit_common_shape, fit_weibull_complete, ks_distance, ks_pvalue
+    from .gof import lr_test_common_shape
+
     out = sys.stdout
     seed = _seed(args)
     data = []
@@ -175,7 +172,7 @@ def _cmd_analyze(args) -> int:
     prior = _prior_from_args(args)
     for tag, ds, offset in (("data1", data[0], 10), ("data2", data[1], 20)):
         fit = fit_weibull_complete(ds)
-        d = ks_distance(ds, fit.alpha, fit.lam)
+        d = ks_distance(ds, fit.alpha, log_lam=fit.log_lam)
         _emit(out, f"{tag}_alpha", fit.alpha)
         _emit(out, f"{tag}_lambda", fit.lam)
         _emit(out, f"{tag}_ks", d)
@@ -193,8 +190,8 @@ def _cmd_analyze(args) -> int:
     stat, p = lr_test_common_shape(data[0], data[1])
     _emit(out, "lr_stat", stat)
     _emit(out, "lr_pvalue", p)
-    for tag, ds, lam in (("data1", data[0], common.lam1), ("data2", data[1], common.lam2)):
-        d = ks_distance(ds, common.alpha, lam)
+    for tag, ds, log_lam in (("data1", data[0], common.log_lam1), ("data2", data[1], common.log_lam2)):
+        d = ks_distance(ds, common.alpha, log_lam=log_lam)
         _emit(out, f"common_{tag}_ks", d)
         _emit(out, f"common_{tag}_ks_pvalue", ks_pvalue(d, ds.n))
     post = draw_posterior((data[0], data[1]), prior, args.n_draws, RngStream(seed, 30))
@@ -217,6 +214,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _study_config_from_json(path: str) -> tuple[StudyConfig, str]:
+    import json
+
+    from .bayes import PriorSpec, ShapeHyper
+    from .study import StudyConfig
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -256,6 +258,8 @@ def _study_config_from_json(path: str) -> tuple[StudyConfig, str]:
 
 
 def _cmd_study(args) -> int:
+    from .study import run_interval_study, run_point_study
+
     config, kind = _study_config_from_json(args.config)
     if args.base_seed is not None:
         config = dataclasses.replace(config, base_seed=args.base_seed)

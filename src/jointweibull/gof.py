@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -68,6 +69,7 @@ class WeibullFit:
     lam: float
     loglik: float
     iterations: int
+    log_lam: float
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class CommonShapeFit:
     lam2: float
     loglik: float
     iterations: int
+    log_lam1: float
+    log_lam2: float
 
 
 def _log_moment_start(*log_x) -> np.ndarray:
@@ -106,15 +110,16 @@ def _fit_complete_rows(*log_x) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def _fit_samples(*samples: CompleteSample) -> tuple:
-    """``(alpha, *rates, loglik, sweeps)`` of complete ``samples`` sharing
-    one shape: :func:`_fit_complete_rows` on a stack of one, whose
-    log-likelihood is formed from the fitted log rates, so a rate below
-    exp's range counts."""
+    """``(alpha, *rates, loglik, sweeps, *log_rates)`` of complete
+    ``samples`` sharing one shape: :func:`_fit_complete_rows` on a stack of
+    one, whose log-likelihood is formed from the fitted log rates, so a rate
+    below exp's range counts."""
     for d in samples:
         if d.n < 2 or d.sorted[0] == d.sorted[-1]:
             raise ValueError("need at least two distinct values to fit a shape")
     alpha, log_rates, loglik, sweeps = _fit_complete_rows(*(d.log_values[None] for d in samples))
-    return (float(alpha[0]), *np.exp(log_rates[:, 0]).tolist(), float(loglik[0]), sweeps)
+    log_rates = log_rates[:, 0].tolist()
+    return (float(alpha[0]), *np.exp(log_rates).tolist(), float(loglik[0]), sweeps, *log_rates)
 
 
 def fit_weibull_complete(data: CompleteSample) -> WeibullFit:
@@ -147,12 +152,22 @@ def _ks_rows(log_t, delta, alpha, log_lam1, log_lam2) -> np.ndarray:
     return np.maximum((rank / n_g + g).max(axis=-1), -(g + (rank - 1) / n_g).min(axis=-1))
 
 
-def ks_distance(data: CompleteSample, alpha: float, lam: float) -> float:
-    """Sup distance between the empirical CDF and a Weibull CDF."""
+def ks_distance(
+    data: CompleteSample, alpha: float, lam: Optional[float] = None, *, log_lam: Optional[float] = None
+) -> float:
+    """Sup distance between the empirical CDF and the Weibull CDF of shape
+    ``alpha`` and rate ``lam``, or of log rate ``log_lam`` (exactly one of
+    the two), with which a rate below the double range counts."""
     _check_real("alpha", alpha)
-    _check_real("lam", lam)
-    a, log_lam = np.array([alpha]), np.log([lam])
-    return float(_ks_rows(np.log(data.sorted), np.ones(data.n), a, log_lam, log_lam)[0])
+    if (lam is None) == (log_lam is None):
+        raise TypeError("ks_distance takes exactly one of lam and log_lam")
+    if lam is not None:
+        _check_real("lam", lam)
+        log_lam = np.log(lam)
+    elif isinstance(log_lam, bool) or not isinstance(log_lam, Real) or not math.isfinite(log_lam):
+        raise ValueError(f"log_lam must be a finite real, not {log_lam!r}")
+    ll = np.array([log_lam], dtype=float)
+    return float(_ks_rows(np.log(data.sorted), np.ones(data.n), np.array([alpha]), ll, ll)[0])
 
 
 def ks_pvalue(

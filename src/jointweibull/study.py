@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .bayes import PriorSpec, ShapeHyper, _DrawStack, _PosteriorCore, bayes_estimate, draw_posterior
-from .bayes import hpd_interval
+from .bayes import _COMPONENTS, hpd_interval
 from .errors import EstimationError, StudyFailedError, _check_count, _check_level, _check_real
 from .jpc import CensoringScheme, JointParams, _groups, _times, simulate_jpc_batch
 from .mle import _asymptotic, _bootstrap, _fit_design
@@ -144,9 +144,6 @@ def _scheme_label(scheme: CensoringScheme) -> str:
     runs = ((r, len(list(same))) for r, same in groupby(scheme.R))
     parts = " ".join(str(r) if count == 1 else f"{r}x{count}" for r, count in runs)
     return f"m={scheme.m} n={scheme.n} k={scheme.k} R={parts}"
-
-
-_COMPONENTS = (lambda a, l1, l2: a, lambda a, l1, l2: l1, lambda a, l1, l2: l2)
 
 
 def _chunk(config: StudyConfig, methods: list[str], point: bool, first: int) -> tuple[np.ndarray, dict, dict]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -338,13 +339,13 @@ def test_study_command_config_errors(tmp_path, capsys) -> None:
 def test_study_command_refuses_bad_settings_before_running(tmp_path, capsys, monkeypatch) -> None:
     """No posterior draws, no bootstrap resamples and a repeated method are
     refused with the bad-configuration code before any replication runs."""
-    import jointweibull.cli as cli
+    import jointweibull.study as study
 
     def never(config):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(cli, "run_point_study", never)
-    monkeypatch.setattr(cli, "run_interval_study", never)
+    monkeypatch.setattr(study, "run_point_study", never)
+    monkeypatch.setattr(study, "run_interval_study", never)
     base = {
         "m": 20, "n": 22, "k": 20, "R": [7] + [0] * 18 + [15],
         "alpha": 1.0, "lambda1": 0.5, "lambda2": 1.0,
@@ -370,11 +371,12 @@ def test_study_command_refuses_unknown_keys_and_bad_counts(tmp_path, capsys, mon
     naming the key, before any replication runs and with nothing on stdout;
     absent options take StudyConfig's own defaults."""
     import jointweibull.cli as cli
+    import jointweibull.study as study
 
     def never(config):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(cli, "run_point_study", never)
+    monkeypatch.setattr(study, "run_point_study", never)
     base = {
         "m": 20, "n": 22, "k": 20, "R": [7] + [0] * 18 + [15],
         "alpha": 1.0, "lambda1": 0.5, "lambda2": 1.0,
@@ -411,12 +413,12 @@ def test_study_command_refuses_fractional_counts(tmp_path, capsys, monkeypatch) 
     """A design count that is not an integer exits 4 naming it, before any
     replication runs and with nothing on stdout: a fractional withdrawal
     count that truncates to a valid design, and a float m or k."""
-    import jointweibull.cli as cli
+    import jointweibull.study as study
 
     def never(config):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(cli, "run_interval_study", never)
+    monkeypatch.setattr(study, "run_interval_study", never)
     base = {
         "m": 69, "n": 63, "k": 20, "R": [4] * 19 + [36],
         "alpha": 4.3475, "lambda1": 0.045326, "lambda2": 0.045326,
@@ -440,12 +442,12 @@ def test_study_command_refuses_a_bool_parameter(key, tmp_path, capsys, monkeypat
     """A bool for a true Weibull parameter exits 4 naming the key, before
     any replication runs and with nothing on stdout, rather than running
     as the value 1."""
-    import jointweibull.cli as cli
+    import jointweibull.study as study
 
     def never(config):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(cli, "run_interval_study", never)
+    monkeypatch.setattr(study, "run_interval_study", never)
     config = {
         "m": 69, "n": 63, "k": 20, "R": [4] * 19 + [36],
         "alpha": 4.3475, "lambda1": 0.045326, "lambda2": 0.045326,
@@ -536,6 +538,68 @@ def test_cli_import_leaves_scipy_stats_out(fiber_file) -> None:
     assert after_bayes == [False, False]
     assert after_coupled == [False, False]
     assert after_analyze == [False, False]
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(fiber_file) -> None:
+    """Importing the CLI loads the reader, the simulator and what they
+    need; each subcommand, run in a fresh interpreter, adds only the layers
+    it calls: ``simulate`` none, ``fit`` the likelihood, ``bayes`` the
+    likelihood, the model checks and the posterior, and none of them the
+    study layer."""
+    pkg_root = str(Path(jointweibull.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    design = ["--m", "8", "--n", "7", "--k", "6", "--R", "2", "0", "3", "0", "4", "0",
+              "--alpha", "1.5", "--lambda1", "0.6", "--lambda2", "1.1"]
+    commands = {
+        "simulate": ["simulate", *design],
+        "fit": ["fit", fiber_file],
+        "bayes": ["bayes", fiber_file, "--n-draws", "200"],
+    }
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import jointweibull.cli\n"
+        "ours = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'jointweibull')\n"
+        "after_import = ours()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = jointweibull.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([after_import, code, sorted(set(ours()) - set(after_import))]))\n"
+    )
+    base = ["jointweibull", "jointweibull.cli", "jointweibull.errors", "jointweibull.io",
+            "jointweibull.jpc", "jointweibull.rng"]
+    added = {
+        "simulate": [],
+        "fit": ["jointweibull.mle"],
+        "bayes": ["jointweibull.bayes", "jointweibull.gof", "jointweibull.mle"],
+    }
+    for name, argv in commands.items():
+        res = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == [base, 0, added[name]], name
+
+
+def test_analyze_counts_a_fitted_rate_below_the_double_range(tmp_path, capsys) -> None:
+    """Strengths of order 2e4 with a Weibull shape near 116 have a fitted
+    rate of about exp(-1175), which is 0.0 as a double: ``analyze`` takes
+    the KS distances from the fits' log rates, exits 0 and prints only
+    finite values, and its scale-free lines (shapes and KS distances) are
+    those of the same sample divided by 2e4, whose rates are near 1."""
+    u = [(i + 0.5) / 30 for i in range(30)]
+    big = [20000.0 * (-math.log1p(-p)) ** (1.0 / 116.0) for p in u]
+    outs = []
+    for scale in (1.0, 20000.0):
+        path = tmp_path / f"strengths-{scale:g}.txt"
+        path.write_text("\n".join(repr(v / scale) for v in big), encoding="utf-8")
+        assert main(["analyze", str(path), str(path), "--seed", "7"]) == 0
+        outs.append(_kv(capsys.readouterr().out))
+    big_out, unit_out = outs
+    assert float(big_out["data1_lambda"][0]) == 0.0
+    assert all(math.isfinite(float(v)) for values in big_out.values() for v in values)
+    for key in ("data1_alpha", "common_alpha", "data1_ks", "data2_ks", "common_data1_ks", "common_data2_ks"):
+        assert float(big_out[key][0]) == pytest.approx(float(unit_out[key][0]), rel=1e-5), key
 
 
 @pytest.mark.skipif(

@@ -120,6 +120,24 @@ def test_ks_distance_matches_reference(ds1) -> None:
         ks_distance(ds1, -1.0, 1.0)
 
 
+def test_ks_distance_takes_a_log_rate(ds1) -> None:
+    """``log_lam`` gives the same distance as the rate it is the log of, and
+    one that underflows to 0.0 as a rate still counts: the sample scaled by
+    c has log rate ln lambda - alpha ln c and the same distance.  Exactly
+    one of ``lam`` and ``log_lam`` is taken."""
+    fit = fit_weibull_complete(ds1)
+    d = ks_distance(ds1, fit.alpha, fit.lam)
+    assert ks_distance(ds1, fit.alpha, log_lam=fit.log_lam) == d
+    assert fit.log_lam == pytest.approx(math.log(fit.lam), rel=1e-15)
+    scaled = CompleteSample(tuple(v * 1e100 for v in ds1.values))
+    log_lam = fit.log_lam - fit.alpha * math.log(1e100)
+    assert math.exp(log_lam) == 0.0
+    assert ks_distance(scaled, fit.alpha, log_lam=log_lam) == pytest.approx(d, rel=1e-9)
+    for kwargs in ({}, {"lam": fit.lam, "log_lam": fit.log_lam}):
+        with pytest.raises(TypeError, match="exactly one"):
+            ks_distance(ds1, fit.alpha, **kwargs)
+
+
 def test_ks_rows_on_complete_samples_match_scipy(ds1, ds2) -> None:
     """A complete sample is one group of the row-wise KS routine: over 200
     shapes and rates spread about each fit, the bundled strengths (ties

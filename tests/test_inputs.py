@@ -30,6 +30,8 @@ _CASES = {
     "ks_distance-inf-alpha": ("alpha", lambda fib, ds, pr: ks_distance(ds, math.inf, 1.0)),
     "ks_distance-inf-lam": ("lam", lambda fib, ds, pr: ks_distance(ds, 2.0, math.inf)),
     "ks_distance-bool-alpha": ("alpha", lambda fib, ds, pr: ks_distance(ds, True, 1.0)),
+    "ks_distance-nan-log_lam": ("log_lam", lambda fib, ds, pr: ks_distance(ds, 2.0, log_lam=math.nan)),
+    "ks_distance-bool-log_lam": ("log_lam", lambda fib, ds, pr: ks_distance(ds, 2.0, log_lam=False)),
     "ks_pvalue-bool-distance": ("distance", lambda fib, ds, pr: ks_pvalue(True, 10)),
     "ks_pvalue-bool-n": ("n", lambda fib, ds, pr: ks_pvalue(0.1, True)),
     "ks_pvalue-fractional-n": ("n", lambda fib, ds, pr: ks_pvalue(0.1, 10.5, n_mc=10, rng=_RNG)),
